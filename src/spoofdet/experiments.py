@@ -21,8 +21,8 @@ instead of materialising the full ``(L, M, N)`` receive tensor:
   assembled per actor from closed-form spectra (pilot spectrum times tap
   spectrum), and white receive noise is added to the snapshot rows.
 
-The equivalence of these shortcuts with the full transmit/receive chain is
-anchored by tests comparing noiseless outputs element-wise.
+These shortcuts are derived from the full transmit/receive chain in
+``link.py``; no test yet compares their outputs with that chain.
 """
 
 from __future__ import annotations
@@ -429,8 +429,10 @@ def detector_scores(records, detector: str) -> tuple:
 def auc_rank(attack_scores, normal_scores, orientation: float = 1.0) -> float:
     """Probability a random attack trial outscores a random quiet one.
 
-    Midrank (tie-aware) formulation; equals the trapezoid area under the
-    threshold-swept operating curve.
+    Midrank (tie-aware) formulation of the Mann-Whitney statistic; equals
+    the trapezoid area under the threshold-swept operating curve.  After
+    orientation, NaN statistics rank above every number and tie with one
+    another.
     """
     attack = orientation * np.asarray(attack_scores, dtype=float)
     normal = orientation * np.asarray(normal_scores, dtype=float)
@@ -439,22 +441,14 @@ def auc_rank(attack_scores, normal_scores, orientation: float = 1.0) -> float:
             "ranking needs at least one sample of each class"
         )
     pooled = np.concatenate([attack, normal])
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(pooled.size, dtype=float)
-    ranks[order] = np.arange(1, pooled.size + 1, dtype=float)
-    # midranks for ties
-    sorted_vals = pooled[order]
-    start = 0
-    while start < pooled.size:
-        stop = start
-        while (
-            stop + 1 < pooled.size
-            and sorted_vals[stop + 1] == sorted_vals[start]
-        ):
-            stop += 1
-        if stop > start:
-            ranks[order[start : stop + 1]] = 0.5 * (start + stop) + 1.0
-        start = stop + 1
+    # Tied values share the midrank of the positions they occupy in the
+    # sorted pool: a group starting at 0-based position ``start`` with
+    # ``count`` members gets rank ``start + (count + 1) / 2``.
+    _, group, counts = np.unique(
+        pooled, return_inverse=True, return_counts=True
+    )
+    starts = np.cumsum(counts) - counts
+    ranks = (starts + 0.5 * (counts + 1))[group]
     rank_sum = float(np.sum(ranks[: attack.size]))
     n_a, n_n = attack.size, normal.size
     return (rank_sum - n_a * (n_a + 1) / 2.0) / (n_a * n_n)
@@ -480,13 +474,10 @@ def roc_from_outcomes(records, detector: str, config_hash: str = "") -> RocCurve
         threshold = float(orientation * cut)
         points.append((p_fa, p_d, threshold))
     points.sort(key=lambda p: (p[0], p[1]))
-    fa = np.array([p[0] for p in points])
-    pd = np.array([p[1] for p in points])
-    auc = float(np.trapz(pd, fa))
     return RocCurve(
         detector=detector,
         points=tuple(points),
-        auc=auc,
+        auc=auc_rank(attack, normal, orientation),
         n_attack=int(attack.size),
         n_normal=int(normal.size),
         config_hash=config_hash,

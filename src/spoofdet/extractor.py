@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -146,6 +147,10 @@ class SensingBatch:
     normalized : bool
         Whether the samples were divided by their pre-normalization mean
         (diagnostic only; all algorithms work at any scale).
+
+    The conjugated probes and the sample mean are computed once per batch
+    and cached, so ``probes`` and ``samples`` must not be mutated after
+    construction.
     """
 
     probes: np.ndarray
@@ -172,7 +177,12 @@ class SensingBatch:
     def dimension(self) -> int:
         return self.probes.shape[1]
 
-    @property
+    @cached_property
+    def conj_probes(self) -> np.ndarray:
+        """``probes.conj()``, built on first use and kept for the batch."""
+        return self.probes.conj()
+
+    @cached_property
     def sample_mean(self) -> float:
         return float(np.mean(self.samples))
 
@@ -249,19 +259,55 @@ class SparsityFingerprint:
 
 def _responses(batch: SensingBatch, phi: np.ndarray) -> np.ndarray:
     """Probe responses ``zeta_l = <h(l), phi>`` (conjugate-linear in h)."""
-    return batch.probes.conj() @ phi
+    return batch.conj_probes @ phi
 
 
 def _residuals(batch: SensingBatch, phi: np.ndarray) -> tuple:
+    """Evaluate ``phi`` once: its residuals and probe responses.
+
+    Every quantity of the descent at ``phi`` (loss, gradient, threshold) is
+    a function of this pair, so :func:`extract` computes it once per point
+    and hands it to the helpers below.
+    """
     zeta = _responses(batch, phi)
     residual = batch.samples - np.abs(zeta) ** 2 - batch.offset(phi)
     return residual, zeta
 
 
+def _mean_square(residual: np.ndarray) -> float:
+    return float(np.mean(residual**2))
+
+
+def _gradient_at(
+    batch: SensingBatch,
+    phi: np.ndarray,
+    residual: np.ndarray,
+    zeta: np.ndarray,
+    mode: str,
+) -> np.ndarray:
+    if mode == "analytic":
+        total = (residual.sum()) * phi - batch.probes.T @ (residual * zeta)
+        return (2.0 / batch.n_samples) * total
+    bracket = batch.samples - zeta - batch.offset(phi)
+    return bracket.sum() * phi - batch.probes.T @ (bracket * zeta)
+
+
+def _threshold_at(
+    batch: SensingBatch,
+    residual: np.ndarray,
+    zeta: np.ndarray,
+    cfg: ExtractorConfig,
+) -> float:
+    d = batch.dimension
+    kappa = math.log(d * batch.n_samples) / d**2
+    total = float(np.sum(residual**2 * np.abs(zeta) ** 2))
+    return cfg.threshold_scale * math.sqrt(kappa * total)
+
+
 def loss(batch: SensingBatch, phi: np.ndarray) -> float:
     """Mean squared residual of the offset-corrected quadratic fit."""
     residual, _ = _residuals(batch, phi)
-    return float(np.mean(residual**2))
+    return _mean_square(residual)
 
 
 def gradient(
@@ -278,13 +324,8 @@ def gradient(
     """
     if mode not in GRADIENT_MODES:
         raise ConfigurationError(f"gradient mode must be one of {GRADIENT_MODES}")
-    if mode == "analytic":
-        residual, zeta = _residuals(batch, phi)
-        total = (residual.sum()) * phi - batch.probes.T @ (residual * zeta)
-        return (2.0 / batch.n_samples) * total
-    zeta = _responses(batch, phi)
-    bracket = batch.samples - zeta - batch.offset(phi)
-    return bracket.sum() * phi - batch.probes.T @ (bracket * zeta)
+    residual, zeta = _residuals(batch, phi)
+    return _gradient_at(batch, phi, residual, zeta, mode)
 
 
 def threshold_value(
@@ -293,10 +334,7 @@ def threshold_value(
     """Adaptive threshold ``alpha * sqrt(kappa * sum_l r_l^2 |zeta_l|^2)``
     with ``kappa = ln(D * L) / D^2``."""
     residual, zeta = _residuals(batch, phi)
-    d = batch.dimension
-    kappa = math.log(d * batch.n_samples) / d**2
-    total = float(np.sum(residual**2 * np.abs(zeta) ** 2))
-    return cfg.threshold_scale * math.sqrt(kappa * total)
+    return _threshold_at(batch, residual, zeta, cfg)
 
 
 def hard_threshold(z: np.ndarray, delta: float) -> np.ndarray:
@@ -416,7 +454,10 @@ def extract(
 
     phi, degenerate_init = _spectral_init_full(batch, support)
 
-    current_loss = loss(batch, phi)
+    # The residuals and responses of the current iterate are carried from
+    # the accepted candidate, so each point is evaluated exactly once.
+    residual, zeta = _residuals(batch, phi)
+    current_loss = _mean_square(residual)
     initial_loss = max(current_loss, np.finfo(float).tiny)
     if not np.isfinite(current_loss):
         raise ExtractionError("loss is not finite at the initializer")
@@ -428,13 +469,14 @@ def extract(
     backtracks_exhausted = False
 
     for _ in range(cfg.max_iterations):
-        grad = gradient(batch, phi, cfg.gradient_mode)
-        delta = threshold_value(batch, phi, cfg)
+        grad = _gradient_at(batch, phi, residual, zeta, cfg.gradient_mode)
+        delta = _threshold_at(batch, residual, zeta, cfg)
         step = base_step
         accepted = False
         for _ in range(cfg.max_backtracks + 1):
             candidate = hard_threshold(phi - step * grad, step * delta)
-            candidate_loss = loss(batch, candidate)
+            candidate_residual, candidate_zeta = _residuals(batch, candidate)
+            candidate_loss = _mean_square(candidate_residual)
             if np.isfinite(candidate_loss) and candidate_loss <= current_loss:
                 accepted = True
                 break
@@ -446,6 +488,7 @@ def extract(
         change = np.linalg.norm(candidate - phi)
         scale = max(np.linalg.norm(phi), np.finfo(float).tiny)
         phi, current_loss = candidate, candidate_loss
+        residual, zeta = candidate_residual, candidate_zeta
         if current_loss > cfg.divergence_factor * initial_loss:
             raise ExtractionError(
                 f"loss diverged: {current_loss:.3e} from {initial_loss:.3e}"

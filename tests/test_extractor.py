@@ -2,8 +2,9 @@
 
 Oracles: hand arithmetic on one- and two-dimensional reductions, explicit
 per-sample loop re-implementations, central finite differences, frozen
-closed-form constants, and Monte Carlo recovery on noiseless planted
-instances with known sparse ground truth.
+closed-form constants, Monte Carlo recovery on noiseless planted
+instances with known sparse ground truth, and a bit-exact reference copy
+of the descent loop built from the public per-point functions.
 """
 
 import json
@@ -21,7 +22,9 @@ from spoofdet.errors import (
     InitializationError,
     ShapeError,
 )
+from spoofdet.experiments import TrialSimulator
 from spoofdet.extractor import (
+    ExtractionDiagnostics,
     ExtractorConfig,
     SensingBatch,
     SparsityFingerprint,
@@ -38,7 +41,9 @@ from spoofdet.extractor import (
     support_threshold,
     threshold_value,
 )
+from spoofdet.extractor import _spectral_init_full
 from spoofdet.link import StackedEstimate
+from spoofdet.scenario import ScenarioConfig
 
 
 def random_batch(dimension, n_samples, seed):
@@ -504,6 +509,131 @@ class TestExtract:
         back = SparsityFingerprint.from_json(fp.to_json())
         assert np.array_equal(back.values, fp.values)
         assert back.diagnostics is None
+
+
+def reference_extract(batch, cfg):
+    """Test-only copy of the descent loop that re-evaluates every point.
+
+    Each iteration calls the public ``gradient`` and ``threshold_value`` at
+    the current iterate and ``loss`` at every backtracking candidate, so it
+    shares no carried state with :func:`extract`.  It returns the same
+    ``(values, support, diagnostics)`` triple, or raises the same error.
+    """
+    support = select_support(batch)
+    init_fallback = len(support) == 0
+    if init_fallback:
+        support = (int(np.argmax(support_statistic(batch))),)
+    phi, degenerate_init = _spectral_init_full(batch, support)
+    current_loss = loss(batch, phi)
+    initial_loss = max(current_loss, np.finfo(float).tiny)
+    if not np.isfinite(current_loss):
+        raise ExtractionError("loss is not finite at the initializer")
+    mean = batch.sample_mean
+    base_step = cfg.step_size / mean if mean > 0 else cfg.step_size
+    iterations = 0
+    converged = False
+    backtracks_exhausted = False
+    for _ in range(cfg.max_iterations):
+        grad = gradient(batch, phi, cfg.gradient_mode)
+        delta = threshold_value(batch, phi, cfg)
+        step = base_step
+        accepted = False
+        for _ in range(cfg.max_backtracks + 1):
+            candidate = hard_threshold(phi - step * grad, step * delta)
+            candidate_loss = loss(batch, candidate)
+            if np.isfinite(candidate_loss) and candidate_loss <= current_loss:
+                accepted = True
+                break
+            step /= 2.0
+        if not accepted:
+            backtracks_exhausted = True
+            break
+        iterations += 1
+        change = np.linalg.norm(candidate - phi)
+        scale = max(np.linalg.norm(phi), np.finfo(float).tiny)
+        phi, current_loss = candidate, candidate_loss
+        if current_loss > cfg.divergence_factor * initial_loss:
+            raise ExtractionError(
+                f"loss diverged: {current_loss:.3e} from {initial_loss:.3e}"
+            )
+        if change <= cfg.tolerance * scale:
+            converged = True
+            break
+    if np.linalg.norm(phi) == 0.0:
+        raise ExtractionError(
+            "extraction produced an identically zero vector; the samples "
+            "carry no usable energy"
+        )
+    diagnostics = ExtractionDiagnostics(
+        final_loss=float(current_loss),
+        iterations=iterations,
+        initial_support=support,
+        init_fallback=init_fallback,
+        degenerate_init=degenerate_init,
+        converged=converged,
+        backtracks_exhausted=backtracks_exhausted,
+    )
+    return phi, tuple(int(i) for i in np.flatnonzero(phi)), diagnostics
+
+
+def assert_matches_reference(batch, cfg):
+    """``extract`` and the reference loop agree bit for bit, or both raise
+    ``ExtractionError`` with the same message.  Returns whether they
+    produced a fingerprint."""
+    try:
+        values, support, diagnostics = reference_extract(batch, cfg)
+    except ExtractionError as exc:
+        with pytest.raises(ExtractionError) as raised:
+            extract(batch, cfg)
+        assert str(raised.value) == str(exc)
+        return False
+    fp = extract(batch, cfg)
+    assert np.array_equal(fp.values, values)
+    assert fp.support == support
+    assert fp.diagnostics == diagnostics
+    return True
+
+
+class TestExtractMatchesReferenceLoop:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExtractorConfig(),
+            ExtractorConfig(threshold_scale=0.1, max_iterations=400),
+            ExtractorConfig(gradient_mode="as_printed", max_iterations=30),
+            ExtractorConfig(max_backtracks=0),
+        ],
+    )
+    def test_planted_batches(self, cfg):
+        for seed in range(6):
+            batch, _ = planted_batch(
+                16, 300, (3, 9, 14), [1.2, 1.0, 0.7], seed + 600
+            )
+            assert_matches_reference(batch, cfg)
+
+    def test_collapse_to_zero_raises_alike(self):
+        gen = np.random.default_rng(4)
+        batch = SensingBatch(
+            probes=draw_gaussian_probes(20, 6, gen), samples=np.zeros(20)
+        )
+        assert not assert_matches_reference(batch, ExtractorConfig())
+
+    def test_simulator_batches(self):
+        cfg = ScenarioConfig()
+        produced = []
+        for trial in range(3):
+            simulator = TrialSimulator(cfg, trial)
+            for subframe, attacked in ((1, False), (2, False), (2, True)):
+                batch = simulator.sensing_batch(subframe, attacked)
+                produced.append(assert_matches_reference(batch, cfg.extractor))
+        # Both outcomes occur at the default cell, so both paths are pinned.
+        assert any(produced) and not all(produced)
+
+    def test_cached_batch_quantities(self):
+        batch = random_batch(7, 13, 8)
+        assert np.array_equal(batch.conj_probes, batch.probes.conj())
+        assert batch.conj_probes is batch.conj_probes
+        assert batch.sample_mean == float(np.mean(batch.samples))
 
 
 class TestConfigValidation:
