@@ -26,44 +26,19 @@ eigenvalue, which keeps exact-rank cases stable in floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import Decision
 from .errors import ConfigurationError, ShapeError
 from .link import StackedEstimate, SubframeObservation
 
 __all__ = [
-    "EdConfig",
     "SdConfig",
     "ed_statistic",
-    "ed_alarm",
     "sd_eigenvalues",
     "sd_statistic",
-    "sd_alarm",
-    "outcome_record",
 ]
-
-ED_CALIBRATION_MODES = ("fixed", "sweep")
-
-
-@dataclass(frozen=True)
-class EdConfig:
-    """Energy-detector settings: a linear-power decision threshold and
-    whether the harness sweeps it for ROC tracing."""
-
-    threshold: float = 1.0
-    calibration: str = "sweep"
-
-    def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise ConfigurationError("energy threshold must be non-negative")
-        if self.calibration not in ED_CALIBRATION_MODES:
-            raise ConfigurationError(
-                f"calibration mode must be one of {ED_CALIBRATION_MODES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -78,9 +53,6 @@ class SdConfig:
     relative_floor : float
         Additional cut relative to the leading eigenvalue, guarding the
         exact-rank (noise-free) case where the median is numerically zero.
-    baseline_dimension : int
-        Expected dimension with a single transmitter; alarm when the
-        estimate exceeds it.
     samples_per_subframe : int
         How many estimate samples per subframe the harness collects into
         the covariance window.
@@ -88,7 +60,6 @@ class SdConfig:
 
     noise_floor_multiple: float = 3.0
     relative_floor: float = 1e-9
-    baseline_dimension: int = 1
     samples_per_subframe: int = 5
 
     def __post_init__(self) -> None:
@@ -96,8 +67,6 @@ class SdConfig:
             raise ConfigurationError("noise-floor multiple must be positive")
         if self.relative_floor < 0:
             raise ConfigurationError("relative floor must be non-negative")
-        if self.baseline_dimension < 1:
-            raise ConfigurationError("baseline dimension must be at least 1")
         if self.samples_per_subframe < 1:
             raise ConfigurationError(
                 "samples per subframe must be at least 1"
@@ -110,11 +79,6 @@ def ed_statistic(observation: SubframeObservation) -> float:
     if samples.size < 1:
         raise ConfigurationError("energy detector needs at least one sample")
     return float(np.mean(samples))
-
-
-def ed_alarm(observation: SubframeObservation, cfg: EdConfig) -> bool:
-    """Alarm when the average energy strictly exceeds the threshold."""
-    return ed_statistic(observation) > cfg.threshold
 
 
 def _window_matrix(window) -> np.ndarray:
@@ -171,26 +135,3 @@ def sd_statistic(window, cfg: SdConfig | None = None) -> int:
         cfg.relative_floor * leading,
     )
     return int(np.sum(eigenvalues > cut))
-
-
-def sd_alarm(dimension: int, cfg: SdConfig | None = None) -> bool:
-    """Alarm when the dimension estimate exceeds the expected baseline."""
-    if cfg is None:
-        cfg = SdConfig()
-    return dimension > cfg.baseline_dimension
-
-
-def outcome_record(
-    detector: str, subframe_index: int, statistic: float, alarm: bool
-) -> str:
-    """One structured log line per decision, tagged with the detector name;
-    mirrors the sequential detector's outcome records."""
-    decision = Decision.ALARM if alarm else Decision.NORMAL
-    return json.dumps(
-        {
-            "subframe": subframe_index,
-            "statistic": float(statistic),
-            "decision": decision.value,
-            "detector": detector,
-        }
-    )

@@ -37,9 +37,13 @@ __all__ = [
     "place_actors",
     "beamspace",
     "vectorize_taps",
+    "as_generator",
 ]
 
 DEFAULT_TABLE_PATH = Path(__file__).parent / "data" / "clustered_los.yaml"
+
+# Equal-power rays that make up each cluster's diffuse part.
+RAYS_PER_CLUSTER = 20
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,8 @@ def steering_vector(
     return np.exp(1j * phase)
 
 
-def _as_generator(seed) -> np.random.Generator:
+def as_generator(seed) -> np.random.Generator:
+    """Use ``seed`` as is if it is a Generator, else seed a new one from it."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -247,12 +252,11 @@ def draw_channel(
     num_taps: int,
     tap_duration_ns: float,
     rng,
-    rays_per_cluster: int = 20,
 ) -> ChannelRealization:
     """Draw one small-scale channel realization for ``source``.
 
     Each cluster maps to the tap nearest its delay and contributes a bundle
-    of ``rays_per_cluster`` equal-power rays with independent uniform phases
+    of ``RAYS_PER_CLUSTER`` equal-power rays with independent uniform phases
     and Gaussian azimuth offsets (standard deviation = the cluster's spread)
     around the cluster azimuth.  With a Ricean factor configured, the first
     cluster instead sends the fraction ``K/(K+1)`` of its power on a single
@@ -269,7 +273,7 @@ def draw_channel(
         raise ConfigurationError(f"num_taps must be positive, got {num_taps}")
     if tap_duration_ns <= 0:
         raise ConfigurationError("tap duration must be positive")
-    gen = _as_generator(rng)
+    gen = as_generator(rng)
     position = scenario.position_of(source)
     m_ant = scenario.num_antennas
     spacing = scenario.element_spacing_wavelengths
@@ -297,9 +301,9 @@ def draw_channel(
                 * np.exp(1j * phase)
                 * steering_vector(m_ant, cluster_azimuths[c], spacing)
             )
-        ray_amp = math.sqrt(diffuse_power / rays_per_cluster)
-        offsets = gen.normal(0.0, table.spreads_deg[c], size=rays_per_cluster)
-        phases = gen.uniform(0.0, 2.0 * np.pi, size=rays_per_cluster)
+        ray_amp = math.sqrt(diffuse_power / RAYS_PER_CLUSTER)
+        offsets = gen.normal(0.0, table.spreads_deg[c], size=RAYS_PER_CLUSTER)
+        phases = gen.uniform(0.0, 2.0 * np.pi, size=RAYS_PER_CLUSTER)
         sines = np.sin(np.radians(cluster_azimuths[c] + offsets))
         steering = np.exp(
             2j * np.pi * spacing * np.outer(sines, np.arange(m_ant))
@@ -326,7 +330,7 @@ def place_actors(
         )
     if count < 0:
         raise ConfigurationError(f"count must be non-negative, got {count}")
-    gen = _as_generator(rng)
+    gen = as_generator(rng)
     sq = gen.uniform(inner_radius_m**2, outer_radius_m**2, size=count)
     azimuths = gen.uniform(0.0, 360.0, size=count)
     return [

@@ -22,7 +22,10 @@ instead of materialising the full ``(L, M, N)`` receive tensor:
   spectrum), and white receive noise is added to the snapshot rows.
 
 These shortcuts are derived from the full transmit/receive chain in
-``link.py``; no test yet compares their outputs with that chain.
+``link.py``.  ``tests/test_experiments.py::TestShortcutsMatchLinkChain``
+checks the noise-free sensing batches and subspace snapshots of both arms
+against that chain; the noise terms and the energy sketch are not yet
+tested against it.
 """
 
 from __future__ import annotations
@@ -550,13 +553,6 @@ class CalibrationResult:
     fraction_above_threshold: float
     threshold: float
 
-    def cdf_points(self) -> tuple:
-        values = np.sort(np.asarray(self.similarities))
-        n = values.size
-        return tuple(
-            (float(v), (i + 1) / n) for i, v in enumerate(values)
-        )
-
 
 def calibrate(
     cfg: ScenarioConfig,
@@ -742,28 +738,6 @@ def emit_results(
     if extra:
         summary.update(extra)
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return summary
-
-
-def emit_calibration(result: CalibrationResult, out_dir, cfg: ScenarioConfig) -> dict:
-    """Write the no-attack similarity CDF and the threshold suggestion."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "calibration.csv",
-        ("similarity", "empirical_cdf"),
-        [(repr(c), repr(f)) for c, f in result.cdf_points()],
-    )
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": cfg.config_hash(),
-        "n_samples": len(result.similarities),
-        "threshold": result.threshold,
-        "fraction_above_threshold": result.fraction_above_threshold,
-        "suggested_threshold": result.suggested_threshold,
-        "quantile": result.quantile,
-    }
-    (out / "calibration.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 

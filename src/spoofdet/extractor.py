@@ -26,17 +26,11 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    ClusterTable,
-    GeometryScenario,
-    PolarPosition,
-    beamspace,
-    draw_channel,
-)
+from .channel import as_generator, beamspace
 from .errors import (
     ConfigurationError,
     ExtractionError,
@@ -60,12 +54,8 @@ __all__ = [
     "spectral_init",
     "extract",
     "draw_gaussian_probes",
-    "draw_clustered_probes",
     "build_subframe_batch",
 ]
-
-GRADIENT_MODES = ("analytic", "as_printed")
-PROBE_FAMILIES = ("gaussian", "clustered")
 
 
 @dataclass(frozen=True)
@@ -78,21 +68,15 @@ class ExtractorConfig:
         Gradient-descent iteration budget; 0 returns the initializer.
     step_size : float
         Base step size, applied relative to the sample mean (the effective
-        first step is ``step_size / mean(s)`` so behavior is invariant to
-        the overall sample scale); halved (stickily) whenever a step would
-        increase the loss, up to ``max_backtracks`` times per iteration.
+        step is ``step_size / mean(s)`` so behavior is invariant to the
+        overall sample scale).  Every iteration starts from this base step
+        and halves it whenever a candidate would increase the loss, up to
+        ``max_backtracks`` times; the halving does not carry over to the
+        next iteration.
     threshold_scale : float
         Multiplier on the residual-driven adaptive threshold.
     tolerance : float
         Early-stop threshold on the relative iterate change.
-    gradient_mode : str
-        ``"analytic"`` uses the true gradient of the squared-residual loss;
-        ``"as_printed"`` reproduces a published variant that differs inside
-        the residual bracket (kept for comparison runs).
-    probe_family : str
-        Which probe ensemble the harness draws for sensing batches:
-        ``"gaussian"`` (unit-variance complex Gaussian) or ``"clustered"``
-        (standardized draws from the clustered channel generator).
     dimension : int or None
         Expected batch dimension; when set, :func:`extract` rejects
         mismatched batches.
@@ -102,10 +86,8 @@ class ExtractorConfig:
     step_size: float = 0.1
     threshold_scale: float = 15.0
     tolerance: float = 1e-6
-    gradient_mode: str = "analytic"
     max_backtracks: int = 20
     divergence_factor: float = 1e6
-    probe_family: str = "gaussian"
     dimension: int | None = None
 
     def __post_init__(self) -> None:
@@ -117,18 +99,10 @@ class ExtractorConfig:
             raise ConfigurationError("threshold scale must be positive")
         if self.tolerance < 0:
             raise ConfigurationError("tolerance must be non-negative")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ConfigurationError(
-                f"gradient mode must be one of {GRADIENT_MODES}"
-            )
         if self.max_backtracks < 0:
             raise ConfigurationError("backtrack budget must be non-negative")
         if self.divergence_factor <= 1:
             raise ConfigurationError("divergence factor must exceed 1")
-        if self.probe_family not in PROBE_FAMILIES:
-            raise ConfigurationError(
-                f"probe family must be one of {PROBE_FAMILIES}"
-            )
         if self.dimension is not None and self.dimension < 1:
             raise ConfigurationError("dimension must be positive when set")
 
@@ -283,13 +257,9 @@ def _gradient_at(
     phi: np.ndarray,
     residual: np.ndarray,
     zeta: np.ndarray,
-    mode: str,
 ) -> np.ndarray:
-    if mode == "analytic":
-        total = (residual.sum()) * phi - batch.probes.T @ (residual * zeta)
-        return (2.0 / batch.n_samples) * total
-    bracket = batch.samples - zeta - batch.offset(phi)
-    return bracket.sum() * phi - batch.probes.T @ (bracket * zeta)
+    total = (residual.sum()) * phi - batch.probes.T @ (residual * zeta)
+    return (2.0 / batch.n_samples) * total
 
 
 def _threshold_at(
@@ -310,22 +280,14 @@ def loss(batch: SensingBatch, phi: np.ndarray) -> float:
     return _mean_square(residual)
 
 
-def gradient(
-    batch: SensingBatch, phi: np.ndarray, mode: str = "analytic"
-) -> np.ndarray:
+def gradient(batch: SensingBatch, phi: np.ndarray) -> np.ndarray:
     """Conjugate (Wirtinger) gradient of :func:`loss` at ``phi``.
 
-    In ``"analytic"`` mode this is the exact gradient: for real-coordinate
-    finite differences, ``dL/dRe(phi_i) = 2 Re(g_i)`` and
-    ``dL/dIm(phi_i) = 2 Im(g_i)``.  The ``"as_printed"`` mode reproduces a
-    variant whose residual bracket is linear (not quadratic) in the probe
-    response and which sums rather than averages; it is not the gradient of
-    :func:`loss` and is kept only for side-by-side comparisons.
+    For real-coordinate finite differences, ``dL/dRe(phi_i) = 2 Re(g_i)``
+    and ``dL/dIm(phi_i) = 2 Im(g_i)``.
     """
-    if mode not in GRADIENT_MODES:
-        raise ConfigurationError(f"gradient mode must be one of {GRADIENT_MODES}")
     residual, zeta = _residuals(batch, phi)
-    return _gradient_at(batch, phi, residual, zeta, mode)
+    return _gradient_at(batch, phi, residual, zeta)
 
 
 def threshold_value(
@@ -469,7 +431,7 @@ def extract(
     backtracks_exhausted = False
 
     for _ in range(cfg.max_iterations):
-        grad = _gradient_at(batch, phi, residual, zeta, cfg.gradient_mode)
+        grad = _gradient_at(batch, phi, residual, zeta)
         delta = _threshold_at(batch, residual, zeta, cfg)
         step = base_step
         accepted = False
@@ -525,50 +487,11 @@ def draw_gaussian_probes(
     n_samples: int, dimension: int, rng
 ) -> np.ndarray:
     """Complex Gaussian probes with unit variance per entry."""
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = as_generator(rng)
     return (
         gen.normal(size=(n_samples, dimension))
         + 1j * gen.normal(size=(n_samples, dimension))
     ) / math.sqrt(2.0)
-
-
-def draw_clustered_probes(
-    n_samples: int,
-    scenario: GeometryScenario,
-    table: ClusterTable,
-    num_taps: int,
-    tap_duration_ns: float,
-    rng,
-) -> np.ndarray:
-    """Probes drawn from the clustered channel generator at random azimuths.
-
-    Each probe is a beam-by-tap vectorized draw for a uniformly random
-    source azimuth, rescaled to total energy ``D`` so the per-coordinate
-    second moment is one on average (approximate standardization).
-    """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    d = num_taps * scenario.num_antennas
-    probes = np.empty((n_samples, d), dtype=np.complex128)
-    radius = (scenario.inner_radius_m + scenario.outer_radius_m) / 2.0
-    for l in range(n_samples):
-        azimuth = float(gen.uniform(0.0, 360.0))
-        probe_scenario = GeometryScenario(
-            num_antennas=scenario.num_antennas,
-            element_spacing_wavelengths=scenario.element_spacing_wavelengths,
-            inner_radius_m=scenario.inner_radius_m,
-            outer_radius_m=scenario.outer_radius_m,
-            user_positions=(PolarPosition(radius, azimuth),),
-            attacker_position=scenario.attacker_position,
-        )
-        draw = draw_channel(
-            probe_scenario, table, 0, num_taps, tap_duration_ns, gen
-        )
-        vec = beamspace(draw.taps).reshape(-1)
-        energy = float(np.linalg.norm(vec))
-        if energy > 0:
-            vec = vec * math.sqrt(d) / energy
-        probes[l] = vec
-    return probes
 
 
 def build_subframe_batch(

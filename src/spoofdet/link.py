@@ -23,11 +23,11 @@ frequency-domain variance divided by ``N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, as_generator
 from .errors import ConfigurationError, PilotDivisionError, ShapeError
 from .zc import PreamblePool
 
@@ -45,10 +45,7 @@ __all__ = [
     "tap_reference",
     "fd_noise_variance",
     "td_equivalent_noise_variance",
-    "dump_estimate_text",
 ]
-
-NOISE_CONVENTIONS = ("as_printed", "normalized", "physical")
 
 
 @dataclass(frozen=True)
@@ -73,17 +70,9 @@ class LinkConfig:
         Per-user linear powers; ``None`` means every user transmits at
         ``victim_power``.
     noise_variance : float
-        Nominal noise variance (sigma^2) used together with
-        ``noise_convention`` to fix the estimate-noise level.
-    noise_convention : str
-        How sigma^2 maps to the per-element variance of the estimate noise:
-        ``"as_printed"`` gives ``sigma^2 / (N * sqrt(P))``, ``"normalized"``
-        gives ``sigma^2 / (N * P)``, and ``"physical"`` gives
-        ``sigma^2 * N / P`` (the variance a literal time-domain injection of
-        sigma^2 produces after least-squares division).
-    rb_count : int or None
-        Occupied resource blocks; informational here (the experiment layer
-        derives ``n_samples`` from it).
+        Nominal noise variance sigma^2; the per-element variance of the
+        estimate noise is ``sigma^2 / (N * P)`` (see
+        :func:`fd_noise_variance`).
     """
 
     n_subcarriers: int
@@ -93,8 +82,6 @@ class LinkConfig:
     victim_power: float = 1.0
     user_powers: tuple | None = None
     noise_variance: float = 0.0
-    noise_convention: str = "as_printed"
-    rb_count: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_subcarriers < 2:
@@ -116,10 +103,6 @@ class LinkConfig:
                 raise ConfigurationError("user powers must be positive")
         if self.noise_variance < 0:
             raise ConfigurationError("noise variance must be non-negative")
-        if self.noise_convention not in NOISE_CONVENTIONS:
-            raise ConfigurationError(
-                f"noise convention must be one of {NOISE_CONVENTIONS}"
-            )
 
     def power_of_user(self, k: int) -> float:
         if self.user_powers is not None:
@@ -215,12 +198,6 @@ class SubframeObservation:
         return len(self.samples)
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _padded_taps(channel: ChannelRealization, n: int) -> np.ndarray:
     """Zero-pad a (tau, M) tap matrix to (n, M) along the delay axis."""
     tau = channel.num_taps
@@ -234,14 +211,8 @@ def _padded_taps(channel: ChannelRealization, n: int) -> np.ndarray:
 
 
 def fd_noise_variance(cfg: LinkConfig) -> float:
-    """Per-element variance of the estimate noise implied by the config."""
-    n = cfg.n_subcarriers
-    p = cfg.victim_power
-    if cfg.noise_convention == "as_printed":
-        return cfg.noise_variance / (n * np.sqrt(p))
-    if cfg.noise_convention == "normalized":
-        return cfg.noise_variance / (n * p)
-    return cfg.noise_variance * n / p
+    """Per-element variance of the estimate noise, ``sigma^2 / (N * P)``."""
+    return cfg.noise_variance / (cfg.n_subcarriers * cfg.victim_power)
 
 
 def td_equivalent_noise_variance(cfg: LinkConfig) -> float:
@@ -281,7 +252,7 @@ def transmit_receive_td(
         raise ConfigurationError(
             f"expected {cfg.num_users} user channels, got {len(channels)}"
         )
-    gen = _as_generator(rng)
+    gen = as_generator(rng)
     sigma2 = cfg.noise_variance if noise_variance is None else noise_variance
     if sigma2 < 0:
         raise ConfigurationError("noise variance must be non-negative")
@@ -408,9 +379,8 @@ def simulate_subframe(
 ) -> StackedEstimate:
     """Run the full chain for one subframe: transmit, FFT, least squares.
 
-    The time-domain injection variance is derived from the configured noise
-    convention so that the estimate noise lands at ``fd_noise_variance(cfg)``
-    per element.
+    The time-domain injection variance is chosen so that the estimate
+    noise lands at ``fd_noise_variance(cfg)`` per element.
     """
     if num_taps is None:
         num_taps = channels[cfg.victim_index].num_taps
@@ -451,24 +421,3 @@ def tap_reference(taps: np.ndarray) -> np.ndarray:
     """Noise-free tap-form estimate: the tap matrix flattened tap-major."""
     taps = np.asarray(taps)
     return taps.reshape(-1)
-
-
-def dump_estimate_text(estimate: StackedEstimate, stream: IO[str]) -> None:
-    """Write a stacked estimate as plain text for offline cross-checks.
-
-    Format: comment header with dimensions, then one line per (sample,
-    coordinate) pair per section, ``l i re im`` with full float precision.
-    """
-    stream.write(
-        f"# stacked-estimate subframe={estimate.subframe_index} "
-        f"L={estimate.n_samples} M={estimate.num_antennas} "
-        f"N={estimate.n_subcarriers} taps={estimate.num_taps}\n"
-    )
-    for name, block in (("fd", estimate.fd), ("tap", estimate.tap)):
-        stream.write(f"[{name}]\n")
-        for l in range(block.shape[0]):
-            row = block[l]
-            for i in range(block.shape[1]):
-                stream.write(
-                    f"{l} {i} {float(row[i].real)!r} {float(row[i].imag)!r}\n"
-                )

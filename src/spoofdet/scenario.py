@@ -16,7 +16,7 @@ Conventions baked in here rather than scattered through the harness:
   level: the per-element estimate-noise variance is ``link_gain /
   snr_linear``, with ``link_gain`` the reference per-element signal level
   of the estimate.  The link-layer nominal noise variance is back-solved
-  from that target through the configured noise convention.
+  from that target.
 * The attacker's strength is calibrated per trial so that its received
   energy over the victim's is exactly the configured jammer-to-signal
   ratio.
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import yaml
 
-from .baselines import EdConfig, SdConfig
+from .baselines import SdConfig
 from .detector import UPDATE_POLICIES
 from .errors import ConfigurationError
 from .extractor import ExtractorConfig
@@ -66,17 +66,14 @@ class ScenarioConfig:
         into an estimate-noise variance.
     inner_radius_m, outer_radius_m, element_spacing_wavelengths
         Deployment annulus and array spacing.
-    tap_duration_ns, rays_per_cluster, cluster_table
+    tap_duration_ns, cluster_table
         Channel sampling and the cluster profile (``None`` selects the
         packaged default profile).
     extractor, similarity_threshold, update_policy
         Fingerprint-extraction settings and the sequential detector's
         similarity threshold / reference-update policy.
-    energy, subspace
-        Reference-detector settings.  When ``subspace`` is ``None`` a
-        default is derived with the expected no-attack dimension set to
-        the user count (each active transmitter contributes one dominant
-        spatial direction).
+    subspace
+        Subspace-detector settings.
     trials, master_seed, output_dir, workers
         Monte Carlo budget, root seed, result directory, and worker count.
     """
@@ -97,13 +94,11 @@ class ScenarioConfig:
     outer_radius_m: float = 120.0
     element_spacing_wavelengths: float = 0.5
     tap_duration_ns: float = 240.0
-    rays_per_cluster: int = 20
     cluster_table: str | None = None
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     similarity_threshold: float = 0.92
     update_policy: str = "quarantine"
-    energy: EdConfig = field(default_factory=EdConfig)
-    subspace: SdConfig | None = None
+    subspace: SdConfig = field(default_factory=SdConfig)
     trials: int = 500
     master_seed: int = 2026
     output_dir: str = "results"
@@ -111,8 +106,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("num_antennas", "num_users", "num_taps", "rb_count",
-                     "samples_per_rb", "rays_per_cluster", "trials",
-                     "workers"):
+                     "samples_per_rb", "trials", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
         if self.sequence_length < 2:
@@ -206,8 +200,6 @@ class ScenarioConfig:
             victim_index=self.victim_index,
             victim_power=self.victim_power,
             noise_variance=nominal,
-            noise_convention="normalized",
-            rb_count=self.rb_count,
         )
 
     def build_pool(self) -> PreamblePool:
@@ -221,15 +213,8 @@ class ScenarioConfig:
         )
 
     def subspace_config(self) -> SdConfig:
-        """Resolved subspace-detector settings.
-
-        Defaults the expected no-attack dimension to the user count: with
-        every user active, the no-attack antenna covariance carries one
-        dominant direction per user.
-        """
-        if self.subspace is not None:
-            return self.subspace
-        return SdConfig(baseline_dimension=self.num_users)
+        """Subspace-detector settings."""
+        return self.subspace
 
     def cell_tag(self) -> str:
         """Short label for this operating point, used in file naming."""
@@ -263,7 +248,6 @@ class ScenarioConfig:
             "channel": {
                 "num_taps": self.num_taps,
                 "tap_duration_ns": self.tap_duration_ns,
-                "rays_per_cluster": self.rays_per_cluster,
                 "cluster_table": self.cluster_table,
             },
             "geometry": {
@@ -275,9 +259,7 @@ class ScenarioConfig:
                 "similarity_threshold": self.similarity_threshold,
                 "update_policy": self.update_policy,
             },
-            "energy": asdict(self.energy),
-            "subspace": (None if self.subspace is None
-                         else asdict(self.subspace)),
+            "subspace": asdict(self.subspace),
             "experiment": {
                 "trials": self.trials,
                 "master_seed": self.master_seed,
@@ -287,8 +269,15 @@ class ScenarioConfig:
         }
 
     def config_hash(self) -> str:
-        """Stable short hash of every configuration field."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
+        """Stable short hash of every field that can change a trial.
+
+        ``output_dir`` and ``workers`` are left out: they decide where and
+        how the trials run, not what they produce.
+        """
+        raw = self.to_dict()
+        experiment = raw["experiment"]
+        del experiment["output_dir"], experiment["workers"]
+        payload = json.dumps(raw, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def to_yaml(self, path: str | Path) -> None:
@@ -311,8 +300,7 @@ class ScenarioConfig:
             "radio": ("snr_db", "jsr_db", "link_gain", "victim_power"),
             "pilot": ("sequence_length", "shift_size", "rb_count",
                       "samples_per_rb"),
-            "channel": ("num_taps", "tap_duration_ns", "rays_per_cluster",
-                        "cluster_table"),
+            "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
             "geometry": ("inner_radius_m", "outer_radius_m"),
             "detector": ("similarity_threshold", "update_policy"),
             "experiment": ("trials", "master_seed", "output_dir", "workers"),
@@ -336,7 +324,6 @@ class ScenarioConfig:
                     kwargs[key] = body[key]
         for section, config_cls, target in (
             ("extractor", ExtractorConfig, "extractor"),
-            ("energy", EdConfig, "energy"),
             ("subspace", SdConfig, "subspace"),
         ):
             if section in raw and raw[section] is not None:
@@ -357,8 +344,7 @@ class ScenarioConfig:
                     for key, value in body.items()
                 }
                 kwargs[target] = config_cls(**converted)
-        known_sections = set(section_fields) | {"extractor", "energy",
-                                                "subspace"}
+        known_sections = set(section_fields) | {"extractor", "subspace"}
         unknown_sections = set(raw) - known_sections
         if unknown_sections:
             raise ConfigurationError(

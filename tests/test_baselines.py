@@ -6,18 +6,12 @@ full-dimension covariance eigendecomposition cross-check for the Gram
 shortcut, and a closed-form mean for the noisy energy statistic.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from spoofdet.baselines import (
-    EdConfig,
     SdConfig,
-    ed_alarm,
     ed_statistic,
-    outcome_record,
-    sd_alarm,
     sd_eigenvalues,
     sd_statistic,
 )
@@ -85,20 +79,9 @@ class TestEnergyDetector:
             3.0 * base, rel=1e-12
         )
 
-    def test_alarm_strictly_above_threshold(self):
-        cfg = EdConfig(threshold=1.0)
-        assert not ed_alarm(obs(np.ones(4)), cfg)
-        assert ed_alarm(obs(np.full(4, 1.001)), cfg)
-
     def test_empty_observation_rejected(self):
         with pytest.raises(ConfigurationError):
             ed_statistic(obs(np.zeros(0)))
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            EdConfig(threshold=-0.5)
-        with pytest.raises(ConfigurationError):
-            EdConfig(calibration="guess")
 
 
 class TestSubspaceDimension:
@@ -190,35 +173,11 @@ class TestSubspaceDimension:
         assert isinstance(dimension, int)
         assert 0 <= dimension <= 10
 
-    def test_alarm_rule(self):
-        cfg = SdConfig(baseline_dimension=1)
-        assert not sd_alarm(0, cfg)
-        assert not sd_alarm(1, cfg)
-        assert sd_alarm(2, cfg)
-
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SdConfig(noise_floor_multiple=0.0)
         with pytest.raises(ConfigurationError):
             SdConfig(relative_floor=-1e-9)
         with pytest.raises(ConfigurationError):
-            SdConfig(baseline_dimension=0)
-        with pytest.raises(ConfigurationError):
             SdConfig(samples_per_subframe=0)
         assert SdConfig().noise_floor_multiple == 3.0
-
-
-class TestOutcomeRecord:
-    def test_record_fields(self):
-        line = outcome_record("energy", 7, 2.5, True)
-        raw = json.loads(line)
-        assert raw == {
-            "subframe": 7,
-            "statistic": 2.5,
-            "decision": "spoofing-alarm",
-            "detector": "energy",
-        }
-
-    def test_normal_decision(self):
-        raw = json.loads(outcome_record("subspace", 3, 1.0, False))
-        assert raw["decision"] == "normal"

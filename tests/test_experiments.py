@@ -1,7 +1,10 @@
-"""Tests for the experiment harness: rank AUC, ROC curves, result files.
+"""Tests for the experiment harness: rank AUC, ROC curves, result files,
+the closed-form observation builders, and the multi-subframe entry points.
 
-Oracles: direct pair counting for the Mann-Whitney AUC, and reruns of a
-tiny cell (serial and pooled) for byte-stable result files.
+Oracles: direct pair counting for the Mann-Whitney AUC; reruns of a tiny
+cell (serial and pooled) for byte-stable result files; the full
+transmit/receive chain of ``link.py`` for the noise-free sensing batches
+and subspace snapshots that ``TrialSimulator`` builds in closed form.
 """
 
 import csv
@@ -15,10 +18,21 @@ from spoofdet.experiments import (
     DETECTOR_NAMES,
     ArmObservables,
     TrialRecord,
+    TrialSimulator,
     auc_rank,
+    calibrate,
     detector_scores,
     roc_from_outcomes,
+    run_detection_delay,
     run_scenario,
+    run_sweep,
+)
+from spoofdet.extractor import build_subframe_batch
+from spoofdet.link import (
+    AttackProfile,
+    ls_estimate,
+    to_frequency_domain,
+    transmit_receive_td,
 )
 from spoofdet.scenario import ScenarioConfig
 
@@ -136,15 +150,10 @@ class TestRunScenario:
         def stable(summary):
             return {k: v for k, v in summary.items() if k != "wall_time_s"}
 
-        assert stable(runs["rerun"][1]) == stable(summary)
-        # The config hash covers every field, the worker count included.
-        pooled = stable(runs["pool"][1])
-        assert pooled.pop("config_hash") == (
-            ScenarioConfig(**TINY, workers=2).config_hash()
-        )
-        assert pooled == {
-            k: v for k, v in stable(summary).items() if k != "config_hash"
-        }
+        # The worker count is left out of the config hash, so a pooled run
+        # reports the same summary as a serial one.
+        for name in ("rerun", "pool"):
+            assert stable(runs[name][1]) == stable(summary)
 
         assert summary["config_hash"] == cfg.config_hash()
         rows = list(csv.DictReader(files["trials.csv"].decode().splitlines()))
@@ -153,3 +162,102 @@ class TestRunScenario:
         assert summary["failed_trials"] == errors
         for name in DETECTOR_NAMES:
             assert 0.0 <= summary["auc"][name] <= 1.0
+
+
+class TestShortcutsMatchLinkChain:
+    """``TrialSimulator`` builds its observations in closed form; with the
+    noise switched off they must equal what the full chain produces:
+    ``transmit_receive_td`` -> ``to_frequency_domain`` -> ``ls_estimate``
+    -> ``build_subframe_batch`` on the same probes."""
+
+    # At 400 dB the estimate noise of the shortcut is ~1e-40 of the
+    # signal, far below float resolution, and the chain runs noise-free.
+    CFG = ScenarioConfig(
+        num_antennas=8, num_users=4, sequence_length=31, snr_db=400.0
+    )
+
+    @staticmethod
+    def chain_estimate(simulator, attacked):
+        cfg = simulator.cfg
+        link_cfg = cfg.link_config()
+        pool = cfg.build_pool()
+        attack = (
+            AttackProfile(True, simulator.rho, simulator.attacker_channel)
+            if attacked else AttackProfile.inactive()
+        )
+        y_td = transmit_receive_td(
+            pool, simulator.channels, attack, link_cfg, rng=0,
+            noise_variance=0.0,
+        )
+        y_fd = to_frequency_domain(y_td, link_cfg)
+        estimate = ls_estimate(
+            y_fd, pool.sequence_for_user(cfg.victim_index), link_cfg,
+            cfg.num_taps, subframe_index=1,
+        )
+        return y_fd, estimate
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_sensing_batch_and_snapshot(self, trial, attacked):
+        simulator = TrialSimulator(self.CFG, trial)
+        y_fd, estimate = self.chain_estimate(simulator, attacked)
+
+        shortcut = simulator.sensing_batch(1, attacked)
+        chain = build_subframe_batch(estimate, shortcut.probes)
+        assert chain.normalized and shortcut.normalized
+        np.testing.assert_allclose(
+            shortcut.samples, chain.samples, rtol=1e-12, atol=1e-12
+        )
+
+        snapshot = (
+            simulator.snapshot_attacked if attacked
+            else simulator.snapshot_quiet
+        )
+        np.testing.assert_allclose(snapshot, y_fd[0], rtol=0, atol=1e-12)
+
+
+class TestOtherEntryPoints:
+    def test_run_sweep_one_cell(self, tmp_path):
+        cfg = ScenarioConfig(**TINY)
+        grid = run_sweep(cfg, [cfg.snr_db], [cfg.rb_count], tmp_path)
+        assert json.loads((tmp_path / "sweep.json").read_text()) == grid
+        tag = cfg.cell_tag()
+        assert grid["cells"] == {
+            tag: json.loads((tmp_path / tag / "summary.json").read_text())["auc"]
+        }
+        assert grid["master_seed"] == cfg.master_seed
+        assert grid["trials_per_cell"] == cfg.trials
+        direct = run_scenario(cfg, tmp_path / "direct")
+        assert grid["cells"][tag] == direct["auc"]
+        assert (tmp_path / tag / "trials.csv").read_bytes() == (
+            tmp_path / "direct" / "trials.csv"
+        ).read_bytes()
+
+    def test_calibrate(self):
+        cfg = ScenarioConfig(**TINY)
+        result = calibrate(cfg, n_streams=2, subframes_per_stream=3)
+        # Each stream decides every subframe after the first.
+        values = np.asarray(result.similarities)
+        assert values.shape == (2 * 2,)
+        assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
+        assert result.threshold == cfg.similarity_threshold
+        assert result.suggested_threshold == float(
+            np.quantile(values, result.quantile)
+        )
+        assert result.fraction_above_threshold == float(
+            np.mean(values > cfg.similarity_threshold)
+        )
+
+    def test_run_detection_delay(self):
+        cfg = ScenarioConfig(**TINY)
+        result = run_detection_delay(
+            cfg, attack_start=4, n_subframes=6, n_streams=2
+        )
+        assert len(result.first_alarms) == 2
+        for alarm in result.first_alarms:
+            assert alarm is None or 2 <= alarm <= 6
+        caught = [a for a in result.first_alarms if a is not None]
+        assert result.alarm_fraction == len(caught) / 2
+        assert result.median_first_alarm == float(np.median(
+            [float("inf") if a is None else a for a in result.first_alarms]
+        ))

@@ -29,7 +29,6 @@ from spoofdet.extractor import (
     SensingBatch,
     SparsityFingerprint,
     build_subframe_batch,
-    draw_clustered_probes,
     draw_gaussian_probes,
     extract,
     gradient,
@@ -126,8 +125,7 @@ class TestGradient:
     def test_zero_phi_both_modes(self):
         batch = random_batch(6, 10, 1)
         zero = np.zeros(6, dtype=np.complex128)
-        assert np.array_equal(gradient(batch, zero, "analytic"), zero)
-        assert np.array_equal(gradient(batch, zero, "as_printed"), zero)
+        assert np.array_equal(gradient(batch, zero), zero)
 
     def test_two_dim_hand_reduction_analytic(self):
         # Single probe on coordinate 0: residual is |phi_1|^2, and the
@@ -138,28 +136,14 @@ class TestGradient:
         a, b = 0.4 + 0.2j, -0.5 + 0.9j
         phi = np.array([a, b])
         expected = np.array([0.0, 2.0 * abs(b) ** 2 * b])
-        assert gradient(batch, phi, "analytic") == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    def test_two_dim_hand_reduction_as_printed(self):
-        batch = SensingBatch(
-            probes=np.array([[1.0 + 0j, 0.0]]), samples=np.array([1.3])
-        )
-        a, b = 0.4 + 0.2j, -0.5 + 0.9j
-        phi = np.array([a, b])
-        bracket = abs(a) ** 2 + abs(b) ** 2 - a
-        expected = np.array([0.0, bracket * b])
-        assert gradient(batch, phi, "as_printed") == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert gradient(batch, phi) == pytest.approx(expected, abs=1e-12)
 
     def test_finite_difference_oracle(self):
         h = 1e-5
         for seed in range(20):
             batch = random_batch(8, 16, seed)
             phi = random_phi(8, seed + 50)
-            grad = gradient(batch, phi, "analytic")
+            grad = gradient(batch, phi)
             fd = np.empty(16)
             exact = np.empty(16)
             for i in range(8):
@@ -189,36 +173,7 @@ class TestGradient:
             resid = batch.samples[l] - abs(zeta) ** 2 - offset
             acc += resid * (phi - h_l * zeta)
         expected = 2.0 * acc / 9
-        assert gradient(batch, phi, "analytic") == pytest.approx(
-            expected, rel=1e-10
-        )
-
-    def test_as_printed_loop_oracle(self):
-        batch = random_batch(5, 9, 31)
-        phi = random_phi(5, 32)
-        mu = float(np.mean(batch.samples))
-        offset = mu - float(np.linalg.norm(phi) ** 2)
-        acc = np.zeros(5, dtype=np.complex128)
-        for l in range(9):
-            h_l = batch.probes[l]
-            zeta = np.vdot(h_l, phi)
-            bracket = batch.samples[l] - zeta - offset
-            acc += bracket * (phi - h_l * zeta)
-        assert gradient(batch, phi, "as_printed") == pytest.approx(
-            acc, rel=1e-10
-        )
-
-    def test_modes_differ_generically(self):
-        batch = random_batch(6, 12, 41)
-        phi = random_phi(6, 42)
-        analytic = gradient(batch, phi, "analytic")
-        printed = gradient(batch, phi, "as_printed")
-        assert not np.allclose(analytic, printed, rtol=1e-3)
-
-    def test_invalid_mode(self):
-        batch = random_batch(3, 4, 0)
-        with pytest.raises(ConfigurationError):
-            gradient(batch, random_phi(3, 1), "nonsense")
+        assert gradient(batch, phi) == pytest.approx(expected, rel=1e-10)
 
 
 class TestThresholdValue:
@@ -534,7 +489,7 @@ def reference_extract(batch, cfg):
     converged = False
     backtracks_exhausted = False
     for _ in range(cfg.max_iterations):
-        grad = gradient(batch, phi, cfg.gradient_mode)
+        grad = gradient(batch, phi)
         delta = threshold_value(batch, phi, cfg)
         step = base_step
         accepted = False
@@ -600,7 +555,6 @@ class TestExtractMatchesReferenceLoop:
         [
             ExtractorConfig(),
             ExtractorConfig(threshold_scale=0.1, max_iterations=400),
-            ExtractorConfig(gradient_mode="as_printed", max_iterations=30),
             ExtractorConfig(max_backtracks=0),
         ],
     )
@@ -652,10 +606,8 @@ class TestConfigValidation:
             {"step_size": 0.0},
             {"threshold_scale": -1.0},
             {"tolerance": -1e-9},
-            {"gradient_mode": "bogus"},
             {"max_backtracks": -2},
             {"divergence_factor": 0.5},
-            {"probe_family": "unknown"},
             {"dimension": 0},
         ],
     )
@@ -742,29 +694,6 @@ class TestBatchBuilder:
             build_subframe_batch(
                 est, np.zeros((4, 6), dtype=np.complex128)
             )
-
-    def test_clustered_probes_standardized(self):
-        from spoofdet.channel import (
-            GeometryScenario,
-            PolarPosition,
-            default_cluster_table,
-        )
-
-        scenario = GeometryScenario(
-            num_antennas=8,
-            element_spacing_wavelengths=0.5,
-            inner_radius_m=100.0,
-            outer_radius_m=120.0,
-            user_positions=(PolarPosition(110.0, 30.0),),
-            attacker_position=PolarPosition(115.0, 200.0),
-        )
-        probes = draw_clustered_probes(
-            5, scenario, default_cluster_table(), 4, 240.0, np.random.default_rng(2)
-        )
-        assert probes.shape == (5, 32)
-        assert np.all(np.isfinite(probes))
-        norms = np.linalg.norm(probes, axis=1) ** 2
-        assert norms == pytest.approx(np.full(5, 32.0), rel=1e-9)
 
 
 class TestBatchValidation:

@@ -2,8 +2,6 @@
 unitarity, noiseless least-squares exactness, noise-level bookkeeping, and
 linearity in the attack amplitude."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from spoofdet.link import (
     AttackProfile,
     LinkConfig,
     StackedEstimate,
-    dump_estimate_text,
     fd_noise_variance,
     frequency_reference,
     ls_estimate,
@@ -308,17 +305,10 @@ class TestNoiseBookkeeping:
             victim_power=4.0,
             noise_variance=0.26,
         )
-        assert fd_noise_variance(cfg) == pytest.approx(0.26 / (N * 2.0))
-        cfg_n = LinkConfig(
-            **{**cfg.__dict__, "noise_convention": "normalized"}
+        assert fd_noise_variance(cfg) == pytest.approx(0.26 / (N * 4.0))
+        assert td_equivalent_noise_variance(cfg) == pytest.approx(
+            fd_noise_variance(cfg) * 4.0 / N
         )
-        assert fd_noise_variance(cfg_n) == pytest.approx(0.26 / (N * 4.0))
-        cfg_p = LinkConfig(**{**cfg.__dict__, "noise_convention": "physical"})
-        assert fd_noise_variance(cfg_p) == pytest.approx(0.26 * N / 4.0)
-        for c in (cfg, cfg_n, cfg_p):
-            assert td_equivalent_noise_variance(c) == pytest.approx(
-                fd_noise_variance(c) * 4.0 / N
-            )
 
     def test_chain_realizes_target_fd_variance(self):
         pool, cfg = one_user_setup(noise_variance=0.7, n_samples=4000)
@@ -357,18 +347,3 @@ class TestAttackProfile:
     def test_negative_rho_rejected(self):
         with pytest.raises(ConfigurationError):
             AttackProfile(active=False, rho=-0.1)
-
-
-class TestDump:
-    def test_round_trippable_text(self):
-        pool, cfg = one_user_setup(n_samples=2)
-        rng = np.random.default_rng(50)
-        h = random_channel(rng)
-        est = simulate_subframe(pool, [h], AttackProfile.inactive(), cfg, rng=0)
-        buf = io.StringIO()
-        dump_estimate_text(est, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0].startswith("# stacked-estimate")
-        assert "[fd]" in lines and "[tap]" in lines
-        first_fd = lines[lines.index("[fd]") + 1].split()
-        assert complex(float(first_fd[2]), float(first_fd[3])) == est.fd[0, 0]
