@@ -555,6 +555,7 @@ class TestExtractMatchesReferenceLoop:
         [
             ExtractorConfig(),
             ExtractorConfig(threshold_scale=0.1, max_iterations=400),
+            ExtractorConfig(tolerance=0.0, max_iterations=30),
             ExtractorConfig(max_backtracks=0),
         ],
     )
@@ -606,8 +607,10 @@ class TestConfigValidation:
             {"step_size": 0.0},
             {"threshold_scale": -1.0},
             {"tolerance": -1e-9},
+            {"threshold_scale": 0.0},
             {"max_backtracks": -2},
             {"divergence_factor": 0.5},
+            {"divergence_factor": 1.0},
             {"dimension": 0},
         ],
     )
