@@ -66,6 +66,9 @@ class ClusterTable:
         ``K/(K+1)`` of the first cluster's power goes to a single
         deterministic-direction ray at the exact cluster azimuth and the
         remainder is spread over diffuse rays.  ``None`` means fully diffuse.
+
+    The table keeps read-only float copies of the four columns, so one
+    instance can be shared by every trial of a run.
     """
 
     delays_ns: np.ndarray
@@ -75,6 +78,10 @@ class ClusterTable:
     ricean_k_db: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("delays_ns", "powers", "azimuths_deg", "spreads_deg"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         arrays = (self.delays_ns, self.powers, self.azimuths_deg, self.spreads_deg)
         n = len(self.delays_ns)
         if n == 0:

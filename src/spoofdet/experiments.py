@@ -24,8 +24,15 @@ instead of materialising the full ``(L, M, N)`` receive tensor:
 These shortcuts are derived from the full transmit/receive chain in
 ``link.py``.  ``tests/test_experiments.py::TestShortcutsMatchLinkChain``
 checks the noise-free sensing batches and subspace snapshots of both arms
-against that chain; the noise terms and the energy sketch are not yet
-tested against it.
+against that chain, and ``TestNoiseShortcutMoments`` checks the moments of
+the tap noise, the energy sketch and the snapshot noise against the laws
+above.
+
+Each input is built once and only when needed.  The cluster table and the
+FFTs of the users' pilots are kept per process, keyed on the config fields
+they depend on.  A ``TrialSimulator`` builds its clean snapshot spectra on
+first access, and it draws each subframe's probes (with their conjugate),
+tap noise and snapshot noise once, for both arms.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +50,7 @@ import numpy as np
 from .baselines import ed_statistic, sd_statistic
 from .channel import (
     ChannelRealization,
+    ClusterTable,
     GeometryScenario,
     beamspace,
     default_cluster_table,
@@ -50,9 +59,10 @@ from .channel import (
     place_actors,
     vectorize_taps,
 )
-from .detector import StreamResult, run_stream, similarity
+from .detector import run_stream, similarity
 from .errors import (
     ConfigurationError,
+    ExtractionError,
     InsufficientDataError,
     SpoofdetError,
 )
@@ -147,22 +157,132 @@ class RocCurve:
             raise ConfigurationError("area under the curve must lie in [0, 1]")
 
 
+# Per-process memo of the inputs every trial of a run shares.  Filled on
+# first use, so importing this module stays cheap; each worker process of
+# ``run_trials`` fills its own.
+_CLUSTER_TABLES: dict = {}
+_PILOT_SPECTRA: dict = {}
+
+
+def _cluster_table(cfg: ScenarioConfig) -> ClusterTable:
+    """The cell's cluster table, parsed once per process per table path."""
+    key = cfg.cluster_table
+    if key not in _CLUSTER_TABLES:
+        _CLUSTER_TABLES[key] = (
+            default_cluster_table() if key is None
+            else load_cluster_table(key)
+        )
+    return _CLUSTER_TABLES[key]
+
+
+def _pilot_spectra(cfg: ScenarioConfig) -> np.ndarray:
+    """Read-only ``(K, N)`` FFTs of the users' pilots, once per process."""
+    key = (cfg.sequence_length, cfg.shift_size, cfg.num_users)
+    if key not in _PILOT_SPECTRA:
+        pool = cfg.build_pool()
+        spectra = np.stack([
+            np.fft.fft(
+                np.asarray(pool.sequence_for_user(k), dtype=np.complex128)
+            )
+            for k in range(cfg.num_users)
+        ])
+        spectra.setflags(write=False)
+        _PILOT_SPECTRA[key] = spectra
+    return _PILOT_SPECTRA[key]
+
+
+class _SubframeDraws:
+    """The random draws of one subframe, shared by both hypothesis arms.
+
+    Each draw is made from its own seed stream on first use and then kept,
+    so the quiet and the attacked arm see the same probes and noise (common
+    random numbers) without drawing them twice.  The arrays are read-only.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, trial_index: int, subframe: int):
+        self.cfg = cfg
+        self.trial_index = trial_index
+        self.subframe = subframe
+
+    def _rng(self, stream: int) -> np.random.Generator:
+        return trial_rng(
+            self.cfg.master_seed, self.trial_index, stream + self.subframe
+        )
+
+    @cached_property
+    def probes(self) -> np.ndarray:
+        cfg = self.cfg
+        probes = draw_gaussian_probes(
+            cfg.n_samples, cfg.fingerprint_dimension, self._rng(_STREAM_PROBES)
+        )
+        probes.setflags(write=False)
+        return probes
+
+    @cached_property
+    def conj_probes(self) -> np.ndarray:
+        conj = self.probes.conj()
+        conj.setflags(write=False)
+        return conj
+
+    @cached_property
+    def tap_noise(self) -> np.ndarray:
+        """Estimate noise projected onto each probe, one complex per sample."""
+        cfg = self.cfg
+        pair = self._rng(_STREAM_TAP_NOISE).normal(size=(cfg.n_samples, 2))
+        probe_norms = np.linalg.norm(self.probes, axis=1)
+        noise_scale = np.sqrt(cfg.tap_noise_variance / 2.0) * probe_norms
+        noise = noise_scale * (pair[:, 0] + 1j * pair[:, 1])
+        noise.setflags(write=False)
+        return noise
+
+    @cached_property
+    def snapshot_noise(self) -> np.ndarray | None:
+        """White receive noise of the snapshot rows; None when noise-free."""
+        cfg = self.cfg
+        sigma = cfg.receive_noise_variance
+        if sigma <= 0:
+            return None
+        rng = self._rng(_STREAM_SNAPSHOT_NOISE)
+        shape = (
+            cfg.subspace_config().samples_per_subframe * cfg.sequence_length,
+            cfg.num_antennas,
+        )
+        noise = np.sqrt(sigma / 2.0) * (
+            rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        )
+        noise.setflags(write=False)
+        return noise
+
+
 class TrialSimulator:
     """One trial's frozen deployment plus its observation builders.
 
     Construction draws the geometry and all channels; the builders then
     produce per-subframe observables for either hypothesis arm.  Every
     random quantity is regenerated from named seed streams, so calling a
-    builder twice — or for both arms — replays identical draws.
+    builder twice — or for both arms — replays identical draws, in any
+    call order.
+
+    What is built when:
+
+    * Per process: the cluster table and the FFTs of the users' pilots
+      (shared by every trial with the same table path, ``N``, shift size
+      and user count).
+    * Per trial, on construction: geometry, channels, attacker amplitude,
+      fingerprint coordinates and clean energies.
+    * Per trial, on first access: the clean snapshot spectra
+      ``snapshot_quiet`` and ``snapshot_attacked`` (only the subspace
+      detector needs them).
+    * Per subframe, on first use: the probes and their conjugate, the tap
+      noise and the snapshot noise, shared by both arms.  Only the latest
+      subframe's draws are kept.
     """
 
     def __init__(self, cfg: ScenarioConfig, trial_index: int):
         self.cfg = cfg
         self.trial_index = trial_index
-        if cfg.cluster_table is None:
-            table = default_cluster_table()
-        else:
-            table = load_cluster_table(cfg.cluster_table)
+        self._draws: _SubframeDraws | None = None
+        table = _cluster_table(cfg)
         positions = place_actors(
             cfg.inner_radius_m,
             cfg.outer_radius_m,
@@ -229,37 +349,53 @@ class TrialSimulator:
             + cross
         )
 
-        # Clean antenna-by-subcarrier receive matrices for the subspace
-        # detector's snapshots.
-        pool = cfg.build_pool()
-        n = cfg.sequence_length
-        base = np.zeros((cfg.num_antennas, n), dtype=np.complex128)
-        for k, channel in enumerate(self.channels):
-            base += np.sqrt(power) * self._clean_spectrum(
-                pool.sequence_for_user(k), channel, n
-            )
-        attack_term = self.rho * np.sqrt(power) * self._clean_spectrum(
-            pool.sequence_for_user(cfg.victim_index), self.attacker_channel, n
+    # The clean antenna-by-subcarrier receive matrices behind the subspace
+    # detector's snapshots.
+
+    @cached_property
+    def snapshot_quiet(self) -> np.ndarray:
+        cfg = self.cfg
+        spectra = _pilot_spectra(cfg)
+        base = np.zeros(
+            (cfg.num_antennas, cfg.sequence_length), dtype=np.complex128
         )
-        self.snapshot_quiet = base
-        self.snapshot_attacked = base + attack_term
+        for k, channel in enumerate(self.channels):
+            base += np.sqrt(cfg.victim_power) * self._clean_spectrum(
+                spectra[k], channel
+            )
+        return base
+
+    @cached_property
+    def snapshot_attacked(self) -> np.ndarray:
+        cfg = self.cfg
+        amplitude = self.rho * np.sqrt(cfg.victim_power)
+        attack_term = amplitude * self._clean_spectrum(
+            _pilot_spectra(cfg)[cfg.victim_index], self.attacker_channel
+        )
+        return self.snapshot_quiet + attack_term
 
     @staticmethod
     def _clean_spectrum(
-        pilot: np.ndarray, channel: ChannelRealization, n: int
+        pilot_spectrum: np.ndarray, channel: ChannelRealization
     ) -> np.ndarray:
         """Unitary-FFT receive of one pilot through one channel, (M, N).
 
         Column ``n`` is ``pilot_spectrum[n] * tap_spectrum[n, :] / sqrt(N)``
         — the frequency-domain image of the circular convolution.
         """
+        n = pilot_spectrum.shape[0]
         padded = np.zeros((n, channel.num_antennas), dtype=np.complex128)
         padded[: channel.num_taps] = channel.taps
         tap_spectrum = np.fft.fft(padded, axis=0)
-        pilot_spectrum = np.fft.fft(np.asarray(pilot, dtype=np.complex128))
         return (pilot_spectrum[:, None] * tap_spectrum).T / np.sqrt(n)
 
     # ------------------------------------------------------------- builders
+
+    def _subframe_draws(self, subframe: int) -> _SubframeDraws:
+        """This subframe's shared draws; replaces the previous subframe's."""
+        if self._draws is None or self._draws.subframe != subframe:
+            self._draws = _SubframeDraws(self.cfg, self.trial_index, subframe)
+        return self._draws
 
     def _clean_fingerprint_vector(self, attacked: bool) -> np.ndarray:
         if attacked:
@@ -268,35 +404,25 @@ class TrialSimulator:
 
     def sensing_batch(self, subframe: int, attacked: bool) -> SensingBatch:
         """Probe-energy samples of one subframe's channel estimates."""
-        cfg = self.cfg
-        n_samples = cfg.n_samples
-        dimension = cfg.fingerprint_dimension
-        probes = draw_gaussian_probes(
-            n_samples,
-            dimension,
-            trial_rng(cfg.master_seed, self.trial_index, _STREAM_PROBES + subframe),
-        )
-        noise_rng = trial_rng(
-            cfg.master_seed, self.trial_index, _STREAM_TAP_NOISE + subframe
-        )
-        pair = noise_rng.normal(size=(n_samples, 2))
+        draws = self._subframe_draws(subframe)
         psi = self._clean_fingerprint_vector(attacked)
-        clean_response = probes.conj() @ psi
-        probe_norms = np.linalg.norm(probes, axis=1)
-        noise_scale = np.sqrt(cfg.tap_noise_variance / 2.0) * probe_norms
-        response = clean_response + noise_scale * (pair[:, 0] + 1j * pair[:, 1])
+        response = draws.conj_probes @ psi + draws.tap_noise
         samples = np.abs(response) ** 2
         mean = float(samples.mean())
         normalized = False
         if mean > 0:
             samples = samples / mean
             normalized = True
-        return SensingBatch(
-            probes=probes,
+        batch = SensingBatch(
+            probes=draws.probes,
             samples=samples,
             subframe_index=subframe,
             normalized=normalized,
         )
+        # Hand the batch the shared conjugate; SensingBatch.conj_probes is a
+        # cached_property, which keeps its value in the instance dict.
+        vars(batch)["conj_probes"] = draws.conj_probes
+        return batch
 
     def extract_fingerprint(
         self, subframe: int, attacked: bool
@@ -336,22 +462,14 @@ class TrialSimulator:
         One row per (pilot sample, subcarrier) pair: the clean antenna
         vector of that subcarrier plus white receive noise.
         """
-        cfg = self.cfg
-        rows_per_sample = cfg.sequence_length
-        n_repeats = cfg.subspace_config().samples_per_subframe
+        n_repeats = self.cfg.subspace_config().samples_per_subframe
         clean = (
             self.snapshot_attacked if attacked else self.snapshot_quiet
         ).T  # (N, M)
         rows = np.tile(clean, (n_repeats, 1))
-        rng = trial_rng(
-            cfg.master_seed, self.trial_index, _STREAM_SNAPSHOT_NOISE + subframe
-        )
-        sigma = cfg.receive_noise_variance
-        if sigma > 0:
-            shape = (n_repeats * rows_per_sample, cfg.num_antennas)
-            rows = rows + np.sqrt(sigma / 2.0) * (
-                rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            )
+        noise = self._subframe_draws(subframe).snapshot_noise
+        if noise is not None:
+            rows = rows + noise
         return rows
 
     def arm_observables(
@@ -532,6 +650,7 @@ def fingerprint_stream(
     """Per-subframe fingerprints of one deployment.
 
     The attack, if any, is active from subframe ``attack_start`` onward.
+    Raises ``ExtractionError`` if any subframe's extraction fails.
     """
     if n_subframes < 1:
         raise ConfigurationError("need at least one subframe")
@@ -543,6 +662,42 @@ def fingerprint_stream(
     return out
 
 
+def _stream_results(
+    cfg: ScenarioConfig,
+    n_streams: int,
+    n_subframes: int,
+    attack_start: int | None,
+) -> tuple:
+    """(sequential-detector results, failed-stream count) over the streams.
+
+    A stream whose extraction fails is skipped and counted, so one bad
+    deployment does not end the run; if every stream fails there is
+    nothing to report.
+    """
+    results = []
+    failed = 0
+    for stream in range(n_streams):
+        try:
+            fingerprints = fingerprint_stream(
+                cfg, stream, n_subframes, attack_start=attack_start
+            )
+        except ExtractionError:
+            failed += 1
+            continue
+        results.append(
+            run_stream(
+                fingerprints,
+                threshold=cfg.similarity_threshold,
+                policy=cfg.update_policy,
+            )
+        )
+    if not results:
+        raise InsufficientDataError(
+            f"extraction failed in all {n_streams} streams"
+        )
+    return results, failed
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """No-attack similarity statistics used to choose the alarm threshold."""
@@ -552,6 +707,7 @@ class CalibrationResult:
     quantile: float
     fraction_above_threshold: float
     threshold: float
+    failed_streams: int  # streams skipped because extraction failed
 
 
 def calibrate(
@@ -564,7 +720,8 @@ def calibrate(
 
     Runs ``n_streams`` independent deployments for ``subframes_per_stream``
     subframes each without any attack, records every sequential similarity,
-    and suggests the requested lower quantile as the threshold.
+    and suggests the requested lower quantile as the threshold.  Streams
+    whose extraction fails are skipped and counted in ``failed_streams``.
     """
     if n_streams < 1 or subframes_per_stream < 2:
         raise ConfigurationError(
@@ -572,18 +729,12 @@ def calibrate(
         )
     if not 0.0 < quantile < 1.0:
         raise ConfigurationError("quantile must lie strictly inside (0, 1)")
-    values = []
-    for stream in range(n_streams):
-        fingerprints = fingerprint_stream(
-            cfg, stream, subframes_per_stream, attack_start=None
-        )
-        result = run_stream(
-            fingerprints,
-            threshold=cfg.similarity_threshold,
-            policy=cfg.update_policy,
-        )
-        values.extend(outcome.similarity for outcome in result.outcomes)
-    similarities = np.asarray(values)
+    results, failed = _stream_results(
+        cfg, n_streams, subframes_per_stream, attack_start=None
+    )
+    similarities = np.asarray([
+        outcome.similarity for result in results for outcome in result.outcomes
+    ])
     return CalibrationResult(
         similarities=tuple(float(v) for v in similarities),
         suggested_threshold=float(np.quantile(similarities, quantile)),
@@ -592,6 +743,7 @@ def calibrate(
             np.mean(similarities > cfg.similarity_threshold)
         ),
         threshold=cfg.similarity_threshold,
+        failed_streams=failed,
     )
 
 
@@ -599,9 +751,10 @@ def calibrate(
 class DelayResult:
     """First-alarm positions of attack-onset streams."""
 
-    first_alarms: tuple  # subframe index or None per stream
+    first_alarms: tuple  # subframe index or None per completed stream
     attack_start: int
     n_subframes: int
+    failed_streams: int  # streams skipped because extraction failed
 
     @property
     def median_first_alarm(self) -> float:
@@ -623,7 +776,11 @@ def run_detection_delay(
     n_subframes: int = 6,
     n_streams: int = 200,
 ) -> DelayResult:
-    """Measure when the sequential detector first alarms after attack onset."""
+    """Measure when the sequential detector first alarms after attack onset.
+
+    Streams whose extraction fails are skipped and counted in
+    ``failed_streams``; the alarm figures cover the completed streams.
+    """
     if attack_start < 2:
         raise ConfigurationError(
             "attack must start at subframe 2 or later (subframe 1 seeds "
@@ -635,21 +792,14 @@ def run_detection_delay(
         )
     if n_streams < 1:
         raise ConfigurationError("need at least one stream")
-    alarms = []
-    for stream in range(n_streams):
-        fingerprints = fingerprint_stream(
-            cfg, stream, n_subframes, attack_start=attack_start
-        )
-        result: StreamResult = run_stream(
-            fingerprints,
-            threshold=cfg.similarity_threshold,
-            policy=cfg.update_policy,
-        )
-        alarms.append(result.first_alarm_index)
+    results, failed = _stream_results(
+        cfg, n_streams, n_subframes, attack_start=attack_start
+    )
     return DelayResult(
-        first_alarms=tuple(alarms),
+        first_alarms=tuple(result.first_alarm_index for result in results),
         attack_start=attack_start,
         n_subframes=n_subframes,
+        failed_streams=failed,
     )
 
 

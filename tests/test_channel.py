@@ -86,6 +86,24 @@ class TestClusterTable:
         with pytest.raises(ClusterTableError):
             ClusterTable.from_dict({"delays_ns": [0.0]})
 
+    def test_columns_are_read_only_copies(self):
+        # One table is shared by every trial of a run, so no caller may
+        # change it, and it must not alias the caller's arrays.
+        delays = np.array([0.0, 100.0])
+        table = ClusterTable(
+            delays_ns=delays,
+            powers=np.array([0.5, 0.5]),
+            azimuths_deg=np.array([0.0, 30.0]),
+            spreads_deg=np.array([1.0, 1.0]),
+        )
+        for shared in (table, default_cluster_table()):
+            for column in (shared.delays_ns, shared.powers,
+                           shared.azimuths_deg, shared.spreads_deg):
+                with pytest.raises(ValueError):
+                    column[0] = 1.0
+        delays[1] = 50.0
+        assert table.delays_ns[1] == 100.0
+
 
 class TestGeometryScenario:
     def test_radius_outside_annulus_rejected(self):

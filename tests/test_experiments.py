@@ -2,18 +2,23 @@
 the closed-form observation builders, and the multi-subframe entry points.
 
 Oracles: direct pair counting for the Mann-Whitney AUC; reruns of a tiny
-cell (serial and pooled) for byte-stable result files; the full
-transmit/receive chain of ``link.py`` for the noise-free sensing batches
-and subspace snapshots that ``TrialSimulator`` builds in closed form.
+cell (serial and pooled) for byte-stable result files, and its records
+pinned to the bit; the full transmit/receive chain of ``link.py`` for the
+noise-free sensing batches and subspace snapshots that ``TrialSimulator``
+builds in closed form; the stated laws of the three noise shortcuts, by
+their moments; and a fresh simulator per call for the builders' results
+in any call order.
 """
 
 import csv
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spoofdet.errors import InsufficientDataError
+from spoofdet.errors import ExtractionError, InsufficientDataError
 from spoofdet.experiments import (
     DETECTOR_NAMES,
     ArmObservables,
@@ -26,10 +31,12 @@ from spoofdet.experiments import (
     run_detection_delay,
     run_scenario,
     run_sweep,
+    run_trials,
 )
-from spoofdet.extractor import build_subframe_batch
+from spoofdet.extractor import SensingBatch, build_subframe_batch
 from spoofdet.link import (
     AttackProfile,
+    SubframeObservation,
     ls_estimate,
     to_frequency_domain,
     transmit_receive_td,
@@ -120,6 +127,43 @@ TINY = dict(
 )
 
 
+# The tiny cell's records pinned to the bit: per completed trial,
+# (similarity as a hex float, energy as a hex float, subspace dimension) of
+# the quiet and then the attacked arm; per failed trial, its error.  A
+# change that alters a record must say why and regenerate these.
+ZERO_VECTOR = (
+    "ExtractionError: extraction produced an identically zero vector; "
+    "the samples carry no usable energy"
+)
+GOLDEN_TINY = {
+    0: (("0x0.0p+0", "0x1.922bad256eb4bp+5", 2),
+        ("0x0.0p+0", "0x1.b79758fb5ee88p+5", 2)),
+    1: (("0x0.0p+0", "0x1.5d2d445426c7dp+5", 3),
+        ("0x0.0p+0", "0x1.a4c51a8bafb40p+5", 3)),
+    2: ZERO_VECTOR,
+    3: (("0x1.0000000000000p+0", "0x1.2fb327a25c30fp+5", 3),
+        ("0x1.0000000000000p+0", "0x1.5da71da14893cp+5", 3)),
+    4: (("0x0.0p+0", "0x1.5e52c1a219a13p+5", 2),
+        ("0x0.0p+0", "0x1.ce38b2b4bd464p+5", 2)),
+    5: ZERO_VECTOR,
+    6: (("0x0.0p+0", "0x1.7d58652ef8600p+5", 2),
+        ("0x0.0p+0", "0x1.e02b83f65d65dp+5", 2)),
+    7: ZERO_VECTOR,
+}
+GOLDEN_TINY_TRIALS_CSV_SHA256 = (
+    "4d799663972f1b1e1fa3d12681b00bbe38026d8b73ef3df7a07d964d4f13e406"
+)
+
+
+def hex_record(record):
+    if record.failed:
+        return record.error.removeprefix(f"trial {record.trial_index}: ")
+    return tuple(
+        (arm.similarity.hex(), arm.energy.hex(), arm.subspace_dimension)
+        for arm in (record.quiet, record.attacked)
+    )
+
+
 def read_outputs(out_dir):
     files = {
         path.name: path.read_bytes() for path in sorted(out_dir.iterdir())
@@ -162,6 +206,15 @@ class TestRunScenario:
         assert summary["failed_trials"] == errors
         for name in DETECTOR_NAMES:
             assert 0.0 <= summary["auc"][name] <= 1.0
+
+
+    def test_tiny_cell_matches_golden_records(self, tmp_path):
+        cfg = ScenarioConfig(**TINY)
+        records = run_trials(cfg)
+        assert {r.trial_index: hex_record(r) for r in records} == GOLDEN_TINY
+        run_scenario(cfg, tmp_path)
+        digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes())
+        assert digest.hexdigest() == GOLDEN_TINY_TRIALS_CSV_SHA256
 
 
 class TestShortcutsMatchLinkChain:
@@ -216,6 +269,215 @@ class TestShortcutsMatchLinkChain:
         np.testing.assert_allclose(snapshot, y_fd[0], rtol=0, atol=1e-12)
 
 
+    def test_cells_sharing_one_process(self, tmp_path):
+        """The per-process table and pilot memo tells cells apart by table
+        path, N, shift size and user count."""
+        cells = [
+            self.CFG,
+            replace(self.CFG, sequence_length=37),
+            replace(self.CFG, num_users=5),
+            replace(self.CFG, shift_size=6),
+            self.CFG,
+        ]
+        for cfg in cells:
+            simulator = TrialSimulator(cfg, 0)
+            for attacked in (False, True):
+                y_fd, _ = self.chain_estimate(simulator, attacked)
+                snapshot = (
+                    simulator.snapshot_attacked if attacked
+                    else simulator.snapshot_quiet
+                )
+                np.testing.assert_allclose(
+                    snapshot, y_fd[0], rtol=0, atol=1e-12
+                )
+
+        table = tmp_path / "table.yaml"
+        table.write_text(
+            "delays_ns: [0.0, 245.0]\n"
+            "powers_db: [0.0, -3.0]\n"
+            "azimuths_deg: [0.0, 40.0]\n"
+            "spreads_deg: [2.0, 2.0]\n"
+        )
+        custom = replace(self.CFG, cluster_table=str(table))
+        taps = TrialSimulator(custom, 0).channels[0].taps
+        assert not np.array_equal(
+            taps, TrialSimulator(self.CFG, 0).channels[0].taps
+        )
+        np.testing.assert_array_equal(
+            taps, TrialSimulator(custom, 0).channels[0].taps
+        )
+
+
+def observed(simulator, builder, subframe, attacked):
+    """A builder's result in comparable form; a failed extraction gives
+    its message."""
+    try:
+        value = getattr(simulator, builder)(subframe, attacked)
+    except ExtractionError as exc:
+        return f"ExtractionError: {exc}"
+    if isinstance(value, SensingBatch):
+        return (value.probes, value.conj_probes, value.samples,
+                value.subframe_index, value.normalized)
+    if isinstance(value, SubframeObservation):
+        return (value.samples, value.subframe_index)
+    if isinstance(value, np.ndarray):
+        return (value,)
+    return value.to_json()
+
+
+def assert_same(ours, fresh):
+    if isinstance(fresh, str):
+        assert ours == fresh
+        return
+    assert len(ours) == len(fresh)
+    for a, b in zip(ours, fresh):
+        if isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b
+
+
+class TestBuildersInAnyOrder:
+    """The builders share per-subframe draws and lazily built spectra, so
+    every result must equal what a fresh simulator returns for that one
+    call, whatever was called before it on the same simulator."""
+
+    ORDERS = {
+        "attacked_first": [
+            ("sensing_batch", 2, True), ("sensing_batch", 2, False),
+            ("snapshot_window", 2, True), ("snapshot_window", 2, False),
+            ("energy_observation", 2, True),
+            ("energy_observation", 2, False),
+        ],
+        "subframes_1_2_1": [
+            ("sensing_batch", 1, False), ("snapshot_window", 1, False),
+            ("sensing_batch", 2, True), ("snapshot_window", 2, False),
+            ("sensing_batch", 1, True), ("snapshot_window", 1, True),
+        ],
+        "snapshot_before_extract": [
+            ("snapshot_window", 2, False),
+            ("extract_fingerprint", 2, False),
+            ("snapshot_window", 2, True),
+            ("extract_fingerprint", 2, True),
+        ],
+        "snapshot_after_extract": [
+            ("extract_fingerprint", 2, True),
+            ("snapshot_window", 2, True),
+            ("extract_fingerprint", 2, False),
+            ("snapshot_window", 2, False),
+        ],
+    }
+    # The tiny cell, and trial 1 of the default cell (whose extractions
+    # all complete).
+    CELLS = {
+        "tiny": (ScenarioConfig(**TINY), 0),
+        "default": (ScenarioConfig(), 1),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_equal_to_fresh_simulator(self, cell, order):
+        cfg, trial = self.CELLS[cell]
+        simulator = TrialSimulator(cfg, trial)
+        for builder, subframe, attacked in self.ORDERS[order]:
+            assert_same(
+                observed(simulator, builder, subframe, attacked),
+                observed(TrialSimulator(cfg, trial), builder, subframe,
+                         attacked),
+            )
+
+
+class TestArmsShareDraws:
+    """Common random numbers: both arms of a subframe see the same probes
+    and noise and differ only by the attacker term."""
+
+    def test_only_the_attacker_term_differs(self):
+        simulator = TrialSimulator(ScenarioConfig(**TINY), 0)
+        quiet = simulator.sensing_batch(2, False)
+        attacked = simulator.sensing_batch(2, True)
+        assert attacked.probes is quiet.probes
+        assert attacked.conj_probes is quiet.conj_probes
+        np.testing.assert_array_equal(quiet.conj_probes, quiet.probes.conj())
+
+        repeats = simulator.cfg.subspace_config().samples_per_subframe
+        attack_term = np.tile(
+            (simulator.snapshot_attacked - simulator.snapshot_quiet).T,
+            (repeats, 1),
+        )
+        assert np.max(np.abs(attack_term)) > 0.1
+        np.testing.assert_allclose(
+            simulator.snapshot_window(2, True)
+            - simulator.snapshot_window(2, False),
+            attack_term, rtol=0, atol=1e-12,
+        )
+
+    def test_arms_agree_without_an_attacker(self):
+        # At -400 dB the attacker term is ~1e-20 of the victim's, so the
+        # arms can differ only if their probes or noise differ.
+        cfg = ScenarioConfig(**TINY, jsr_db=-400.0)
+        simulator = TrialSimulator(cfg, 0)
+        for subframe in (1, 2):
+            for builder in ("sensing_batch", "energy_observation"):
+                quiet = getattr(simulator, builder)(subframe, False)
+                attacked = getattr(simulator, builder)(subframe, True)
+                np.testing.assert_allclose(
+                    attacked.samples, quiet.samples, rtol=1e-12, atol=0
+                )
+            np.testing.assert_allclose(
+                simulator.snapshot_window(subframe, True),
+                simulator.snapshot_window(subframe, False),
+                rtol=0, atol=1e-12,
+            )
+
+
+class TestNoiseShortcutMoments:
+    """The three noise shortcuts have the laws the module docstring states.
+    Each mean is checked against its expected value within 5 standard
+    errors, over many subframes of one tiny-cell trial."""
+
+    CFG = ScenarioConfig(**TINY)
+    SUBFRAMES = range(1, 1001)
+
+    @staticmethod
+    def assert_mean(values, expected):
+        values = np.concatenate([np.ravel(v) for v in values])
+        standard_error = values.std(ddof=1) / np.sqrt(values.size)
+        assert abs(values.mean() - expected) < 5.0 * standard_error
+
+    def test_tap_noise_variance_scales_with_probe_norm(self):
+        simulator = TrialSimulator(self.CFG, 0)
+        ratios = []
+        for subframe in self.SUBFRAMES:
+            draws = simulator._subframe_draws(subframe)
+            norms = np.sum(np.abs(draws.probes) ** 2, axis=1)
+            ratios.append(np.abs(draws.tap_noise) ** 2 / norms)
+        self.assert_mean(ratios, self.CFG.tap_noise_variance)
+
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_energy_sketch_mean(self, attacked):
+        cfg = self.CFG
+        simulator = TrialSimulator(cfg, 0)
+        clean = (simulator.clean_energy_attacked if attacked
+                 else simulator.clean_energy_quiet)
+        noise = (cfg.receive_noise_variance * cfg.num_antennas
+                 * cfg.sequence_length)
+        self.assert_mean(
+            [simulator.energy_observation(s, attacked).samples
+             for s in self.SUBFRAMES],
+            clean + noise,
+        )
+
+    def test_snapshot_noise_variance(self):
+        simulator = TrialSimulator(self.CFG, 0)
+        repeats = self.CFG.subspace_config().samples_per_subframe
+        clean = np.tile(simulator.snapshot_quiet.T, (repeats, 1))
+        self.assert_mean(
+            [np.abs(simulator.snapshot_window(s, False) - clean) ** 2
+             for s in self.SUBFRAMES[:200]],
+            self.CFG.receive_noise_variance,
+        )
+
+
 class TestOtherEntryPoints:
     def test_run_sweep_one_cell(self, tmp_path):
         cfg = ScenarioConfig(**TINY)
@@ -239,6 +501,7 @@ class TestOtherEntryPoints:
         # Each stream decides every subframe after the first.
         values = np.asarray(result.similarities)
         assert values.shape == (2 * 2,)
+        assert result.failed_streams == 0
         assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
         assert result.threshold == cfg.similarity_threshold
         assert result.suggested_threshold == float(
@@ -254,6 +517,7 @@ class TestOtherEntryPoints:
             cfg, attack_start=4, n_subframes=6, n_streams=2
         )
         assert len(result.first_alarms) == 2
+        assert result.failed_streams == 0
         for alarm in result.first_alarms:
             assert alarm is None or 2 <= alarm <= 6
         caught = [a for a in result.first_alarms if a is not None]
@@ -261,3 +525,29 @@ class TestOtherEntryPoints:
         assert result.median_first_alarm == float(np.median(
             [float("inf") if a is None else a for a in result.first_alarms]
         ))
+
+    def test_failed_stream_is_skipped_and_counted(self):
+        # On the tiny cell, extraction fails in stream 2 (trial index 2).
+        cfg = ScenarioConfig(**TINY)
+        result = calibrate(cfg, n_streams=3, subframes_per_stream=3)
+        assert result.failed_streams == 1
+        assert result.similarities == calibrate(
+            cfg, n_streams=2, subframes_per_stream=3
+        ).similarities
+        delay = run_detection_delay(
+            cfg, attack_start=4, n_subframes=6, n_streams=3
+        )
+        assert delay.failed_streams == 1
+        assert delay.first_alarms == run_detection_delay(
+            cfg, attack_start=4, n_subframes=6, n_streams=2
+        ).first_alarms
+
+    def test_every_stream_failing_is_insufficient_data(self):
+        # With one resource block (L = 12) every tiny-cell extraction fails.
+        cfg = ScenarioConfig(**{**TINY, "rb_count": 1})
+        with pytest.raises(InsufficientDataError):
+            calibrate(cfg, n_streams=3, subframes_per_stream=2)
+        with pytest.raises(InsufficientDataError):
+            run_detection_delay(
+                cfg, attack_start=2, n_subframes=2, n_streams=3
+            )
