@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, check_numeric_fields
 from .link import StackedEstimate, SubframeObservation
 
 __all__ = [
@@ -63,6 +63,7 @@ class SdConfig:
     samples_per_subframe: int = 5
 
     def __post_init__(self) -> None:
+        check_numeric_fields(self)
         if self.noise_floor_multiple <= 0:
             raise ConfigurationError("noise-floor multiple must be positive")
         if self.relative_floor < 0:

@@ -6,7 +6,9 @@ the same direction, so their normalized inner-product magnitude stays close
 to one; a second transmitter superimposes its own spatial structure and
 drags the similarity down.  The detector keeps a reference fingerprint,
 compares each new fingerprint against it, and raises an alarm whenever the
-similarity falls below a calibrated threshold.
+similarity falls below a calibrated threshold.  Only a fingerprint judged
+normal replaces the reference, so an attack cannot poison the comparisons
+that follow it.
 
 Fingerprints carry an arbitrary global phase (the extraction loss is
 phase-invariant), so the similarity uses the Hermitian inner product with
@@ -16,7 +18,6 @@ argument.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -31,13 +32,10 @@ __all__ = [
     "DetectionOutcome",
     "DetectorState",
     "StreamResult",
-    "UPDATE_POLICIES",
     "similarity",
     "step",
     "run_stream",
 ]
-
-UPDATE_POLICIES = ("quarantine", "always")
 
 DEFAULT_THRESHOLD = 0.92
 
@@ -57,51 +55,24 @@ class DetectionOutcome:
     decision: Decision
     reference_subframe: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "subframe": self.subframe_index,
-                "similarity": self.similarity,
-                "decision": self.decision.value,
-                "reference_subframe": self.reference_subframe,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DetectionOutcome":
-        raw = json.loads(text)
-        return cls(
-            subframe_index=int(raw["subframe"]),
-            similarity=float(raw["similarity"]),
-            decision=Decision(raw["decision"]),
-            reference_subframe=int(raw["reference_subframe"]),
-        )
-
 
 @dataclass
 class DetectorState:
     """Mutable per-user detector state.
 
-    The reference is the most recent fingerprint accepted as normal; under
-    the default ``"quarantine"`` policy an alarmed fingerprint never becomes
-    the reference, so a transient attack cannot poison later comparisons.
-    ``"always"`` updates the reference unconditionally (ablation mode).
+    The reference is the most recent fingerprint judged normal: an alarmed
+    fingerprint never becomes the reference, so a transient attack cannot
+    poison later comparisons.
     """
 
     reference: SparsityFingerprint
     threshold: float = DEFAULT_THRESHOLD
-    policy: str = "quarantine"
     history: list = field(default_factory=list)
-    alarmed: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError(
                 f"similarity threshold must lie in [0, 1], got {self.threshold}"
-            )
-        if self.policy not in UPDATE_POLICIES:
-            raise ConfigurationError(
-                f"update policy must be one of {UPDATE_POLICIES}"
             )
         if self.reference.norm == 0.0:
             raise DegenerateFingerprintError(
@@ -151,8 +122,8 @@ def step(state: DetectorState, new: SparsityFingerprint) -> DetectionOutcome:
     """Compare ``new`` against the reference and decide.
 
     Similarity at or above the threshold is normal and promotes ``new`` to
-    the reference (policy permitting); below the threshold raises a
-    spoofing alarm.  Degenerate input or an out-of-order subframe index
+    the reference; below the threshold raises a spoofing alarm and keeps
+    the reference.  Degenerate input or an out-of-order subframe index
     raises without touching the state.
     """
     if new.norm == 0.0:
@@ -174,17 +145,14 @@ def step(state: DetectorState, new: SparsityFingerprint) -> DetectionOutcome:
         reference_subframe=state.reference.subframe_index,
     )
     state.history.append(outcome)
-    if decision is Decision.NORMAL or state.policy == "always":
+    if decision is Decision.NORMAL:
         state.reference = new
-    if decision is Decision.ALARM:
-        state.alarmed = True
     return outcome
 
 
 def run_stream(
     fingerprints: Sequence[SparsityFingerprint],
     threshold: float = DEFAULT_THRESHOLD,
-    policy: str = "quarantine",
 ) -> StreamResult:
     """Fold :func:`step` over an ordered fingerprint stream.
 
@@ -199,9 +167,7 @@ def run_stream(
         replace(fp, subframe_index=position)
         for position, fp in enumerate(fingerprints, start=1)
     ]
-    state = DetectorState(
-        reference=renumbered[0], threshold=threshold, policy=policy
-    )
+    state = DetectorState(reference=renumbered[0], threshold=threshold)
     for fp in renumbered[1:]:
         step(state, fp)
     return StreamResult(

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of the
+configuration dataclasses that raises :class:`ConfigurationError`."""
+
+import numbers
+from dataclasses import fields
 
 
 class SpoofdetError(Exception):
@@ -39,3 +43,30 @@ class DegenerateFingerprintError(SpoofdetError, ValueError):
 
 class InsufficientDataError(SpoofdetError, ValueError):
     """An operation received fewer samples than it needs."""
+
+
+def check_numeric_fields(config) -> None:
+    """Check the number fields of a frozen config dataclass, in place.
+
+    A field whose default is an ``int`` takes an integral number and is
+    stored as ``int``; one whose default is a ``float`` takes any real
+    number and is stored as ``float``, so equal settings compare, print and
+    hash alike.  A string or a boolean is rejected, as YAML gives those for
+    a quoted number or for ``true``/``false``.
+    """
+    for spec in fields(config):
+        kind = type(spec.default)
+        if kind not in (int, float):
+            continue
+        value = getattr(config, spec.name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(
+                f"{spec.name} must be a number, got {value!r}"
+            )
+        if kind is int and not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()
+        ):
+            raise ConfigurationError(
+                f"{spec.name} must be an integer, got {value!r}"
+            )
+        object.__setattr__(config, spec.name, kind(value))

@@ -144,7 +144,6 @@ class RocCurve:
     auc: float
     n_attack: int
     n_normal: int
-    config_hash: str = ""
 
     def __post_init__(self) -> None:
         fa = [p[0] for p in self.points]
@@ -575,7 +574,7 @@ def auc_rank(attack_scores, normal_scores, orientation: float = 1.0) -> float:
     return (rank_sum - n_a * (n_a + 1) / 2.0) / (n_a * n_n)
 
 
-def roc_from_outcomes(records, detector: str, config_hash: str = "") -> RocCurve:
+def roc_from_outcomes(records, detector: str) -> RocCurve:
     """Threshold sweep over one detector's recorded statistics."""
     attack, normal = detector_scores(records, detector)
     if attack.size == 0 or normal.size == 0:
@@ -601,41 +600,7 @@ def roc_from_outcomes(records, detector: str, config_hash: str = "") -> RocCurve
         auc=auc_rank(attack, normal, orientation),
         n_attack=int(attack.size),
         n_normal=int(normal.size),
-        config_hash=config_hash,
     )
-
-
-def paired_auc_gap(
-    records,
-    detector_a: str,
-    detector_b: str,
-    n_boot: int = 300,
-    seed: int = 0,
-) -> tuple:
-    """(gap, bootstrap standard error) of AUC(a) - AUC(b).
-
-    Trials are resampled jointly, preserving the pairing between the two
-    detectors' statistics within each trial.
-    """
-    complete = [r for r in records if not r.failed]
-    if not complete:
-        raise InsufficientDataError("no completed trials to resample")
-
-    def gap_of(subset) -> float:
-        values = []
-        for name in (detector_a, detector_b):
-            attack, normal = detector_scores(subset, name)
-            values.append(auc_rank(attack, normal, _ORIENTATION[name]))
-        return values[0] - values[1]
-
-    base = gap_of(complete)
-    rng = np.random.default_rng(seed)
-    n = len(complete)
-    draws = np.empty(n_boot)
-    for b in range(n_boot):
-        picks = rng.integers(0, n, size=n)
-        draws[b] = gap_of([complete[i] for i in picks])
-    return base, float(np.std(draws, ddof=1))
 
 
 # ------------------------------------------------------------ multi-subframe
@@ -685,11 +650,7 @@ def _stream_results(
             failed += 1
             continue
         results.append(
-            run_stream(
-                fingerprints,
-                threshold=cfg.similarity_threshold,
-                policy=cfg.update_policy,
-            )
+            run_stream(fingerprints, threshold=cfg.similarity_threshold)
         )
     if not results:
         raise InsufficientDataError(
@@ -898,11 +859,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     complete = [r for r in records if not r.failed]
     if not complete:
         raise InsufficientDataError("every trial failed; nothing to report")
-    config_hash = cfg.config_hash()
-    curves = [
-        roc_from_outcomes(records, name, config_hash)
-        for name in DETECTOR_NAMES
-    ]
+    curves = [roc_from_outcomes(records, name) for name in DETECTOR_NAMES]
     wall = time.perf_counter() - started
     destination = cfg.output_dir if out_dir is None else out_dir
     summary = emit_results(curves, records, destination, cfg, wall_time_s=wall)

@@ -22,9 +22,8 @@ fingerprints with phase-invariant metrics.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -36,6 +35,7 @@ from .errors import (
     ExtractionError,
     InitializationError,
     ShapeError,
+    check_numeric_fields,
 )
 from .link import StackedEstimate
 
@@ -77,9 +77,6 @@ class ExtractorConfig:
         Multiplier on the residual-driven adaptive threshold.
     tolerance : float
         Early-stop threshold on the relative iterate change.
-    dimension : int or None
-        Expected batch dimension; when set, :func:`extract` rejects
-        mismatched batches.
     """
 
     max_iterations: int = 200
@@ -88,9 +85,9 @@ class ExtractorConfig:
     tolerance: float = 1e-6
     max_backtracks: int = 20
     divergence_factor: float = 1e6
-    dimension: int | None = None
 
     def __post_init__(self) -> None:
+        check_numeric_fields(self)
         if self.max_iterations < 0:
             raise ConfigurationError("iteration budget must be non-negative")
         if self.step_size <= 0:
@@ -103,8 +100,6 @@ class ExtractorConfig:
             raise ConfigurationError("backtrack budget must be non-negative")
         if self.divergence_factor <= 1:
             raise ConfigurationError("divergence factor must exceed 1")
-        if self.dimension is not None and self.dimension < 1:
-            raise ConfigurationError("dimension must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -188,47 +183,6 @@ class SparsityFingerprint:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
-    def to_json(self) -> str:
-        """Structured-text record: support, re/im entries, diagnostics."""
-        payload = {
-            "subframe_index": self.subframe_index,
-            "support": [int(i) for i in self.support],
-            "values": [
-                [float(v.real), float(v.imag)] for v in self.values
-            ],
-            "diagnostics": None
-            if self.diagnostics is None
-            else asdict(self.diagnostics),
-        }
-        if payload["diagnostics"] is not None:
-            payload["diagnostics"]["initial_support"] = [
-                int(i) for i in payload["diagnostics"]["initial_support"]
-            ]
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparsityFingerprint":
-        raw = json.loads(text)
-        values = np.array(
-            [complex(re, im) for re, im in raw["values"]], dtype=np.complex128
-        )
-        diag = raw.get("diagnostics")
-        diagnostics = None
-        if diag is not None:
-            diag = dict(diag)
-            diag["initial_support"] = tuple(diag["initial_support"])
-            diagnostics = ExtractionDiagnostics(**diag)
-        return cls(
-            values=values,
-            support=tuple(raw["support"]),
-            subframe_index=int(raw["subframe_index"]),
-            diagnostics=diagnostics,
-        )
 
 
 def _responses(batch: SensingBatch, phi: np.ndarray) -> np.ndarray:
@@ -337,10 +291,19 @@ def select_support(batch: SensingBatch) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(stat > gamma))
 
 
-def _spectral_init_full(
-    batch: SensingBatch, support: Sequence[int]
-) -> tuple:
-    """Spectral initializer plus a flag for the degenerate fallback path."""
+def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
+    """Spectral initializer restricted to the selected coordinates.
+
+    Builds the mean-centered weighted probe covariance on the support,
+    takes the eigenvector of largest-magnitude eigenvalue, and scales it by
+    ``sqrt(|psi| / 2)`` where ``psi`` is the weighted quadratic response of
+    that direction minus the sample mean.  If the centered covariance is
+    identically zero (all samples equal), the direction falls back to the
+    basis vector of the largest-screening-statistic support coordinate.
+
+    Returns ``(phi, degenerate)``, where ``degenerate`` says whether the
+    fallback was taken.
+    """
     support = tuple(int(i) for i in support)
     if len(support) == 0:
         raise InitializationError("cannot initialize on an empty support")
@@ -375,20 +338,6 @@ def _spectral_init_full(
     return v * math.sqrt(abs(psi) / 2.0), degenerate
 
 
-def spectral_init(batch: SensingBatch, support: Sequence[int]) -> np.ndarray:
-    """Spectral initializer restricted to the selected coordinates.
-
-    Builds the mean-centered weighted probe covariance on the support,
-    takes the eigenvector of largest-magnitude eigenvalue, and scales it by
-    ``sqrt(|psi| / 2)`` where ``psi`` is the weighted quadratic response of
-    that direction minus the sample mean.  If the centered covariance is
-    identically zero (all samples equal), the direction falls back to the
-    basis vector of the largest-screening-statistic support coordinate.
-    """
-    phi, _ = _spectral_init_full(batch, support)
-    return phi
-
-
 def extract(
     batch: SensingBatch, cfg: ExtractorConfig | None = None
 ) -> SparsityFingerprint:
@@ -403,18 +352,13 @@ def extract(
     """
     if cfg is None:
         cfg = ExtractorConfig()
-    if cfg.dimension is not None and batch.dimension != cfg.dimension:
-        raise ConfigurationError(
-            f"batch dimension {batch.dimension} does not match the "
-            f"configured dimension {cfg.dimension}"
-        )
 
     support = select_support(batch)
     init_fallback = len(support) == 0
     if init_fallback:
         support = (int(np.argmax(support_statistic(batch))),)
 
-    phi, degenerate_init = _spectral_init_full(batch, support)
+    phi, degenerate_init = spectral_init(batch, support)
 
     # The residuals and responses of the current iterate are carried from
     # the accepted candidate, so each point is evaluated exactly once.

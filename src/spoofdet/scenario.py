@@ -27,17 +27,33 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .baselines import SdConfig
-from .detector import UPDATE_POLICIES
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_numeric_fields
 from .extractor import ExtractorConfig
 from .link import LinkConfig
 from .zc import PreamblePool, build_pool, generate_zc
+
+
+# The YAML layout, in file order: each section and the ScenarioConfig fields
+# it holds.  The ``extractor`` and ``subspace`` sections hold the fields of
+# the nested config of that name.
+_LAYOUT = {
+    "array": ("num_antennas", "element_spacing_wavelengths"),
+    "users": ("num_users", "victim_index"),
+    "radio": ("snr_db", "jsr_db", "link_gain", "victim_power"),
+    "pilot": ("sequence_length", "shift_size", "rb_count", "samples_per_rb"),
+    "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
+    "geometry": ("inner_radius_m", "outer_radius_m"),
+    "extractor": ExtractorConfig,
+    "detector": ("similarity_threshold",),
+    "subspace": SdConfig,
+    "experiment": ("trials", "master_seed", "output_dir", "workers"),
+}
 
 
 def db_to_linear(value_db: float) -> float:
@@ -69,9 +85,10 @@ class ScenarioConfig:
     tap_duration_ns, cluster_table
         Channel sampling and the cluster profile (``None`` selects the
         packaged default profile).
-    extractor, similarity_threshold, update_policy
+    extractor, similarity_threshold
         Fingerprint-extraction settings and the sequential detector's
-        similarity threshold / reference-update policy.
+        similarity threshold (only a subframe judged normal updates its
+        reference).
     subspace
         Subspace-detector settings.
     trials, master_seed, output_dir, workers
@@ -97,7 +114,6 @@ class ScenarioConfig:
     cluster_table: str | None = None
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     similarity_threshold: float = 0.92
-    update_policy: str = "quarantine"
     subspace: SdConfig = field(default_factory=SdConfig)
     trials: int = 500
     master_seed: int = 2026
@@ -105,6 +121,7 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        check_numeric_fields(self)
         for name in ("num_antennas", "num_users", "num_taps", "rb_count",
                      "samples_per_rb", "trials", "workers"):
             if getattr(self, name) < 1:
@@ -139,19 +156,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "similarity threshold must lie in [0, 1]"
             )
-        if self.update_policy not in UPDATE_POLICIES:
-            raise ConfigurationError(
-                f"update policy must be one of {UPDATE_POLICIES}"
-            )
         if self.master_seed < 0:
             raise ConfigurationError("master seed must be non-negative")
-        expected_dim = self.num_taps * self.num_antennas
-        if (self.extractor.dimension is not None
-                and self.extractor.dimension != expected_dim):
-            raise ConfigurationError(
-                f"extractor dimension {self.extractor.dimension} does not "
-                f"match taps x antennas = {expected_dim}"
-            )
 
     # ---------------------------------------------------------------- derived
 
@@ -225,47 +231,11 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         """Nested plain-data view mirroring the YAML layout."""
         return {
-            "array": {
-                "num_antennas": self.num_antennas,
-                "element_spacing_wavelengths": self.element_spacing_wavelengths,
-            },
-            "users": {
-                "num_users": self.num_users,
-                "victim_index": self.victim_index,
-            },
-            "radio": {
-                "snr_db": self.snr_db,
-                "jsr_db": self.jsr_db,
-                "link_gain": self.link_gain,
-                "victim_power": self.victim_power,
-            },
-            "pilot": {
-                "sequence_length": self.sequence_length,
-                "shift_size": self.shift_size,
-                "rb_count": self.rb_count,
-                "samples_per_rb": self.samples_per_rb,
-            },
-            "channel": {
-                "num_taps": self.num_taps,
-                "tap_duration_ns": self.tap_duration_ns,
-                "cluster_table": self.cluster_table,
-            },
-            "geometry": {
-                "inner_radius_m": self.inner_radius_m,
-                "outer_radius_m": self.outer_radius_m,
-            },
-            "extractor": asdict(self.extractor),
-            "detector": {
-                "similarity_threshold": self.similarity_threshold,
-                "update_policy": self.update_policy,
-            },
-            "subspace": asdict(self.subspace),
-            "experiment": {
-                "trials": self.trials,
-                "master_seed": self.master_seed,
-                "output_dir": self.output_dir,
-                "workers": self.workers,
-            },
+            section: (
+                asdict(getattr(self, section)) if isinstance(keys, type)
+                else {key: getattr(self, key) for key in keys}
+            )
+            for section, keys in _LAYOUT.items()
         }
 
     def config_hash(self) -> str:
@@ -289,67 +259,36 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         """Build a config from the nested plain-data layout.
 
-        Missing sections or keys fall back to defaults; unknown keys are
-        rejected so typos fail loudly.
+        Missing sections or keys fall back to defaults; unknown keys and
+        values of the wrong type are rejected so typos fail loudly.
         """
         if not isinstance(raw, dict):
             raise ConfigurationError("configuration root must be a mapping")
-        section_fields = {
-            "array": ("num_antennas", "element_spacing_wavelengths"),
-            "users": ("num_users", "victim_index"),
-            "radio": ("snr_db", "jsr_db", "link_gain", "victim_power"),
-            "pilot": ("sequence_length", "shift_size", "rb_count",
-                      "samples_per_rb"),
-            "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
-            "geometry": ("inner_radius_m", "outer_radius_m"),
-            "detector": ("similarity_threshold", "update_policy"),
-            "experiment": ("trials", "master_seed", "output_dir", "workers"),
-        }
+        unknown_sections = set(raw) - set(_LAYOUT)
+        if unknown_sections:
+            raise ConfigurationError(
+                f"unknown configuration sections: {sorted(unknown_sections)}"
+            )
         kwargs: dict = {}
-        for section, keys in section_fields.items():
-            body = raw.get(section, {})
+        for section, keys in _LAYOUT.items():
+            body = raw.get(section)
             if body is None:
                 body = {}
             if not isinstance(body, dict):
                 raise ConfigurationError(
                     f"section {section!r} must be a mapping"
                 )
-            unknown = set(body) - set(keys)
+            nested = isinstance(keys, type)
+            valid = {f.name for f in fields(keys)} if nested else set(keys)
+            unknown = set(body) - valid
             if unknown:
                 raise ConfigurationError(
                     f"unknown keys in section {section!r}: {sorted(unknown)}"
                 )
-            for key in keys:
-                if key in body:
-                    kwargs[key] = body[key]
-        for section, config_cls, target in (
-            ("extractor", ExtractorConfig, "extractor"),
-            ("subspace", SdConfig, "subspace"),
-        ):
-            if section in raw and raw[section] is not None:
-                body = raw[section]
-                if not isinstance(body, dict):
-                    raise ConfigurationError(
-                        f"section {section!r} must be a mapping"
-                    )
-                valid = {f.name for f in fields(config_cls)}
-                unknown = set(body) - valid
-                if unknown:
-                    raise ConfigurationError(
-                        f"unknown keys in section {section!r}: "
-                        f"{sorted(unknown)}"
-                    )
-                converted = {
-                    key: (tuple(value) if isinstance(value, list) else value)
-                    for key, value in body.items()
-                }
-                kwargs[target] = config_cls(**converted)
-        known_sections = set(section_fields) | {"extractor", "subspace"}
-        unknown_sections = set(raw) - known_sections
-        if unknown_sections:
-            raise ConfigurationError(
-                f"unknown configuration sections: {sorted(unknown_sections)}"
-            )
+            if nested:
+                kwargs[section] = keys(**body)
+            else:
+                kwargs.update(body)
         return cls(**kwargs)
 
     @classmethod
@@ -369,8 +308,3 @@ class ScenarioConfig:
         if raw is None:
             raw = {}
         return cls.from_dict(raw)
-
-    def with_overrides(self, **overrides) -> "ScenarioConfig":
-        """Replace top-level fields, dropping ``None`` values."""
-        cleaned = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **cleaned)

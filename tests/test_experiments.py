@@ -322,7 +322,8 @@ def observed(simulator, builder, subframe, attacked):
         return (value.samples, value.subframe_index)
     if isinstance(value, np.ndarray):
         return (value,)
-    return value.to_json()
+    return (value.values, value.support, value.subframe_index,
+            value.diagnostics)
 
 
 def assert_same(ours, fresh):

@@ -7,7 +7,6 @@ instances with known sparse ground truth, and a bit-exact reference copy
 of the descent loop built from the public per-point functions.
 """
 
-import json
 import math
 
 import numpy as np
@@ -40,7 +39,6 @@ from spoofdet.extractor import (
     support_threshold,
     threshold_value,
 )
-from spoofdet.extractor import _spectral_init_full
 from spoofdet.link import StackedEstimate
 from spoofdet.scenario import ScenarioConfig
 
@@ -288,7 +286,8 @@ class TestSupportSelection:
 class TestSpectralInit:
     def test_singleton_support(self):
         batch = random_batch(4, 25, 13)
-        phi0 = spectral_init(batch, (2,))
+        phi0, degenerate = spectral_init(batch, (2,))
+        assert not degenerate
         assert np.array_equal(np.flatnonzero(phi0), [2])
         mu = float(np.mean(batch.samples))
         psi = (
@@ -299,7 +298,7 @@ class TestSpectralInit:
 
     def test_norm_matches_direction_energy(self):
         batch, _ = planted_batch(16, 400, [3, 9], [1.0, 0.7], 5)
-        phi0 = spectral_init(batch, (3, 9))
+        phi0, _ = spectral_init(batch, (3, 9))
         v = phi0 / np.linalg.norm(phi0)
         responses = np.abs(batch.probes.conj() @ v) ** 2
         psi = float(np.mean(batch.samples * responses)) - batch.sample_mean
@@ -311,7 +310,7 @@ class TestSpectralInit:
     def test_eigen_direction_oracle(self):
         batch = random_batch(5, 60, 23)
         support = (1, 3)
-        phi0 = spectral_init(batch, support)
+        phi0, _ = spectral_init(batch, support)
         sub = batch.probes[:, list(support)]
         weights = batch.samples - batch.sample_mean
         z = (sub.T * weights) @ sub.conj() / batch.n_samples
@@ -326,7 +325,7 @@ class TestSpectralInit:
             batch, phi_star = planted_batch(
                 32, 5000, (4, 21), [1.0, 1.0], seed + 500
             )
-            phi0 = spectral_init(batch, (4, 21))
+            phi0, _ = spectral_init(batch, (4, 21))
             if cosine(phi0, phi_star) > 0.8:
                 good += 1
         assert good >= 18
@@ -335,7 +334,8 @@ class TestSpectralInit:
         gen = np.random.default_rng(3)
         probes = draw_gaussian_probes(40, 6, gen)
         batch = SensingBatch(probes=probes, samples=np.full(40, 3.0))
-        phi0 = spectral_init(batch, (1, 4))
+        phi0, degenerate = spectral_init(batch, (1, 4))
+        assert degenerate
         nonzero = np.flatnonzero(phi0)
         assert len(nonzero) == 1
         stat = support_statistic(batch)
@@ -385,14 +385,14 @@ class TestExtract:
         batch, _ = planted_batch(16, 300, (5, 12), [1.1, 0.9], 77)
         cfg = ExtractorConfig(max_iterations=0)
         fp = extract(batch, cfg)
-        phi0 = spectral_init(batch, select_support(batch))
+        phi0, _ = spectral_init(batch, select_support(batch))
         assert np.array_equal(fp.values, phi0)
         assert fp.diagnostics.iterations == 0
 
     def test_monotone_loss_and_support_invariant(self):
         batch, _ = planted_batch(16, 300, (5, 12), [1.1, 0.9], 78)
         fp = extract(batch)
-        phi0 = spectral_init(batch, select_support(batch))
+        phi0, _ = spectral_init(batch, select_support(batch))
         assert fp.diagnostics.final_loss <= loss(batch, phi0) + 1e-12
         assert fp.support == tuple(np.flatnonzero(fp.values))
         assert fp.norm > 0
@@ -422,11 +422,6 @@ class TestExtract:
         with pytest.raises(ExtractionError):
             extract(batch)
 
-    def test_dimension_guard(self):
-        batch = random_batch(8, 20, 1)
-        with pytest.raises(ConfigurationError):
-            extract(batch, ExtractorConfig(dimension=16))
-
     def test_oracle_equivalence_smoke(self):
         # At this tiny scale the adaptive threshold must be mild, so the
         # result carries float-precision dust; supports are compared after
@@ -445,26 +440,6 @@ class TestExtract:
                 agree += 1
         assert agree >= 8
 
-    def test_json_roundtrip(self):
-        batch, _ = planted_batch(12, 200, (1, 7), [1.0, 0.8], 55)
-        fp = extract(batch)
-        text = fp.to_json()
-        back = SparsityFingerprint.from_json(text)
-        assert np.array_equal(back.values, fp.values)
-        assert back.support == fp.support
-        assert back.subframe_index == fp.subframe_index
-        assert back.diagnostics == fp.diagnostics
-        # The record is a single machine-readable line.
-        assert json.loads(text)["support"] == list(fp.support)
-
-    def test_json_roundtrip_without_diagnostics(self):
-        fp = SparsityFingerprint(
-            values=np.array([0.0, 1.0 + 2.0j]), support=(1,), subframe_index=3
-        )
-        back = SparsityFingerprint.from_json(fp.to_json())
-        assert np.array_equal(back.values, fp.values)
-        assert back.diagnostics is None
-
 
 def reference_extract(batch, cfg):
     """Test-only copy of the descent loop that re-evaluates every point.
@@ -478,7 +453,7 @@ def reference_extract(batch, cfg):
     init_fallback = len(support) == 0
     if init_fallback:
         support = (int(np.argmax(support_statistic(batch))),)
-    phi, degenerate_init = _spectral_init_full(batch, support)
+    phi, degenerate_init = spectral_init(batch, support)
     current_loss = loss(batch, phi)
     initial_loss = max(current_loss, np.finfo(float).tiny)
     if not np.isfinite(current_loss):
@@ -611,7 +586,7 @@ class TestConfigValidation:
             {"max_backtracks": -2},
             {"divergence_factor": 0.5},
             {"divergence_factor": 1.0},
-            {"dimension": 0},
+            {"max_backtracks": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -1,6 +1,8 @@
 """Tests for the scenario configuration: serialization round trips, strict
 key checking, the reproducibility hash, and the link-layer noise mapping."""
 
+from dataclasses import replace
+
 import pytest
 
 from spoofdet.baselines import SdConfig
@@ -29,16 +31,105 @@ CUSTOM = ScenarioConfig(
     element_spacing_wavelengths=0.4,
     tap_duration_ns=200.0,
     cluster_table="profile.yaml",
-    extractor=ExtractorConfig(max_iterations=50, threshold_scale=5.0,
-                              dimension=24),
+    extractor=ExtractorConfig(max_iterations=50, threshold_scale=5.0),
     similarity_threshold=0.8,
-    update_policy="always",
     subspace=SdConfig(noise_floor_multiple=2.0, samples_per_subframe=3),
     trials=12,
     master_seed=99,
     output_dir="elsewhere",
     workers=2,
 )
+
+
+# What to_yaml writes and what config_hash returns, pinned: a change to the
+# section or key order, or to the set of hashed fields, shows up here.
+DEFAULT_YAML = """\
+array:
+  num_antennas: 64
+  element_spacing_wavelengths: 0.5
+users:
+  num_users: 16
+  victim_index: 0
+radio:
+  snr_db: 5.0
+  jsr_db: 0.0
+  link_gain: 5.0
+  victim_power: 1.0
+pilot:
+  sequence_length: 139
+  shift_size: 5
+  rb_count: 16
+  samples_per_rb: 12
+channel:
+  num_taps: 4
+  tap_duration_ns: 240.0
+  cluster_table: null
+geometry:
+  inner_radius_m: 100.0
+  outer_radius_m: 120.0
+extractor:
+  max_iterations: 200
+  step_size: 0.1
+  threshold_scale: 15.0
+  tolerance: 1.0e-06
+  max_backtracks: 20
+  divergence_factor: 1000000.0
+detector:
+  similarity_threshold: 0.92
+subspace:
+  noise_floor_multiple: 3.0
+  relative_floor: 1.0e-09
+  samples_per_subframe: 5
+experiment:
+  trials: 500
+  master_seed: 2026
+  output_dir: results
+  workers: 1
+"""
+
+CUSTOM_YAML = """\
+array:
+  num_antennas: 8
+  element_spacing_wavelengths: 0.4
+users:
+  num_users: 4
+  victim_index: 2
+radio:
+  snr_db: -2.5
+  jsr_db: 3.0
+  link_gain: 2.0
+  victim_power: 2.5
+pilot:
+  sequence_length: 31
+  shift_size: 6
+  rb_count: 8
+  samples_per_rb: 10
+channel:
+  num_taps: 3
+  tap_duration_ns: 200.0
+  cluster_table: profile.yaml
+geometry:
+  inner_radius_m: 50.0
+  outer_radius_m: 80.0
+extractor:
+  max_iterations: 50
+  step_size: 0.1
+  threshold_scale: 5.0
+  tolerance: 1.0e-06
+  max_backtracks: 20
+  divergence_factor: 1000000.0
+detector:
+  similarity_threshold: 0.8
+subspace:
+  noise_floor_multiple: 2.0
+  relative_floor: 1.0e-09
+  samples_per_subframe: 3
+experiment:
+  trials: 12
+  master_seed: 99
+  output_dir: elsewhere
+  workers: 2
+"""
 
 
 class TestRoundTrip:
@@ -69,6 +160,8 @@ class TestUnknownKeys:
             {"extractor": {"gradient_mode": "analytic"}},
             {"extractor": {"probe_family": "gaussian"}},
             {"subspace": {"baseline_dimension": 16}},
+            {"detector": {"update_policy": "always"}},
+            {"extractor": {"dimension": 24}},
         ],
     )
     def test_rejected(self, raw):
@@ -80,21 +173,71 @@ class TestUnknownKeys:
             ScenarioConfig.from_dict({"radio": [1, 2]})
 
 
+class TestWrongTypes:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"experiment": {"trials": "5"}},
+            {"extractor": {"max_iterations": "9"}},
+            {"radio": {"snr_db": "5"}},
+            {"array": {"num_antennas": 8.5}},
+            {"subspace": {"samples_per_subframe": 2.5}},
+            {"experiment": {"workers": True}},
+        ],
+    )
+    def test_rejected(self, raw):
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig.from_dict(raw)
+
+
 class TestConfigHash:
     def test_ignores_where_and_how_trials_run(self):
         base = ScenarioConfig()
-        assert base.with_overrides(workers=4).config_hash() == (
+        assert replace(base, workers=4).config_hash() == (
             base.config_hash()
         )
-        assert base.with_overrides(output_dir="other").config_hash() == (
+        assert replace(base, output_dir="other").config_hash() == (
             base.config_hash()
         )
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ({"radio": {"snr_db": 5}}, ScenarioConfig()),
+            ({"extractor": {"step_size": 1}},
+             ScenarioConfig(extractor=ExtractorConfig(step_size=1.0))),
+            ({"array": {"num_antennas": 64.0}}, ScenarioConfig()),
+        ],
+    )
+    def test_equal_configs_hash_equal(self, raw, expected):
+        loaded = ScenarioConfig.from_dict(raw)
+        assert loaded == expected
+        assert loaded.config_hash() == expected.config_hash()
+
     def test_follows_the_operating_point(self):
         base = ScenarioConfig()
-        assert base.with_overrides(snr_db=6.0).config_hash() != (
+        assert replace(base, snr_db=6.0).config_hash() != (
             base.config_hash()
         )
+
+
+class TestPinnedOutput:
+    CASES = [
+        (ScenarioConfig(), DEFAULT_YAML, "0f9d02710884b365"),
+        (CUSTOM, CUSTOM_YAML, "b2e6cedabed5be20"),
+    ]
+
+    @pytest.mark.parametrize("cfg, text, digest", CASES,
+                             ids=["default", "custom"])
+    def test_yaml_text(self, cfg, text, digest, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        cfg.to_yaml(path)
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize("cfg, text, digest", CASES,
+                             ids=["default", "custom"])
+    def test_config_hash(self, cfg, text, digest):
+        assert cfg.config_hash() == digest
 
 
 class TestLinkConfig:
