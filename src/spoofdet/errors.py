@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the type check of the
 configuration dataclasses that raises :class:`ConfigurationError`."""
 
+import math
 import numbers
 from dataclasses import fields
 
@@ -49,10 +50,12 @@ def check_numeric_fields(config) -> None:
     """Check the number fields of a frozen config dataclass, in place.
 
     A field whose default is an ``int`` takes an integral number and is
-    stored as ``int``; one whose default is a ``float`` takes any real
-    number and is stored as ``float``, so equal settings compare, print and
-    hash alike.  A string or a boolean is rejected, as YAML gives those for
-    a quoted number or for ``true``/``false``.
+    stored as ``int``; one whose default is a ``float`` takes any finite
+    real number and is stored as ``float``, so equal settings compare, print
+    and hash alike.  A string or a boolean is rejected, as YAML gives those
+    for a quoted number or for ``true``/``false``; so are NaN and infinity
+    (YAML's ``.nan`` and ``.inf``), which every range check lets through or
+    misjudges.
     """
     for spec in fields(config):
         kind = type(spec.default)
@@ -62,6 +65,10 @@ def check_numeric_fields(config) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigurationError(
                 f"{spec.name} must be a number, got {value!r}"
+            )
+        if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+            raise ConfigurationError(
+                f"{spec.name} must be finite, got {value!r}"
             )
         if kind is int and not (
             isinstance(value, numbers.Integral) or float(value).is_integer()

@@ -30,9 +30,13 @@ above.
 
 Each input is built once and only when needed.  The cluster table and the
 FFTs of the users' pilots are kept per process, keyed on the config fields
-they depend on.  A ``TrialSimulator`` builds its clean snapshot spectra on
-first access, and it draws each subframe's probes (with their conjugate),
-tap noise and snapshot noise once, for both arms.
+they depend on.  A ``TrialSimulator`` draws only the victim's channel on
+construction; the attacker's channel, the other users' channels, the clean
+energies and the clean snapshot spectra are built on first access, and each
+subframe's probes (with their conjugate), tap noise and snapshot noise are
+drawn once, for both arms.  ``run_single_trial`` runs all three extractions
+before any baseline, so a trial whose extraction fails reads one or two of
+the K + 1 channels and builds no baseline input.
 """
 
 from __future__ import annotations
@@ -256,22 +260,27 @@ class _SubframeDraws:
 class TrialSimulator:
     """One trial's frozen deployment plus its observation builders.
 
-    Construction draws the geometry and all channels; the builders then
-    produce per-subframe observables for either hypothesis arm.  Every
-    random quantity is regenerated from named seed streams, so calling a
-    builder twice — or for both arms — replays identical draws, in any
-    call order.
+    Every random quantity is regenerated from named seed streams, so
+    calling a builder twice — or for both arms — replays identical draws,
+    in any call order, and building an input late or not at all changes no
+    other value.
 
     What is built when:
 
     * Per process: the cluster table and the FFTs of the users' pilots
       (shared by every trial with the same table path, ``N``, shift size
       and user count).
-    * Per trial, on construction: geometry, channels, attacker amplitude,
-      fingerprint coordinates and clean energies.
-    * Per trial, on first access: the clean snapshot spectra
-      ``snapshot_quiet`` and ``snapshot_attacked`` (only the subspace
-      detector needs them).
+    * Per trial, on construction: the geometry, the victim's channel, its
+      fingerprint coordinates ``psi_victim``, and the check that the
+      victim's channel carries energy.  This is all the reference and the
+      quiet test extraction read.
+    * Per trial, on first access: the attacker's channel, its amplitude
+      ``rho`` (which first checks that the attacker's channel carries
+      energy) and ``psi_attacker``, read by the attacked extraction; the
+      other users' channels in ``channels`` and the clean energies
+      ``clean_energy_quiet`` and ``clean_energy_attacked``, read by the
+      energy detector; and the clean snapshot spectra ``snapshot_quiet``
+      and ``snapshot_attacked``, read by the subspace detector.
     * Per subframe, on first use: the probes and their conjugate, the tap
       noise and the snapshot noise, shared by both arms.  Only the latest
       subframe's draws are kept.
@@ -281,7 +290,6 @@ class TrialSimulator:
         self.cfg = cfg
         self.trial_index = trial_index
         self._draws: _SubframeDraws | None = None
-        table = _cluster_table(cfg)
         positions = place_actors(
             cfg.inner_radius_m,
             cfg.outer_radius_m,
@@ -296,53 +304,76 @@ class TrialSimulator:
             user_positions=tuple(positions[: cfg.num_users]),
             attacker_position=positions[cfg.num_users],
         )
-        self.channels = [
-            draw_channel(
-                self.geometry,
-                table,
-                k,
-                cfg.num_taps,
-                cfg.tap_duration_ns,
-                trial_rng(cfg.master_seed, trial_index, _STREAM_USER_CHANNEL + k),
-            )
-            for k in range(cfg.num_users)
-        ]
-        self.attacker_channel = draw_channel(
+        victim = cfg.victim_index
+        self._victim_channel = self._draw_channel(
+            victim, _STREAM_USER_CHANNEL + victim
+        )
+        self._victim_energy = self._checked_energy(self._victim_channel)
+        # Clean tap-domain fingerprint coordinates (beamspace, tap-major).
+        self.psi_victim = vectorize_taps(beamspace(self._victim_channel.taps))
+
+    def _draw_channel(
+        self, source: int | str, stream: int
+    ) -> ChannelRealization:
+        cfg = self.cfg
+        return draw_channel(
             self.geometry,
-            table,
-            "attacker",
+            _cluster_table(cfg),
+            source,
             cfg.num_taps,
             cfg.tap_duration_ns,
-            trial_rng(cfg.master_seed, trial_index, _STREAM_ATTACKER_CHANNEL),
+            trial_rng(cfg.master_seed, self.trial_index, stream),
         )
-        victim_taps = self.channels[cfg.victim_index].taps
-        victim_energy = float(np.sum(np.abs(victim_taps) ** 2))
-        attacker_energy = float(np.sum(np.abs(self.attacker_channel.taps) ** 2))
-        if attacker_energy <= 0 or victim_energy <= 0:
+
+    def _checked_energy(self, channel: ChannelRealization) -> float:
+        energy = float(np.sum(np.abs(channel.taps) ** 2))
+        if energy <= 0:
             raise ConfigurationError(
-                f"trial {trial_index}: drew a zero-energy channel"
+                f"trial {self.trial_index}: drew a zero-energy channel"
             )
-        # Amplitude ratio making the attacker's received energy exactly
-        # jsr_linear times the victim's.
-        self.rho = float(
-            np.sqrt(cfg.jsr_linear * victim_energy / attacker_energy)
-        )
+        return energy
 
-        # Clean tap-domain fingerprint coordinates (beamspace, tap-major).
-        self.psi_victim = vectorize_taps(beamspace(victim_taps))
-        self.psi_attacker = self.rho * vectorize_taps(
-            beamspace(self.attacker_channel.taps)
-        )
+    @cached_property
+    def channels(self) -> list:
+        """Every user's channel, by user index; the victim's is shared."""
+        return [
+            self._victim_channel if k == self.cfg.victim_index
+            else self._draw_channel(k, _STREAM_USER_CHANNEL + k)
+            for k in range(self.cfg.num_users)
+        ]
 
-        # Clean received energies for the energy detector's sketches.
-        power = cfg.victim_power
-        self.clean_energy_quiet = power * float(
+    @cached_property
+    def attacker_channel(self) -> ChannelRealization:
+        return self._draw_channel("attacker", _STREAM_ATTACKER_CHANNEL)
+
+    @cached_property
+    def rho(self) -> float:
+        """Amplitude ratio making the attacker's received energy exactly
+        ``jsr_linear`` times the victim's."""
+        attacker_energy = self._checked_energy(self.attacker_channel)
+        ratio = self.cfg.jsr_linear * self._victim_energy / attacker_energy
+        return float(np.sqrt(ratio))
+
+    @cached_property
+    def psi_attacker(self) -> np.ndarray:
+        return self.rho * vectorize_taps(beamspace(self.attacker_channel.taps))
+
+    # Clean received energies for the energy detector's sketches.
+
+    @cached_property
+    def clean_energy_quiet(self) -> float:
+        return self.cfg.victim_power * float(
             sum(np.sum(np.abs(ch.taps) ** 2) for ch in self.channels)
         )
-        cross = 2.0 * self.rho * power * float(
-            np.real(np.vdot(self.attacker_channel.taps, victim_taps))
-        )
-        self.clean_energy_attacked = (
+
+    @cached_property
+    def clean_energy_attacked(self) -> float:
+        power = self.cfg.victim_power
+        attacker_energy = self._checked_energy(self.attacker_channel)
+        cross = 2.0 * self.rho * power * float(np.real(np.vdot(
+            self.attacker_channel.taps, self._victim_channel.taps
+        )))
+        return (
             self.clean_energy_quiet
             + self.rho**2 * power * attacker_energy
             + cross
@@ -472,10 +503,17 @@ class TrialSimulator:
         return rows
 
     def arm_observables(
-        self, reference: SparsityFingerprint, attacked: bool
+        self,
+        reference: SparsityFingerprint,
+        test: SparsityFingerprint,
+        attacked: bool,
     ) -> ArmObservables:
-        """Test-subframe statistics of one arm against a fixed reference."""
-        test = self.extract_fingerprint(2, attacked)
+        """Statistics of one arm at test subframe 2.
+
+        ``test`` is this arm's fingerprint of subframe 2, scored against
+        the fixed ``reference``; the energy and subspace statistics are
+        built here.
+        """
         c = similarity(reference, test)
         energy = ed_statistic(self.energy_observation(2, attacked))
         dimension = sd_statistic(
@@ -487,13 +525,27 @@ class TrialSimulator:
 
 
 def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
-    """Run one paired trial; failures become records, not exceptions."""
+    """Run one paired trial; failures become records, not exceptions.
+
+    The three extractions (the reference from subframe 1, then the quiet
+    and the attacked test from subframe 2) run first, as they are the steps
+    that fail; only a trial that passes all three builds its energy and
+    subspace statistics, whose inputs cannot fail on a config that
+    validates.  So a failed trial records the same error it would in any
+    other order, without paying for the baselines.
+    """
     try:
         simulator = TrialSimulator(cfg, trial_index)
         reference = simulator.extract_fingerprint(1, attacked=False)
-        quiet = simulator.arm_observables(reference, attacked=False)
-        attacked = simulator.arm_observables(reference, attacked=True)
-        return TrialRecord(trial_index, quiet, attacked)
+        test_quiet = simulator.extract_fingerprint(2, attacked=False)
+        test_attacked = simulator.extract_fingerprint(2, attacked=True)
+        return TrialRecord(
+            trial_index,
+            simulator.arm_observables(reference, test_quiet, attacked=False),
+            simulator.arm_observables(
+                reference, test_attacked, attacked=True
+            ),
+        )
     except SpoofdetError as exc:
         return TrialRecord(
             trial_index,

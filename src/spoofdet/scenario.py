@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -83,8 +83,8 @@ class ScenarioConfig:
     inner_radius_m, outer_radius_m, element_spacing_wavelengths
         Deployment annulus and array spacing.
     tap_duration_ns, cluster_table
-        Channel sampling and the cluster profile (``None`` selects the
-        packaged default profile).
+        Channel sampling and the path of the cluster profile (``None``
+        selects the packaged default profile).
     extractor, similarity_threshold
         Fingerprint-extraction settings and the sequential detector's
         similarity threshold (only a subframe judged normal updates its
@@ -122,6 +122,21 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_numeric_fields(self)
+        # Paths are stored as str, so a Path and its string compare, print
+        # and hash alike.
+        for name, optional in (("cluster_table", True), ("output_dir", False)):
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            path = (
+                os.fspath(value) if isinstance(value, (str, os.PathLike))
+                else None
+            )
+            if not isinstance(path, str):
+                raise ConfigurationError(
+                    f"{name} must be a path, got {value!r}"
+                )
+            object.__setattr__(self, name, path)
         for name in ("num_antennas", "num_users", "num_taps", "rb_count",
                      "samples_per_rb", "trials", "workers"):
             if getattr(self, name) < 1:
@@ -139,9 +154,6 @@ class ScenarioConfig:
                 f"victim index {self.victim_index} outside "
                 f"0..{self.num_users - 1}"
             )
-        for name in ("snr_db", "jsr_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
         if self.link_gain <= 0:
             raise ConfigurationError("link gain must be positive")
         if self.victim_power <= 0:

@@ -6,19 +6,27 @@ cell (serial and pooled) for byte-stable result files, and its records
 pinned to the bit; the full transmit/receive chain of ``link.py`` for the
 noise-free sensing batches and subspace snapshots that ``TrialSimulator``
 builds in closed form; the stated laws of the three noise shortcuts, by
-their moments; and a fresh simulator per call for the builders' results
-in any call order.
+their moments; a fresh simulator per call for the builders' results
+in any call order; and a counting spy on ``draw_channel`` for which
+channels a trial draws.
 """
 
 import csv
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spoofdet.errors import ExtractionError, InsufficientDataError
+from spoofdet import experiments
+from spoofdet.channel import ChannelRealization, draw_channel
+from spoofdet.errors import (
+    ConfigurationError,
+    ExtractionError,
+    InsufficientDataError,
+)
 from spoofdet.experiments import (
     DETECTOR_NAMES,
     ArmObservables,
@@ -30,6 +38,7 @@ from spoofdet.experiments import (
     roc_from_outcomes,
     run_detection_delay,
     run_scenario,
+    run_single_trial,
     run_sweep,
     run_trials,
 )
@@ -308,13 +317,26 @@ class TestShortcutsMatchLinkChain:
         )
 
 
-def observed(simulator, builder, subframe, attacked):
-    """A builder's result in comparable form; a failed extraction gives
-    its message."""
+def observed(simulator, name, *args):
+    """A builder's result (called with ``args``) or a lazily built input
+    (read when there are no ``args``) in comparable form; a failed
+    extraction gives its message."""
     try:
-        value = getattr(simulator, builder)(subframe, attacked)
+        value = getattr(simulator, name)
+        if args:
+            value = value(*args)
     except ExtractionError as exc:
         return f"ExtractionError: {exc}"
+    if isinstance(value, float):
+        return (value,)
+    if isinstance(value, ChannelRealization):
+        value = [value]
+    if isinstance(value, list):
+        return tuple(
+            item for channel in value
+            for item in (channel.taps, channel.source,
+                         channel.cluster_azimuths_deg)
+        )
     if isinstance(value, SensingBatch):
         return (value.probes, value.conj_probes, value.samples,
                 value.subframe_index, value.normalized)
@@ -339,9 +361,10 @@ def assert_same(ours, fresh):
 
 
 class TestBuildersInAnyOrder:
-    """The builders share per-subframe draws and lazily built spectra, so
-    every result must equal what a fresh simulator returns for that one
-    call, whatever was called before it on the same simulator."""
+    """The builders share per-subframe draws and lazily built channels,
+    energies and spectra, so every result must equal what a fresh
+    simulator returns for that one call or read, whatever was called or
+    read before it on the same simulator."""
 
     ORDERS = {
         "attacked_first": [
@@ -367,6 +390,18 @@ class TestBuildersInAnyOrder:
             ("extract_fingerprint", 2, False),
             ("snapshot_window", 2, False),
         ],
+        "inputs_before_extract": [
+            ("rho",), ("channels",), ("clean_energy_quiet",),
+            ("clean_energy_attacked",),
+            ("extract_fingerprint", 1, False),
+            ("extract_fingerprint", 2, True),
+        ],
+        "inputs_after_extract": [
+            ("extract_fingerprint", 1, False),
+            ("extract_fingerprint", 2, True),
+            ("clean_energy_attacked",), ("rho",), ("psi_attacker",),
+            ("attacker_channel",), ("clean_energy_quiet",), ("channels",),
+        ],
     }
     # The tiny cell, and trial 1 of the default cell (whose extractions
     # all complete).
@@ -380,12 +415,69 @@ class TestBuildersInAnyOrder:
     def test_equal_to_fresh_simulator(self, cell, order):
         cfg, trial = self.CELLS[cell]
         simulator = TrialSimulator(cfg, trial)
-        for builder, subframe, attacked in self.ORDERS[order]:
+        for step in self.ORDERS[order]:
             assert_same(
-                observed(simulator, builder, subframe, attacked),
-                observed(TrialSimulator(cfg, trial), builder, subframe,
-                         attacked),
+                observed(simulator, *step),
+                observed(TrialSimulator(cfg, trial), *step),
             )
+
+
+class TestDrawsOnlyWhatIsRead:
+    """A trial draws a channel only when a step reads it: the victim's on
+    construction, the attacker's for the attacked extraction, and the
+    other users' for the energy and subspace statistics."""
+
+    @pytest.fixture
+    def sources(self, monkeypatch):
+        """The source of every ``draw_channel`` call the harness makes."""
+        seen = []
+
+        def counting(scenario, table, source, *args):
+            seen.append(source)
+            return draw_channel(scenario, table, source, *args)
+
+        monkeypatch.setattr(experiments, "draw_channel", counting)
+        return seen
+
+    def test_reference_failure_draws_the_victim_only(self, sources):
+        # With one resource block (L = 12) every tiny-cell extraction fails.
+        cfg = ScenarioConfig(**{**TINY, "rb_count": 1, "victim_index": 2})
+        record = run_single_trial(cfg, 0)
+        assert record.failed and "ExtractionError" in record.error
+        assert sources == [2]
+
+    def test_completed_trial_draws_each_channel_once(self, sources):
+        cfg = ScenarioConfig()  # trial 1 of the default cell completes
+        assert not run_single_trial(cfg, 1).failed
+        assert Counter(sources) == Counter(
+            [*range(cfg.num_users), "attacker"]
+        )
+
+    def test_streams_draw_the_channels_they_extract_from(self, sources):
+        cfg = ScenarioConfig(**TINY)
+        calibrate(cfg, n_streams=1, subframes_per_stream=3)
+        assert sources == [cfg.victim_index]
+        sources.clear()
+        run_detection_delay(cfg, attack_start=2, n_subframes=3, n_streams=1)
+        assert sources == [cfg.victim_index, "attacker"]
+
+    def test_zero_energy_attacker_fails_on_reading_rho(self, monkeypatch):
+        def silent_attacker(scenario, table, source, *args):
+            channel = draw_channel(scenario, table, source, *args)
+            if source == "attacker":
+                channel = replace(channel, taps=np.zeros_like(channel.taps))
+            return channel
+
+        monkeypatch.setattr(experiments, "draw_channel", silent_attacker)
+        cfg = ScenarioConfig(**TINY)
+        message = "trial 0: drew a zero-energy channel"
+        simulator = TrialSimulator(cfg, 0)
+        with pytest.raises(ConfigurationError, match=message):
+            simulator.rho
+        # Trial 0 passes its reference and quiet extractions; the attacked
+        # one reads rho, and the failure becomes the trial's record.
+        record = run_single_trial(cfg, 0)
+        assert record.error == f"trial 0: ConfigurationError: {message}"
 
 
 class TestArmsShareDraws:

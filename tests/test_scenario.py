@@ -2,6 +2,7 @@
 key checking, the reproducibility hash, and the link-layer noise mapping."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,11 @@ class TestWrongTypes:
             {"array": {"num_antennas": 8.5}},
             {"subspace": {"samples_per_subframe": 2.5}},
             {"experiment": {"workers": True}},
+            {"channel": {"tap_duration_ns": float("nan")}},
+            {"radio": {"link_gain": float("inf")}},
+            {"extractor": {"step_size": float("nan")}},
+            {"channel": {"cluster_table": 5}},
+            {"experiment": {"output_dir": 5}},
         ],
     )
     def test_rejected(self, raw):
@@ -207,6 +213,10 @@ class TestConfigHash:
             ({"extractor": {"step_size": 1}},
              ScenarioConfig(extractor=ExtractorConfig(step_size=1.0))),
             ({"array": {"num_antennas": 64.0}}, ScenarioConfig()),
+            ({"channel": {"cluster_table": Path("profile.yaml")}},
+             ScenarioConfig(cluster_table="profile.yaml")),
+            ({"experiment": {"output_dir": Path("elsewhere")}},
+             ScenarioConfig(output_dir="elsewhere")),
         ],
     )
     def test_equal_configs_hash_equal(self, raw, expected):
