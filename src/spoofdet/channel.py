@@ -38,6 +38,7 @@ __all__ = [
     "beamspace",
     "vectorize_taps",
     "as_generator",
+    "complex_normal",
 ]
 
 DEFAULT_TABLE_PATH = Path(__file__).parent / "data" / "clustered_los.yaml"
@@ -250,6 +251,22 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def complex_normal(shape, scale: float, rng) -> np.ndarray:
+    """``scale * (x + 1j * y)`` for standard normal ``x``, then ``y``.
+
+    The complex array is allocated once and each part is written as
+    ``scale * x`` in place.  Those are the bits numpy gives for a real
+    times a complex array, and for a complex array divided by
+    ``1 / scale`` (complex-by-real division multiplies each part by the
+    reciprocal).
+    """
+    gen = as_generator(rng)
+    out = np.empty(shape, dtype=np.complex128)
+    np.multiply(gen.normal(size=shape), scale, out=out.real)
+    np.multiply(gen.normal(size=shape), scale, out=out.imag)
+    return out
 
 
 def draw_channel(

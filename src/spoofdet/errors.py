@@ -31,7 +31,7 @@ class PilotDivisionError(SpoofdetError, ZeroDivisionError):
 
 
 class ExtractionError(SpoofdetError, RuntimeError):
-    """Sparse fingerprint extraction failed (divergence or degenerate input)."""
+    """Sparse fingerprint extraction failed (non-finite loss or degenerate input)."""
 
 
 class InitializationError(ExtractionError):

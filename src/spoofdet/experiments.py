@@ -57,6 +57,7 @@ from .channel import (
     ClusterTable,
     GeometryScenario,
     beamspace,
+    complex_normal,
     default_cluster_table,
     draw_channel,
     load_cluster_table,
@@ -245,13 +246,12 @@ class _SubframeDraws:
         sigma = cfg.receive_noise_variance
         if sigma <= 0:
             return None
-        rng = self._rng(_STREAM_SNAPSHOT_NOISE)
         shape = (
             cfg.subspace_config().samples_per_subframe * cfg.sequence_length,
             cfg.num_antennas,
         )
-        noise = np.sqrt(sigma / 2.0) * (
-            rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        noise = complex_normal(
+            shape, np.sqrt(sigma / 2.0), self._rng(_STREAM_SNAPSHOT_NOISE)
         )
         noise.setflags(write=False)
         return noise

@@ -1,4 +1,5 @@
-"""Shared helpers: planted sensing instances and a brute-force support oracle."""
+"""Shared helpers: planted sensing instances, a brute-force support oracle,
+and a reference copy of the extractor's descent loop."""
 
 from __future__ import annotations
 
@@ -8,12 +9,18 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from spoofdet.errors import ExtractionError
 from spoofdet.extractor import (
+    ExtractionDiagnostics,
     SensingBatch,
     draw_gaussian_probes,
     gradient,
+    hard_threshold,
     loss,
+    select_support,
+    spectral_init,
     support_statistic,
+    threshold_value,
 )
 
 
@@ -98,3 +105,71 @@ def brute_force_sparse_support(
                 best_value = value
                 best_support = support
     return tuple(sorted(best_support))
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def reference_extract(batch, cfg):
+    """Test-only copy of the descent loop that re-evaluates every point.
+
+    Each iteration calls the public ``gradient`` and ``threshold_value`` at
+    the current iterate and ``loss`` at every backtracking candidate, so it
+    shares no carried state with :func:`extract`.  It returns the same
+    ``(values, support, diagnostics)`` triple, or raises the same error.
+    """
+    support = select_support(batch)
+    init_fallback = len(support) == 0
+    if init_fallback:
+        support = (int(np.argmax(support_statistic(batch))),)
+    phi, degenerate_init = spectral_init(batch, support)
+    current_loss = loss(batch, phi)
+    if not np.isfinite(current_loss):
+        raise ExtractionError("loss is not finite at the initializer")
+    mean = batch.sample_mean
+    base_step = cfg.step_size / mean if mean > 0 else cfg.step_size
+    iterations = 0
+    converged = False
+    backtracks_exhausted = False
+    for _ in range(cfg.max_iterations):
+        grad = gradient(batch, phi)
+        delta = threshold_value(batch, phi, cfg)
+        step = base_step
+        accepted = False
+        for _ in range(cfg.max_backtracks + 1):
+            candidate = hard_threshold(phi - step * grad, step * delta)
+            candidate_loss = loss(batch, candidate)
+            if np.isfinite(candidate_loss) and candidate_loss <= current_loss:
+                accepted = True
+                break
+            step /= 2.0
+        if not accepted:
+            backtracks_exhausted = True
+            break
+        iterations += 1
+        change = np.linalg.norm(candidate - phi)
+        scale = max(np.linalg.norm(phi), np.finfo(float).tiny)
+        phi, current_loss = candidate, candidate_loss
+        if change <= cfg.tolerance * scale:
+            converged = True
+            break
+    if np.linalg.norm(phi) == 0.0:
+        raise ExtractionError(
+            "extraction produced an identically zero vector; the samples "
+            "carry no usable energy"
+        )
+    diagnostics = ExtractionDiagnostics(
+        final_loss=float(current_loss),
+        iterations=iterations,
+        initial_support=support,
+        init_fallback=init_fallback,
+        degenerate_init=degenerate_init,
+        converged=converged,
+        backtracks_exhausted=backtracks_exhausted,
+    )
+    return phi, tuple(int(i) for i in np.flatnonzero(phi)), diagnostics

@@ -7,8 +7,10 @@ pinned to the bit; the full transmit/receive chain of ``link.py`` for the
 noise-free sensing batches and subspace snapshots that ``TrialSimulator``
 builds in closed form; the stated laws of the three noise shortcuts, by
 their moments; a fresh simulator per call for the builders' results
-in any call order; and a counting spy on ``draw_channel`` for which
-channels a trial draws.
+in any call order; a counting spy on ``draw_channel`` for which
+channels a trial draws; the complex-noise expression the snapshot noise
+was first written with; and whole trials run through the reference copy
+of the extractor's descent loop.
 """
 
 import csv
@@ -20,8 +22,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import reference_extract, same_bits
 from spoofdet import experiments
-from spoofdet.channel import ChannelRealization, draw_channel
+from spoofdet.channel import ChannelRealization, complex_normal, draw_channel
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -41,8 +44,13 @@ from spoofdet.experiments import (
     run_single_trial,
     run_sweep,
     run_trials,
+    trial_rng,
 )
-from spoofdet.extractor import SensingBatch, build_subframe_batch
+from spoofdet.extractor import (
+    SensingBatch,
+    SparsityFingerprint,
+    build_subframe_batch,
+)
 from spoofdet.link import (
     AttackProfile,
     SubframeObservation,
@@ -521,6 +529,71 @@ class TestArmsShareDraws:
                 simulator.snapshot_window(subframe, False),
                 rtol=0, atol=1e-12,
             )
+
+
+class TestSnapshotNoiseMatchesOldExpression:
+    """The snapshot noise is built in place; its bits are those of
+    ``sqrt(sigma / 2) * (x + 1j * y)``, with ``x`` drawn before ``y``."""
+
+    @staticmethod
+    def old(shape, sigma, rng):
+        return np.sqrt(sigma / 2.0) * (
+            rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (192, 256)])
+    def test_complex_normal(self, shape):
+        for seed in (0, 7, 201, 2**40 + 3):
+            for sigma in (1e-3, 0.31622776601683794, 2.0):
+                rng = np.random.default_rng(seed)
+                old = self.old(shape, sigma, rng)
+                new_rng = np.random.default_rng(seed)
+                new = complex_normal(shape, np.sqrt(sigma / 2.0), new_rng)
+                assert same_bits(new, old)
+                assert new_rng.normal() == rng.normal()
+
+    @pytest.mark.parametrize(
+        "cfg", [ScenarioConfig(), ScenarioConfig(**TINY)],
+        ids=["default", "tiny"],
+    )
+    def test_subframe_draws(self, cfg):
+        shape = (
+            cfg.subspace_config().samples_per_subframe * cfg.sequence_length,
+            cfg.num_antennas,
+        )
+        for trial in (0, 1, 5):
+            for subframe in (1, 2):
+                rng = trial_rng(
+                    cfg.master_seed, trial,
+                    experiments._STREAM_SNAPSHOT_NOISE + subframe,
+                )
+                old = self.old(shape, cfg.receive_noise_variance, rng)
+                draws = experiments._SubframeDraws(cfg, trial, subframe)
+                assert same_bits(draws.snapshot_noise, old)
+
+
+class TestTrialMatchesReferenceLoop:
+    def test_records_equal(self, monkeypatch):
+        """Whole trials give the same records when every extraction runs
+        through the test's reference copy of the descent loop."""
+        cfg = ScenarioConfig(master_seed=7)
+        expected = [run_single_trial(cfg, i) for i in range(4)]
+        # Trials that fail and trials that complete are both compared.
+        assert {r.failed for r in expected} == {False, True}
+
+        def reference(batch, extractor_cfg):
+            values, support, diagnostics = reference_extract(
+                batch, extractor_cfg
+            )
+            return SparsityFingerprint(
+                values, support, batch.subframe_index, diagnostics
+            )
+
+        monkeypatch.setattr(experiments, "extract", reference)
+        observed = [run_single_trial(cfg, i) for i in range(4)]
+        assert [hex_record(r) for r in observed] == [
+            hex_record(r) for r in expected
+        ]
 
 
 class TestNoiseShortcutMoments:

@@ -3,8 +3,10 @@
 Oracles: hand arithmetic on one- and two-dimensional reductions, explicit
 per-sample loop re-implementations, central finite differences, frozen
 closed-form constants, Monte Carlo recovery on noiseless planted
-instances with known sparse ground truth, and a bit-exact reference copy
-of the descent loop built from the public per-point functions.
+instances with known sparse ground truth, a bit-exact reference copy
+of the descent loop built from the public per-point functions, and the
+expressions the per-point quantities and the probe draws were first
+written with, matched to the bit.
 """
 
 import math
@@ -14,7 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_sparse_support, planted_batch
+from conftest import (
+    brute_force_sparse_support,
+    planted_batch,
+    reference_extract,
+    same_bits,
+)
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -23,7 +30,6 @@ from spoofdet.errors import (
 )
 from spoofdet.experiments import TrialSimulator
 from spoofdet.extractor import (
-    ExtractionDiagnostics,
     ExtractorConfig,
     SensingBatch,
     SparsityFingerprint,
@@ -441,87 +447,34 @@ class TestExtract:
         assert agree >= 8
 
 
-def reference_extract(batch, cfg):
-    """Test-only copy of the descent loop that re-evaluates every point.
-
-    Each iteration calls the public ``gradient`` and ``threshold_value`` at
-    the current iterate and ``loss`` at every backtracking candidate, so it
-    shares no carried state with :func:`extract`.  It returns the same
-    ``(values, support, diagnostics)`` triple, or raises the same error.
-    """
-    support = select_support(batch)
-    init_fallback = len(support) == 0
-    if init_fallback:
-        support = (int(np.argmax(support_statistic(batch))),)
-    phi, degenerate_init = spectral_init(batch, support)
-    current_loss = loss(batch, phi)
-    initial_loss = max(current_loss, np.finfo(float).tiny)
-    if not np.isfinite(current_loss):
-        raise ExtractionError("loss is not finite at the initializer")
-    mean = batch.sample_mean
-    base_step = cfg.step_size / mean if mean > 0 else cfg.step_size
-    iterations = 0
-    converged = False
-    backtracks_exhausted = False
-    for _ in range(cfg.max_iterations):
-        grad = gradient(batch, phi)
-        delta = threshold_value(batch, phi, cfg)
-        step = base_step
-        accepted = False
-        for _ in range(cfg.max_backtracks + 1):
-            candidate = hard_threshold(phi - step * grad, step * delta)
-            candidate_loss = loss(batch, candidate)
-            if np.isfinite(candidate_loss) and candidate_loss <= current_loss:
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:
-            backtracks_exhausted = True
-            break
-        iterations += 1
-        change = np.linalg.norm(candidate - phi)
-        scale = max(np.linalg.norm(phi), np.finfo(float).tiny)
-        phi, current_loss = candidate, candidate_loss
-        if current_loss > cfg.divergence_factor * initial_loss:
-            raise ExtractionError(
-                f"loss diverged: {current_loss:.3e} from {initial_loss:.3e}"
-            )
-        if change <= cfg.tolerance * scale:
-            converged = True
-            break
-    if np.linalg.norm(phi) == 0.0:
-        raise ExtractionError(
-            "extraction produced an identically zero vector; the samples "
-            "carry no usable energy"
-        )
-    diagnostics = ExtractionDiagnostics(
-        final_loss=float(current_loss),
-        iterations=iterations,
-        initial_support=support,
-        init_fallback=init_fallback,
-        degenerate_init=degenerate_init,
-        converged=converged,
-        backtracks_exhausted=backtracks_exhausted,
-    )
-    return phi, tuple(int(i) for i in np.flatnonzero(phi)), diagnostics
-
-
 def assert_matches_reference(batch, cfg):
     """``extract`` and the reference loop agree bit for bit, or both raise
-    ``ExtractionError`` with the same message.  Returns whether they
-    produced a fingerprint."""
+    ``ExtractionError`` with the same message.  Returns the fingerprint, or
+    None when both raised."""
     try:
         values, support, diagnostics = reference_extract(batch, cfg)
     except ExtractionError as exc:
         with pytest.raises(ExtractionError) as raised:
             extract(batch, cfg)
         assert str(raised.value) == str(exc)
-        return False
+        return None
     fp = extract(batch, cfg)
     assert np.array_equal(fp.values, values)
     assert fp.support == support
     assert fp.diagnostics == diagnostics
-    return True
+    return fp
+
+
+def simulator_outcomes(cfg, trials=3):
+    """Match ``extract`` against the reference loop on the three sensing
+    batches of each of the first trials of a cell; returns the outcomes."""
+    produced = []
+    for trial in range(trials):
+        simulator = TrialSimulator(cfg, trial)
+        for subframe, attacked in ((1, False), (2, False), (2, True)):
+            batch = simulator.sensing_batch(subframe, attacked)
+            produced.append(assert_matches_reference(batch, cfg.extractor))
+    return produced
 
 
 class TestExtractMatchesReferenceLoop:
@@ -549,21 +502,104 @@ class TestExtractMatchesReferenceLoop:
         assert not assert_matches_reference(batch, ExtractorConfig())
 
     def test_simulator_batches(self):
-        cfg = ScenarioConfig()
-        produced = []
-        for trial in range(3):
-            simulator = TrialSimulator(cfg, trial)
-            for subframe, attacked in ((1, False), (2, False), (2, True)):
-                batch = simulator.sensing_batch(subframe, attacked)
-                produced.append(assert_matches_reference(batch, cfg.extractor))
         # Both outcomes occur at the default cell, so both paths are pinned.
+        produced = simulator_outcomes(ScenarioConfig())
         assert any(produced) and not all(produced)
+        # At L=48 every batch collapses to the zero vector.
+        assert not any(simulator_outcomes(ScenarioConfig(rb_count=4)))
+        # A low threshold keeps wide supports over long descents.
+        wide = simulator_outcomes(
+            ScenarioConfig(extractor=ExtractorConfig(threshold_scale=2.0))
+        )
+        assert all(wide)
+        assert min(len(fp.support) for fp in wide) >= 5
+        assert max(fp.diagnostics.iterations for fp in wide) == 200
 
     def test_cached_batch_quantities(self):
         batch = random_batch(7, 13, 8)
         assert np.array_equal(batch.conj_probes, batch.probes.conj())
         assert batch.conj_probes is batch.conj_probes
         assert batch.sample_mean == float(np.mean(batch.samples))
+
+
+def old_point_expressions(batch, phi, cfg):
+    """Loss, gradient, threshold and offset at ``phi``, written as the
+    descent first wrote them: the extractor's per-point evaluation must
+    give the same bits."""
+    offset = float(np.mean(batch.samples)) - float(np.linalg.norm(phi) ** 2)
+    zeta = batch.probes.conj() @ phi
+    residual = batch.samples - np.abs(zeta) ** 2 - offset
+    value = float(np.mean(residual**2))
+    grad = (2.0 / batch.n_samples) * (
+        (residual.sum()) * phi - batch.probes.T @ (residual * zeta)
+    )
+    d = batch.dimension
+    kappa = math.log(d * batch.n_samples) / d**2
+    total = float(np.sum(residual**2 * np.abs(zeta) ** 2))
+    delta = cfg.threshold_scale * math.sqrt(kappa * total)
+    return value, grad, delta, offset
+
+
+class TestPointEvaluationMatchesOldExpressions:
+    @staticmethod
+    def points(batch, seed):
+        gen = np.random.default_rng(seed)
+        yield np.zeros(batch.dimension, dtype=np.complex128)
+        yield spectral_init(batch, select_support(batch) or (0,))[0]
+        scale = math.sqrt(batch.sample_mean)
+        for size in sorted({1, 3, 12, batch.dimension}):
+            size = min(size, batch.dimension)
+            phi = np.zeros(batch.dimension, dtype=np.complex128)
+            index = gen.choice(batch.dimension, size=size, replace=False)
+            phi[index] = scale * (
+                gen.normal(size=size) + 1j * gen.normal(size=size)
+            ) / math.sqrt(size)
+            yield phi
+
+    def assert_old_bits(self, batch, seed):
+        cfg = ExtractorConfig()
+        for phi in self.points(batch, seed):
+            value, grad, delta, offset = old_point_expressions(batch, phi, cfg)
+            assert same_bits(loss(batch, phi), value)
+            assert same_bits(gradient(batch, phi), grad)
+            assert same_bits(threshold_value(batch, phi, cfg), delta)
+            assert same_bits(batch.offset(phi), offset)
+
+    def test_random_batches(self):
+        for seed in range(20):
+            self.assert_old_bits(random_batch(7 + seed, 5 + 3 * seed, seed), seed)
+
+    def test_offset_over_many_norms(self):
+        # ``norm**2`` and ``norm * norm`` differ in about 1 of 1400 values,
+        # so the offset is checked on many more than that.
+        batch = random_batch(3, 2, 4)
+        gen = np.random.default_rng(5)
+        phis = gen.normal(size=(20_000, 3)) + 1j * gen.normal(size=(20_000, 3))
+        for phi in phis:
+            offset = batch.sample_mean - float(np.linalg.norm(phi) ** 2)
+            assert same_bits(batch.offset(phi), offset)
+
+    @pytest.mark.parametrize("rb_count", [16, 4])
+    def test_simulator_batches(self, rb_count):
+        cfg = ScenarioConfig(rb_count=rb_count)
+        for trial in range(2):
+            simulator = TrialSimulator(cfg, trial)
+            for subframe, attacked in ((1, False), (2, False), (2, True)):
+                batch = simulator.sensing_batch(subframe, attacked)
+                self.assert_old_bits(batch, 10 * trial + subframe + attacked)
+
+
+class TestProbeDrawsMatchOldExpression:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (192, 256)])
+    def test_bits_and_stream_position(self, shape):
+        for seed in (0, 7, 201, 2**40 + 3):
+            gen = np.random.default_rng(seed)
+            old = (
+                gen.normal(size=shape) + 1j * gen.normal(size=shape)
+            ) / math.sqrt(2.0)
+            new_gen = np.random.default_rng(seed)
+            assert same_bits(draw_gaussian_probes(*shape, new_gen), old)
+            assert new_gen.normal() == gen.normal()
 
 
 class TestConfigValidation:
@@ -584,8 +620,8 @@ class TestConfigValidation:
             {"tolerance": -1e-9},
             {"threshold_scale": 0.0},
             {"max_backtracks": -2},
-            {"divergence_factor": 0.5},
-            {"divergence_factor": 1.0},
+            {"max_iterations": 2.5},
+            {"tolerance": float("nan")},
             {"max_backtracks": -1},
         ],
     )

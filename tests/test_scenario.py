@@ -74,7 +74,6 @@ extractor:
   threshold_scale: 15.0
   tolerance: 1.0e-06
   max_backtracks: 20
-  divergence_factor: 1000000.0
 detector:
   similarity_threshold: 0.92
 subspace:
@@ -118,7 +117,6 @@ extractor:
   threshold_scale: 5.0
   tolerance: 1.0e-06
   max_backtracks: 20
-  divergence_factor: 1000000.0
 detector:
   similarity_threshold: 0.8
 subspace:
@@ -163,6 +161,7 @@ class TestUnknownKeys:
             {"subspace": {"baseline_dimension": 16}},
             {"detector": {"update_policy": "always"}},
             {"extractor": {"dimension": 24}},
+            {"extractor": {"divergence_factor": 1e6}},
         ],
     )
     def test_rejected(self, raw):
@@ -233,8 +232,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "0f9d02710884b365"),
-        (CUSTOM, CUSTOM_YAML, "b2e6cedabed5be20"),
+        (ScenarioConfig(), DEFAULT_YAML, "2ecf5bf78bf8d972"),
+        (CUSTOM, CUSTOM_YAML, "6868fc4bcc2ffffe"),
     ]
 
     @pytest.mark.parametrize("cfg, text, digest", CASES,
