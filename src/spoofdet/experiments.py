@@ -34,9 +34,23 @@ they depend on.  A ``TrialSimulator`` draws only the victim's channel on
 construction; the attacker's channel, the other users' channels, the clean
 energies and the clean snapshot spectra are built on first access, and each
 subframe's probes (with their conjugate), tap noise and snapshot noise are
-drawn once, for both arms.  ``run_single_trial`` runs all three extractions
-before any baseline, so a trial whose extraction fails reads one or two of
-the K + 1 channels and builds no baseline input.
+drawn once, for both arms.
+
+``run_single_trial`` runs all three extractions before any baseline, as
+resumable descents: the reference, the quiet test and the attacked test are
+started in that order, each through its first iteration before the next
+starts, and a descent whose iterate is then exactly zero ends the trial.  So
+a trial whose extraction reaches zero in its first iteration reads one or
+two of the K + 1 channels, runs one iteration of each earlier descent and
+builds no baseline input.  It still records what running the extractions
+one after another records: the exact zero vector is absorbing (the
+gradient, threshold and candidate are all exactly zero there, and the
+backtracking test ``<=`` accepts the equal-loss candidate); after a
+successful start a descent can raise only the zero-vector error, whose
+message is fixed; the record names the error, not the extraction that
+raised it; and an error in starting a later descent (such as a zero-energy
+attacker's ``ConfigurationError``) is raised only after the earlier
+descents have finished.
 """
 
 from __future__ import annotations
@@ -74,6 +88,7 @@ from .errors import (
 from .extractor import (
     SensingBatch,
     SparsityFingerprint,
+    _Descent,
     draw_gaussian_probes,
     extract,
 )
@@ -276,14 +291,18 @@ class TrialSimulator:
       quiet test extraction read.
     * Per trial, on first access: the attacker's channel, its amplitude
       ``rho`` (which first checks that the attacker's channel carries
-      energy) and ``psi_attacker``, read by the attacked extraction; the
-      other users' channels in ``channels`` and the clean energies
-      ``clean_energy_quiet`` and ``clean_energy_attacked``, read by the
-      energy detector; and the clean snapshot spectra ``snapshot_quiet``
-      and ``snapshot_attacked``, read by the subspace detector.
+      energy) and ``psi_attacker``, read when the attacked extraction
+      starts, so not at all in a trial whose reference or quiet descent
+      reaches zero in its first iteration; the other users' channels in
+      ``channels`` and the clean energies ``clean_energy_quiet`` and
+      ``clean_energy_attacked``, read by the energy detector; and the
+      clean snapshot spectra ``snapshot_quiet`` and ``snapshot_attacked``,
+      read by the subspace detector.
     * Per subframe, on first use: the probes and their conjugate, the tap
       noise and the snapshot noise, shared by both arms.  Only the latest
-      subframe's draws are kept.
+      subframe's draws are kept by the simulator; ``run_single_trial``'s
+      reference descent holds its subframe-1 batch while subframe 2 is
+      drawn, as the three descents run side by side.
     """
 
     def __init__(self, cfg: ScenarioConfig, trial_index: int):
@@ -524,6 +543,37 @@ class TrialSimulator:
         )
 
 
+def _trial_fingerprints(simulator: TrialSimulator) -> tuple:
+    """The reference, quiet-test and attacked-test fingerprints, or the
+    error that running the three extractions one after another, each to
+    its end, would raise first.
+
+    The descents are started in that order, and each runs its first
+    iteration before the next starts.  A descent whose iterate is then
+    exactly zero (``not phi.any()``: a zero norm can come from squares
+    that underflow) is run out at once, which raises the zero-vector
+    error, and the later descents never start.  If starting a descent,
+    building its batch included, raises any exception, the earlier
+    descents are finished first and may raise before it.  Otherwise the
+    three descents finish in order.
+    """
+    extractor = simulator.cfg.extractor
+    descents = []
+    for subframe, attacked in ((1, False), (2, False), (2, True)):
+        try:
+            descent = _Descent(
+                simulator.sensing_batch(subframe, attacked), extractor
+            )
+        except Exception:
+            for earlier in descents:
+                earlier.finish()
+            raise
+        if not descent.iterate.any():
+            descent.finish()  # raises the zero-vector error
+        descents.append(descent)
+    return tuple(descent.finish() for descent in descents)
+
+
 def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
     """Run one paired trial; failures become records, not exceptions.
 
@@ -531,14 +581,18 @@ def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
     and the attacked test from subframe 2) run first, as they are the steps
     that fail; only a trial that passes all three builds its energy and
     subspace statistics, whose inputs cannot fail on a config that
-    validates.  So a failed trial records the same error it would in any
-    other order, without paying for the baselines.
+    validates.  The extractions are started side by side, and the trial
+    stops at the first descent whose first iterate is exactly zero
+    (``_trial_fingerprints``).  The record is bit for bit the one of
+    running the extractions one after another, because the zero vector is
+    absorbing, a started descent can raise only the zero-vector error with
+    its fixed message, and the record names the error, not the extraction
+    that raised it.  So a failed trial pays for neither the rest of the
+    descents nor the baselines.
     """
     try:
         simulator = TrialSimulator(cfg, trial_index)
-        reference = simulator.extract_fingerprint(1, attacked=False)
-        test_quiet = simulator.extract_fingerprint(2, attacked=False)
-        test_attacked = simulator.extract_fingerprint(2, attacked=True)
+        reference, test_quiet, test_attacked = _trial_fingerprints(simulator)
         return TrialRecord(
             trial_index,
             simulator.arm_observables(reference, test_quiet, attacked=False),

@@ -381,6 +381,14 @@ def extract(
     """Full extraction: support screening, spectral start, thresholded
     gradient descent with monotone backtracking.
 
+    This is the resumable descent ``_Descent`` run to the end; a caller
+    that may stop early (``experiments.run_single_trial``) advances one
+    itself.  Once an iterate is exactly zero, the descent cannot leave it:
+    the gradient, the threshold and hence the candidate are all exactly
+    zero there, and the backtracking test ``<=`` accepts the equal-loss
+    candidate, so the next iteration converges and the zero-vector error
+    follows.
+
     Raises
     ------
     ExtractionError
@@ -389,7 +397,42 @@ def extract(
     """
     if cfg is None:
         cfg = ExtractorConfig()
+    return _Descent(batch, cfg).finish()
 
+
+class _Descent:
+    """The descent of :func:`extract`, advanced one iteration at a time.
+
+    Construction is the first advance: the support screen, the spectral
+    start, the initial evaluation and one iteration; it raises what
+    :func:`extract` would raise there.  ``iterate`` is the latest iterate;
+    :meth:`finish` runs the remaining iterations and returns the
+    fingerprint, or raises the zero-vector ``ExtractionError``.  A descent
+    that ends during an advance (it converged, exhausted its backtracks or
+    had no iteration budget) keeps its fingerprint for :meth:`finish`.
+    """
+
+    def __init__(self, batch: SensingBatch, cfg: ExtractorConfig):
+        self._steps = _descend(batch, cfg)
+        self._fingerprint: SparsityFingerprint | None = None
+        self._advance()
+
+    def _advance(self) -> None:
+        try:
+            self.iterate = next(self._steps)
+        except StopIteration as stop:
+            self._fingerprint = stop.value
+            self.iterate = stop.value.values
+
+    def finish(self) -> SparsityFingerprint:
+        while self._fingerprint is None:
+            self._advance()
+        return self._fingerprint
+
+
+def _descend(batch: SensingBatch, cfg: ExtractorConfig):
+    """Generator behind ``_Descent``: yields the iterate after each
+    iteration that does not end the descent, and returns the fingerprint."""
     support = select_support(batch)
     init_fallback = len(support) == 0
     if init_fallback:
@@ -437,6 +480,7 @@ def extract(
         if change <= cfg.tolerance * scale:
             converged = True
             break
+        yield phi
 
     if point.norm == 0.0:
         raise ExtractionError(

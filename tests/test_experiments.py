@@ -9,8 +9,10 @@ builds in closed form; the stated laws of the three noise shortcuts, by
 their moments; a fresh simulator per call for the builders' results
 in any call order; a counting spy on ``draw_channel`` for which
 channels a trial draws; the complex-noise expression the snapshot noise
-was first written with; and whole trials run through the reference copy
-of the extractor's descent loop.
+was first written with; whole trials run in the sequential order, each
+extraction to its end through the reference copy of the extractor's
+descent loop, for the records of the early-stopping schedule; and a spy on
+the descents' point evaluations for how far each one ran.
 """
 
 import csv
@@ -23,12 +25,13 @@ import numpy as np
 import pytest
 
 from conftest import reference_extract, same_bits
-from spoofdet import experiments
+from spoofdet import experiments, extractor
 from spoofdet.channel import ChannelRealization, complex_normal, draw_channel
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
     InsufficientDataError,
+    SpoofdetError,
 )
 from spoofdet.experiments import (
     DETECTOR_NAMES,
@@ -47,9 +50,12 @@ from spoofdet.experiments import (
     trial_rng,
 )
 from spoofdet.extractor import (
+    ExtractorConfig,
     SensingBatch,
     SparsityFingerprint,
+    _Descent,
     build_subframe_batch,
+    extract,
 )
 from spoofdet.link import (
     AttackProfile,
@@ -470,13 +476,9 @@ class TestDrawsOnlyWhatIsRead:
         assert sources == [cfg.victim_index, "attacker"]
 
     def test_zero_energy_attacker_fails_on_reading_rho(self, monkeypatch):
-        def silent_attacker(scenario, table, source, *args):
-            channel = draw_channel(scenario, table, source, *args)
-            if source == "attacker":
-                channel = replace(channel, taps=np.zeros_like(channel.taps))
-            return channel
-
-        monkeypatch.setattr(experiments, "draw_channel", silent_attacker)
+        monkeypatch.setattr(
+            experiments, "draw_channel", silent_attacker_draws([])
+        )
         cfg = ScenarioConfig(**TINY)
         message = "trial 0: drew a zero-energy channel"
         simulator = TrialSimulator(cfg, 0)
@@ -572,28 +574,173 @@ class TestSnapshotNoiseMatchesOldExpression:
                 assert same_bits(draws.snapshot_noise, old)
 
 
-class TestTrialMatchesReferenceLoop:
-    def test_records_equal(self, monkeypatch):
-        """Whole trials give the same records when every extraction runs
-        through the test's reference copy of the descent loop."""
-        cfg = ScenarioConfig(master_seed=7)
-        expected = [run_single_trial(cfg, i) for i in range(4)]
-        # Trials that fail and trials that complete are both compared.
-        assert {r.failed for r in expected} == {False, True}
+EXTRACTIONS = (
+    ("reference", 1, False), ("quiet", 2, False), ("attacked", 2, True)
+)
 
-        def reference(batch, extractor_cfg):
+
+def sequential_trial(cfg, index):
+    """(record, role of the failing extraction or None) of one trial with
+    each extraction run to the end through the reference copy of the
+    descent loop before the next one starts: the order whose records
+    ``run_single_trial`` must reproduce."""
+    fingerprints = []
+    role = None
+    try:
+        simulator = TrialSimulator(cfg, index)
+        for role, subframe, attacked in EXTRACTIONS:
+            batch = simulator.sensing_batch(subframe, attacked)
             values, support, diagnostics = reference_extract(
-                batch, extractor_cfg
+                batch, cfg.extractor
             )
-            return SparsityFingerprint(
-                values, support, batch.subframe_index, diagnostics
+            fingerprints.append(
+                SparsityFingerprint(values, support, subframe, diagnostics)
             )
+        role = None
+        reference, quiet, attacked = fingerprints
+        record = TrialRecord(
+            index,
+            simulator.arm_observables(reference, quiet, attacked=False),
+            simulator.arm_observables(reference, attacked, attacked=True),
+        )
+    except SpoofdetError as exc:
+        record = TrialRecord(
+            index, None, None,
+            error=f"trial {index}: {type(exc).__name__}: {exc}",
+        )
+    return record, role
 
-        monkeypatch.setattr(experiments, "extract", reference)
-        observed = [run_single_trial(cfg, i) for i in range(4)]
-        assert [hex_record(r) for r in observed] == [
-            hex_record(r) for r in expected
+
+class TestTrialMatchesReferenceLoop:
+    """``run_single_trial`` starts its three descents in turn and stops
+    early; its records equal those of the sequential order."""
+
+    @staticmethod
+    def assert_records_match(cfg, outcomes):
+        assert [hex_record(run_single_trial(cfg, i)) for i in range(4)] == [
+            hex_record(record) for record, _ in outcomes
         ]
+
+    def test_records_equal(self):
+        cfg = ScenarioConfig(master_seed=7)
+        outcomes = [sequential_trial(cfg, i) for i in range(4)]
+        assert [role for _, role in outcomes] == [
+            "attacked", "reference", "quiet", None
+        ]
+        self.assert_records_match(cfg, outcomes)
+
+    @pytest.mark.parametrize("max_iterations", [0, 1])
+    def test_descents_ending_in_their_first_advance(self, max_iterations):
+        cfg = ScenarioConfig(
+            master_seed=7,
+            extractor=ExtractorConfig(max_iterations=max_iterations),
+        )
+        # Every descent ends during its first advance, so its fingerprint
+        # must survive to finish(); with one iteration, trials 0-2 fail
+        # while starting a descent, after the earlier ones have ended.
+        outcomes = [sequential_trial(cfg, i) for i in range(4)]
+        assert not all(record.failed for record, _ in outcomes)
+        self.assert_records_match(cfg, outcomes)
+
+
+def silent_attacker_draws(sources):
+    """A ``draw_channel`` that gives the attacker a zero-energy channel and
+    appends every source it draws to ``sources``."""
+
+    def draw(scenario, table, source, *args):
+        sources.append(source)
+        channel = draw_channel(scenario, table, source, *args)
+        if source == "attacker":
+            channel = replace(channel, taps=np.zeros_like(channel.taps))
+        return channel
+
+    return draw
+
+
+class TestEarlyStop:
+    """A trial stops at the first descent whose first iterate is exactly
+    zero, and otherwise raises what the sequential order raises first."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The batch of every point a descent evaluates, in call order."""
+        seen = []
+        evaluate = extractor._evaluate
+
+        def spy(batch, phi):
+            seen.append(batch)
+            return evaluate(batch, phi)
+
+        monkeypatch.setattr(extractor, "_evaluate", spy)
+        return seen
+
+    def test_attacked_failure_runs_one_iteration_of_the_others(
+        self, evaluated
+    ):
+        cfg = ScenarioConfig(master_seed=7)  # trial 0 fails at the attacked
+        assert run_single_trial(cfg, 0).error == f"trial 0: {ZERO_VECTOR}"
+        per_batch = {}
+        for batch in evaluated:
+            per_batch.setdefault(id(batch), []).append(batch)
+        runs = list(per_batch.values())
+        assert len(runs) == 3
+
+        def first_advance_and_full(batch):
+            evaluated.clear()
+            _Descent(batch, cfg.extractor)
+            first = len(evaluated)
+            evaluated.clear()
+            try:
+                extract(batch, cfg.extractor)
+            except ExtractionError:
+                pass
+            return first, len(evaluated)
+
+        for calls in runs[:2]:
+            first, full = first_advance_and_full(calls[0])
+            assert len(calls) == first < full
+        # The attacked descent is run out from the zero vector: one more
+        # iteration, one candidate, accepted at equal loss.
+        first, full = first_advance_and_full(runs[2][0])
+        assert len(runs[2]) == first + 1 == full
+
+    def test_zero_energy_attacker_after_a_zero_quiet_descent(
+        self, monkeypatch
+    ):
+        sources = []
+        monkeypatch.setattr(
+            experiments, "draw_channel", silent_attacker_draws(sources)
+        )
+        cfg = ScenarioConfig(**TINY)
+        # Trial 2's quiet descent reaches zero in its first iteration, so
+        # the attacked descent never starts and rho is never read.
+        assert run_single_trial(cfg, 2).error == f"trial 2: {ZERO_VECTOR}"
+        assert "attacker" not in sources
+
+    def test_start_error_waits_for_the_earlier_descents(self, monkeypatch):
+        class Unscreened(experiments._Descent):
+            """A descent whose first iterate never reads as zero, so the
+            early stop cannot end the trial before the next start."""
+
+            def __init__(self, batch, cfg):
+                super().__init__(batch, cfg)
+                self.iterate = np.ones(1)
+
+        sources = []
+        monkeypatch.setattr(experiments, "_Descent", Unscreened)
+        monkeypatch.setattr(
+            experiments, "draw_channel", silent_attacker_draws(sources)
+        )
+        cfg = ScenarioConfig(**TINY)
+        # The attacked start raises ConfigurationError on reading rho, but
+        # the unfinished quiet descent, which ends at zero, raises first.
+        assert run_single_trial(cfg, 2).error == f"trial 2: {ZERO_VECTOR}"
+        assert "attacker" in sources
+        # Trial 0's reference and quiet descents complete, so the start
+        # error is the record.
+        assert run_single_trial(cfg, 0).error == (
+            "trial 0: ConfigurationError: trial 0: drew a zero-energy channel"
+        )
 
 
 class TestNoiseShortcutMoments:

@@ -4,9 +4,10 @@ Oracles: hand arithmetic on one- and two-dimensional reductions, explicit
 per-sample loop re-implementations, central finite differences, frozen
 closed-form constants, Monte Carlo recovery on noiseless planted
 instances with known sparse ground truth, a bit-exact reference copy
-of the descent loop built from the public per-point functions, and the
+of the descent loop built from the public per-point functions, the
 expressions the per-point quantities and the probe draws were first
-written with, matched to the bit.
+written with, matched to the bit, and a spy on the point evaluations of a
+descent started at the exact zero vector.
 """
 
 import math
@@ -22,6 +23,7 @@ from conftest import (
     reference_extract,
     same_bits,
 )
+from spoofdet import extractor
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -410,6 +412,33 @@ class TestExtract:
         batch = SensingBatch(probes=probes, samples=np.zeros(20))
         with pytest.raises(ExtractionError):
             extract(batch)
+
+    def test_zero_start_accepts_the_equal_loss_candidate(self, monkeypatch):
+        # Unit-modulus probes and equal samples: every screening statistic
+        # is 0 and the spectral start is exactly the zero vector.  There
+        # the gradient and the threshold are 0, so the only candidate is
+        # the iterate itself, at equal loss.  The backtracking test `<=`
+        # accepts it and the descent converges: two evaluations in all.
+        # With `<` all max_backtracks + 1 candidates would be rejected and
+        # the descent would end backtracks_exhausted after seven.
+        gen = np.random.default_rng(9)
+        probes = gen.choice(np.array([1, -1, 1j, -1j]), size=(24, 5))
+        batch = SensingBatch(probes=probes, samples=np.ones(24))
+        phi0, degenerate = spectral_init(batch, (0,))
+        assert degenerate and not phi0.any()
+
+        evaluated = []
+        evaluate = extractor._evaluate
+
+        def spy(batch, phi):
+            point = evaluate(batch, phi)
+            evaluated.append((bool(phi.any()), point.loss))
+            return point
+
+        monkeypatch.setattr(extractor, "_evaluate", spy)
+        with pytest.raises(ExtractionError, match="identically zero"):
+            extract(batch, ExtractorConfig(max_backtracks=5))
+        assert evaluated == [(False, 0.0), (False, 0.0)]
 
     def test_constant_samples_degenerate_flag(self):
         gen = np.random.default_rng(5)
