@@ -8,17 +8,18 @@ Two canonical benchmarks:
   requires many observations and degrades sharply with fewer samples.
 
 * Subspace-dimension detector (SD): counts significant eigenvalues of the
-  sample covariance over a window of stacked channel estimates and alarms
-  when the count exceeds the expected single-transmitter dimension.  A
-  second transmitter adds an independent direction; heavy noise buries the
-  second eigenvalue under the noise floor.
+  sample covariance over a window of antenna-space snapshot rows of the
+  received signal (the summed receive of every user, plus the attacker's
+  when present) and alarms when the count exceeds the expected dimension.
+  A second transmitter adds an independent direction; heavy noise buries
+  its eigenvalue under the noise floor.
 
-Both are pure statistic functions; thresholds are swept by the experiment
-harness to trace ROC curves.
+Both are pure statistic functions of plain arrays; thresholds are swept by
+the experiment harness to trace ROC curves.
 
 The covariance spectrum is computed through the window-sized Gram matrix,
 whose eigenvalues are exactly the nonzero covariance eigenvalues, so
-windows far smaller than the estimate dimension stay cheap and
+windows far smaller than the snapshot dimension stay cheap and
 well-defined.  The significance cut is the larger of (noise-floor multiple
 x median window eigenvalue) and a tiny relative floor against the leading
 eigenvalue, which keeps exact-rank cases stable in floating point.
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, check_numeric_fields
-from .link import StackedEstimate, SubframeObservation
 
 __all__ = [
     "SdConfig",
@@ -54,8 +54,8 @@ class SdConfig:
         Additional cut relative to the leading eigenvalue, guarding the
         exact-rank (noise-free) case where the median is numerically zero.
     samples_per_subframe : int
-        How many estimate samples per subframe the harness collects into
-        the covariance window.
+        How many repeats of the subframe's snapshot rows the harness
+        collects into the covariance window.
     """
 
     noise_floor_multiple: float = 3.0
@@ -74,32 +74,30 @@ class SdConfig:
             )
 
 
-def ed_statistic(observation: SubframeObservation) -> float:
+def ed_statistic(samples: np.ndarray) -> float:
     """Average sample energy over the subframe."""
-    samples = np.asarray(observation.samples, dtype=float)
+    samples = np.asarray(samples, dtype=float)
     if samples.size < 1:
         raise ConfigurationError("energy detector needs at least one sample")
     return float(np.mean(samples))
 
 
-def _window_matrix(window) -> np.ndarray:
-    if isinstance(window, StackedEstimate):
-        window = window.fd
+def _window_matrix(window: np.ndarray) -> np.ndarray:
     matrix = np.asarray(window)
     if matrix.ndim != 2:
         raise ShapeError(
-            f"estimate window must be 2-D (samples x dimension), got "
+            f"snapshot window must be 2-D (samples x dimension), got "
             f"shape {matrix.shape}"
         )
     if matrix.shape[0] < 2:
         raise ConfigurationError(
-            "sample covariance needs a window of at least 2 estimates"
+            "sample covariance needs a window of at least 2 snapshots"
         )
     return matrix.astype(np.complex128, copy=False)
 
 
-def sd_eigenvalues(window) -> np.ndarray:
-    """Covariance spectrum of an estimate window, descending.
+def sd_eigenvalues(window: np.ndarray) -> np.ndarray:
+    """Covariance spectrum of a snapshot window, descending.
 
     Returns ``min(samples, dimension)`` values — the part of the sample
     covariance's spectrum that can be nonzero.  The eigendecomposition
@@ -118,8 +116,8 @@ def sd_eigenvalues(window) -> np.ndarray:
     return np.maximum(eigenvalues[::-1], 0.0)
 
 
-def sd_statistic(window, cfg: SdConfig | None = None) -> int:
-    """Estimated signal-subspace dimension of an estimate window.
+def sd_statistic(window: np.ndarray, cfg: SdConfig | None = None) -> int:
+    """Estimated signal-subspace dimension of a snapshot window.
 
     Counts eigenvalues above ``max(multiple * median, relative_floor *
     leading)`` where the median runs over the covariance spectrum

@@ -92,7 +92,6 @@ from .extractor import (
     draw_gaussian_probes,
     extract,
 )
-from .link import SubframeObservation
 from .scenario import ScenarioConfig
 
 DETECTOR_NAMES = ("sparsity", "energy", "subspace")
@@ -478,9 +477,7 @@ class TrialSimulator:
     ) -> SparsityFingerprint:
         return extract(self.sensing_batch(subframe, attacked), self.cfg.extractor)
 
-    def energy_observation(
-        self, subframe: int, attacked: bool
-    ) -> SubframeObservation:
+    def energy_observation(self, subframe: int, attacked: bool) -> np.ndarray:
         """Isotropic-sketch energy samples of the raw received signal."""
         cfg = self.cfg
         n_samples = cfg.n_samples
@@ -501,9 +498,7 @@ class TrialSimulator:
             + (radial * pair[:, 1]) ** 2
             + sigma * bulk
         )
-        return SubframeObservation(
-            samples=received_energy * sketch, subframe_index=subframe
-        )
+        return received_energy * sketch
 
     def snapshot_window(self, subframe: int, attacked: bool) -> np.ndarray:
         """Antenna-space snapshot rows for the subspace detector.
@@ -888,7 +883,6 @@ def emit_results(
     out_dir,
     cfg: ScenarioConfig,
     wall_time_s: float = 0.0,
-    extra: dict | None = None,
 ) -> dict:
     """Write ROC tables, the per-trial log, and the run summary.
 
@@ -952,8 +946,6 @@ def emit_results(
         "auc": {curve.detector: curve.auc for curve in curves},
         "wall_time_s": wall_time_s,
     }
-    if extra:
-        summary.update(extra)
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 

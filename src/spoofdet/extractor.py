@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import beamspace, complex_normal
+from .channel import complex_normal
 from .errors import (
     ConfigurationError,
     ExtractionError,
@@ -37,7 +37,6 @@ from .errors import (
     ShapeError,
     check_numeric_fields,
 )
-from .link import StackedEstimate
 
 __all__ = [
     "ExtractorConfig",
@@ -54,7 +53,6 @@ __all__ = [
     "spectral_init",
     "extract",
     "draw_gaussian_probes",
-    "build_subframe_batch",
 ]
 
 
@@ -512,40 +510,3 @@ def draw_gaussian_probes(
     """Complex Gaussian probes with unit variance per entry: the bits of
     ``(x + 1j * y) / sqrt(2)``, real parts drawn first."""
     return complex_normal((n_samples, dimension), 1.0 / math.sqrt(2.0), rng)
-
-
-def build_subframe_batch(
-    estimate: StackedEstimate,
-    probes: np.ndarray,
-    normalize: bool = True,
-) -> SensingBatch:
-    """Turn a subframe's tap-form estimates into a sensing batch.
-
-    Each sample is the squared probe response of that sample's estimate in
-    beam-by-tap coordinates: ``s(l) = |<h(l), B x(l)>|^2`` where ``B`` is
-    the unitary per-tap beam transform.  With ``normalize`` the samples are
-    divided by their mean, making thresholds scale-free.
-    """
-    probes = np.asarray(probes, dtype=np.complex128)
-    n_samples = estimate.tap.shape[0]
-    d = estimate.num_taps * estimate.num_antennas
-    if probes.shape != (n_samples, d):
-        raise ShapeError(
-            f"expected probes of shape {(n_samples, d)}, got {probes.shape}"
-        )
-    taps = estimate.tap.reshape(n_samples, estimate.num_taps, estimate.num_antennas)
-    beams = beamspace(taps).reshape(n_samples, d)
-    responses = np.einsum("ld,ld->l", probes.conj(), beams)
-    samples = np.abs(responses) ** 2
-    normalized = False
-    if normalize:
-        mean = float(np.mean(samples))
-        if mean > 0:
-            samples = samples / mean
-            normalized = True
-    return SensingBatch(
-        probes=probes,
-        samples=samples,
-        subframe_index=estimate.subframe_index,
-        normalized=normalized,
-    )

@@ -1,5 +1,9 @@
 """Uplink pilot transmit/receive chain and least-squares channel estimation.
 
+This module is the test oracle of the harness: ``experiments.TrialSimulator``
+builds its observations in closed form, and the tests check those shortcuts
+against this chain.  No other module of the package imports it.
+
 The chain is: every user circularly convolves its assigned reference
 sequence with its multipath channel at each antenna; an attacker may inject
 the victim's sequence through its own channel; white Gaussian noise is added
@@ -18,6 +22,10 @@ delay-tap form (tap-major, dimension ``M * tau``) obtained by projecting
 back through the first ``tau`` Fourier columns.  For flat-spectrum pilots
 (prime length) the tap form's per-element noise variance is exactly the
 frequency-domain variance divided by ``N``.
+
+``LinkConfig.for_scenario`` gives the chain settings of a scenario, and
+``build_subframe_batch`` turns a subframe's estimates into the extractor's
+sensing batch, as the harness's shortcut does in closed form.
 """
 
 from __future__ import annotations
@@ -27,20 +35,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, as_generator
+from .channel import ChannelRealization, as_generator, beamspace
 from .errors import ConfigurationError, PilotDivisionError, ShapeError
+from .extractor import SensingBatch
+from .scenario import ScenarioConfig
 from .zc import PreamblePool
 
 __all__ = [
     "LinkConfig",
     "AttackProfile",
     "StackedEstimate",
-    "SubframeObservation",
     "transmit_receive_td",
     "to_frequency_domain",
     "ls_estimate",
-    "observe_subframe",
     "simulate_subframe",
+    "build_subframe_batch",
     "frequency_reference",
     "tap_reference",
     "fd_noise_variance",
@@ -65,10 +74,7 @@ class LinkConfig:
     victim_index : int
         0-based index of the monitored user.
     victim_power : float
-        Linear transmit power of the victim's pilot.
-    user_powers : tuple or None
-        Per-user linear powers; ``None`` means every user transmits at
-        ``victim_power``.
+        Linear transmit power of every user's pilot.
     noise_variance : float
         Nominal noise variance sigma^2; the per-element variance of the
         estimate noise is ``sigma^2 / (N * P)`` (see
@@ -80,7 +86,6 @@ class LinkConfig:
     num_users: int
     victim_index: int
     victim_power: float = 1.0
-    user_powers: tuple | None = None
     noise_variance: float = 0.0
 
     def __post_init__(self) -> None:
@@ -96,18 +101,22 @@ class LinkConfig:
             )
         if self.victim_power <= 0:
             raise ConfigurationError("victim power must be positive")
-        if self.user_powers is not None:
-            if len(self.user_powers) != self.num_users:
-                raise ConfigurationError("one power per user required")
-            if any(p <= 0 for p in self.user_powers):
-                raise ConfigurationError("user powers must be positive")
         if self.noise_variance < 0:
             raise ConfigurationError("noise variance must be non-negative")
 
-    def power_of_user(self, k: int) -> float:
-        if self.user_powers is not None:
-            return float(self.user_powers[k])
-        return float(self.victim_power)
+    @classmethod
+    def for_scenario(cls, cfg: ScenarioConfig) -> "LinkConfig":
+        """Chain settings realizing the scenario's estimate-noise level."""
+        nominal = (cfg.estimate_noise_variance * cfg.sequence_length
+                   * cfg.victim_power)
+        return cls(
+            n_subcarriers=cfg.sequence_length,
+            n_samples=cfg.n_samples,
+            num_users=cfg.num_users,
+            victim_index=cfg.victim_index,
+            victim_power=cfg.victim_power,
+            noise_variance=nominal,
+        )
 
 
 @dataclass(frozen=True)
@@ -127,25 +136,6 @@ class AttackProfile:
             raise ConfigurationError("amplitude ratio must be non-negative")
         if self.active and self.channel is None:
             raise ConfigurationError("an active attack needs a channel")
-
-    @classmethod
-    def from_powers(
-        cls,
-        attacker_power: float,
-        victim_power: float,
-        channel: ChannelRealization | None,
-        active: bool = True,
-    ) -> "AttackProfile":
-        """Build a profile with ``rho = sqrt(attacker_power / victim_power)``."""
-        if victim_power <= 0:
-            raise ConfigurationError("victim power must be positive")
-        if attacker_power < 0:
-            raise ConfigurationError("attacker power must be non-negative")
-        return cls(
-            active=active,
-            rho=float(np.sqrt(attacker_power / victim_power)),
-            channel=channel,
-        )
 
     @classmethod
     def inactive(cls) -> "AttackProfile":
@@ -178,24 +168,6 @@ class StackedEstimate:
     @property
     def n_samples(self) -> int:
         return self.fd.shape[0]
-
-
-@dataclass(frozen=True)
-class SubframeObservation:
-    """Scalar energy samples ``s(l)`` of one subframe.
-
-    ``samples[l]`` is the squared norm of the l-th stacked estimate.  The
-    estimate the samples came from is kept for detectors that need the raw
-    vectors.
-    """
-
-    samples: np.ndarray
-    subframe_index: int
-    estimate: StackedEstimate | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
 
 
 def _padded_taps(channel: ChannelRealization, n: int) -> np.ndarray:
@@ -237,8 +209,9 @@ def transmit_receive_td(
     """Simulate the received time-domain pilot symbol at every antenna.
 
     Returns an array of shape ``(L, M, N)``: for each sample ``l`` the sum
-    over users of ``sqrt(P_k) * (p_k circ h_{k,m})``, plus — when the attack
-    is active — ``rho * sqrt(P_victim) * (p_victim circ g_m)``, plus
+    over users of ``sqrt(P) * (p_k circ h_{k,m})``, with ``P`` the
+    ``victim_power`` every user transmits at, plus — when the attack is
+    active — ``rho * sqrt(P) * (p_victim circ g_m)``, plus
     independent complex Gaussian noise of per-element variance
     ``noise_variance`` (defaults to ``cfg.noise_variance``, applied
     literally).
@@ -271,7 +244,7 @@ def transmit_receive_td(
         pilot = pool.sequence_for_user(k)
         pilot_spectrum = np.fft.fft(pilot)
         taps_fd = np.fft.fft(_padded_taps(channel, n), axis=0)
-        clean += np.sqrt(cfg.power_of_user(k)) * np.fft.ifft(
+        clean += np.sqrt(cfg.victim_power) * np.fft.ifft(
             pilot_spectrum[None, :] * taps_fd.T, axis=1
         )
 
@@ -358,16 +331,6 @@ def ls_estimate(
     )
 
 
-def observe_subframe(estimate: StackedEstimate) -> SubframeObservation:
-    """Collapse a subframe's estimates to scalar energies ``s(l) = ||h(l)||^2``."""
-    samples = np.sum(np.abs(estimate.fd) ** 2, axis=1)
-    return SubframeObservation(
-        samples=samples,
-        subframe_index=estimate.subframe_index,
-        estimate=estimate,
-    )
-
-
 def simulate_subframe(
     pool: PreamblePool,
     channels: Sequence[ChannelRealization],
@@ -421,3 +384,40 @@ def tap_reference(taps: np.ndarray) -> np.ndarray:
     """Noise-free tap-form estimate: the tap matrix flattened tap-major."""
     taps = np.asarray(taps)
     return taps.reshape(-1)
+
+
+def build_subframe_batch(
+    estimate: StackedEstimate,
+    probes: np.ndarray,
+    normalize: bool = True,
+) -> SensingBatch:
+    """Turn a subframe's tap-form estimates into a sensing batch.
+
+    Each sample is the squared probe response of that sample's estimate in
+    beam-by-tap coordinates: ``s(l) = |<h(l), B x(l)>|^2`` where ``B`` is
+    the unitary per-tap beam transform.  With ``normalize`` the samples are
+    divided by their mean, making thresholds scale-free.
+    """
+    probes = np.asarray(probes, dtype=np.complex128)
+    n_samples = estimate.tap.shape[0]
+    d = estimate.num_taps * estimate.num_antennas
+    if probes.shape != (n_samples, d):
+        raise ShapeError(
+            f"expected probes of shape {(n_samples, d)}, got {probes.shape}"
+        )
+    taps = estimate.tap.reshape(n_samples, estimate.num_taps, estimate.num_antennas)
+    beams = beamspace(taps).reshape(n_samples, d)
+    responses = np.einsum("ld,ld->l", probes.conj(), beams)
+    samples = np.abs(responses) ** 2
+    normalized = False
+    if normalize:
+        mean = float(np.mean(samples))
+        if mean > 0:
+            samples = samples / mean
+            normalized = True
+    return SensingBatch(
+        probes=probes,
+        samples=samples,
+        subframe_index=estimate.subframe_index,
+        normalized=normalized,
+    )

@@ -15,8 +15,8 @@ Conventions baked in here rather than scattered through the harness:
   The stated signal-to-noise ratio is interpreted at the channel-estimate
   level: the per-element estimate-noise variance is ``link_gain /
   snr_linear``, with ``link_gain`` the reference per-element signal level
-  of the estimate.  The link-layer nominal noise variance is back-solved
-  from that target.
+  of the estimate.  The full chain's nominal noise variance
+  (``link.LinkConfig.for_scenario``) is back-solved from that target.
 * The attacker's strength is calibrated per trial so that its received
   energy over the victim's is exactly the configured jammer-to-signal
   ratio.
@@ -33,9 +33,9 @@ from pathlib import Path
 import yaml
 
 from .baselines import SdConfig
+from .detector import DEFAULT_THRESHOLD
 from .errors import ConfigurationError, check_numeric_fields
 from .extractor import ExtractorConfig
-from .link import LinkConfig
 from .zc import PreamblePool, build_pool, generate_zc
 
 
@@ -113,7 +113,7 @@ class ScenarioConfig:
     tap_duration_ns: float = 240.0
     cluster_table: str | None = None
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
-    similarity_threshold: float = 0.92
+    similarity_threshold: float = DEFAULT_THRESHOLD
     subspace: SdConfig = field(default_factory=SdConfig)
     trials: int = 500
     master_seed: int = 2026
@@ -207,27 +207,11 @@ class ScenarioConfig:
         return (self.estimate_noise_variance * self.victim_power
                 / self.sequence_length)
 
-    def link_config(self) -> LinkConfig:
-        """Link-layer settings realizing the target estimate-noise level."""
-        nominal = (self.estimate_noise_variance * self.sequence_length
-                   * self.victim_power)
-        return LinkConfig(
-            n_subcarriers=self.sequence_length,
-            n_samples=self.n_samples,
-            num_users=self.num_users,
-            victim_index=self.victim_index,
-            victim_power=self.victim_power,
-            noise_variance=nominal,
-        )
-
     def build_pool(self) -> PreamblePool:
         """Single-root pilot pool with one entry per user."""
-        base = generate_zc(self.sequence_length, 1)
         return build_pool(
-            [base],
-            shift_size=self.shift_size,
-            pool_size=self.num_users,
-            num_users=self.num_users,
+            generate_zc(self.sequence_length, 1), self.shift_size,
+            self.num_users,
         )
 
     def subspace_config(self) -> SdConfig:

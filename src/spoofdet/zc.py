@@ -9,22 +9,19 @@ this package relies on:
 * the periodic cross-correlation between two distinct roots has constant
   magnitude ``1/sqrt(N)`` at every lag.
 
-A preamble pool enumerates root/shift combinations deterministically (all
-shifts of the first root, then all shifts of the second, and so on) and maps
-user indices onto pool entries.
+A preamble pool holds one root's cyclic shifts, one per user: user ``k``
+transmits the root advanced by ``k * shift_size`` samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, ShapeError
 
 __all__ = [
-    "ZcSequence",
     "PreamblePool",
     "generate_zc",
     "cyclic_shift",
@@ -34,63 +31,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ZcSequence:
-    """A single-root constant-amplitude reference sequence.
-
-    Attributes
-    ----------
-    length : int
-        Sequence length ``N`` (number of reference-signal samples).
-    root : int
-        Root index, an integer in ``1 .. N - 1``.
-    samples : numpy.ndarray
-        Complex vector of shape ``(N,)``.  Every element has magnitude
-        ``1/sqrt(N)``, so the whole sequence has unit energy.
-    """
-
-    length: int
-    root: int
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.samples.shape != (self.length,):
-            raise ShapeError(
-                f"sequence of length {self.length} has samples of shape "
-                f"{self.samples.shape}"
-            )
-
-
-@dataclass(frozen=True)
 class PreamblePool:
-    """A deterministic pool of reference sequences built from root sequences.
+    """One root's cyclic shifts, entry ``k`` being user ``k``'s pilot.
 
-    Entries are ordered root-major: every cyclic shift of the first base
-    root, then every shift of the second, and so on.  Entries of one root
-    differ by multiples of ``shift_size`` samples, so for prime length they
-    are orthogonal over any delay window shorter than ``shift_size``.
+    Entries differ by multiples of ``shift_size`` samples, so for prime
+    length they are orthogonal over any delay window shorter than
+    ``shift_size``.
 
     Attributes
     ----------
     sequences : tuple of numpy.ndarray
-        Pool entries ``p_1 .. p_Q``, each a complex vector of length ``N``.
+        User pilots ``p_0 .. p_{K-1}``, each a complex vector of length ``N``.
     shift_size : int
-        Minimum cyclic-shift separation between same-root entries.  Callers
+        Cyclic-shift separation between consecutive entries.  Callers
         combining the pool with a multipath channel must keep the channel's
         delay-spread length strictly below this value.
-    roots : tuple of int
-        Root of each pool entry.
-    shifts : tuple of int
-        Cyclic shift of each pool entry.
-    assignment : mapping
-        User index (0-based) to pool index.  Defaults to the identity over
-        the first ``num_users`` entries.
     """
 
     sequences: tuple
     shift_size: int
-    roots: tuple
-    shifts: tuple
-    assignment: Mapping[int, int] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -101,17 +60,18 @@ class PreamblePool:
         return len(self.sequences[0])
 
     def sequence_for_user(self, user: int) -> np.ndarray:
-        """Return the pool entry assigned to ``user``."""
-        if user not in self.assignment:
+        """Return the pilot of ``user``."""
+        if not 0 <= user < self.size:
             raise ConfigurationError(f"user {user} has no assigned sequence")
-        return self.sequences[self.assignment[user]]
+        return self.sequences[user]
 
 
-def generate_zc(length: int, root: int) -> ZcSequence:
+def generate_zc(length: int, root: int) -> np.ndarray:
     """Generate a single-root constant-amplitude sequence.
 
     Element ``j`` (1-based, ``j = 1 .. N``) equals
-    ``exp(-i * pi * root * j * (j + 1) / N) / sqrt(N)``.
+    ``exp(-i * pi * root * j * (j + 1) / N) / sqrt(N)``, so every element
+    has magnitude ``1/sqrt(N)`` and the sequence has unit energy.
 
     Parameters
     ----------
@@ -123,7 +83,8 @@ def generate_zc(length: int, root: int) -> ZcSequence:
 
     Returns
     -------
-    ZcSequence
+    numpy.ndarray
+        Complex vector of shape ``(N,)``.
     """
     if length < 2:
         raise ConfigurationError(f"sequence length must be >= 2, got {length}")
@@ -133,8 +94,7 @@ def generate_zc(length: int, root: int) -> ZcSequence:
         )
     j = np.arange(1, length + 1, dtype=np.float64)
     phase = -np.pi * root * j * (j + 1.0) / length
-    samples = np.exp(1j * phase) / np.sqrt(length)
-    return ZcSequence(length=length, root=root, samples=samples)
+    return np.exp(1j * phase) / np.sqrt(length)
 
 
 def cyclic_shift(seq: np.ndarray, shift: int) -> np.ndarray:
@@ -163,82 +123,41 @@ def periodic_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_pool(
-    base: Sequence[ZcSequence],
-    shift_size: int,
-    pool_size: int,
-    num_users: int | None = None,
+    root: np.ndarray, shift_size: int, num_users: int
 ) -> PreamblePool:
-    """Build a preamble pool by cyclically shifting base root sequences.
-
-    Each base root contributes ``floor(N / shift_size)`` entries at shifts
-    ``0, shift_size, 2*shift_size, ...``; the pool takes the first
-    ``pool_size`` entries in root-major order.
+    """Give user ``k`` the root advanced by ``k * shift_size`` samples.
 
     Parameters
     ----------
-    base : sequence of ZcSequence
-        Base root sequences, all of one length.
+    root : numpy.ndarray
+        Root sequence, as returned by :func:`generate_zc`.
     shift_size : int
-        Cyclic-shift separation between same-root entries; must be positive.
-        Choose it strictly greater than the channel delay-spread length so
-        that same-root entries stay orthogonal over the delay window.
-    pool_size : int
-        Number of entries Q to generate.
-    num_users : int, optional
-        Number of users to assign (identity assignment over the first
-        ``num_users`` entries).  Defaults to ``pool_size``.
+        Cyclic-shift separation between users; must be positive.  Choose it
+        strictly greater than the channel delay-spread length so that the
+        users' pilots stay orthogonal over the delay window.
+    num_users : int
+        Number of users, each given one entry.
 
     Raises
     ------
     CapacityError
-        If the roots and shift budget cannot supply ``pool_size`` entries,
-        or more users than entries are requested.
+        If ``num_users`` shifts of ``shift_size`` do not fit in the root's
+        length.
     """
-    if not base:
-        raise ConfigurationError("at least one base sequence is required")
-    length = base[0].length
-    if any(s.length != length for s in base):
-        raise ConfigurationError("all base sequences must share one length")
+    length = len(root)
     if shift_size < 1:
         raise ConfigurationError(f"shift_size must be positive, got {shift_size}")
-    if pool_size < 1:
-        raise ConfigurationError(f"pool_size must be positive, got {pool_size}")
-
-    shifts_per_root = length // shift_size
-    capacity = len(base) * shifts_per_root
-    if pool_size > capacity:
+    if num_users < 1:
+        raise ConfigurationError(f"num_users must be positive, got {num_users}")
+    capacity = length // shift_size
+    if num_users > capacity:
         raise CapacityError(
-            f"requested {pool_size} sequences but {len(base)} root(s) with "
-            f"shift size {shift_size} over length {length} supply only "
-            f"{capacity}"
+            f"requested {num_users} sequences but shift size {shift_size} "
+            f"over length {length} supplies only {capacity}"
         )
-
-    if num_users is None:
-        num_users = pool_size
-    if num_users > pool_size:
-        raise CapacityError(
-            f"cannot assign {num_users} users to a pool of {pool_size}"
-        )
-
-    sequences: list[np.ndarray] = []
-    roots: list[int] = []
-    shifts: list[int] = []
-    for root_seq in base:
-        for q in range(shifts_per_root):
-            if len(sequences) == pool_size:
-                break
-            shift = q * shift_size
-            sequences.append(cyclic_shift(root_seq.samples, shift))
-            roots.append(root_seq.root)
-            shifts.append(shift)
-        if len(sequences) == pool_size:
-            break
-
-    assignment = {k: k for k in range(num_users)}
     return PreamblePool(
-        sequences=tuple(sequences),
+        sequences=tuple(
+            cyclic_shift(root, k * shift_size) for k in range(num_users)
+        ),
         shift_size=shift_size,
-        roots=tuple(roots),
-        shifts=tuple(shifts),
-        assignment=assignment,
     )

@@ -1,6 +1,6 @@
 """Tests for the energy and subspace-dimension reference detectors.
 
-Oracles: exact arithmetic on constructed estimate sets (Pythagorean energy
+Oracles: exact arithmetic on constructed vector sets (Pythagorean energy
 doubling, known covariance ranks for one/two/three sources), a direct
 full-dimension covariance eigendecomposition cross-check for the Gram
 shortcut, and a closed-form mean for the noisy energy statistic.
@@ -16,13 +16,6 @@ from spoofdet.baselines import (
     sd_statistic,
 )
 from spoofdet.errors import ConfigurationError, ShapeError
-from spoofdet.link import StackedEstimate, SubframeObservation, observe_subframe
-
-
-def obs(samples):
-    return SubframeObservation(
-        samples=np.asarray(samples, dtype=float), subframe_index=0
-    )
 
 
 def random_unit(dimension, seed):
@@ -31,29 +24,22 @@ def random_unit(dimension, seed):
     return v / np.linalg.norm(v)
 
 
-def estimate_from_rows(rows):
-    rows = np.asarray(rows, dtype=np.complex128)
-    return StackedEstimate(
-        fd=rows,
-        tap=np.zeros((rows.shape[0], 1), dtype=np.complex128),
-        subframe_index=0,
-        n_subcarriers=rows.shape[1],
-        num_antennas=1,
-        num_taps=1,
-    )
+def row_energies(rows):
+    """Squared norm of each row: the energy samples of a set of vectors."""
+    return np.sum(np.abs(np.asarray(rows)) ** 2, axis=1)
 
 
 class TestEnergyDetector:
     def test_constant_samples(self):
-        assert ed_statistic(obs(np.ones(10))) == 1.0
+        assert ed_statistic(np.ones(10)) == 1.0
 
     def test_orthogonal_attack_doubles_energy(self):
         h = random_unit(32, 0) * 1.7
         g = random_unit(32, 1) * np.linalg.norm(h)
         g = g - h * (np.vdot(h, g) / np.vdot(h, h))
         g = g / np.linalg.norm(g) * np.linalg.norm(h)
-        quiet = observe_subframe(estimate_from_rows([h]))
-        attacked = observe_subframe(estimate_from_rows([h + g]))
+        quiet = row_energies([h])
+        attacked = row_energies([h + g])
         ratio = ed_statistic(attacked) / ed_statistic(quiet)
         assert ratio == pytest.approx(2.0, rel=1e-12)
 
@@ -66,22 +52,22 @@ class TestEnergyDetector:
             + 1j * gen.normal(size=(n_samples, dimension))
         ) * np.sqrt(variance / 2)
         rows = h[None, :] + noise
-        observation = observe_subframe(estimate_from_rows(rows))
-        statistic = ed_statistic(observation)
+        samples = row_energies(rows)
+        statistic = ed_statistic(samples)
         expected = float(np.linalg.norm(h) ** 2) + dimension * variance
-        spread = float(np.std(observation.samples)) / np.sqrt(n_samples)
+        spread = float(np.std(samples)) / np.sqrt(n_samples)
         assert abs(statistic - expected) < 3 * spread
 
     def test_scale_covariance(self):
         samples = np.array([0.5, 2.0, 1.25])
-        base = ed_statistic(obs(samples))
-        assert ed_statistic(obs(3.0 * samples)) == pytest.approx(
+        base = ed_statistic(samples)
+        assert ed_statistic(3.0 * samples) == pytest.approx(
             3.0 * base, rel=1e-12
         )
 
     def test_empty_observation_rejected(self):
         with pytest.raises(ConfigurationError):
-            ed_statistic(obs(np.zeros(0)))
+            ed_statistic(np.zeros(0))
 
 
 class TestSubspaceDimension:
@@ -111,11 +97,6 @@ class TestSubspaceDimension:
             weights = gen.normal(size=window) + 1j * gen.normal(size=window)
             rows += np.outer(weights, direction)
         assert sd_statistic(rows) == n_sources
-
-    def test_accepts_stacked_estimate(self):
-        h = random_unit(16, 8)
-        rows = np.outer(np.arange(1, 7, dtype=np.complex128), h)
-        assert sd_statistic(estimate_from_rows(rows)) == 1
 
     def test_permutation_invariance(self):
         gen = np.random.default_rng(11)

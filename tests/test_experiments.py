@@ -54,12 +54,12 @@ from spoofdet.extractor import (
     SensingBatch,
     SparsityFingerprint,
     _Descent,
-    build_subframe_batch,
     extract,
 )
 from spoofdet.link import (
     AttackProfile,
-    SubframeObservation,
+    LinkConfig,
+    build_subframe_batch,
     ls_estimate,
     to_frequency_domain,
     transmit_receive_td,
@@ -255,7 +255,7 @@ class TestShortcutsMatchLinkChain:
     @staticmethod
     def chain_estimate(simulator, attacked):
         cfg = simulator.cfg
-        link_cfg = cfg.link_config()
+        link_cfg = LinkConfig.for_scenario(cfg)
         pool = cfg.build_pool()
         attack = (
             AttackProfile(True, simulator.rho, simulator.attacker_channel)
@@ -354,8 +354,6 @@ def observed(simulator, name, *args):
     if isinstance(value, SensingBatch):
         return (value.probes, value.conj_probes, value.samples,
                 value.subframe_index, value.normalized)
-    if isinstance(value, SubframeObservation):
-        return (value.samples, value.subframe_index)
     if isinstance(value, np.ndarray):
         return (value,)
     return (value.values, value.support, value.subframe_index,
@@ -520,11 +518,14 @@ class TestArmsShareDraws:
         cfg = ScenarioConfig(**TINY, jsr_db=-400.0)
         simulator = TrialSimulator(cfg, 0)
         for subframe in (1, 2):
-            for builder in ("sensing_batch", "energy_observation"):
-                quiet = getattr(simulator, builder)(subframe, False)
-                attacked = getattr(simulator, builder)(subframe, True)
+            for quiet, attacked in (
+                (simulator.sensing_batch(subframe, False).samples,
+                 simulator.sensing_batch(subframe, True).samples),
+                (simulator.energy_observation(subframe, False),
+                 simulator.energy_observation(subframe, True)),
+            ):
                 np.testing.assert_allclose(
-                    attacked.samples, quiet.samples, rtol=1e-12, atol=0
+                    attacked, quiet, rtol=1e-12, atol=0
                 )
             np.testing.assert_allclose(
                 simulator.snapshot_window(subframe, True),
@@ -775,7 +776,7 @@ class TestNoiseShortcutMoments:
         noise = (cfg.receive_noise_variance * cfg.num_antennas
                  * cfg.sequence_length)
         self.assert_mean(
-            [simulator.energy_observation(s, attacked).samples
+            [simulator.energy_observation(s, attacked)
              for s in self.SUBFRAMES],
             clean + noise,
         )

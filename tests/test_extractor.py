@@ -35,7 +35,6 @@ from spoofdet.extractor import (
     ExtractorConfig,
     SensingBatch,
     SparsityFingerprint,
-    build_subframe_batch,
     draw_gaussian_probes,
     extract,
     gradient,
@@ -47,7 +46,7 @@ from spoofdet.extractor import (
     support_threshold,
     threshold_value,
 )
-from spoofdet.link import StackedEstimate
+from spoofdet.link import StackedEstimate, build_subframe_batch
 from spoofdet.scenario import ScenarioConfig
 
 

@@ -10,11 +10,9 @@ from spoofdet.errors import ConfigurationError, ShapeError
 from spoofdet.link import (
     AttackProfile,
     LinkConfig,
-    StackedEstimate,
     fd_noise_variance,
     frequency_reference,
     ls_estimate,
-    observe_subframe,
     simulate_subframe,
     tap_reference,
     td_equivalent_noise_variance,
@@ -44,8 +42,13 @@ def random_channel(rng, num_antennas=2, num_taps=TAU, source=0):
     )
 
 
+def estimate_energies(estimate):
+    """Squared norm of each sample's stacked estimate."""
+    return np.sum(np.abs(estimate.fd) ** 2, axis=1)
+
+
 def one_user_setup(noise_variance=0.0, n_samples=1, victim_power=1.0):
-    pool = build_pool([generate_zc(N, 1)], shift_size=5, pool_size=2)
+    pool = build_pool(generate_zc(N, 1), shift_size=5, num_users=2)
     cfg = LinkConfig(
         n_subcarriers=N,
         n_samples=n_samples,
@@ -91,7 +94,7 @@ class TestTransmitReceive:
         np.testing.assert_allclose(attacked, 2.0 * quiet, atol=1e-12)
 
     def test_two_users_superpose(self):
-        pool = build_pool([generate_zc(N, 1)], shift_size=5, pool_size=2)
+        pool = build_pool(generate_zc(N, 1), shift_size=5, num_users=2)
         cfg = LinkConfig(
             n_subcarriers=N, n_samples=1, num_users=2, victim_index=0
         )
@@ -126,7 +129,7 @@ class TestTransmitReceive:
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.5, rel=0.03)
 
     def test_delay_spread_must_stay_below_shift_size(self):
-        pool = build_pool([generate_zc(N, 1)], shift_size=2, pool_size=2)
+        pool = build_pool(generate_zc(N, 1), shift_size=2, num_users=2)
         cfg = LinkConfig(n_subcarriers=N, n_samples=1, num_users=1, victim_index=0)
         with pytest.raises(ConfigurationError):
             transmit_receive_td(
@@ -134,7 +137,7 @@ class TestTransmitReceive:
             )
 
     def test_pool_length_mismatch_rejected(self):
-        pool = build_pool([generate_zc(11, 1)], shift_size=5, pool_size=1)
+        pool = build_pool(generate_zc(11, 1), shift_size=5, num_users=1)
         cfg = LinkConfig(n_subcarriers=N, n_samples=1, num_users=1, victim_index=0)
         with pytest.raises(ConfigurationError):
             transmit_receive_td(
@@ -215,11 +218,12 @@ class TestLsEstimate:
         rng = np.random.default_rng(9)
         h, g = random_channel(rng), random_channel(rng, source="attacker")
         base = self.run_chain([h], AttackProfile.inactive(), cfg, pool).fd[0]
+        # rho = sqrt(P_attacker / P_victim): powers 1 and 4 over 1.
         one = self.run_chain(
-            [h], AttackProfile.from_powers(1.0, 1.0, g), cfg, pool
+            [h], AttackProfile(active=True, rho=1.0, channel=g), cfg, pool
         ).fd[0]
         four = self.run_chain(
-            [h], AttackProfile.from_powers(4.0, 1.0, g), cfg, pool
+            [h], AttackProfile(active=True, rho=2.0, channel=g), cfg, pool
         ).fd[0]
         np.testing.assert_allclose(four - base, 2.0 * (one - base), atol=1e-10)
 
@@ -241,7 +245,7 @@ class TestLsEstimate:
         est = self.run_chain(
             [h], AttackProfile(active=True, rho=rho, channel=g), cfg, pool
         )
-        s = observe_subframe(est).samples[0]
+        s = estimate_energies(est)[0]
         h_bar = frequency_reference(h.taps, N)
         g_bar = frequency_reference(g.taps, N)
         quad = (
@@ -250,9 +254,9 @@ class TestLsEstimate:
             + rho**2 * np.linalg.norm(g_bar) ** 2
         )
         assert s == pytest.approx(quad, rel=1e-10)
-        quiet = observe_subframe(
+        quiet = estimate_energies(
             self.run_chain([h], AttackProfile.inactive(), cfg, pool)
-        ).samples[0]
+        )[0]
         assert s > quiet
 
     def test_num_taps_out_of_range_rejected(self):
@@ -263,36 +267,13 @@ class TestLsEstimate:
 
 
 class TestObserve:
-    def make_estimate(self, fd):
-        fd = np.atleast_2d(fd)
-        return StackedEstimate(
-            fd=fd,
-            tap=np.zeros((fd.shape[0], 2), dtype=complex),
-            subframe_index=4,
-            n_subcarriers=N,
-            num_antennas=1,
-            num_taps=2,
-        )
-
-    def test_zero_vector_gives_zero(self):
-        obs = observe_subframe(self.make_estimate(np.zeros(N, dtype=complex)))
-        assert obs.samples[0] == 0.0
-
-    def test_unit_vector_gives_one(self):
-        v = np.zeros(N, dtype=complex)
-        v[3] = 1.0
-        obs = observe_subframe(self.make_estimate(v))
-        assert obs.samples[0] == pytest.approx(1.0, abs=1e-14)
-        assert obs.subframe_index == 4
-
     def test_noiseless_samples_constant(self):
         pool, cfg = one_user_setup(n_samples=5)
         rng = np.random.default_rng(20)
         h = random_channel(rng)
         est = simulate_subframe(pool, [h], AttackProfile.inactive(), cfg, rng=0)
-        obs = observe_subframe(est)
         expected = np.linalg.norm(frequency_reference(h.taps, N)) ** 2
-        np.testing.assert_allclose(obs.samples, expected, rtol=1e-10)
+        np.testing.assert_allclose(estimate_energies(est), expected, rtol=1e-10)
 
 
 class TestNoiseBookkeeping:
@@ -335,11 +316,6 @@ class TestNoiseBookkeeping:
 
 
 class TestAttackProfile:
-    def test_rho_from_powers(self):
-        g = impulse_channel(0)
-        assert AttackProfile.from_powers(4.0, 1.0, g).rho == 2.0
-        assert AttackProfile.from_powers(1.0, 4.0, g).rho == 0.5
-
     def test_active_without_channel_rejected(self):
         with pytest.raises(ConfigurationError):
             AttackProfile(active=True, rho=1.0, channel=None)

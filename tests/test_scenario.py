@@ -9,7 +9,11 @@ import pytest
 from spoofdet.baselines import SdConfig
 from spoofdet.errors import ConfigurationError
 from spoofdet.extractor import ExtractorConfig
-from spoofdet.link import fd_noise_variance
+from spoofdet.link import (
+    LinkConfig,
+    fd_noise_variance,
+    td_equivalent_noise_variance,
+)
 from spoofdet.scenario import ScenarioConfig
 
 # Every section set away from its default, so a field dropped on the way
@@ -252,10 +256,15 @@ class TestPinnedOutput:
 class TestLinkConfig:
     @pytest.mark.parametrize("cfg", [ScenarioConfig(), CUSTOM])
     def test_reproduces_tap_noise_variance(self, cfg):
-        link = cfg.link_config()
+        link = LinkConfig.for_scenario(cfg)
         assert link.n_subcarriers == cfg.sequence_length
         assert link.n_samples == cfg.n_samples
         # The tap-form estimate noise is the frequency-domain noise over N.
         assert fd_noise_variance(link) / cfg.sequence_length == (
             pytest.approx(cfg.tap_noise_variance, rel=1e-12)
+        )
+        # The receive noise of the snapshot and energy shortcuts is the
+        # chain's time-domain injection variance.
+        assert cfg.receive_noise_variance == pytest.approx(
+            td_equivalent_noise_variance(link), rel=1e-12
         )

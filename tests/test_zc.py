@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spoofdet.errors import CapacityError, ConfigurationError
 from spoofdet.zc import (
-    PreamblePool,
     build_pool,
     cyclic_shift,
     generate_zc,
@@ -35,13 +34,14 @@ class TestGenerate:
         # j = 5: phase exponent is -i*pi*5*6/5 = -6*i*pi, a whole number of
         # turns, so the element must equal 1/sqrt(5) exactly.
         seq = generate_zc(5, 1)
-        assert seq.samples[-1] == pytest.approx(1 / np.sqrt(5), abs=1e-12)
-        assert abs(seq.samples[-1].imag) < 1e-12
+        assert seq[-1] == pytest.approx(1 / np.sqrt(5), abs=1e-12)
+        assert abs(seq[-1].imag) < 1e-12
 
     def test_constant_amplitude_n5(self):
         seq = generate_zc(5, 1)
+        assert seq.shape == (5,)
         np.testing.assert_allclose(
-            np.abs(seq.samples), 1 / np.sqrt(5), rtol=0, atol=1e-12
+            np.abs(seq), 1 / np.sqrt(5), rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("n", [5, 7, 12, 13, 139])
@@ -49,9 +49,9 @@ class TestGenerate:
         for root in {1, 2, n - 1}:
             seq = generate_zc(n, root)
             np.testing.assert_allclose(
-                np.abs(seq.samples), 1 / np.sqrt(n), rtol=0, atol=1e-12
+                np.abs(seq), 1 / np.sqrt(n), rtol=0, atol=1e-12
             )
-            assert np.linalg.norm(seq.samples) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(seq) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_root_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -70,7 +70,7 @@ class TestCorrelation:
     @pytest.mark.parametrize("n", PRIMES)
     def test_zero_autocorrelation_prime_lengths(self, n):
         for root in range(1, n):
-            z = generate_zc(n, root).samples
+            z = generate_zc(n, root)
             corr = brute_force_correlation(z, z)
             assert corr[0] == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(corr[1:])) < 1e-9
@@ -79,24 +79,24 @@ class TestCorrelation:
     def test_constant_cross_correlation_prime_lengths(self, n):
         for r1 in range(1, n):
             for r2 in range(r1 + 1, n):
-                a = generate_zc(n, r1).samples
-                b = generate_zc(n, r2).samples
+                a = generate_zc(n, r1)
+                b = generate_zc(n, r2)
                 corr = brute_force_correlation(a, b)
                 np.testing.assert_allclose(
                     np.abs(corr), 1 / np.sqrt(n), rtol=0, atol=1e-9
                 )
 
     def test_n7_cross_root_all_shifts(self):
-        a = generate_zc(7, 1).samples
-        b = generate_zc(7, 2).samples
+        a = generate_zc(7, 1)
+        b = generate_zc(7, 2)
         for s in range(7):
             inner = np.vdot(cyclic_shift(b, s), a)
             assert abs(inner) == pytest.approx(1 / np.sqrt(7), abs=1e-9)
 
     @pytest.mark.parametrize("n", PRIMES)
     def test_fft_correlation_matches_brute_force(self, n):
-        a = generate_zc(n, 1).samples
-        b = generate_zc(n, min(2, n - 1)).samples
+        a = generate_zc(n, 1)
+        b = generate_zc(n, min(2, n - 1))
         np.testing.assert_allclose(
             periodic_correlation(a, b),
             brute_force_correlation(a, b),
@@ -151,47 +151,39 @@ class TestCyclicShift:
 
 class TestPool:
     def test_single_root_shift_progression(self):
-        base = [generate_zc(12, 1)]
-        pool = build_pool(base, shift_size=4, pool_size=3)
-        assert pool.shifts == (0, 4, 8)
-        assert pool.roots == (1, 1, 1)
-        for q, shift in enumerate(pool.shifts):
+        root = generate_zc(12, 1)
+        pool = build_pool(root, shift_size=4, num_users=3)
+        assert pool.size == 3
+        assert pool.length == 12
+        assert pool.shift_size == 4
+        for k in range(3):
             np.testing.assert_array_equal(
-                pool.sequences[q], cyclic_shift(base[0].samples, shift)
+                pool.sequences[k], cyclic_shift(root, 4 * k)
             )
 
     def test_capacity_error_when_shifts_do_not_fit(self):
-        base = [generate_zc(12, 1)]
         with pytest.raises(CapacityError):
-            build_pool(base, shift_size=5, pool_size=3)
-
-    def test_two_roots_degenerate_shift_budget(self):
-        base = [generate_zc(13, 1), generate_zc(13, 2)]
-        pool = build_pool(base, shift_size=13, pool_size=2)
-        assert pool.roots == (1, 2)
-        assert pool.shifts == (0, 0)
+            build_pool(generate_zc(12, 1), shift_size=5, num_users=3)
 
     def test_assignment_identity_and_lookup(self):
-        base = [generate_zc(13, 1)]
-        pool = build_pool(base, shift_size=4, pool_size=3, num_users=2)
-        assert pool.assignment == {0: 0, 1: 1}
-        np.testing.assert_array_equal(
-            pool.sequence_for_user(1), pool.sequences[1]
-        )
-        with pytest.raises(ConfigurationError):
-            pool.sequence_for_user(2)
+        pool = build_pool(generate_zc(13, 1), shift_size=4, num_users=2)
+        for k in range(2):
+            np.testing.assert_array_equal(
+                pool.sequence_for_user(k), pool.sequences[k]
+            )
 
     def test_more_users_than_pool_rejected(self):
-        base = [generate_zc(13, 1)]
-        with pytest.raises(CapacityError):
-            build_pool(base, shift_size=4, pool_size=3, num_users=4)
+        pool = build_pool(generate_zc(13, 1), shift_size=4, num_users=3)
+        for user in (-1, 3):
+            with pytest.raises(ConfigurationError):
+                pool.sequence_for_user(user)
 
     def test_same_root_entries_orthogonal_over_delay_window(self):
         # Entries separated by shift_size stay orthogonal at every lag
         # shorter than shift_size (prime length), which is what makes the
         # pool usable for multipath estimation with delay spread < shift.
         tau = 3
-        pool = build_pool([generate_zc(13, 1)], shift_size=4, pool_size=3)
+        pool = build_pool(generate_zc(13, 1), shift_size=4, num_users=3)
         for i in range(pool.size):
             for j in range(pool.size):
                 if i == j:
@@ -209,12 +201,13 @@ class TestPool:
     @settings(max_examples=40, deadline=None)
     def test_pool_entries_unit_energy_and_spacing(self, n, shift_size, seed):
         rng = np.random.default_rng(seed)
-        root = int(rng.integers(1, n))
-        per_root = n // shift_size
-        if per_root == 0:
+        root = generate_zc(n, int(rng.integers(1, n)))
+        capacity = n // shift_size
+        if capacity == 0:
             return
-        pool = build_pool([generate_zc(n, root)], shift_size, per_root)
-        for seq in pool.sequences:
+        pool = build_pool(root, shift_size, capacity)
+        for k, seq in enumerate(pool.sequences):
             assert np.linalg.norm(seq) == pytest.approx(1.0, abs=1e-12)
-        diffs = np.diff(pool.shifts)
-        assert np.all(diffs >= shift_size)
+            np.testing.assert_array_equal(
+                seq, cyclic_shift(root, k * shift_size)
+            )
