@@ -36,21 +36,12 @@ energies and the clean snapshot spectra are built on first access, and each
 subframe's probes (with their conjugate), tap noise and snapshot noise are
 drawn once, for both arms.
 
-``run_single_trial`` runs all three extractions before any baseline, as
-resumable descents: the reference, the quiet test and the attacked test are
-started in that order, each through its first iteration before the next
-starts, and a descent whose iterate is then exactly zero ends the trial.  So
-a trial whose extraction reaches zero in its first iteration reads one or
-two of the K + 1 channels, runs one iteration of each earlier descent and
-builds no baseline input.  It still records what running the extractions
-one after another records: the exact zero vector is absorbing (the
-gradient, threshold and candidate are all exactly zero there, and the
-backtracking test ``<=`` accepts the equal-loss candidate); after a
-successful start a descent can raise only the zero-vector error, whose
-message is fixed; the record names the error, not the extraction that
-raised it; and an error in starting a later descent (such as a zero-energy
-attacker's ``ConfigurationError``) is raised only after the earlier
-descents have finished.
+``run_single_trial`` starts the three extractions (the reference, the quiet
+test and the attacked test, each through its first iteration) before it
+finishes any of them, and builds the baseline inputs only after all three
+succeed.  An extraction whose first iterate is exactly zero raises at its
+start, so such a trial reads one or two of the K + 1 channels and builds no
+baseline input.
 """
 
 from __future__ import annotations
@@ -291,17 +282,14 @@ class TrialSimulator:
     * Per trial, on first access: the attacker's channel, its amplitude
       ``rho`` (which first checks that the attacker's channel carries
       energy) and ``psi_attacker``, read when the attacked extraction
-      starts, so not at all in a trial whose reference or quiet descent
-      reaches zero in its first iteration; the other users' channels in
-      ``channels`` and the clean energies ``clean_energy_quiet`` and
-      ``clean_energy_attacked``, read by the energy detector; and the
-      clean snapshot spectra ``snapshot_quiet`` and ``snapshot_attacked``,
-      read by the subspace detector.
+      starts; the other users' channels in ``channels`` and the clean
+      energies ``clean_energy_quiet`` and ``clean_energy_attacked``, read
+      by the energy detector; and the clean snapshot spectra
+      ``snapshot_quiet`` and ``snapshot_attacked``, read by the subspace
+      detector.
     * Per subframe, on first use: the probes and their conjugate, the tap
       noise and the snapshot noise, shared by both arms.  Only the latest
-      subframe's draws are kept by the simulator; ``run_single_trial``'s
-      reference descent holds its subframe-1 batch while subframe 2 is
-      drawn, as the three descents run side by side.
+      subframe's draws are kept by the simulator.
     """
 
     def __init__(self, cfg: ScenarioConfig, trial_index: int):
@@ -380,20 +368,19 @@ class TrialSimulator:
 
     @cached_property
     def clean_energy_quiet(self) -> float:
-        return self.cfg.victim_power * float(
+        return float(
             sum(np.sum(np.abs(ch.taps) ** 2) for ch in self.channels)
         )
 
     @cached_property
     def clean_energy_attacked(self) -> float:
-        power = self.cfg.victim_power
         attacker_energy = self._checked_energy(self.attacker_channel)
-        cross = 2.0 * self.rho * power * float(np.real(np.vdot(
+        cross = 2.0 * self.rho * float(np.real(np.vdot(
             self.attacker_channel.taps, self._victim_channel.taps
         )))
         return (
             self.clean_energy_quiet
-            + self.rho**2 * power * attacker_energy
+            + self.rho**2 * attacker_energy
             + cross
         )
 
@@ -408,16 +395,13 @@ class TrialSimulator:
             (cfg.num_antennas, cfg.sequence_length), dtype=np.complex128
         )
         for k, channel in enumerate(self.channels):
-            base += np.sqrt(cfg.victim_power) * self._clean_spectrum(
-                spectra[k], channel
-            )
+            base += self._clean_spectrum(spectra[k], channel)
         return base
 
     @cached_property
     def snapshot_attacked(self) -> np.ndarray:
         cfg = self.cfg
-        amplitude = self.rho * np.sqrt(cfg.victim_power)
-        attack_term = amplitude * self._clean_spectrum(
+        attack_term = self.rho * self._clean_spectrum(
             _pilot_spectra(cfg)[cfg.victim_index], self.attacker_channel
         )
         return self.snapshot_quiet + attack_term
@@ -457,15 +441,10 @@ class TrialSimulator:
         response = draws.conj_probes @ psi + draws.tap_noise
         samples = np.abs(response) ** 2
         mean = float(samples.mean())
-        normalized = False
         if mean > 0:
             samples = samples / mean
-            normalized = True
         batch = SensingBatch(
-            probes=draws.probes,
-            samples=samples,
-            subframe_index=subframe,
-            normalized=normalized,
+            probes=draws.probes, samples=samples, subframe_index=subframe
         )
         # Hand the batch the shared conjugate; SensingBatch.conj_probes is a
         # cached_property, which keeps its value in the instance dict.
@@ -539,33 +518,16 @@ class TrialSimulator:
 
 
 def _trial_fingerprints(simulator: TrialSimulator) -> tuple:
-    """The reference, quiet-test and attacked-test fingerprints, or the
-    error that running the three extractions one after another, each to
-    its end, would raise first.
+    """The reference, quiet-test and attacked-test fingerprints.
 
-    The descents are started in that order, and each runs its first
-    iteration before the next starts.  A descent whose iterate is then
-    exactly zero (``not phi.any()``: a zero norm can come from squares
-    that underflow) is run out at once, which raises the zero-vector
-    error, and the later descents never start.  If starting a descent,
-    building its batch included, raises any exception, the earlier
-    descents are finished first and may raise before it.  Otherwise the
-    three descents finish in order.
+    The three descents are started in that order, then finished in that
+    order; the first error of either pass ends the trial.
     """
     extractor = simulator.cfg.extractor
-    descents = []
-    for subframe, attacked in ((1, False), (2, False), (2, True)):
-        try:
-            descent = _Descent(
-                simulator.sensing_batch(subframe, attacked), extractor
-            )
-        except Exception:
-            for earlier in descents:
-                earlier.finish()
-            raise
-        if not descent.iterate.any():
-            descent.finish()  # raises the zero-vector error
-        descents.append(descent)
+    descents = [
+        _Descent(simulator.sensing_batch(subframe, attacked), extractor)
+        for subframe, attacked in ((1, False), (2, False), (2, True))
+    ]
     return tuple(descent.finish() for descent in descents)
 
 
@@ -576,14 +538,7 @@ def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
     and the attacked test from subframe 2) run first, as they are the steps
     that fail; only a trial that passes all three builds its energy and
     subspace statistics, whose inputs cannot fail on a config that
-    validates.  The extractions are started side by side, and the trial
-    stops at the first descent whose first iterate is exactly zero
-    (``_trial_fingerprints``).  The record is bit for bit the one of
-    running the extractions one after another, because the zero vector is
-    absorbing, a started descent can raise only the zero-vector error with
-    its fixed message, and the record names the error, not the extraction
-    that raised it.  So a failed trial pays for neither the rest of the
-    descents nor the baselines.
+    validates.
     """
     try:
         simulator = TrialSimulator(cfg, trial_index)

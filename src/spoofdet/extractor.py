@@ -113,9 +113,6 @@ class SensingBatch:
     samples : numpy.ndarray
         Shape ``(L,)`` of real non-negative measurements ``s(l)``.
     subframe_index : int
-    normalized : bool
-        Whether the samples were divided by their pre-normalization mean
-        (diagnostic only; all algorithms work at any scale).
 
     The conjugated probes and the sample mean are computed once per batch
     and cached, so ``probes`` and ``samples`` must not be mutated after
@@ -125,7 +122,6 @@ class SensingBatch:
     probes: np.ndarray
     samples: np.ndarray
     subframe_index: int = 0
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         if self.probes.ndim != 2:
@@ -183,6 +179,12 @@ class SparsityFingerprint:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
+
+
+_ZERO_VECTOR = (
+    "extraction produced an identically zero vector; the samples carry no "
+    "usable energy"
+)
 
 
 def _responses(batch: SensingBatch, phi: np.ndarray) -> np.ndarray:
@@ -379,19 +381,15 @@ def extract(
     """Full extraction: support screening, spectral start, thresholded
     gradient descent with monotone backtracking.
 
-    This is the resumable descent ``_Descent`` run to the end; a caller
-    that may stop early (``experiments.run_single_trial``) advances one
-    itself.  Once an iterate is exactly zero, the descent cannot leave it:
-    the gradient, the threshold and hence the candidate are all exactly
-    zero there, and the backtracking test ``<=`` accepts the equal-loss
-    candidate, so the next iteration converges and the zero-vector error
-    follows.
+    The descent ends at its first iterate that is exactly zero: the zero
+    vector is a fixed point of the update (the gradient and the threshold
+    both vanish there), so running on could only return it.
 
     Raises
     ------
     ExtractionError
-        If the loss is not finite at the initializer, or the recovered
-        vector is identically zero (samples carry no usable structure).
+        If the loss is not finite at the initializer, or an iterate is
+        identically zero (samples carry no usable structure).
     """
     if cfg is None:
         cfg = ExtractorConfig()
@@ -399,15 +397,11 @@ def extract(
 
 
 class _Descent:
-    """The descent of :func:`extract`, advanced one iteration at a time.
+    """The descent of :func:`extract`, started on construction and run to
+    its end by :meth:`finish`.
 
-    Construction is the first advance: the support screen, the spectral
-    start, the initial evaluation and one iteration; it raises what
-    :func:`extract` would raise there.  ``iterate`` is the latest iterate;
-    :meth:`finish` runs the remaining iterations and returns the
-    fingerprint, or raises the zero-vector ``ExtractionError``.  A descent
-    that ends during an advance (it converged, exhausted its backtracks or
-    had no iteration budget) keeps its fingerprint for :meth:`finish`.
+    Construction runs the support screen, the spectral start and the first
+    iteration, and raises what :func:`extract` would raise there.
     """
 
     def __init__(self, batch: SensingBatch, cfg: ExtractorConfig):
@@ -417,10 +411,9 @@ class _Descent:
 
     def _advance(self) -> None:
         try:
-            self.iterate = next(self._steps)
+            next(self._steps)
         except StopIteration as stop:
             self._fingerprint = stop.value
-            self.iterate = stop.value.values
 
     def finish(self) -> SparsityFingerprint:
         while self._fingerprint is None:
@@ -429,8 +422,8 @@ class _Descent:
 
 
 def _descend(batch: SensingBatch, cfg: ExtractorConfig):
-    """Generator behind ``_Descent``: yields the iterate after each
-    iteration that does not end the descent, and returns the fingerprint."""
+    """Generator behind ``_Descent``: yields after each iteration that does
+    not end the descent, and returns the fingerprint."""
     support = select_support(batch)
     init_fallback = len(support) == 0
     if init_fallback:
@@ -475,16 +468,15 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
         change = _norm(candidate - phi)
         scale = max(point.norm, tiny)
         phi, point, current_loss = candidate, candidate_point, candidate_loss
+        if point.norm == 0.0 and not phi.any():
+            raise ExtractionError(_ZERO_VECTOR)
         if change <= cfg.tolerance * scale:
             converged = True
             break
-        yield phi
+        yield
 
-    if point.norm == 0.0:
-        raise ExtractionError(
-            "extraction produced an identically zero vector; the samples "
-            "carry no usable energy"
-        )
+    if point.norm == 0.0:  # also when the squares of tiny entries underflow
+        raise ExtractionError(_ZERO_VECTOR)
 
     final_support = tuple(int(i) for i in np.flatnonzero(phi))
     diagnostics = ExtractionDiagnostics(

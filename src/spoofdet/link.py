@@ -106,16 +106,14 @@ class LinkConfig:
 
     @classmethod
     def for_scenario(cls, cfg: ScenarioConfig) -> "LinkConfig":
-        """Chain settings realizing the scenario's estimate-noise level."""
-        nominal = (cfg.estimate_noise_variance * cfg.sequence_length
-                   * cfg.victim_power)
+        """Chain settings realizing the scenario's estimate-noise level, at
+        the unit transmit power the scenario normalizes to."""
         return cls(
             n_subcarriers=cfg.sequence_length,
             n_samples=cfg.n_samples,
             num_users=cfg.num_users,
             victim_index=cfg.victim_index,
-            victim_power=cfg.victim_power,
-            noise_variance=nominal,
+            noise_variance=cfg.estimate_noise_variance * cfg.sequence_length,
         )
 
 
@@ -409,15 +407,10 @@ def build_subframe_batch(
     beams = beamspace(taps).reshape(n_samples, d)
     responses = np.einsum("ld,ld->l", probes.conj(), beams)
     samples = np.abs(responses) ** 2
-    normalized = False
     if normalize:
         mean = float(np.mean(samples))
         if mean > 0:
             samples = samples / mean
-            normalized = True
     return SensingBatch(
-        probes=probes,
-        samples=samples,
-        subframe_index=estimate.subframe_index,
-        normalized=normalized,
+        probes=probes, samples=samples, subframe_index=estimate.subframe_index
     )

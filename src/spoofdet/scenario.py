@@ -45,7 +45,7 @@ from .zc import PreamblePool, build_pool, generate_zc
 _LAYOUT = {
     "array": ("num_antennas", "element_spacing_wavelengths"),
     "users": ("num_users", "victim_index"),
-    "radio": ("snr_db", "jsr_db", "link_gain", "victim_power"),
+    "radio": ("snr_db", "jsr_db", "link_gain"),
     "pilot": ("sequence_length", "shift_size", "rb_count", "samples_per_rb"),
     "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
     "geometry": ("inner_radius_m", "outer_radius_m"),
@@ -75,7 +75,7 @@ class ScenarioConfig:
     rb_count, samples_per_rb
         Occupied resource blocks and the per-block estimation-sample
         count; their product is the per-subframe sample budget L.
-    snr_db, jsr_db, link_gain, victim_power, victim_index
+    snr_db, jsr_db, link_gain, victim_index
         Radio operating point.  ``snr_db`` is the received signal-to-noise
         ratio; ``jsr_db`` the received jammer-to-signal ratio; ``link_gain``
         the per-element estimate signal reference used to convert the SNR
@@ -105,7 +105,6 @@ class ScenarioConfig:
     snr_db: float = 5.0
     jsr_db: float = 0.0
     link_gain: float = 5.0
-    victim_power: float = 1.0
     victim_index: int = 0
     inner_radius_m: float = 100.0
     outer_radius_m: float = 120.0
@@ -156,8 +155,6 @@ class ScenarioConfig:
             )
         if self.link_gain <= 0:
             raise ConfigurationError("link gain must be positive")
-        if self.victim_power <= 0:
-            raise ConfigurationError("victim power must be positive")
         if not 0 < self.inner_radius_m < self.outer_radius_m:
             raise ConfigurationError(
                 "need 0 < inner radius < outer radius"
@@ -204,8 +201,7 @@ class ScenarioConfig:
     @property
     def receive_noise_variance(self) -> float:
         """Per-element variance of the raw received-signal noise."""
-        return (self.estimate_noise_variance * self.victim_power
-                / self.sequence_length)
+        return self.estimate_noise_variance / self.sequence_length
 
     def build_pool(self) -> PreamblePool:
         """Single-root pilot pool with one entry per user."""

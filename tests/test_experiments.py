@@ -11,7 +11,7 @@ in any call order; a counting spy on ``draw_channel`` for which
 channels a trial draws; the complex-noise expression the snapshot noise
 was first written with; whole trials run in the sequential order, each
 extraction to its end through the reference copy of the extractor's
-descent loop, for the records of the early-stopping schedule; and a spy on
+descent loop, for the records of the start-then-finish schedule; and a spy on
 the descents' point evaluations for how far each one ran.
 """
 
@@ -53,7 +53,6 @@ from spoofdet.extractor import (
     ExtractorConfig,
     SensingBatch,
     SparsityFingerprint,
-    _Descent,
     extract,
 )
 from spoofdet.link import (
@@ -280,7 +279,8 @@ class TestShortcutsMatchLinkChain:
 
         shortcut = simulator.sensing_batch(1, attacked)
         chain = build_subframe_batch(estimate, shortcut.probes)
-        assert chain.normalized and shortcut.normalized
+        for batch in (chain, shortcut):
+            assert np.mean(batch.samples) == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(
             shortcut.samples, chain.samples, rtol=1e-12, atol=1e-12
         )
@@ -353,7 +353,7 @@ def observed(simulator, name, *args):
         )
     if isinstance(value, SensingBatch):
         return (value.probes, value.conj_probes, value.samples,
-                value.subframe_index, value.normalized)
+                value.subframe_index)
     if isinstance(value, np.ndarray):
         return (value,)
     return (value.values, value.support, value.subframe_index,
@@ -613,22 +613,29 @@ def sequential_trial(cfg, index):
 
 
 class TestTrialMatchesReferenceLoop:
-    """``run_single_trial`` starts its three descents in turn and stops
-    early; its records equal those of the sequential order."""
+    """``run_single_trial`` starts its three descents before it finishes
+    any; its records equal those of the sequential order."""
+
+    CELLS = (
+        ScenarioConfig(master_seed=7),
+        ScenarioConfig(master_seed=7, rb_count=4),
+        ScenarioConfig(**TINY),
+    )
 
     @staticmethod
     def assert_records_match(cfg, outcomes):
-        assert [hex_record(run_single_trial(cfg, i)) for i in range(4)] == [
-            hex_record(record) for record, _ in outcomes
-        ]
+        assert [
+            hex_record(run_single_trial(cfg, i)) for i in range(len(outcomes))
+        ] == [hex_record(record) for record, _ in outcomes]
 
     def test_records_equal(self):
-        cfg = ScenarioConfig(master_seed=7)
-        outcomes = [sequential_trial(cfg, i) for i in range(4)]
-        assert [role for _, role in outcomes] == [
-            "attacked", "reference", "quiet", None
-        ]
-        self.assert_records_match(cfg, outcomes)
+        roles = Counter()
+        for cfg in self.CELLS:
+            outcomes = [sequential_trial(cfg, i) for i in range(12)]
+            roles.update(role for _, role in outcomes)
+            self.assert_records_match(cfg, outcomes)
+        # Failures at all three extractions, and completed trials.
+        assert set(roles) == {"reference", "quiet", "attacked", None}
 
     @pytest.mark.parametrize("max_iterations", [0, 1])
     def test_descents_ending_in_their_first_advance(self, max_iterations):
@@ -636,9 +643,9 @@ class TestTrialMatchesReferenceLoop:
             master_seed=7,
             extractor=ExtractorConfig(max_iterations=max_iterations),
         )
-        # Every descent ends during its first advance, so its fingerprint
-        # must survive to finish(); with one iteration, trials 0-2 fail
-        # while starting a descent, after the earlier ones have ended.
+        # Every descent ends during its start, so its fingerprint must
+        # survive to finish(); with one iteration, trials 0-2 fail while
+        # starting a descent.
         outcomes = [sequential_trial(cfg, i) for i in range(4)]
         assert not all(record.failed for record, _ in outcomes)
         self.assert_records_match(cfg, outcomes)
@@ -659,8 +666,8 @@ def silent_attacker_draws(sources):
 
 
 class TestEarlyStop:
-    """A trial stops at the first descent whose first iterate is exactly
-    zero, and otherwise raises what the sequential order raises first."""
+    """A trial stops at the first descent whose iterate is exactly zero,
+    or at the first descent whose start raises."""
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
@@ -686,24 +693,27 @@ class TestEarlyStop:
         runs = list(per_batch.values())
         assert len(runs) == 3
 
-        def first_advance_and_full(batch):
-            evaluated.clear()
-            _Descent(batch, cfg.extractor)
-            first = len(evaluated)
+        def evaluations(batch, max_iterations):
+            """Evaluations of an extraction of ``batch`` with this
+            iteration budget."""
             evaluated.clear()
             try:
-                extract(batch, cfg.extractor)
+                extract(batch, replace(
+                    cfg.extractor, max_iterations=max_iterations
+                ))
             except ExtractionError:
                 pass
-            return first, len(evaluated)
+            return len(evaluated)
 
+        budget = cfg.extractor.max_iterations
         for calls in runs[:2]:
-            first, full = first_advance_and_full(calls[0])
-            assert len(calls) == first < full
-        # The attacked descent is run out from the zero vector: one more
-        # iteration, one candidate, accepted at equal loss.
-        first, full = first_advance_and_full(runs[2][0])
-        assert len(runs[2]) == first + 1 == full
+            first = evaluations(calls[0], 1)
+            assert len(calls) == first < evaluations(calls[0], budget)
+        # The attacked descent ends at its first iterate, which is zero:
+        # its first iteration's evaluations and no more.
+        attacked = runs[2]
+        assert len(attacked) == evaluations(attacked[0], 1)
+        assert len(attacked) == evaluations(attacked[0], budget)
 
     def test_zero_energy_attacker_after_a_zero_quiet_descent(
         self, monkeypatch
@@ -717,28 +727,8 @@ class TestEarlyStop:
         # the attacked descent never starts and rho is never read.
         assert run_single_trial(cfg, 2).error == f"trial 2: {ZERO_VECTOR}"
         assert "attacker" not in sources
-
-    def test_start_error_waits_for_the_earlier_descents(self, monkeypatch):
-        class Unscreened(experiments._Descent):
-            """A descent whose first iterate never reads as zero, so the
-            early stop cannot end the trial before the next start."""
-
-            def __init__(self, batch, cfg):
-                super().__init__(batch, cfg)
-                self.iterate = np.ones(1)
-
-        sources = []
-        monkeypatch.setattr(experiments, "_Descent", Unscreened)
-        monkeypatch.setattr(
-            experiments, "draw_channel", silent_attacker_draws(sources)
-        )
-        cfg = ScenarioConfig(**TINY)
-        # The attacked start raises ConfigurationError on reading rho, but
-        # the unfinished quiet descent, which ends at zero, raises first.
-        assert run_single_trial(cfg, 2).error == f"trial 2: {ZERO_VECTOR}"
-        assert "attacker" in sources
-        # Trial 0's reference and quiet descents complete, so the start
-        # error is the record.
+        # Trial 0's reference and quiet descents start, so the attacked
+        # start's error is the record.
         assert run_single_trial(cfg, 0).error == (
             "trial 0: ConfigurationError: trial 0: drew a zero-energy channel"
         )

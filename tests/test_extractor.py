@@ -417,9 +417,10 @@ class TestExtract:
         # is 0 and the spectral start is exactly the zero vector.  There
         # the gradient and the threshold are 0, so the only candidate is
         # the iterate itself, at equal loss.  The backtracking test `<=`
-        # accepts it and the descent converges: two evaluations in all.
-        # With `<` all max_backtracks + 1 candidates would be rejected and
-        # the descent would end backtracks_exhausted after seven.
+        # accepts it and the zero iterate ends the descent: two evaluations
+        # in all.  With `<` all max_backtracks + 1 candidates would be
+        # rejected and the descent would end backtracks_exhausted after
+        # seven.
         gen = np.random.default_rng(9)
         probes = gen.choice(np.array([1, -1, 1j, -1j]), size=(24, 5))
         batch = SensingBatch(probes=probes, samples=np.ones(24))
@@ -438,6 +439,38 @@ class TestExtract:
         with pytest.raises(ExtractionError, match="identically zero"):
             extract(batch, ExtractorConfig(max_backtracks=5))
         assert evaluated == [(False, 0.0), (False, 0.0)]
+
+    def test_first_zero_iterate_ends_the_descent(self, monkeypatch):
+        # At L=48 the reference batch's first iteration lands on the zero
+        # vector.  The descent raises there, after that iteration's
+        # evaluations, instead of running on from the fixed point.
+        batch = TrialSimulator(ScenarioConfig(rb_count=4), 0).sensing_batch(
+            1, False
+        )
+        cfg = ExtractorConfig()
+        with pytest.raises(ExtractionError) as expected:
+            reference_extract(batch, cfg)
+
+        evaluated = []
+        evaluate = extractor._evaluate
+
+        def spy(batch, phi):
+            evaluated.append(bool(phi.any()))
+            return evaluate(batch, phi)
+
+        monkeypatch.setattr(extractor, "_evaluate", spy)
+        counts = []
+        for max_iterations in (cfg.max_iterations, 1):
+            evaluated.clear()
+            with pytest.raises(ExtractionError) as raised:
+                extract(batch, ExtractorConfig(max_iterations=max_iterations))
+            assert str(raised.value) == str(expected.value) == (
+                "extraction produced an identically zero vector; the "
+                "samples carry no usable energy"
+            )
+            assert evaluated[0] and not evaluated[-1]
+            counts.append(len(evaluated))
+        assert counts[0] == counts[1]
 
     def test_constant_samples_degenerate_flag(self):
         gen = np.random.default_rng(5)
@@ -688,7 +721,6 @@ class TestBatchBuilder:
             expected = abs(np.vdot(probes[l], beams)) ** 2
             assert batch.samples[l] == pytest.approx(expected, rel=1e-12)
         assert batch.subframe_index == 4
-        assert not batch.normalized
 
     def test_normalization_sets_unit_mean(self):
         gen = np.random.default_rng(8)
@@ -706,7 +738,6 @@ class TestBatchBuilder:
         )
         probes = draw_gaussian_probes(n_samples, taps * m_ant, gen)
         batch = build_subframe_batch(est, probes, normalize=True)
-        assert batch.normalized
         assert float(np.mean(batch.samples)) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_estimates_stay_unnormalized(self):
@@ -720,7 +751,6 @@ class TestBatchBuilder:
         )
         probes = draw_gaussian_probes(4, 4, np.random.default_rng(1))
         batch = build_subframe_batch(est, probes, normalize=True)
-        assert not batch.normalized
         assert np.array_equal(batch.samples, np.zeros(4))
 
     def test_probe_shape_guard(self):

@@ -29,7 +29,6 @@ CUSTOM = ScenarioConfig(
     snr_db=-2.5,
     jsr_db=3.0,
     link_gain=2.0,
-    victim_power=2.5,
     victim_index=2,
     inner_radius_m=50.0,
     outer_radius_m=80.0,
@@ -59,7 +58,6 @@ radio:
   snr_db: 5.0
   jsr_db: 0.0
   link_gain: 5.0
-  victim_power: 1.0
 pilot:
   sequence_length: 139
   shift_size: 5
@@ -102,7 +100,6 @@ radio:
   snr_db: -2.5
   jsr_db: 3.0
   link_gain: 2.0
-  victim_power: 2.5
 pilot:
   sequence_length: 31
   shift_size: 6
@@ -166,6 +163,7 @@ class TestUnknownKeys:
             {"detector": {"update_policy": "always"}},
             {"extractor": {"dimension": 24}},
             {"extractor": {"divergence_factor": 1e6}},
+            {"radio": {"victim_power": 1.0}},
         ],
     )
     def test_rejected(self, raw):
@@ -236,8 +234,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "2ecf5bf78bf8d972"),
-        (CUSTOM, CUSTOM_YAML, "6868fc4bcc2ffffe"),
+        (ScenarioConfig(), DEFAULT_YAML, "8e897f46b03332d5"),
+        (CUSTOM, CUSTOM_YAML, "8f09658efaffb1a6"),
     ]
 
     @pytest.mark.parametrize("cfg, text, digest", CASES,
