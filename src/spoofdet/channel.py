@@ -8,17 +8,17 @@ cluster count is small and angular spreads are narrow, the per-tap response
 across antennas is sparse in the beam (DFT-across-antennas) domain — the
 physical property the fingerprint extractor exploits.
 
-Draws are small-scale normalized: the expected squared Frobenius norm of the
-tap matrix is ``M * sum(cluster powers) = M``.  Distance-dependent gain and
-shadowing are applied by callers.
+Draws are normalized small-scale profiles with no distance in them: the
+expected squared Frobenius norm of the tap matrix is ``M * sum(cluster
+powers) = M``, and an actor enters a draw only through its line-of-sight
+azimuth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import yaml
@@ -28,13 +28,11 @@ from .errors import ClusterTableError, ConfigurationError, ShapeError
 __all__ = [
     "ClusterTable",
     "GeometryScenario",
-    "PolarPosition",
-    "ChannelRealization",
     "load_cluster_table",
     "default_cluster_table",
     "steering_vector",
     "draw_channel",
-    "place_actors",
+    "draw_azimuths",
     "beamspace",
     "vectorize_taps",
     "as_generator",
@@ -148,16 +146,8 @@ def default_cluster_table() -> ClusterTable:
 
 
 @dataclass(frozen=True)
-class PolarPosition:
-    """Polar position of an actor relative to the array: range and azimuth."""
-
-    radius_m: float
-    azimuth_deg: float
-
-
-@dataclass(frozen=True)
 class GeometryScenario:
-    """Array geometry plus actor placement inside a deployment annulus.
+    """Array geometry plus each actor's line-of-sight azimuth.
 
     Attributes
     ----------
@@ -165,72 +155,30 @@ class GeometryScenario:
         Array size ``M`` (uniform linear array).
     element_spacing_wavelengths : float
         Inter-element spacing in carrier wavelengths (0.5 = half wavelength).
-    inner_radius_m, outer_radius_m : float
-        Deployment annulus bounds; every actor radius must lie inside.
-    user_positions : tuple of PolarPosition
-        One position per served user.
-    attacker_position : PolarPosition
+    user_azimuths_deg : tuple of float
+        One azimuth per served user, in degrees.
+    attacker_azimuth_deg : float
     """
 
     num_antennas: int
     element_spacing_wavelengths: float
-    inner_radius_m: float
-    outer_radius_m: float
-    user_positions: tuple
-    attacker_position: PolarPosition
+    user_azimuths_deg: tuple
+    attacker_azimuth_deg: float
 
     def __post_init__(self) -> None:
         if self.num_antennas < 1:
             raise ConfigurationError("need at least one antenna")
         if self.element_spacing_wavelengths <= 0:
             raise ConfigurationError("element spacing must be positive")
-        if not 0 < self.inner_radius_m < self.outer_radius_m:
-            raise ConfigurationError(
-                "need 0 < inner radius < outer radius, got "
-                f"{self.inner_radius_m} and {self.outer_radius_m}"
-            )
-        for pos in (*self.user_positions, self.attacker_position):
-            if not self.inner_radius_m <= pos.radius_m <= self.outer_radius_m:
-                raise ConfigurationError(
-                    f"actor radius {pos.radius_m} outside annulus "
-                    f"[{self.inner_radius_m}, {self.outer_radius_m}]"
-                )
 
-    def position_of(self, source: int | str) -> PolarPosition:
+    def azimuth_of(self, source: int | str) -> float:
         """Resolve a source id: a 0-based user index or ``"attacker"``."""
         if source == "attacker":
-            return self.attacker_position
-        if isinstance(source, int) and 0 <= source < len(self.user_positions):
-            return self.user_positions[source]
+            return self.attacker_azimuth_deg
+        users = self.user_azimuths_deg
+        if isinstance(source, int) and 0 <= source < len(users):
+            return users[source]
         raise ConfigurationError(f"unknown source id {source!r}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One drawn multipath channel: tap-by-antenna matrix plus metadata.
-
-    Attributes
-    ----------
-    taps : numpy.ndarray
-        Complex matrix of shape ``(num_taps, M)``; row ``t`` is the response
-        across antennas at delay tap ``t``.
-    source : int or str
-        Which actor this channel belongs to (user index or ``"attacker"``).
-    cluster_azimuths_deg : numpy.ndarray
-        Absolute azimuth of each cluster for this draw.
-    """
-
-    taps: np.ndarray
-    source: int | str
-    cluster_azimuths_deg: np.ndarray
-
-    @property
-    def num_taps(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.taps.shape[1]
 
 
 def steering_vector(
@@ -276,8 +224,10 @@ def draw_channel(
     num_taps: int,
     tap_duration_ns: float,
     rng,
-) -> ChannelRealization:
-    """Draw one small-scale channel realization for ``source``.
+) -> np.ndarray:
+    """Draw the ``(num_taps, M)`` tap matrix of one channel of ``source``.
+
+    Row ``t`` is the response across antennas at delay tap ``t``.
 
     Each cluster maps to the tap nearest its delay and contributes a bundle
     of ``RAYS_PER_CLUSTER`` equal-power rays with independent uniform phases
@@ -298,12 +248,12 @@ def draw_channel(
     if tap_duration_ns <= 0:
         raise ConfigurationError("tap duration must be positive")
     gen = as_generator(rng)
-    position = scenario.position_of(source)
+    azimuth = scenario.azimuth_of(source)
     m_ant = scenario.num_antennas
     spacing = scenario.element_spacing_wavelengths
 
     taps = np.zeros((num_taps, m_ant), dtype=np.complex128)
-    cluster_azimuths = position.azimuth_deg + table.azimuths_deg
+    cluster_azimuths = azimuth + table.azimuths_deg
 
     for c in range(table.num_clusters):
         tap_index = int(round(table.delays_ns[c] / tap_duration_ns))
@@ -335,32 +285,20 @@ def draw_channel(
         gains = ray_amp * np.exp(1j * phases)
         taps[tap_index] += gains @ steering
 
-    return ChannelRealization(
-        taps=taps, source=source, cluster_azimuths_deg=cluster_azimuths
-    )
+    return taps
 
 
-def place_actors(
-    inner_radius_m: float, outer_radius_m: float, count: int, rng
-) -> list[PolarPosition]:
-    """Draw ``count`` positions uniformly over the annulus area.
+def draw_azimuths(count: int, rng) -> list[float]:
+    """Draw ``count`` azimuths uniformly on ``[0, 360)`` degrees.
 
-    The squared radius is uniform on ``[inner^2, outer^2]`` (area-uniform
-    law) and the azimuth is uniform on ``[0, 360)`` degrees.
+    The stream's first ``count`` values are skipped: they once held the
+    actors' ranges, which no channel draw reads, so skipping them keeps
+    every seed's azimuths as they were.
     """
-    if not 0 < inner_radius_m < outer_radius_m:
-        raise ConfigurationError(
-            f"need 0 < inner < outer, got {inner_radius_m}, {outer_radius_m}"
-        )
     if count < 0:
         raise ConfigurationError(f"count must be non-negative, got {count}")
     gen = as_generator(rng)
-    sq = gen.uniform(inner_radius_m**2, outer_radius_m**2, size=count)
-    azimuths = gen.uniform(0.0, 360.0, size=count)
-    return [
-        PolarPosition(radius_m=float(np.sqrt(s)), azimuth_deg=float(a))
-        for s, a in zip(sq, azimuths)
-    ]
+    return gen.uniform(0.0, 360.0, size=2 * count)[count:].tolist()
 
 
 def beamspace(taps: np.ndarray) -> np.ndarray:

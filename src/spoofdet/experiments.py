@@ -1,11 +1,12 @@
 """Monte Carlo experiment engine: paired trials, ROC curves, result files.
 
-Each trial draws one deployment (geometry and channels), then produces the
-decision statistics of all three detectors under both hypotheses with
-common random numbers: the attack-present arm reuses every random draw of
-the attack-absent arm and differs only by the attacker's deterministic
-contribution.  All randomness is derived from ``(master seed, trial index,
-stream id)`` so results are reproducible and independent of scheduling.
+Each trial draws one deployment (an azimuth and a channel per actor), then
+produces the decision statistics of all three detectors under both
+hypotheses with common random numbers: the attack-present arm reuses every
+random draw of the attack-absent arm and differs only by the attacker's
+deterministic contribution.  All randomness is derived from ``(master
+seed, trial index, stream id)`` so results are reproducible and independent
+of scheduling.
 
 The per-trial observation builders use exact distributional shortcuts
 instead of materialising the full ``(L, M, N)`` receive tensor:
@@ -58,15 +59,14 @@ import numpy as np
 
 from .baselines import ed_statistic, sd_statistic
 from .channel import (
-    ChannelRealization,
     ClusterTable,
     GeometryScenario,
     beamspace,
     complex_normal,
     default_cluster_table,
+    draw_azimuths,
     draw_channel,
     load_cluster_table,
-    place_actors,
     vectorize_taps,
 )
 from .detector import run_stream, similarity
@@ -239,7 +239,7 @@ class _SubframeDraws:
         cfg = self.cfg
         pair = self._rng(_STREAM_TAP_NOISE).normal(size=(cfg.n_samples, 2))
         probe_norms = np.linalg.norm(self.probes, axis=1)
-        noise_scale = np.sqrt(cfg.tap_noise_variance / 2.0) * probe_norms
+        noise_scale = np.sqrt(cfg.receive_noise_variance / 2.0) * probe_norms
         noise = noise_scale * (pair[:, 0] + 1j * pair[:, 1])
         noise.setflags(write=False)
         return noise
@@ -275,7 +275,8 @@ class TrialSimulator:
     * Per process: the cluster table and the FFTs of the users' pilots
       (shared by every trial with the same table path, ``N``, shift size
       and user count).
-    * Per trial, on construction: the geometry, the victim's channel, its
+    * Per trial, on construction: the geometry (the array and one azimuth
+      per actor), the victim's ``(num_taps, M)`` tap matrix, its
       fingerprint coordinates ``psi_victim``, and the check that the
       victim's channel carries energy.  This is all the reference and the
       quiet test extraction read.
@@ -296,19 +297,15 @@ class TrialSimulator:
         self.cfg = cfg
         self.trial_index = trial_index
         self._draws: _SubframeDraws | None = None
-        positions = place_actors(
-            cfg.inner_radius_m,
-            cfg.outer_radius_m,
+        azimuths = draw_azimuths(
             cfg.num_users + 1,
             trial_rng(cfg.master_seed, trial_index, _STREAM_GEOMETRY),
         )
         self.geometry = GeometryScenario(
             num_antennas=cfg.num_antennas,
             element_spacing_wavelengths=cfg.element_spacing_wavelengths,
-            inner_radius_m=cfg.inner_radius_m,
-            outer_radius_m=cfg.outer_radius_m,
-            user_positions=tuple(positions[: cfg.num_users]),
-            attacker_position=positions[cfg.num_users],
+            user_azimuths_deg=tuple(azimuths[: cfg.num_users]),
+            attacker_azimuth_deg=azimuths[cfg.num_users],
         )
         victim = cfg.victim_index
         self._victim_channel = self._draw_channel(
@@ -316,11 +313,9 @@ class TrialSimulator:
         )
         self._victim_energy = self._checked_energy(self._victim_channel)
         # Clean tap-domain fingerprint coordinates (beamspace, tap-major).
-        self.psi_victim = vectorize_taps(beamspace(self._victim_channel.taps))
+        self.psi_victim = vectorize_taps(beamspace(self._victim_channel))
 
-    def _draw_channel(
-        self, source: int | str, stream: int
-    ) -> ChannelRealization:
+    def _draw_channel(self, source: int | str, stream: int) -> np.ndarray:
         cfg = self.cfg
         return draw_channel(
             self.geometry,
@@ -331,8 +326,8 @@ class TrialSimulator:
             trial_rng(cfg.master_seed, self.trial_index, stream),
         )
 
-    def _checked_energy(self, channel: ChannelRealization) -> float:
-        energy = float(np.sum(np.abs(channel.taps) ** 2))
+    def _checked_energy(self, taps: np.ndarray) -> float:
+        energy = float(np.sum(np.abs(taps) ** 2))
         if energy <= 0:
             raise ConfigurationError(
                 f"trial {self.trial_index}: drew a zero-energy channel"
@@ -349,7 +344,7 @@ class TrialSimulator:
         ]
 
     @cached_property
-    def attacker_channel(self) -> ChannelRealization:
+    def attacker_channel(self) -> np.ndarray:
         return self._draw_channel("attacker", _STREAM_ATTACKER_CHANNEL)
 
     @cached_property
@@ -362,21 +357,21 @@ class TrialSimulator:
 
     @cached_property
     def psi_attacker(self) -> np.ndarray:
-        return self.rho * vectorize_taps(beamspace(self.attacker_channel.taps))
+        return self.rho * vectorize_taps(beamspace(self.attacker_channel))
 
     # Clean received energies for the energy detector's sketches.
 
     @cached_property
     def clean_energy_quiet(self) -> float:
         return float(
-            sum(np.sum(np.abs(ch.taps) ** 2) for ch in self.channels)
+            sum(np.sum(np.abs(taps) ** 2) for taps in self.channels)
         )
 
     @cached_property
     def clean_energy_attacked(self) -> float:
         attacker_energy = self._checked_energy(self.attacker_channel)
         cross = 2.0 * self.rho * float(np.real(np.vdot(
-            self.attacker_channel.taps, self._victim_channel.taps
+            self.attacker_channel, self._victim_channel
         )))
         return (
             self.clean_energy_quiet
@@ -394,8 +389,8 @@ class TrialSimulator:
         base = np.zeros(
             (cfg.num_antennas, cfg.sequence_length), dtype=np.complex128
         )
-        for k, channel in enumerate(self.channels):
-            base += self._clean_spectrum(spectra[k], channel)
+        for k, taps in enumerate(self.channels):
+            base += self._clean_spectrum(spectra[k], taps)
         return base
 
     @cached_property
@@ -408,7 +403,7 @@ class TrialSimulator:
 
     @staticmethod
     def _clean_spectrum(
-        pilot_spectrum: np.ndarray, channel: ChannelRealization
+        pilot_spectrum: np.ndarray, taps: np.ndarray
     ) -> np.ndarray:
         """Unitary-FFT receive of one pilot through one channel, (M, N).
 
@@ -416,8 +411,8 @@ class TrialSimulator:
         — the frequency-domain image of the circular convolution.
         """
         n = pilot_spectrum.shape[0]
-        padded = np.zeros((n, channel.num_antennas), dtype=np.complex128)
-        padded[: channel.num_taps] = channel.taps
+        padded = np.zeros((n, taps.shape[1]), dtype=np.complex128)
+        padded[: taps.shape[0]] = taps
         tap_spectrum = np.fft.fft(padded, axis=0)
         return (pilot_spectrum[:, None] * tap_spectrum).T / np.sqrt(n)
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, as_generator, beamspace
+from .channel import as_generator, beamspace
 from .errors import ConfigurationError, PilotDivisionError, ShapeError
 from .extractor import SensingBatch
 from .scenario import ScenarioConfig
@@ -122,12 +122,13 @@ class AttackProfile:
     """Spoofing-attack description: amplitude ratio and attacker channel.
 
     ``rho`` is the attacker-to-victim amplitude ratio ``sqrt(P_A / P_k)``;
-    an inactive profile contributes exactly zero regardless of ``rho``.
+    ``channel`` is the attacker's ``(tau, M)`` tap matrix.  An inactive
+    profile contributes exactly zero regardless of ``rho``.
     """
 
     active: bool
     rho: float = 0.0
-    channel: ChannelRealization | None = None
+    channel: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.rho < 0:
@@ -168,15 +169,15 @@ class StackedEstimate:
         return self.fd.shape[0]
 
 
-def _padded_taps(channel: ChannelRealization, n: int) -> np.ndarray:
+def _padded_taps(taps: np.ndarray, n: int) -> np.ndarray:
     """Zero-pad a (tau, M) tap matrix to (n, M) along the delay axis."""
-    tau = channel.num_taps
+    tau, m_ant = taps.shape
     if tau > n:
         raise ConfigurationError(
             f"delay spread {tau} exceeds the {n}-point transform"
         )
-    padded = np.zeros((n, channel.num_antennas), dtype=np.complex128)
-    padded[:tau] = channel.taps
+    padded = np.zeros((n, m_ant), dtype=np.complex128)
+    padded[:tau] = taps
     return padded
 
 
@@ -198,7 +199,7 @@ def td_equivalent_noise_variance(cfg: LinkConfig) -> float:
 
 def transmit_receive_td(
     pool: PreamblePool,
-    channels: Sequence[ChannelRealization],
+    channels: Sequence[np.ndarray],
     attack: AttackProfile,
     cfg: LinkConfig,
     rng,
@@ -206,13 +207,13 @@ def transmit_receive_td(
 ) -> np.ndarray:
     """Simulate the received time-domain pilot symbol at every antenna.
 
-    Returns an array of shape ``(L, M, N)``: for each sample ``l`` the sum
-    over users of ``sqrt(P) * (p_k circ h_{k,m})``, with ``P`` the
-    ``victim_power`` every user transmits at, plus — when the attack is
-    active — ``rho * sqrt(P) * (p_victim circ g_m)``, plus
-    independent complex Gaussian noise of per-element variance
-    ``noise_variance`` (defaults to ``cfg.noise_variance``, applied
-    literally).
+    ``channels`` holds each user's ``(tau, M)`` tap matrix.  Returns an
+    array of shape ``(L, M, N)``: for each sample ``l`` the sum over users
+    of ``sqrt(P) * (p_k circ h_{k,m})``, with ``P`` the ``victim_power``
+    every user transmits at, plus — when the attack is active — ``rho *
+    sqrt(P) * (p_victim circ g_m)``, plus independent complex Gaussian
+    noise of per-element variance ``noise_variance`` (defaults to
+    ``cfg.noise_variance``, applied literally).
     """
     n = cfg.n_subcarriers
     if pool.length != n:
@@ -228,26 +229,26 @@ def transmit_receive_td(
     if sigma2 < 0:
         raise ConfigurationError("noise variance must be non-negative")
 
-    m_ant = channels[0].num_antennas
+    m_ant = channels[0].shape[1]
     clean = np.zeros((m_ant, n), dtype=np.complex128)
-    for k, channel in enumerate(channels):
-        if channel.num_antennas != m_ant:
+    for k, taps in enumerate(channels):
+        if taps.shape[1] != m_ant:
             raise ConfigurationError("all channels must share the antenna count")
-        if channel.num_taps >= pool.shift_size:
+        if taps.shape[0] >= pool.shift_size:
             raise ConfigurationError(
-                f"delay spread {channel.num_taps} is not smaller than the "
+                f"delay spread {taps.shape[0]} is not smaller than the "
                 f"pool shift size {pool.shift_size}; same-root sequences "
                 "would interfere"
             )
         pilot = pool.sequence_for_user(k)
         pilot_spectrum = np.fft.fft(pilot)
-        taps_fd = np.fft.fft(_padded_taps(channel, n), axis=0)
+        taps_fd = np.fft.fft(_padded_taps(taps, n), axis=0)
         clean += np.sqrt(cfg.victim_power) * np.fft.ifft(
             pilot_spectrum[None, :] * taps_fd.T, axis=1
         )
 
     if attack.active and attack.rho > 0:
-        if attack.channel.num_antennas != m_ant:
+        if attack.channel.shape[1] != m_ant:
             raise ConfigurationError(
                 "attacker channel antenna count differs from the users'"
             )
@@ -331,7 +332,7 @@ def ls_estimate(
 
 def simulate_subframe(
     pool: PreamblePool,
-    channels: Sequence[ChannelRealization],
+    channels: Sequence[np.ndarray],
     attack: AttackProfile,
     cfg: LinkConfig,
     rng,
@@ -344,7 +345,7 @@ def simulate_subframe(
     noise lands at ``fd_noise_variance(cfg)`` per element.
     """
     if num_taps is None:
-        num_taps = channels[cfg.victim_index].num_taps
+        num_taps = channels[cfg.victim_index].shape[0]
     y_td = transmit_receive_td(
         pool,
         channels,

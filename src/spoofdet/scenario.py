@@ -17,6 +17,9 @@ Conventions baked in here rather than scattered through the harness:
   snr_linear``, with ``link_gain`` the reference per-element signal level
   of the estimate.  The full chain's nominal noise variance
   (``link.LinkConfig.for_scenario``) is back-solved from that target.
+* Actors have no range.  The channel profile is a normalized small-scale
+  one with no distance in it, so each trial places every user and the
+  attacker by a uniformly drawn azimuth alone.
 * The attacker's strength is calibrated per trial so that its received
   energy over the victim's is exactly the configured jammer-to-signal
   ratio.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -48,7 +52,6 @@ _LAYOUT = {
     "radio": ("snr_db", "jsr_db", "link_gain"),
     "pilot": ("sequence_length", "shift_size", "rb_count", "samples_per_rb"),
     "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
-    "geometry": ("inner_radius_m", "outer_radius_m"),
     "extractor": ExtractorConfig,
     "detector": ("similarity_threshold",),
     "subspace": SdConfig,
@@ -80,8 +83,8 @@ class ScenarioConfig:
         ratio; ``jsr_db`` the received jammer-to-signal ratio; ``link_gain``
         the per-element estimate signal reference used to convert the SNR
         into an estimate-noise variance.
-    inner_radius_m, outer_radius_m, element_spacing_wavelengths
-        Deployment annulus and array spacing.
+    element_spacing_wavelengths
+        Array spacing in carrier wavelengths.
     tap_duration_ns, cluster_table
         Channel sampling and the path of the cluster profile (``None``
         selects the packaged default profile).
@@ -106,8 +109,6 @@ class ScenarioConfig:
     jsr_db: float = 0.0
     link_gain: float = 5.0
     victim_index: int = 0
-    inner_radius_m: float = 100.0
-    outer_radius_m: float = 120.0
     element_spacing_wavelengths: float = 0.5
     tap_duration_ns: float = 240.0
     cluster_table: str | None = None
@@ -155,9 +156,20 @@ class ScenarioConfig:
             )
         if self.link_gain <= 0:
             raise ConfigurationError("link gain must be positive")
-        if not 0 < self.inner_radius_m < self.outer_radius_m:
+        for name in ("snr_db", "jsr_db"):
+            try:
+                ratio = db_to_linear(getattr(self, name))
+            except OverflowError:
+                ratio = math.inf
+            if not 0.0 < ratio < math.inf:
+                raise ConfigurationError(
+                    f"{name} = {getattr(self, name)} gives a linear ratio "
+                    "that is not a positive finite float"
+                )
+        if not math.isfinite(self.estimate_noise_variance):
             raise ConfigurationError(
-                "need 0 < inner radius < outer radius"
+                f"link_gain {self.link_gain} at snr_db {self.snr_db} gives "
+                "an infinite noise variance"
             )
         if self.tap_duration_ns <= 0:
             raise ConfigurationError("tap duration must be positive")
@@ -194,13 +206,15 @@ class ScenarioConfig:
         return self.link_gain / self.snr_linear
 
     @property
-    def tap_noise_variance(self) -> float:
-        """Per-element variance of the delay-tap estimate noise."""
-        return self.estimate_noise_variance / self.sequence_length
-
-    @property
     def receive_noise_variance(self) -> float:
-        """Per-element variance of the raw received-signal noise."""
+        """Per-element variance of the raw received-signal noise, and of the
+        delay-tap estimate noise.
+
+        Both laws share this value because every user transmits at unit
+        power and the pilot spectrum is flat: least-squares division by the
+        pilot scales the receive noise by ``N`` into the frequency-domain
+        estimate noise, and the delay-tap form divides that by ``N`` again.
+        """
         return self.estimate_noise_variance / self.sequence_length
 
     def build_pool(self) -> PreamblePool:

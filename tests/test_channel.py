@@ -1,22 +1,18 @@
 """Clustered-channel oracles: steering geometry, energy normalization,
-area-uniform placement, and beam-domain sparsity of draws."""
+uniform azimuth placement, and beam-domain sparsity of draws."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from spoofdet.channel import (
-    ChannelRealization,
     ClusterTable,
     GeometryScenario,
-    PolarPosition,
     beamspace,
     default_cluster_table,
+    draw_azimuths,
     draw_channel,
-    load_cluster_table,
-    place_actors,
     steering_vector,
     vectorize_taps,
 )
@@ -33,14 +29,12 @@ def single_cluster_table(azimuth_offset=0.0, spread=0.0, ricean_k_db=None):
     )
 
 
-def scenario_with_user_at(azimuth_deg, num_antennas=4, radius=110.0):
+def scenario_with_user_at(azimuth_deg, num_antennas=4):
     return GeometryScenario(
         num_antennas=num_antennas,
         element_spacing_wavelengths=0.5,
-        inner_radius_m=100.0,
-        outer_radius_m=120.0,
-        user_positions=(PolarPosition(radius, azimuth_deg),),
-        attacker_position=PolarPosition(radius, azimuth_deg + 90.0),
+        user_azimuths_deg=(azimuth_deg,),
+        attacker_azimuth_deg=azimuth_deg + 90.0,
     )
 
 
@@ -106,23 +100,12 @@ class TestClusterTable:
 
 
 class TestGeometryScenario:
-    def test_radius_outside_annulus_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GeometryScenario(
-                num_antennas=4,
-                element_spacing_wavelengths=0.5,
-                inner_radius_m=100.0,
-                outer_radius_m=120.0,
-                user_positions=(PolarPosition(95.0, 0.0),),
-                attacker_position=PolarPosition(110.0, 0.0),
-            )
-
     def test_position_resolution(self):
         sc = scenario_with_user_at(10.0)
-        assert sc.position_of(0).azimuth_deg == 10.0
-        assert sc.position_of("attacker").azimuth_deg == 100.0
+        assert sc.azimuth_of(0) == 10.0
+        assert sc.azimuth_of("attacker") == 100.0
         with pytest.raises(ConfigurationError):
-            sc.position_of(5)
+            sc.azimuth_of(5)
 
 
 class TestSteering:
@@ -138,8 +121,8 @@ class TestDrawChannel:
     def test_zero_spread_broadside_proportional_to_ones(self):
         table = single_cluster_table(azimuth_offset=0.0, spread=0.0)
         sc = scenario_with_user_at(0.0, num_antennas=4)
-        real = draw_channel(sc, table, 0, num_taps=1, tap_duration_ns=100.0, rng=7)
-        row = real.taps[0]
+        taps = draw_channel(sc, table, 0, num_taps=1, tap_duration_ns=100.0, rng=7)
+        row = taps[0]
         # All rays share the broadside direction, so the antenna response is
         # a common complex scalar times the all-ones vector.
         np.testing.assert_allclose(row, row[0] * np.ones(4), atol=1e-12)
@@ -152,8 +135,8 @@ class TestDrawChannel:
         n_draws = 10_000
         total = 0.0
         for _ in range(n_draws):
-            real = draw_channel(sc, table, 0, 1, 100.0, rng)
-            total += np.sum(np.abs(real.taps) ** 2)
+            taps = draw_channel(sc, table, 0, 1, 100.0, rng)
+            total += np.sum(np.abs(taps) ** 2)
         mean_energy = total / n_draws
         assert mean_energy == pytest.approx(8.0, rel=0.05)
 
@@ -164,8 +147,8 @@ class TestDrawChannel:
         n_draws = 10_000
         total = 0.0
         for _ in range(n_draws):
-            real = draw_channel(sc, table, 0, 4, 240.0, rng)
-            total += np.sum(np.abs(real.taps) ** 2)
+            taps = draw_channel(sc, table, 0, 4, 240.0, rng)
+            total += np.sum(np.abs(taps) ** 2)
         assert total / n_draws == pytest.approx(8.0, rel=0.05)
 
     def test_sources_at_distinct_azimuths_peak_in_distinct_beams(self):
@@ -173,17 +156,15 @@ class TestDrawChannel:
         sc = GeometryScenario(
             num_antennas=32,
             element_spacing_wavelengths=0.5,
-            inner_radius_m=100.0,
-            outer_radius_m=120.0,
-            user_positions=(PolarPosition(110.0, 0.0), PolarPosition(110.0, 60.0)),
-            attacker_position=PolarPosition(110.0, 180.0),
+            user_azimuths_deg=(0.0, 60.0),
+            attacker_azimuth_deg=180.0,
         )
         rng = np.random.default_rng(5)
         spectra = np.zeros((2, 32))
         for _ in range(200):
             for idx in (0, 1):
-                real = draw_channel(sc, table, idx, 1, 100.0, rng)
-                spectra[idx] += np.abs(np.fft.fft(real.taps[0])) ** 2
+                taps = draw_channel(sc, table, idx, 1, 100.0, rng)
+                spectra[idx] += np.abs(np.fft.fft(taps[0])) ** 2
         assert int(np.argmax(spectra[0])) != int(np.argmax(spectra[1]))
 
     def test_delay_beyond_tap_window_rejected(self):
@@ -205,8 +186,8 @@ class TestDrawChannel:
             spreads_deg=np.array([0.0, 0.0]),
         )
         sc = scenario_with_user_at(0.0)
-        real = draw_channel(sc, table, 0, num_taps=4, tap_duration_ns=240.0, rng=3)
-        energies = np.sum(np.abs(real.taps) ** 2, axis=1)
+        taps = draw_channel(sc, table, 0, num_taps=4, tap_duration_ns=240.0, rng=3)
+        energies = np.sum(np.abs(taps) ** 2, axis=1)
         assert energies[0] > 0 and energies[2] > 0
         assert energies[1] == 0 and energies[3] == 0
 
@@ -215,7 +196,7 @@ class TestDrawChannel:
         sc = scenario_with_user_at(12.0, num_antennas=16)
         a = draw_channel(sc, table, 0, 4, 240.0, rng=42)
         b = draw_channel(sc, table, 0, 4, 240.0, rng=42)
-        np.testing.assert_array_equal(a.taps, b.taps)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestBeamspaceSparsity:
@@ -227,8 +208,8 @@ class TestBeamspaceSparsity:
         rng = np.random.default_rng(17)
         fractions = []
         for _ in range(200):
-            real = draw_channel(sc, table, 0, 4, 240.0, rng)
-            beams = beamspace(real.taps)
+            taps = draw_channel(sc, table, 0, 4, 240.0, rng)
+            beams = beamspace(taps)
             beam_energy = np.sum(np.abs(beams) ** 2, axis=0)
             top = np.sort(beam_energy)[::-1][: 3 * table.num_clusters]
             fractions.append(top.sum() / beam_energy.sum())
@@ -244,18 +225,13 @@ class TestBeamspaceSparsity:
             sc = GeometryScenario(
                 num_antennas=64,
                 element_spacing_wavelengths=0.5,
-                inner_radius_m=100.0,
-                outer_radius_m=120.0,
-                user_positions=(
-                    PolarPosition(110.0, az1),
-                    PolarPosition(110.0, az2 % 360.0),
-                ),
-                attacker_position=PolarPosition(110.0, 0.0),
+                user_azimuths_deg=(az1, az2 % 360.0),
+                attacker_azimuth_deg=0.0,
             )
             supports = []
             for idx in (0, 1):
-                real = draw_channel(sc, table, idx, 4, 240.0, rng)
-                beam_energy = np.sum(np.abs(beamspace(real.taps)) ** 2, axis=0)
+                taps = draw_channel(sc, table, idx, 4, 240.0, rng)
+                beam_energy = np.sum(np.abs(beamspace(taps)) ** 2, axis=0)
                 order = np.argsort(beam_energy)[::-1]
                 cumulative = np.cumsum(beam_energy[order]) / beam_energy.sum()
                 cutoff = int(np.searchsorted(cumulative, 0.9)) + 1
@@ -266,40 +242,35 @@ class TestBeamspaceSparsity:
 
 
 class TestPlaceActors:
-    def test_all_radii_within_range(self):
-        positions = place_actors(119.0, 120.0, 500, rng=1)
-        radii = np.array([p.radius_m for p in positions])
-        assert np.all((radii >= 119.0) & (radii <= 120.0))
-
-    def test_area_uniform_radius_law(self):
-        positions = place_actors(100.0, 120.0, 100_000, rng=2)
-        radii = np.array([p.radius_m for p in positions])
-
-        def cdf(rho):
-            return (np.asarray(rho) ** 2 - 100.0**2) / (120.0**2 - 100.0**2)
-
-        ks = stats.kstest(radii, cdf)
-        assert ks.statistic < 0.01
+    """Actors are placed by one uniformly drawn azimuth each."""
 
     def test_count_zero_gives_empty_list(self):
-        assert place_actors(100.0, 120.0, 0, rng=3) == []
-
-    def test_inverted_annulus_rejected(self):
-        with pytest.raises(ConfigurationError):
-            place_actors(120.0, 100.0, 5, rng=0)
+        assert draw_azimuths(0, rng=3) == []
 
     @given(
-        inner=st.floats(min_value=1.0, max_value=100.0),
-        width=st.floats(min_value=0.5, max_value=50.0),
         count=st.integers(min_value=0, max_value=50),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=40, deadline=None)
-    def test_containment_property(self, inner, width, count, seed):
-        outer = inner + width
-        for p in place_actors(inner, outer, count, rng=seed):
-            assert inner <= p.radius_m <= outer
-            assert 0.0 <= p.azimuth_deg < 360.0
+    def test_containment_property(self, count, seed):
+        for azimuth in draw_azimuths(count, rng=seed):
+            assert 0.0 <= azimuth < 360.0
+
+    @given(
+        count=st.integers(min_value=0, max_value=50),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_keeps_the_azimuths_of_the_annulus_draw(self, count, seed):
+        # Actors were once placed on an annulus: squared ranges first, then
+        # azimuths, from the same stream.  Each seed keeps its azimuths.
+        old = np.random.default_rng(seed)
+        old.uniform(100.0**2, 120.0**2, size=count)
+        expected = old.uniform(0.0, 360.0, size=count)
+        gen = np.random.default_rng(seed)
+        drawn = np.array(draw_azimuths(count, gen))
+        assert drawn.tobytes() == expected.tobytes()
+        assert gen.random() == old.random()
 
 
 class TestBeamspaceTransform:

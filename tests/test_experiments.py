@@ -26,7 +26,7 @@ import pytest
 
 from conftest import reference_extract, same_bits
 from spoofdet import experiments, extractor
-from spoofdet.channel import ChannelRealization, complex_normal, draw_channel
+from spoofdet.channel import complex_normal, draw_channel
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -322,12 +322,11 @@ class TestShortcutsMatchLinkChain:
             "spreads_deg: [2.0, 2.0]\n"
         )
         custom = replace(self.CFG, cluster_table=str(table))
-        taps = TrialSimulator(custom, 0).channels[0].taps
-        assert not np.array_equal(
-            taps, TrialSimulator(self.CFG, 0).channels[0].taps
-        )
+        taps = TrialSimulator(custom, 0).channels[0]
+        default = TrialSimulator(self.CFG, 0).channels[0]
+        assert not np.array_equal(taps, default)
         np.testing.assert_array_equal(
-            taps, TrialSimulator(custom, 0).channels[0].taps
+            taps, TrialSimulator(custom, 0).channels[0]
         )
 
 
@@ -343,14 +342,8 @@ def observed(simulator, name, *args):
         return f"ExtractionError: {exc}"
     if isinstance(value, float):
         return (value,)
-    if isinstance(value, ChannelRealization):
-        value = [value]
-    if isinstance(value, list):
-        return tuple(
-            item for channel in value
-            for item in (channel.taps, channel.source,
-                         channel.cluster_azimuths_deg)
-        )
+    if isinstance(value, list):  # the users' tap arrays
+        return tuple(value)
     if isinstance(value, SensingBatch):
         return (value.probes, value.conj_probes, value.samples,
                 value.subframe_index)
@@ -659,7 +652,7 @@ def silent_attacker_draws(sources):
         sources.append(source)
         channel = draw_channel(scenario, table, source, *args)
         if source == "attacker":
-            channel = replace(channel, taps=np.zeros_like(channel.taps))
+            channel = np.zeros_like(channel)
         return channel
 
     return draw
@@ -755,7 +748,7 @@ class TestNoiseShortcutMoments:
             draws = simulator._subframe_draws(subframe)
             norms = np.sum(np.abs(draws.probes) ** 2, axis=1)
             ratios.append(np.abs(draws.tap_noise) ** 2 / norms)
-        self.assert_mean(ratios, self.CFG.tap_noise_variance)
+        self.assert_mean(ratios, self.CFG.receive_noise_variance)
 
     @pytest.mark.parametrize("attacked", [False, True])
     def test_energy_sketch_mean(self, attacked):

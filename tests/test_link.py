@@ -5,7 +5,6 @@ linearity in the attack amplitude."""
 import numpy as np
 import pytest
 
-from spoofdet.channel import ChannelRealization
 from spoofdet.errors import ConfigurationError, ShapeError
 from spoofdet.link import (
     AttackProfile,
@@ -25,20 +24,15 @@ N = 13
 TAU = 3
 
 
-def impulse_channel(tap_index, num_antennas=2, num_taps=TAU, source=0):
+def impulse_channel(tap_index, num_antennas=2, num_taps=TAU):
     taps = np.zeros((num_taps, num_antennas), dtype=complex)
     taps[tap_index, :] = 1.0
-    return ChannelRealization(
-        taps=taps, source=source, cluster_azimuths_deg=np.array([0.0])
-    )
+    return taps
 
 
-def random_channel(rng, num_antennas=2, num_taps=TAU, source=0):
-    taps = rng.normal(size=(num_taps, num_antennas)) + 1j * rng.normal(
+def random_channel(rng, num_antennas=2, num_taps=TAU):
+    return rng.normal(size=(num_taps, num_antennas)) + 1j * rng.normal(
         size=(num_taps, num_antennas)
-    )
-    return ChannelRealization(
-        taps=taps, source=source, cluster_azimuths_deg=np.array([0.0])
     )
 
 
@@ -99,12 +93,8 @@ class TestTransmitReceive:
             n_subcarriers=N, n_samples=1, num_users=2, victim_index=0
         )
         rng = np.random.default_rng(3)
-        h0, h1 = random_channel(rng), random_channel(rng, source=1)
-        zero = ChannelRealization(
-            taps=np.zeros((TAU, 2), dtype=complex),
-            source=1,
-            cluster_azimuths_deg=np.array([0.0]),
-        )
+        h0, h1 = random_channel(rng), random_channel(rng)
+        zero = np.zeros((TAU, 2), dtype=complex)
         both = transmit_receive_td(
             pool, [h0, h1], AttackProfile.inactive(), cfg, rng=0
         )
@@ -118,11 +108,7 @@ class TestTransmitReceive:
 
     def test_noise_variance_realized(self):
         pool, cfg = one_user_setup(noise_variance=0.5, n_samples=4000)
-        zero_channel = ChannelRealization(
-            taps=np.zeros((TAU, 2), dtype=complex),
-            source=0,
-            cluster_azimuths_deg=np.array([0.0]),
-        )
+        zero_channel = np.zeros((TAU, 2), dtype=complex)
         y = transmit_receive_td(
             pool, [zero_channel], AttackProfile.inactive(), cfg, rng=11
         )
@@ -185,30 +171,30 @@ class TestLsEstimate:
         rng = np.random.default_rng(5)
         h = random_channel(rng)
         est = self.run_chain([h], AttackProfile.inactive(), cfg, pool)
-        reference = frequency_reference(h.taps, N)
+        reference = frequency_reference(h, N)
         for l in range(3):
             np.testing.assert_allclose(est.fd[l], reference, atol=1e-10)
-            np.testing.assert_allclose(est.tap[l], tap_reference(h.taps), atol=1e-10)
+            np.testing.assert_allclose(est.tap[l], tap_reference(h), atol=1e-10)
 
     def test_attack_bias_adds_exactly(self):
         pool, cfg = one_user_setup()
         rng = np.random.default_rng(6)
-        h, g = random_channel(rng), random_channel(rng, source="attacker")
+        h, g = random_channel(rng), random_channel(rng)
         est = self.run_chain(
             [h], AttackProfile(active=True, rho=1.0, channel=g), cfg, pool
         )
-        expected = frequency_reference(h.taps, N) + frequency_reference(g.taps, N)
+        expected = frequency_reference(h, N) + frequency_reference(g, N)
         np.testing.assert_allclose(est.fd[0], expected, atol=1e-10)
 
     def test_partial_amplitude_attack(self):
         pool, cfg = one_user_setup()
         rng = np.random.default_rng(8)
-        h, g = random_channel(rng), random_channel(rng, source="attacker")
+        h, g = random_channel(rng), random_channel(rng)
         est = self.run_chain(
             [h], AttackProfile(active=True, rho=0.5, channel=g), cfg, pool
         )
-        expected = frequency_reference(h.taps, N) + 0.5 * frequency_reference(
-            g.taps, N
+        expected = frequency_reference(h, N) + 0.5 * frequency_reference(
+            g, N
         )
         np.testing.assert_allclose(est.fd[0], expected, atol=1e-10)
 
@@ -216,7 +202,7 @@ class TestLsEstimate:
         # Quadrupling the attacker's power doubles its amplitude contribution.
         pool, cfg = one_user_setup()
         rng = np.random.default_rng(9)
-        h, g = random_channel(rng), random_channel(rng, source="attacker")
+        h, g = random_channel(rng), random_channel(rng)
         base = self.run_chain([h], AttackProfile.inactive(), cfg, pool).fd[0]
         # rho = sqrt(P_attacker / P_victim): powers 1 and 4 over 1.
         one = self.run_chain(
@@ -232,7 +218,7 @@ class TestLsEstimate:
         rng = np.random.default_rng(10)
         h = random_channel(rng)
         est = simulate_subframe(pool, [h], AttackProfile.inactive(), cfg, rng=12)
-        reference = frequency_reference(h.taps, N)
+        reference = frequency_reference(h, N)
         v = fd_noise_variance(cfg)
         tol = 5.0 * np.sqrt(v / cfg.n_samples)
         assert np.max(np.abs(est.fd.mean(axis=0) - reference)) < tol
@@ -240,14 +226,14 @@ class TestLsEstimate:
     def test_hypothesis_separation_display(self):
         pool, cfg = one_user_setup()
         rng = np.random.default_rng(14)
-        h, g = random_channel(rng), random_channel(rng, source="attacker")
+        h, g = random_channel(rng), random_channel(rng)
         rho = 0.8
         est = self.run_chain(
             [h], AttackProfile(active=True, rho=rho, channel=g), cfg, pool
         )
         s = estimate_energies(est)[0]
-        h_bar = frequency_reference(h.taps, N)
-        g_bar = frequency_reference(g.taps, N)
+        h_bar = frequency_reference(h, N)
+        g_bar = frequency_reference(g, N)
         quad = (
             np.linalg.norm(h_bar) ** 2
             + 2 * rho * np.real(np.vdot(h_bar, g_bar))
@@ -272,7 +258,7 @@ class TestObserve:
         rng = np.random.default_rng(20)
         h = random_channel(rng)
         est = simulate_subframe(pool, [h], AttackProfile.inactive(), cfg, rng=0)
-        expected = np.linalg.norm(frequency_reference(h.taps, N)) ** 2
+        expected = np.linalg.norm(frequency_reference(h, N)) ** 2
         np.testing.assert_allclose(estimate_energies(est), expected, rtol=1e-10)
 
 
@@ -296,11 +282,11 @@ class TestNoiseBookkeeping:
         rng = np.random.default_rng(31)
         h = random_channel(rng)
         est = simulate_subframe(pool, [h], AttackProfile.inactive(), cfg, rng=32)
-        reference = frequency_reference(h.taps, N)
+        reference = frequency_reference(h, N)
         noise = est.fd - reference
         v_target = fd_noise_variance(cfg)
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(v_target, rel=0.05)
-        tap_noise = est.tap - tap_reference(h.taps)
+        tap_noise = est.tap - tap_reference(h)
         assert np.mean(np.abs(tap_noise) ** 2) == pytest.approx(
             v_target / N, rel=0.05
         )

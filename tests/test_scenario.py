@@ -30,8 +30,6 @@ CUSTOM = ScenarioConfig(
     jsr_db=3.0,
     link_gain=2.0,
     victim_index=2,
-    inner_radius_m=50.0,
-    outer_radius_m=80.0,
     element_spacing_wavelengths=0.4,
     tap_duration_ns=200.0,
     cluster_table="profile.yaml",
@@ -67,9 +65,6 @@ channel:
   num_taps: 4
   tap_duration_ns: 240.0
   cluster_table: null
-geometry:
-  inner_radius_m: 100.0
-  outer_radius_m: 120.0
 extractor:
   max_iterations: 200
   step_size: 0.1
@@ -109,9 +104,6 @@ channel:
   num_taps: 3
   tap_duration_ns: 200.0
   cluster_table: profile.yaml
-geometry:
-  inner_radius_m: 50.0
-  outer_radius_m: 80.0
 extractor:
   max_iterations: 50
   step_size: 0.1
@@ -164,6 +156,7 @@ class TestUnknownKeys:
             {"extractor": {"dimension": 24}},
             {"extractor": {"divergence_factor": 1e6}},
             {"radio": {"victim_power": 1.0}},
+            {"geometry": {"inner_radius_m": 100.0}},
         ],
     )
     def test_rejected(self, raw):
@@ -190,6 +183,13 @@ class TestWrongTypes:
             {"extractor": {"step_size": float("nan")}},
             {"channel": {"cluster_table": 5}},
             {"experiment": {"output_dir": 5}},
+            # Linear ratios that overflow or reach zero.
+            {"radio": {"snr_db": 4000.0}},
+            {"radio": {"snr_db": -4000.0}},
+            {"radio": {"jsr_db": 4000.0}},
+            # A positive linear ratio so small that link_gain / snr_linear
+            # is infinite.
+            {"radio": {"snr_db": -3200.0}},
         ],
     )
     def test_rejected(self, raw):
@@ -234,8 +234,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "8e897f46b03332d5"),
-        (CUSTOM, CUSTOM_YAML, "8f09658efaffb1a6"),
+        (ScenarioConfig(), DEFAULT_YAML, "7565e67cdb2efe49"),
+        (CUSTOM, CUSTOM_YAML, "40e4b1796f0721d7"),
     ]
 
     @pytest.mark.parametrize("cfg, text, digest", CASES,
@@ -257,12 +257,13 @@ class TestLinkConfig:
         link = LinkConfig.for_scenario(cfg)
         assert link.n_subcarriers == cfg.sequence_length
         assert link.n_samples == cfg.n_samples
-        # The tap-form estimate noise is the frequency-domain noise over N.
+        # One variance serves both laws: the tap-form estimate noise is the
+        # frequency-domain noise over N, and the receive noise of the
+        # snapshot and energy shortcuts is the chain's time-domain
+        # injection variance.
         assert fd_noise_variance(link) / cfg.sequence_length == (
-            pytest.approx(cfg.tap_noise_variance, rel=1e-12)
+            pytest.approx(cfg.receive_noise_variance, rel=1e-12)
         )
-        # The receive noise of the snapshot and energy shortcuts is the
-        # chain's time-domain injection variance.
         assert cfg.receive_noise_variance == pytest.approx(
             td_equivalent_noise_variance(link), rel=1e-12
         )
