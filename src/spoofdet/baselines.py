@@ -21,7 +21,7 @@ The covariance spectrum is computed through the window-sized Gram matrix,
 whose eigenvalues are exactly the nonzero covariance eigenvalues, so
 windows far smaller than the snapshot dimension stay cheap and
 well-defined.  The significance cut is the larger of (noise-floor multiple
-x median window eigenvalue) and a tiny relative floor against the leading
+x median window eigenvalue) and ``RELATIVE_FLOOR`` (1e-9) times the leading
 eigenvalue, which keeps exact-rank cases stable in floating point.
 """
 
@@ -40,6 +40,8 @@ __all__ = [
     "sd_statistic",
 ]
 
+RELATIVE_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class SdConfig:
@@ -49,25 +51,20 @@ class SdConfig:
     ----------
     noise_floor_multiple : float
         An eigenvalue is significant when it exceeds this multiple of the
-        median eigenvalue of the window.
-    relative_floor : float
-        Additional cut relative to the leading eigenvalue, guarding the
-        exact-rank (noise-free) case where the median is numerically zero.
+        median eigenvalue of the window.  The count also never takes an
+        eigenvalue at or below ``RELATIVE_FLOOR`` times the leading one.
     samples_per_subframe : int
         How many repeats of the subframe's snapshot rows the harness
         collects into the covariance window.
     """
 
     noise_floor_multiple: float = 3.0
-    relative_floor: float = 1e-9
     samples_per_subframe: int = 5
 
     def __post_init__(self) -> None:
         check_numeric_fields(self)
         if self.noise_floor_multiple <= 0:
             raise ConfigurationError("noise-floor multiple must be positive")
-        if self.relative_floor < 0:
-            raise ConfigurationError("relative floor must be non-negative")
         if self.samples_per_subframe < 1:
             raise ConfigurationError(
                 "samples per subframe must be at least 1"
@@ -119,9 +116,9 @@ def sd_eigenvalues(window: np.ndarray) -> np.ndarray:
 def sd_statistic(window: np.ndarray, cfg: SdConfig | None = None) -> int:
     """Estimated signal-subspace dimension of a snapshot window.
 
-    Counts eigenvalues above ``max(multiple * median, relative_floor *
+    Counts eigenvalues above ``max(multiple * median, RELATIVE_FLOOR *
     leading)`` where the median runs over the covariance spectrum
-    returned by :func:`sd_eigenvalues`.
+    returned by :func:`sd_eigenvalues` and ``RELATIVE_FLOOR`` is 1e-9.
     """
     if cfg is None:
         cfg = SdConfig()
@@ -131,6 +128,6 @@ def sd_statistic(window: np.ndarray, cfg: SdConfig | None = None) -> int:
         return 0
     cut = max(
         cfg.noise_floor_multiple * float(np.median(eigenvalues)),
-        cfg.relative_floor * leading,
+        RELATIVE_FLOOR * leading,
     )
     return int(np.sum(eigenvalues > cut))

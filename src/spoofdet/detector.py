@@ -31,7 +31,6 @@ __all__ = [
     "Decision",
     "DetectionOutcome",
     "DetectorState",
-    "StreamResult",
     "similarity",
     "step",
     "run_stream",
@@ -85,13 +84,6 @@ class DetectorState:
             if outcome.decision is Decision.ALARM:
                 return outcome.subframe_index
         return None
-
-
-@dataclass(frozen=True)
-class StreamResult:
-    outcomes: tuple
-    first_alarm_index: int | None
-    state: DetectorState
 
 
 def _values(fingerprint) -> np.ndarray:
@@ -153,13 +145,14 @@ def step(state: DetectorState, new: SparsityFingerprint) -> DetectionOutcome:
 def run_stream(
     fingerprints: Sequence[SparsityFingerprint],
     threshold: float = DEFAULT_THRESHOLD,
-) -> StreamResult:
-    """Fold :func:`step` over an ordered fingerprint stream.
+) -> DetectorState:
+    """Fold :func:`step` over an ordered fingerprint stream and return the
+    folded state.
 
     Positions are numbered 1-based; the first fingerprint initializes the
-    reference and produces no decision, so outcomes start at position 2.
-    The first-alarm index is the smallest position decided as an alarm, or
-    ``None`` when the whole stream is normal.
+    reference and produces no decision, so the state's ``history`` starts
+    at position 2.  Its ``first_alarm_index`` is the smallest position
+    decided as an alarm, or ``None`` when the whole stream is normal.
     """
     if len(fingerprints) == 0:
         raise ConfigurationError("fingerprint stream is empty")
@@ -170,8 +163,4 @@ def run_stream(
     state = DetectorState(reference=renumbered[0], threshold=threshold)
     for fp in renumbered[1:]:
         step(state, fp)
-    return StreamResult(
-        outcomes=tuple(state.history),
-        first_alarm_index=state.first_alarm_index,
-        state=state,
-    )
+    return state

@@ -55,7 +55,7 @@ def check_numeric_fields(config) -> None:
     and hash alike.  A string or a boolean is rejected, as YAML gives those
     for a quoted number or for ``true``/``false``; so are NaN and infinity
     (YAML's ``.nan`` and ``.inf``), which every range check lets through or
-    misjudges.
+    misjudges, and, for a ``float`` field, an integer too large for a float.
     """
     for spec in fields(config):
         kind = type(spec.default)
@@ -66,7 +66,13 @@ def check_numeric_fields(config) -> None:
             raise ConfigurationError(
                 f"{spec.name} must be a number, got {value!r}"
             )
-        if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+        try:
+            finite = (
+                kind is int and isinstance(value, numbers.Integral)
+            ) or math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ConfigurationError(
                 f"{spec.name} must be finite, got {value!r}"
             )

@@ -87,6 +87,9 @@ from .scenario import ScenarioConfig
 
 DETECTOR_NAMES = ("sparsity", "energy", "subspace")
 
+# The monitored user; users are exchangeable (see ``scenario``).
+VICTIM = 0
+
 # Alarm orientation per detector: +1 alarms on large statistics, -1 on
 # small ones (the similarity detector alarms when the statistic drops).
 _ORIENTATION = {"sparsity": -1.0, "energy": 1.0, "subspace": 1.0}
@@ -307,9 +310,8 @@ class TrialSimulator:
             user_azimuths_deg=tuple(azimuths[: cfg.num_users]),
             attacker_azimuth_deg=azimuths[cfg.num_users],
         )
-        victim = cfg.victim_index
         self._victim_channel = self._draw_channel(
-            victim, _STREAM_USER_CHANNEL + victim
+            VICTIM, _STREAM_USER_CHANNEL + VICTIM
         )
         self._victim_energy = self._checked_energy(self._victim_channel)
         # Clean tap-domain fingerprint coordinates (beamspace, tap-major).
@@ -338,7 +340,7 @@ class TrialSimulator:
     def channels(self) -> list:
         """Every user's channel, by user index; the victim's is shared."""
         return [
-            self._victim_channel if k == self.cfg.victim_index
+            self._victim_channel if k == VICTIM
             else self._draw_channel(k, _STREAM_USER_CHANNEL + k)
             for k in range(self.cfg.num_users)
         ]
@@ -397,7 +399,7 @@ class TrialSimulator:
     def snapshot_attacked(self) -> np.ndarray:
         cfg = self.cfg
         attack_term = self.rho * self._clean_spectrum(
-            _pilot_spectra(cfg)[cfg.victim_index], self.attacker_channel
+            _pilot_spectra(cfg)[VICTIM], self.attacker_channel
         )
         return self.snapshot_quiet + attack_term
 
@@ -678,19 +680,19 @@ def fingerprint_stream(
     return out
 
 
-def _stream_results(
+def _stream_states(
     cfg: ScenarioConfig,
     n_streams: int,
     n_subframes: int,
     attack_start: int | None,
 ) -> tuple:
-    """(sequential-detector results, failed-stream count) over the streams.
+    """(sequential-detector states, failed-stream count) over the streams.
 
     A stream whose extraction fails is skipped and counted, so one bad
     deployment does not end the run; if every stream fails there is
     nothing to report.
     """
-    results = []
+    states = []
     failed = 0
     for stream in range(n_streams):
         try:
@@ -700,14 +702,14 @@ def _stream_results(
         except ExtractionError:
             failed += 1
             continue
-        results.append(
+        states.append(
             run_stream(fingerprints, threshold=cfg.similarity_threshold)
         )
-    if not results:
+    if not states:
         raise InsufficientDataError(
             f"extraction failed in all {n_streams} streams"
         )
-    return results, failed
+    return states, failed
 
 
 @dataclass(frozen=True)
@@ -741,11 +743,11 @@ def calibrate(
         )
     if not 0.0 < quantile < 1.0:
         raise ConfigurationError("quantile must lie strictly inside (0, 1)")
-    results, failed = _stream_results(
+    states, failed = _stream_states(
         cfg, n_streams, subframes_per_stream, attack_start=None
     )
     similarities = np.asarray([
-        outcome.similarity for result in results for outcome in result.outcomes
+        outcome.similarity for state in states for outcome in state.history
     ])
     return CalibrationResult(
         similarities=tuple(float(v) for v in similarities),
@@ -804,11 +806,11 @@ def run_detection_delay(
         )
     if n_streams < 1:
         raise ConfigurationError("need at least one stream")
-    results, failed = _stream_results(
+    states, failed = _stream_states(
         cfg, n_streams, n_subframes, attack_start=attack_start
     )
     return DelayResult(
-        first_alarms=tuple(result.first_alarm_index for result in results),
+        first_alarms=tuple(state.first_alarm_index for state in states),
         attack_start=attack_start,
         n_subframes=n_subframes,
         failed_streams=failed,

