@@ -79,6 +79,8 @@ class ClusterTable:
     def __post_init__(self) -> None:
         for name in ("delays_ns", "powers", "azimuths_deg", "spreads_deg"):
             column = np.array(getattr(self, name), dtype=float)
+            if column.ndim != 1:
+                raise ClusterTableError(f"{name} must be a list of numbers")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         arrays = (self.delays_ns, self.powers, self.azimuths_deg, self.spreads_deg)
@@ -108,36 +110,49 @@ class ClusterTable:
 
         Recognized keys: ``delays_ns``, ``powers_db`` (relative powers in dB,
         normalized here to sum to one in linear units), ``azimuths_deg``,
-        ``spreads_deg``, and optional ``ricean_k_db``.
+        ``spreads_deg``, and optional ``ricean_k_db``.  A missing key or a
+        value that is not a number raises :class:`ClusterTableError`.
         """
         try:
             delays = np.asarray(raw["delays_ns"], dtype=float)
             powers_db = np.asarray(raw["powers_db"], dtype=float)
             azimuths = np.asarray(raw["azimuths_deg"], dtype=float)
             spreads = np.asarray(raw["spreads_deg"], dtype=float)
+            k_db = raw.get("ricean_k_db")
+            k_db = None if k_db is None else float(k_db)
         except KeyError as missing:
             raise ClusterTableError(f"cluster table missing key {missing}") from None
+        except (TypeError, ValueError) as exc:
+            raise ClusterTableError(f"cluster table value: {exc}") from None
         powers = 10.0 ** (powers_db / 10.0)
         total = float(np.sum(powers))
         if total <= 0:
             raise ClusterTableError("cluster powers sum to zero")
-        k_db = raw.get("ricean_k_db")
         return cls(
             delays_ns=delays,
             powers=powers / total,
             azimuths_deg=azimuths,
             spreads_deg=spreads,
-            ricean_k_db=None if k_db is None else float(k_db),
+            ricean_k_db=k_db,
         )
 
 
 def load_cluster_table(path: str | Path) -> ClusterTable:
-    """Load a :class:`ClusterTable` from a YAML file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ClusterTableError(f"{path}: expected a mapping at top level")
-    return ClusterTable.from_dict(raw)
+    """Load a :class:`ClusterTable` from a YAML file.
+
+    A file that cannot be read, is not valid YAML or does not hold a valid
+    table raises :class:`ClusterTableError` naming the path, so a trial
+    records it as it records any other configuration error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+        if not isinstance(raw, dict):
+            raise ClusterTableError("expected a mapping at top level")
+        return ClusterTable.from_dict(raw)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError,
+            ClusterTableError) as exc:
+        raise ClusterTableError(f"{path}: {exc}") from exc
 
 
 def default_cluster_table() -> ClusterTable:

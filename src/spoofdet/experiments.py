@@ -908,7 +908,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     records = run_trials(cfg)
     complete = [r for r in records if not r.failed]
     if not complete:
-        raise InsufficientDataError("every trial failed; nothing to report")
+        raise InsufficientDataError(
+            "every trial failed; nothing to report; first error: "
+            + records[0].error
+        )
     curves = [roc_from_outcomes(records, name) for name in DETECTOR_NAMES]
     wall = time.perf_counter() - started
     destination = cfg.output_dir if out_dir is None else out_dir

@@ -151,10 +151,6 @@ class SensingBatch:
     def sample_mean(self) -> float:
         return float(np.mean(self.samples))
 
-    def offset(self, phi: np.ndarray) -> float:
-        """The common offset ``mean(s) - ||phi||^2`` absorbed by the loss."""
-        return _evaluate(self, phi).offset
-
 
 @dataclass(frozen=True)
 class ExtractionDiagnostics:

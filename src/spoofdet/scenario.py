@@ -15,9 +15,7 @@ Conventions baked in here rather than scattered through the harness:
   The stated signal-to-noise ratio is interpreted at the channel-estimate
   level: the per-element estimate-noise variance is
   ``ESTIMATE_SIGNAL_LEVEL / snr_linear``, with ``ESTIMATE_SIGNAL_LEVEL =
-  5.0`` the estimate's reference signal level per element.  The full
-  chain's nominal noise variance (``link.LinkConfig.for_scenario``) is
-  back-solved from that target.
+  5.0`` the estimate's reference signal level per element.
 * User 0 is the monitored user (``experiments.VICTIM``).  Users are
   exchangeable, so any one of them stands for all: every channel is drawn
   i.i.d. from its own seed stream, every pilot is a cyclic shift of one

@@ -13,6 +13,7 @@ from spoofdet.channel import (
     default_cluster_table,
     draw_azimuths,
     draw_channel,
+    load_cluster_table,
     steering_vector,
     vectorize_taps,
 )
@@ -79,6 +80,32 @@ class TestClusterTable:
     def test_missing_key_rejected(self):
         with pytest.raises(ClusterTableError):
             ClusterTable.from_dict({"delays_ns": [0.0]})
+
+    @pytest.mark.parametrize("raw", [
+        {"delays_ns": ["a"]},
+        {"delays_ns": 0.0},
+        {"delays_ns": None},
+        {"ricean_k_db": "strong"},
+    ])
+    def test_non_numeric_value_rejected(self, raw):
+        good = {"delays_ns": [0.0], "powers_db": [0.0],
+                "azimuths_deg": [0.0], "spreads_deg": [1.0]}
+        with pytest.raises(ClusterTableError):
+            ClusterTable.from_dict({**good, **raw})
+
+    @pytest.mark.parametrize("text", [
+        None,  # no file
+        "delays_ns: [0.0\n  : :\n",  # not YAML
+        "- 1\n- 2\n",  # not a mapping
+        "delays_ns: [a]\npowers_db: [0]\nazimuths_deg: [0]\n"
+        "spreads_deg: [1]\n",
+    ], ids=["missing", "invalid-yaml", "list", "non-numeric"])
+    def test_unreadable_file_names_its_path(self, tmp_path, text):
+        path = tmp_path / "table.yaml"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ClusterTableError, match="table.yaml: "):
+            load_cluster_table(path)
 
     def test_columns_are_read_only_copies(self):
         # One table is shared by every trial of a run, so no caller may

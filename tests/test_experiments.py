@@ -56,8 +56,6 @@ from spoofdet.extractor import (
     extract,
 )
 from spoofdet.link import (
-    AttackProfile,
-    LinkConfig,
     build_subframe_batch,
     ls_estimate,
     to_frequency_domain,
@@ -239,6 +237,42 @@ class TestRunScenario:
         assert digest.hexdigest() == GOLDEN_TINY_TRIALS_CSV_SHA256
 
 
+class TestBadClusterTable:
+    """A cluster table the trials cannot read is a configuration error that
+    every trial records; it does not end the run."""
+
+    TEXTS = {
+        "missing": None,
+        "invalid-yaml": "delays_ns: [0.0\n  : :\n",
+        "non-numeric": "delays_ns: [a]\npowers_db: [0]\n"
+                       "azimuths_deg: [0]\nspreads_deg: [1]\n",
+    }
+
+    @staticmethod
+    def cell(tmp_path, text):
+        path = tmp_path / "table.yaml"
+        if text is not None:
+            path.write_text(text)
+        return ScenarioConfig(**{**TINY, "trials": 2}, cluster_table=str(path))
+
+    @pytest.mark.parametrize("kind", TEXTS)
+    def test_every_trial_records_it(self, tmp_path, kind):
+        records = run_trials(self.cell(tmp_path, self.TEXTS[kind]))
+        assert [r.trial_index for r in records] == [0, 1]
+        for record in records:
+            assert record.failed
+            assert record.error.startswith(
+                f"trial {record.trial_index}: ClusterTableError: "
+                f"{tmp_path / 'table.yaml'}: "
+            )
+
+    def test_run_scenario_says_why(self, tmp_path):
+        cfg = self.cell(tmp_path, None)
+        with pytest.raises(InsufficientDataError,
+                           match="first error: trial 0: ClusterTableError"):
+            run_scenario(cfg, tmp_path / "out")
+
+
 class TestShortcutsMatchLinkChain:
     """``TrialSimulator`` builds its observations in closed form; with the
     noise switched off they must equal what the full chain produces:
@@ -254,20 +288,16 @@ class TestShortcutsMatchLinkChain:
     @staticmethod
     def chain_estimate(simulator, attacked):
         cfg = simulator.cfg
-        link_cfg = LinkConfig.for_scenario(cfg)
         pool = cfg.build_pool()
-        attack = (
-            AttackProfile(True, simulator.rho, simulator.attacker_channel)
-            if attacked else AttackProfile.inactive()
+        attacker = (
+            simulator.rho * simulator.attacker_channel if attacked else None
         )
         y_td = transmit_receive_td(
-            pool, simulator.channels, attack, link_cfg, rng=0,
-            noise_variance=0.0,
+            pool, simulator.channels, attacker, 0.0, cfg.n_samples, rng=0
         )
-        y_fd = to_frequency_domain(y_td, link_cfg)
+        y_fd = to_frequency_domain(y_td)
         estimate = ls_estimate(
-            y_fd, pool.sequence_for_user(0), link_cfg,
-            cfg.num_taps, subframe_index=1,
+            y_fd, pool.sequence_for_user(0), cfg.num_taps, subframe_index=1
         )
         return y_fd, estimate
 

@@ -4,16 +4,13 @@ key checking, the reproducibility hash, and the link-layer noise mapping."""
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spoofdet.baselines import SdConfig
 from spoofdet.errors import ConfigurationError
 from spoofdet.extractor import ExtractorConfig
-from spoofdet.link import (
-    LinkConfig,
-    fd_noise_variance,
-    td_equivalent_noise_variance,
-)
+from spoofdet.link import simulate_subframe
 from spoofdet.scenario import ScenarioConfig
 
 # Every section set away from its default, so a field dropped on the way
@@ -253,19 +250,27 @@ class TestPinnedOutput:
         assert cfg.config_hash() == digest
 
 
-class TestLinkConfig:
-    @pytest.mark.parametrize("cfg", [ScenarioConfig(), CUSTOM])
+class TestLinkChainNoise:
+    @pytest.mark.parametrize(
+        "cfg", [ScenarioConfig(), replace(CUSTOM, cluster_table=None)]
+    )
     def test_reproduces_tap_noise_variance(self, cfg):
-        link = LinkConfig.for_scenario(cfg)
-        assert link.n_subcarriers == cfg.sequence_length
-        assert link.n_samples == cfg.n_samples
-        # One variance serves both laws: the tap-form estimate noise is the
-        # frequency-domain noise over N, and the receive noise of the
-        # snapshot and energy shortcuts is the chain's time-domain
-        # injection variance.
-        assert fd_noise_variance(link) / cfg.sequence_length == (
-            pytest.approx(cfg.receive_noise_variance, rel=1e-12)
+        # One variance serves both laws: receive noise at the scenario's
+        # ``receive_noise_variance`` gives the full chain's frequency-domain
+        # estimates the ``estimate_noise_variance`` of the scenario, and its
+        # tap-form estimates (what the sensing-batch shortcut draws) the
+        # receive noise variance again.  With zero channels the estimates
+        # are pure noise.
+        zero = np.zeros((cfg.num_taps, cfg.num_antennas), dtype=complex)
+        # Enough samples for about 20000 tap-form noise values.
+        n_samples = -(-20_000 // zero.size)
+        estimate = simulate_subframe(
+            cfg.build_pool(), [zero] * cfg.num_users, None,
+            cfg.receive_noise_variance, n_samples, rng=3,
         )
-        assert cfg.receive_noise_variance == pytest.approx(
-            td_equivalent_noise_variance(link), rel=1e-12
+        assert np.mean(np.abs(estimate.fd) ** 2) == pytest.approx(
+            cfg.estimate_noise_variance, rel=0.03
+        )
+        assert np.mean(np.abs(estimate.tap) ** 2) == pytest.approx(
+            cfg.receive_noise_variance, rel=0.03
         )
