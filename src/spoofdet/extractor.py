@@ -9,11 +9,12 @@ samples: it minimizes the mean squared residual
     mean_l [ s(l) - |<h(l), phi>|^2 - (mean(s) - ||phi||^2) ]^2
 
 over ``phi`` by hard-thresholded gradient descent, started from a spectral
-initializer restricted to a pre-selected coordinate subset.  The recovered
-support concentrates on the dominant beams of the underlying channel, so
-the normalized vector acts as a spatial fingerprint: stable across
-subframes for one transmitter, disrupted when a second transmitter
-contaminates the estimates.
+initializer restricted to a pre-selected coordinate subset (its covariance
+is a sum of ``L`` rank-one terms, so a subset wider than ``L`` is solved as
+an ``L x L`` eigenproblem).  The recovered support concentrates on the
+dominant beams of the underlying channel, so the normalized vector acts as
+a spatial fingerprint: stable across subframes for one transmitter,
+disrupted when a second transmitter contaminates the estimates.
 
 The loss depends on ``phi`` only through ``|<h, phi>|^2`` and ``||phi||^2``,
 so solutions carry an arbitrary global phase; consumers must compare
@@ -321,7 +322,7 @@ def select_support(batch: SensingBatch) -> tuple:
     """
     stat = support_statistic(batch)
     gamma = support_threshold(batch.dimension, batch.n_samples)
-    return tuple(int(i) for i in np.flatnonzero(stat > gamma))
+    return tuple(np.flatnonzero(stat > gamma).tolist())
 
 
 def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
@@ -334,36 +335,64 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
     identically zero (all samples equal), the direction falls back to the
     basis vector of the largest-screening-statistic support coordinate.
 
+    The covariance ``z = A diag(w) A^H / L`` (``A`` the ``s x L`` support
+    probes, transposed; ``w`` the centered samples) has rank at most ``L``.
+    So for ``s <= L`` the ``s x s`` matrix ``z`` is solved, and for a wider
+    support the ``L x L`` matrix ``T = R diag(w) R^H / L`` of the reduced
+    factorization ``A = Q R``: ``z = Q T Q^H``, so the nonzero eigenpairs of
+    ``z`` are those of ``T`` carried through ``Q``.  The non-finite and the
+    all-zero checks read the matrix that is solved.
+
     Returns ``(phi, degenerate)``, where ``degenerate`` says whether the
     fallback was taken.
-    """
-    support = tuple(int(i) for i in support)
-    if len(support) == 0:
-        raise InitializationError("cannot initialize on an empty support")
-    if any(i < 0 or i >= batch.dimension for i in support):
-        raise ConfigurationError(f"support {support} outside the dimension")
 
-    sub = batch.probes[:, support]
+    Raises
+    ------
+    InitializationError
+        If the support is empty or the solved matrix is not finite.
+    ConfigurationError
+        If the support holds a non-integer, a repeated or an out-of-range
+        coordinate.
+    """
+    index = np.asarray(support)
+    if index.size == 0:
+        raise InitializationError("cannot initialize on an empty support")
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"support {support} is not a sequence of integers"
+        )
+    ordered = np.sort(index)
+    if ordered[0] < 0 or ordered[-1] >= batch.dimension:
+        raise ConfigurationError(f"support {support} outside the dimension")
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ConfigurationError(f"support {support} repeats a coordinate")
+
+    factor = batch.probes[:, index].T  # A
     weights = batch.samples - batch.sample_mean
-    z = (sub.T * weights) @ sub.conj() / batch.n_samples
-    if not np.all(np.isfinite(z)):
+    basis = None
+    if index.size > batch.n_samples:
+        basis, factor = np.linalg.qr(factor)  # Q and R
+    matrix = (factor * weights) @ factor.conj().T / batch.n_samples
+    if not np.all(np.isfinite(matrix)):
         raise InitializationError("centered probe covariance is not finite")
 
-    scale = float(np.max(np.abs(z))) if z.size else 0.0
+    scale = float(np.max(np.abs(matrix)))
     degenerate = scale < 1e-15 * max(1.0, abs(batch.sample_mean))
     if degenerate:
         # All samples equal: the centered covariance vanishes and no
         # spectral direction exists.  Fall back to the support coordinate
         # with the largest screening statistic.
-        stat = support_statistic(batch)[list(support)]
-        v_sub = np.zeros(len(support), dtype=np.complex128)
+        stat = support_statistic(batch)[index]
+        v_sub = np.zeros(index.size, dtype=np.complex128)
         v_sub[int(np.argmax(stat))] = 1.0
     else:
-        eigenvalues, eigenvectors = np.linalg.eigh(z)
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
         v_sub = eigenvectors[:, int(np.argmax(np.abs(eigenvalues)))]
+        if basis is not None:
+            v_sub = basis @ v_sub
 
     v = np.zeros(batch.dimension, dtype=np.complex128)
-    v[list(support)] = v_sub
+    v[index] = v_sub
     quad = float(
         np.mean(batch.samples * np.abs(_responses(batch, v)) ** 2)
     )
@@ -474,7 +503,7 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
     if point.norm == 0.0:  # also when the squares of tiny entries underflow
         raise ExtractionError(_ZERO_VECTOR)
 
-    final_support = tuple(int(i) for i in np.flatnonzero(phi))
+    final_support = tuple(np.flatnonzero(phi).tolist())
     diagnostics = ExtractionDiagnostics(
         final_loss=float(current_loss),
         iterations=iterations,

@@ -6,8 +6,9 @@ closed-form constants, Monte Carlo recovery on noiseless planted
 instances with known sparse ground truth, a bit-exact reference copy
 of the descent loop built from the public per-point functions, the
 expressions the per-point quantities and the probe draws were first
-written with, matched to the bit, and a spy on the point evaluations of a
-descent started at the exact zero vector.
+written with, matched to the bit, a spy on the point evaluations of a
+descent started at the exact zero vector, and a test-only copy of the
+spectral start that always solves the full support-by-support covariance.
 """
 
 import math
@@ -67,6 +68,51 @@ def random_phi(dimension, seed, scale=1.0):
 def cosine(a, b):
     denom = np.linalg.norm(a) * np.linalg.norm(b)
     return abs(np.vdot(a, b)) / denom
+
+
+def full_spectral_init(batch, support):
+    """Test-only copy of the spectral start that solves the ``s x s``
+    support covariance for every support width."""
+    support = tuple(support)
+    sub = batch.probes[:, support]
+    weights = batch.samples - batch.sample_mean
+    z = (sub.T * weights) @ sub.conj() / batch.n_samples
+    if not np.all(np.isfinite(z)):
+        raise InitializationError("centered probe covariance is not finite")
+    scale = float(np.max(np.abs(z)))
+    degenerate = scale < 1e-15 * max(1.0, abs(batch.sample_mean))
+    if degenerate:
+        stat = support_statistic(batch)[list(support)]
+        v_sub = np.zeros(len(support), dtype=np.complex128)
+        v_sub[int(np.argmax(stat))] = 1.0
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigh(z)
+        v_sub = eigenvectors[:, int(np.argmax(np.abs(eigenvalues)))]
+    v = np.zeros(batch.dimension, dtype=np.complex128)
+    v[list(support)] = v_sub
+    responses = np.abs(batch.probes.conj() @ v) ** 2
+    psi = float(np.mean(batch.samples * responses)) - batch.sample_mean
+    return v * math.sqrt(abs(psi) / 2.0), degenerate
+
+
+def direction_energy(batch, phi):
+    """``|psi| / 2`` for the direction of ``phi``: the squared norm the
+    spectral start gives that direction."""
+    v = phi / np.linalg.norm(phi)
+    responses = np.abs(batch.probes.conj() @ v) ** 2
+    psi = float(np.mean(batch.samples * responses)) - batch.sample_mean
+    return abs(psi) / 2
+
+
+@pytest.fixture(scope="module")
+def l48_reference_batches():
+    """Reference batches of 30 ``rb_count=4`` (L=48) trials, whose screens
+    keep more coordinates than there are samples."""
+    cfg = ScenarioConfig(rb_count=4)
+    return [
+        TrialSimulator(cfg, trial).sensing_batch(1, False)
+        for trial in range(30)
+    ]
 
 
 class TestLoss:
@@ -289,6 +335,12 @@ class TestSupportSelection:
         assert match >= 95
         assert subset >= 99
 
+    def test_support_is_a_tuple_of_python_ints(self):
+        batch, _ = planted_batch(16, 300, (5, 12), [1.1, 0.9], 78)
+        picked = select_support(batch)
+        assert isinstance(picked, tuple) and picked
+        assert all(type(i) is int for i in picked)
+
 
 class TestSpectralInit:
     def test_singleton_support(self):
@@ -337,16 +389,23 @@ class TestSpectralInit:
                 good += 1
         assert good >= 18
 
-    def test_constant_samples_fallback_vector(self):
+    @pytest.mark.parametrize(
+        "n_samples, dimension, support",
+        [(40, 6, (1, 4)), (5, 9, (0, 2, 3, 5, 7, 8))],
+        ids=["narrow", "wide"],
+    )
+    def test_constant_samples_fallback_vector(
+        self, n_samples, dimension, support
+    ):
         gen = np.random.default_rng(3)
-        probes = draw_gaussian_probes(40, 6, gen)
-        batch = SensingBatch(probes=probes, samples=np.full(40, 3.0))
-        phi0, degenerate = spectral_init(batch, (1, 4))
+        probes = draw_gaussian_probes(n_samples, dimension, gen)
+        batch = SensingBatch(probes=probes, samples=np.full(n_samples, 3.0))
+        phi0, degenerate = spectral_init(batch, support)
         assert degenerate
         nonzero = np.flatnonzero(phi0)
         assert len(nonzero) == 1
         stat = support_statistic(batch)
-        expected_index = (1, 4)[int(np.argmax(stat[[1, 4]]))]
+        expected_index = support[int(np.argmax(stat[list(support)]))]
         assert nonzero[0] == expected_index
 
     def test_empty_support_error(self):
@@ -359,15 +418,83 @@ class TestSpectralInit:
         with pytest.raises(ConfigurationError):
             spectral_init(batch, (5,))
 
-    def test_nonfinite_samples_error(self):
+    @pytest.mark.parametrize(
+        "n_samples, dimension, support",
+        [(8, 3, (0, 1)), (3, 5, (0, 1, 2, 4))],
+        ids=["narrow", "wide"],
+    )
+    def test_nonfinite_samples_error(self, n_samples, dimension, support):
         gen = np.random.default_rng(9)
-        probes = draw_gaussian_probes(8, 3, gen)
-        samples = np.ones(8)
+        probes = draw_gaussian_probes(n_samples, dimension, gen)
+        samples = np.ones(n_samples)
         samples[2] = np.inf
         batch = SensingBatch(probes=probes, samples=samples)
         with np.errstate(invalid="ignore"):
             with pytest.raises(InitializationError):
-                spectral_init(batch, (0, 1))
+                spectral_init(batch, support)
+
+    @pytest.mark.parametrize(
+        "support",
+        [(2, 2), (2.7,), (1, 2.5), (True,), ("2",)],
+        ids=["repeated", "float", "mixed", "bool", "string"],
+    )
+    def test_non_integer_or_repeated_support_error(self, support):
+        # A repeated coordinate would split the eigenvector over two
+        # columns and keep only the last write; a float would be truncated.
+        gen = np.random.default_rng(3)
+        probes = draw_gaussian_probes(40, 6, gen)
+        batch = SensingBatch(probes=probes, samples=gen.uniform(size=40))
+        with pytest.raises(ConfigurationError):
+            spectral_init(batch, support)
+
+    def test_numpy_integer_support_accepted(self):
+        batch = random_batch(6, 40, 2)
+        phi0, _ = spectral_init(batch, np.array([1, 4], dtype=np.uint8))
+        assert np.array_equal(phi0, spectral_init(batch, (1, 4))[0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wide_support_matches_full_eigenproblem(self, seed):
+        # More support coordinates than samples: the start solves the
+        # L x L problem, and must find the s x s problem's lead direction.
+        batch, _ = planted_batch(
+            64, 20, (3, 17, 40), [1.0, 0.8, 0.6], seed + 300
+        )
+        width = batch.n_samples + 3 + 7 * seed
+        picked = np.random.default_rng(seed).choice(64, width, replace=False)
+        support = tuple(sorted(picked.tolist()))
+        assert len(support) > batch.n_samples
+        phi0, degenerate = spectral_init(batch, support)
+        assert not degenerate
+        assert set(np.flatnonzero(phi0)) <= set(support)
+        lead, _ = full_spectral_init(batch, support)
+        assert cosine(phi0, lead) >= 1.0 - 1e-10
+        assert np.linalg.norm(phi0) ** 2 == pytest.approx(
+            direction_energy(batch, phi0), rel=1e-10
+        )
+
+    def test_wide_simulator_supports_match_full_eigenproblem(
+        self, l48_reference_batches
+    ):
+        for batch in l48_reference_batches:
+            support = select_support(batch)
+            assert len(support) > batch.n_samples
+            phi0, degenerate = spectral_init(batch, support)
+            assert not degenerate
+            lead, _ = full_spectral_init(batch, support)
+            assert cosine(phi0, lead) >= 1.0 - 1e-10
+            assert np.linalg.norm(phi0) ** 2 == pytest.approx(
+                direction_energy(batch, phi0), rel=1e-10
+            )
+
+    def test_support_as_wide_as_the_batch_keeps_the_full_solve(self):
+        # s == L still solves the s x s covariance, to the bit.
+        batch = random_batch(12, 7, 31)
+        support = (0, 2, 3, 5, 8, 10, 11)
+        assert len(support) == batch.n_samples
+        phi0, degenerate = spectral_init(batch, support)
+        expected, expected_degenerate = full_spectral_init(batch, support)
+        assert degenerate == expected_degenerate
+        assert same_bits(phi0, expected)
 
 
 class TestExtract:
@@ -471,6 +598,22 @@ class TestExtract:
             assert evaluated[0] and not evaluated[-1]
             counts.append(len(evaluated))
         assert counts[0] == counts[1]
+
+    def test_wide_start_fails_as_the_full_start_does(
+        self, l48_reference_batches, monkeypatch
+    ):
+        # Every L=48 reference extraction fails, so the bench digests
+        # cannot see the start; the full s x s start must fail the same way.
+        expected = []
+        for batch in l48_reference_batches:
+            with pytest.raises(ExtractionError) as raised:
+                extract(batch)
+            expected.append(str(raised.value))
+        monkeypatch.setattr(extractor, "spectral_init", full_spectral_init)
+        for batch, message in zip(l48_reference_batches, expected):
+            with pytest.raises(ExtractionError) as raised:
+                extract(batch)
+            assert str(raised.value) == message
 
     def test_constant_samples_degenerate_flag(self):
         gen = np.random.default_rng(5)
