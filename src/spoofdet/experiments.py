@@ -1,4 +1,4 @@
-"""Monte Carlo experiment engine: paired trials, ROC curves, result files.
+"""Monte Carlo experiment engine: paired trials, streams, ROC curves, files.
 
 Each trial draws one deployment (an azimuth and a channel per actor), then
 produces the decision statistics of all three detectors under both
@@ -37,12 +37,14 @@ energies and the clean snapshot spectra are built on first access, and each
 subframe's probes (with their conjugate), tap noise and snapshot noise are
 drawn once, for both arms.
 
-``run_single_trial`` starts the three extractions (the reference, the quiet
-test and the attacked test, each through its first iteration) before it
-finishes any of them, and builds the baseline inputs only after all three
-succeed.  An extraction whose first iterate is exactly zero raises at its
-start, so such a trial reads one or two of the K + 1 channels and builds no
-baseline input.
+Trials and streams extract by one rule: their ``(subframe, attacked)``
+schedule goes to ``extractor.extract_all`` as a generator of sensing
+batches, so each batch is built only after the descent before it has
+started, and a descent whose first iterate is zero ends the schedule there.
+A trial's schedule is ``TRIAL_SCHEDULE``, and only a trial whose three
+extractions succeed builds its baseline inputs; a stream's is subframes
+``1..n``, attacked from the onset on.  ``DETECTORS`` names each detector's
+statistic, ``trials.csv`` columns and ROC orientation.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,27 +75,54 @@ from .channel import (
 from .detector import run_stream, similarity
 from .errors import (
     ConfigurationError,
-    ExtractionError,
     InsufficientDataError,
     SpoofdetError,
 )
 from .extractor import (
     SensingBatch,
     SparsityFingerprint,
-    _Descent,
     draw_gaussian_probes,
-    extract,
+    extract_all,
 )
 from .scenario import ScenarioConfig
 
-DETECTOR_NAMES = ("sparsity", "energy", "subspace")
+
+class Detector(NamedTuple):
+    """One detector: its name, the ``ArmObservables`` field holding its
+    statistic, the stem of its two ``trials.csv`` columns, and its alarm
+    orientation (+1 alarms on large statistics, -1 on small ones)."""
+
+    name: str
+    field: str
+    column: str
+    orientation: float
+
+
+# The similarity detector alarms when its statistic drops.
+DETECTORS = (
+    Detector("sparsity", "similarity", "similarity", -1.0),
+    Detector("energy", "energy", "energy", 1.0),
+    Detector("subspace", "subspace_dimension", "subspace", 1.0),
+)
+DETECTOR_NAMES = tuple(detector.name for detector in DETECTORS)
+
+
+def _detector(name: str) -> Detector:
+    """The ``DETECTORS`` row called ``name``."""
+    for row in DETECTORS:
+        if row.name == name:
+            return row
+    raise ConfigurationError(
+        f"unknown detector {name!r}; expected one of {DETECTOR_NAMES}"
+    )
+
 
 # The monitored user; users are exchangeable (see ``scenario``).
 VICTIM = 0
 
-# Alarm orientation per detector: +1 alarms on large statistics, -1 on
-# small ones (the similarity detector alarms when the statistic drops).
-_ORIENTATION = {"sparsity": -1.0, "energy": 1.0, "subspace": 1.0}
+# The (subframe, attacked) pairs a paired trial extracts: the reference,
+# the quiet test and the attacked test.
+TRIAL_SCHEDULE = ((1, False), (2, False), (2, True))
 
 # Seed-stream identifiers.  Every random draw in a trial comes from
 # SeedSequence(master, spawn_key=(trial, stream)), so changing one trial
@@ -123,15 +153,7 @@ class ArmObservables:
     subspace_dimension: int
 
     def statistic(self, detector: str) -> float:
-        if detector == "sparsity":
-            return self.similarity
-        if detector == "energy":
-            return self.energy
-        if detector == "subspace":
-            return float(self.subspace_dimension)
-        raise ConfigurationError(
-            f"unknown detector {detector!r}; expected one of {DETECTOR_NAMES}"
-        )
+        return float(getattr(self, _detector(detector).field))
 
 
 @dataclass(frozen=True)
@@ -448,11 +470,6 @@ class TrialSimulator:
         vars(batch)["conj_probes"] = draws.conj_probes
         return batch
 
-    def extract_fingerprint(
-        self, subframe: int, attacked: bool
-    ) -> SparsityFingerprint:
-        return extract(self.sensing_batch(subframe, attacked), self.cfg.extractor)
-
     def energy_observation(self, subframe: int, attacked: bool) -> np.ndarray:
         """Isotropic-sketch energy samples of the raw received signal."""
         cfg = self.cfg
@@ -514,32 +531,21 @@ class TrialSimulator:
         )
 
 
-def _trial_fingerprints(simulator: TrialSimulator) -> tuple:
-    """The reference, quiet-test and attacked-test fingerprints.
-
-    The three descents are started in that order, then finished in that
-    order; the first error of either pass ends the trial.
-    """
-    extractor = simulator.cfg.extractor
-    descents = [
-        _Descent(simulator.sensing_batch(subframe, attacked), extractor)
-        for subframe, attacked in ((1, False), (2, False), (2, True))
-    ]
-    return tuple(descent.finish() for descent in descents)
-
-
 def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
     """Run one paired trial; failures become records, not exceptions.
 
-    The three extractions (the reference from subframe 1, then the quiet
-    and the attacked test from subframe 2) run first, as they are the steps
-    that fail; only a trial that passes all three builds its energy and
-    subspace statistics, whose inputs cannot fail on a config that
-    validates.
+    The extractions of ``TRIAL_SCHEDULE`` (the reference from subframe 1,
+    then the quiet and the attacked test from subframe 2) run first, as
+    they are the steps that fail; only a trial that passes all three builds
+    its energy and subspace statistics, whose inputs cannot fail on a
+    config that validates.
     """
     try:
         simulator = TrialSimulator(cfg, trial_index)
-        reference, test_quiet, test_attacked = _trial_fingerprints(simulator)
+        reference, test_quiet, test_attacked = extract_all(
+            (simulator.sensing_batch(*pair) for pair in TRIAL_SCHEDULE),
+            cfg.extractor,
+        )
         return TrialRecord(
             trial_index,
             simulator.arm_observables(reference, test_quiet, attacked=False),
@@ -588,10 +594,7 @@ def run_trials(cfg: ScenarioConfig) -> list:
 
 def detector_scores(records, detector: str) -> tuple:
     """(attack statistics, no-attack statistics) over completed trials."""
-    if detector not in DETECTOR_NAMES:
-        raise ConfigurationError(
-            f"unknown detector {detector!r}; expected one of {DETECTOR_NAMES}"
-        )
+    _detector(detector)  # an unknown name raises even without records
     attack = [
         r.attacked.statistic(detector) for r in records if not r.failed
     ]
@@ -634,7 +637,7 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
         raise InsufficientDataError(
             f"ROC for {detector!r} needs completed trials of both classes"
         )
-    orientation = _ORIENTATION[detector]
+    orientation = _detector(detector).orientation
     attack_s = orientation * attack
     normal_s = orientation * normal
     cuts = np.concatenate(
@@ -665,19 +668,21 @@ def fingerprint_stream(
     n_subframes: int,
     attack_start: int | None = None,
 ) -> list:
-    """Per-subframe fingerprints of one deployment.
+    """Fingerprints of subframes ``1..n_subframes`` of one deployment,
+    attacked from subframe ``attack_start`` on, if it is given.
 
-    The attack, if any, is active from subframe ``attack_start`` onward.
-    Raises ``ExtractionError`` if any subframe's extraction fails.
+    The schedule is extracted by ``extract_all``, as a trial's is; the
+    first error of the deployment or of an extraction is raised.
     """
     if n_subframes < 1:
         raise ConfigurationError("need at least one subframe")
     simulator = TrialSimulator(cfg, trial_index)
-    out = []
-    for subframe in range(1, n_subframes + 1):
-        attacked = attack_start is not None and subframe >= attack_start
-        out.append(simulator.extract_fingerprint(subframe, attacked))
-    return out
+    onset = n_subframes + 1 if attack_start is None else attack_start
+    batches = (
+        simulator.sensing_batch(s, s >= onset)
+        for s in range(1, n_subframes + 1)
+    )
+    return extract_all(batches, cfg.extractor)
 
 
 def _stream_states(
@@ -688,28 +693,30 @@ def _stream_states(
 ) -> tuple:
     """(sequential-detector states, failed-stream count) over the streams.
 
-    A stream whose extraction fails is skipped and counted, so one bad
-    deployment does not end the run; if every stream fails there is
-    nothing to report.
+    A stream that fails is skipped and counted, as a failed trial is
+    recorded, so one bad deployment does not end the run; if every stream
+    fails there is nothing to report, and the error names the first
+    stream's failure.
     """
     states = []
-    failed = 0
+    errors = []
     for stream in range(n_streams):
         try:
             fingerprints = fingerprint_stream(
                 cfg, stream, n_subframes, attack_start=attack_start
             )
-        except ExtractionError:
-            failed += 1
+        except SpoofdetError as exc:
+            errors.append(f"stream {stream}: {type(exc).__name__}: {exc}")
             continue
         states.append(
             run_stream(fingerprints, threshold=cfg.similarity_threshold)
         )
     if not states:
         raise InsufficientDataError(
-            f"extraction failed in all {n_streams} streams"
+            f"every one of the {n_streams} streams failed; first error: "
+            + errors[0]
         )
-    return states, failed
+    return states, len(errors)
 
 
 @dataclass(frozen=True)
@@ -721,7 +728,7 @@ class CalibrationResult:
     quantile: float
     fraction_above_threshold: float
     threshold: float
-    failed_streams: int  # streams skipped because extraction failed
+    failed_streams: int  # streams skipped because a step failed
 
 
 def calibrate(
@@ -735,7 +742,7 @@ def calibrate(
     Runs ``n_streams`` independent deployments for ``subframes_per_stream``
     subframes each without any attack, records every sequential similarity,
     and suggests the requested lower quantile as the threshold.  Streams
-    whose extraction fails are skipped and counted in ``failed_streams``.
+    that fail are skipped and counted in ``failed_streams``.
     """
     if n_streams < 1 or subframes_per_stream < 2:
         raise ConfigurationError(
@@ -768,7 +775,7 @@ class DelayResult:
     first_alarms: tuple  # subframe index or None per completed stream
     attack_start: int
     n_subframes: int
-    failed_streams: int  # streams skipped because extraction failed
+    failed_streams: int  # streams skipped because a step failed
 
     @property
     def median_first_alarm(self) -> float:
@@ -792,8 +799,8 @@ def run_detection_delay(
 ) -> DelayResult:
     """Measure when the sequential detector first alarms after attack onset.
 
-    Streams whose extraction fails are skipped and counted in
-    ``failed_streams``; the alarm figures cover the completed streams.
+    Streams that fail are skipped and counted in ``failed_streams``; the
+    alarm figures cover the completed streams.
     """
     if attack_start < 2:
         raise ConfigurationError(
@@ -855,39 +862,19 @@ def emit_results(
             rows,
         )
 
+    # Per detector, its quiet then its attacked statistic.
+    header = ["trial", "error"]
+    for row in DETECTORS:
+        header += [f"{row.column}_quiet", f"{row.column}_attack"]
     trial_rows = []
     for record in sorted(records, key=lambda r: r.trial_index):
-        if record.failed:
-            trial_rows.append(
-                (record.trial_index, record.error, "", "", "", "", "", "")
-            )
-        else:
-            trial_rows.append(
-                (
-                    record.trial_index,
-                    "",
-                    repr(record.quiet.similarity),
-                    repr(record.attacked.similarity),
-                    repr(record.quiet.energy),
-                    repr(record.attacked.energy),
-                    record.quiet.subspace_dimension,
-                    record.attacked.subspace_dimension,
-                )
-            )
-    _write_csv(
-        out / "trials.csv",
-        (
-            "trial",
-            "error",
-            "similarity_quiet",
-            "similarity_attack",
-            "energy_quiet",
-            "energy_attack",
-            "subspace_quiet",
-            "subspace_attack",
-        ),
-        trial_rows,
-    )
+        values = [""] * (len(header) - 2) if record.failed else [
+            repr(getattr(arm, row.field))
+            for row in DETECTORS
+            for arm in (record.quiet, record.attacked)
+        ]
+        trial_rows.append([record.trial_index, record.error or "", *values])
+    _write_csv(out / "trials.csv", header, trial_rows)
 
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -53,6 +53,7 @@ __all__ = [
     "support_threshold",
     "spectral_init",
     "extract",
+    "extract_all",
     "draw_gaussian_probes",
 ]
 
@@ -403,8 +404,9 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
 def extract(
     batch: SensingBatch, cfg: ExtractorConfig | None = None
 ) -> SparsityFingerprint:
-    """Full extraction: support screening, spectral start, thresholded
-    gradient descent with monotone backtracking.
+    """Full extraction of one batch, as :func:`extract_all` of ``[batch]``:
+    support screening, spectral start, thresholded gradient descent with
+    monotone backtracking.
 
     The descent ends at its first iterate that is exactly zero: the zero
     vector is a fixed point of the update (the gradient and the threshold
@@ -416,39 +418,34 @@ def extract(
         If the loss is not finite at the initializer, or an iterate is
         identically zero (samples carry no usable structure).
     """
+    return extract_all([batch], cfg)[0]
+
+
+def extract_all(batches, cfg: ExtractorConfig | None = None) -> list:
+    """The fingerprints of ``batches``, each as :func:`extract` gives it.
+
+    ``batches`` is read once and lazily: each descent is started (support
+    screen, spectral start, first iteration) before the next batch is
+    taken, and the descents are finished in order after the last start.
+    The first error, in that order, is raised.  Most failing descents fail
+    at their start, so such a sequence takes no batch after the failing
+    one and runs no more than the first iteration of the ones before it.
+    """
     if cfg is None:
         cfg = ExtractorConfig()
-    return _Descent(batch, cfg).finish()
-
-
-class _Descent:
-    """The descent of :func:`extract`, started on construction and run to
-    its end by :meth:`finish`.
-
-    Construction runs the support screen, the spectral start and the first
-    iteration, and raises what :func:`extract` would raise there.
-    """
-
-    def __init__(self, batch: SensingBatch, cfg: ExtractorConfig):
-        self._steps = _descend(batch, cfg)
-        self._fingerprint: SparsityFingerprint | None = None
-        self._advance()
-
-    def _advance(self) -> None:
-        try:
-            next(self._steps)
-        except StopIteration as stop:
-            self._fingerprint = stop.value
-
-    def finish(self) -> SparsityFingerprint:
-        while self._fingerprint is None:
-            self._advance()
-        return self._fingerprint
+    started = []
+    for batch in batches:
+        descent = _descend(batch, cfg)
+        started.append((descent, next(descent)))
+    return [
+        next(descent) if fingerprint is None else fingerprint
+        for descent, fingerprint in started
+    ]
 
 
 def _descend(batch: SensingBatch, cfg: ExtractorConfig):
-    """Generator behind ``_Descent``: yields after each iteration that does
-    not end the descent, and returns the fingerprint."""
+    """The descent of one batch as a generator: it yields None after its
+    first iteration unless that iteration ends it, then the fingerprint."""
     support = select_support(batch)
     init_fallback = len(support) == 0
     if init_fallback:
@@ -498,7 +495,8 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
         if change <= cfg.tolerance * scale:
             converged = True
             break
-        yield
+        if iterations == 1:
+            yield
 
     if point.norm == 0.0:  # also when the squares of tiny entries underflow
         raise ExtractionError(_ZERO_VECTOR)
@@ -513,7 +511,7 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
         converged=converged,
         backtracks_exhausted=backtracks_exhausted,
     )
-    return SparsityFingerprint(
+    yield SparsityFingerprint(
         values=phi,
         support=final_support,
         subframe_index=batch.subframe_index,

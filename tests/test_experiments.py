@@ -7,17 +7,19 @@ pinned to the bit; the full transmit/receive chain of ``link.py`` for the
 noise-free sensing batches and subspace snapshots that ``TrialSimulator``
 builds in closed form; the stated laws of the three noise shortcuts, by
 their moments; a fresh simulator per call for the builders' results
-in any call order; a counting spy on ``draw_channel`` for which
-channels a trial draws; the complex-noise expression the snapshot noise
-was first written with; whole trials run in the sequential order, each
+in any call order; counting spies on ``draw_channel`` and
+``TrialSimulator.sensing_batch`` for which channels and batches a trial
+builds; the complex-noise expression the snapshot noise was first written
+with; whole trials and streams run in the sequential order, each
 extraction to its end through the reference copy of the extractor's
-descent loop, for the records of the start-then-finish schedule; and a spy on
-the descents' point evaluations for how far each one ran.
+descent loop, for the results of the start-then-finish schedule; and a spy
+on the descents' point evaluations for how far each one ran.
 """
 
 import csv
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -27,6 +29,7 @@ import pytest
 from conftest import reference_extract, same_bits
 from spoofdet import experiments, extractor
 from spoofdet.channel import complex_normal, draw_channel
+from spoofdet.detector import run_stream
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -41,6 +44,7 @@ from spoofdet.experiments import (
     auc_rank,
     calibrate,
     detector_scores,
+    fingerprint_stream,
     roc_from_outcomes,
     run_detection_delay,
     run_scenario,
@@ -132,6 +136,18 @@ class TestRocFromOutcomes:
         failed = [TrialRecord(0, None, None, error="trial 0: failed")]
         with pytest.raises(InsufficientDataError):
             roc_from_outcomes(failed, "energy")
+
+    def test_unknown_detector_rejected(self):
+        records = [record(0, 1.0, 2.0)]
+        for call in (
+            lambda: records[0].quiet.statistic("residual"),
+            lambda: detector_scores([], "residual"),
+            lambda: roc_from_outcomes(records, "residual"),
+        ):
+            with pytest.raises(
+                ConfigurationError, match="unknown detector 'residual'"
+            ):
+                call()
 
 
 # Tiny cell: D = 4 taps x 8 antennas, L = 96.  With seed 7 the current
@@ -272,6 +288,18 @@ class TestBadClusterTable:
                            match="first error: trial 0: ClusterTableError"):
             run_scenario(cfg, tmp_path / "out")
 
+    def test_sequential_entry_points_say_why(self, tmp_path):
+        # Each stream fails as a trial does; none ends the run early.
+        cfg = self.cell(tmp_path, None)
+        why = "every one of the 3 streams failed; first error: stream 0: " \
+            "ClusterTableError"
+        with pytest.raises(InsufficientDataError, match=why):
+            calibrate(cfg, n_streams=3, subframes_per_stream=3)
+        with pytest.raises(InsufficientDataError, match=why):
+            run_detection_delay(
+                cfg, attack_start=2, n_subframes=3, n_streams=3
+            )
+
 
 class TestShortcutsMatchLinkChain:
     """``TrialSimulator`` builds its observations in closed form; with the
@@ -361,13 +389,18 @@ class TestShortcutsMatchLinkChain:
 
 
 def observed(simulator, name, *args):
-    """A builder's result (called with ``args``) or a lazily built input
-    (read when there are no ``args``) in comparable form; a failed
-    extraction gives its message."""
+    """A builder's result (called with ``args``), the extraction of a
+    sensing batch (``"extract"``), or a lazily built input (read when there
+    are no ``args``) in comparable form; a failed extraction gives its
+    message."""
     try:
-        value = getattr(simulator, name)
-        if args:
-            value = value(*args)
+        if name == "extract":
+            batch = simulator.sensing_batch(*args)
+            value = extract(batch, simulator.cfg.extractor)
+        else:
+            value = getattr(simulator, name)
+            if args:
+                value = value(*args)
     except ExtractionError as exc:
         return f"ExtractionError: {exc}"
     if isinstance(value, float):
@@ -415,25 +448,25 @@ class TestBuildersInAnyOrder:
         ],
         "snapshot_before_extract": [
             ("snapshot_window", 2, False),
-            ("extract_fingerprint", 2, False),
+            ("extract", 2, False),
             ("snapshot_window", 2, True),
-            ("extract_fingerprint", 2, True),
+            ("extract", 2, True),
         ],
         "snapshot_after_extract": [
-            ("extract_fingerprint", 2, True),
+            ("extract", 2, True),
             ("snapshot_window", 2, True),
-            ("extract_fingerprint", 2, False),
+            ("extract", 2, False),
             ("snapshot_window", 2, False),
         ],
         "inputs_before_extract": [
             ("rho",), ("channels",), ("clean_energy_quiet",),
             ("clean_energy_attacked",),
-            ("extract_fingerprint", 1, False),
-            ("extract_fingerprint", 2, True),
+            ("extract", 1, False),
+            ("extract", 2, True),
         ],
         "inputs_after_extract": [
-            ("extract_fingerprint", 1, False),
-            ("extract_fingerprint", 2, True),
+            ("extract", 1, False),
+            ("extract", 2, True),
             ("clean_energy_attacked",), ("rho",), ("psi_attacker",),
             ("attacker_channel",), ("clean_energy_quiet",), ("channels",),
         ],
@@ -480,6 +513,25 @@ class TestDrawsOnlyWhatIsRead:
         record = run_single_trial(cfg, 0)
         assert record.failed and "ExtractionError" in record.error
         assert sources == [0]
+
+    def test_reference_failure_builds_one_batch(self, monkeypatch):
+        # The victim's channel is drawn on construction, so the channel
+        # draws cannot see a subframe-2 batch built too early.
+        built = []
+        sensing_batch = TrialSimulator.sensing_batch
+
+        def counting(simulator, subframe, attacked):
+            built.append((subframe, attacked))
+            return sensing_batch(simulator, subframe, attacked)
+
+        monkeypatch.setattr(TrialSimulator, "sensing_batch", counting)
+        cfg = ScenarioConfig(**{**TINY, "rb_count": 1})
+        assert run_single_trial(cfg, 0).failed
+        assert built == [(1, False)]
+        built.clear()
+        with pytest.raises(ExtractionError):
+            fingerprint_stream(cfg, 0, 4, attack_start=2)
+        assert built == [(1, False)]
 
     def test_completed_trial_draws_each_channel_once(self, sources):
         cfg = ScenarioConfig()  # trial 1 of the default cell completes
@@ -667,11 +719,113 @@ class TestTrialMatchesReferenceLoop:
             extractor=ExtractorConfig(max_iterations=max_iterations),
         )
         # Every descent ends during its start, so its fingerprint must
-        # survive to finish(); with one iteration, trials 0-2 fail while
-        # starting a descent.
+        # survive to the finishing pass; with one iteration, trials 0-2
+        # fail while starting a descent.
         outcomes = [sequential_trial(cfg, i) for i in range(4)]
         assert not all(record.failed for record, _ in outcomes)
         self.assert_records_match(cfg, outcomes)
+
+
+def sequential_stream(cfg, index, n_subframes, attack_start):
+    """(fingerprints or error text, failing subframe or None) of one
+    stream, each extraction run to the end through the reference copy of
+    the descent loop before the next batch is built.  A deployment that
+    fails fails at subframe 0."""
+    subframe = 0
+    try:
+        simulator = TrialSimulator(cfg, index)
+        fingerprints = []
+        for subframe in range(1, n_subframes + 1):
+            attacked = attack_start is not None and subframe >= attack_start
+            batch = simulator.sensing_batch(subframe, attacked)
+            values, support, diagnostics = reference_extract(
+                batch, cfg.extractor
+            )
+            fingerprints.append(
+                SparsityFingerprint(values, support, subframe, diagnostics)
+            )
+    except SpoofdetError as exc:
+        return f"stream {index}: {type(exc).__name__}: {exc}", subframe
+    return fingerprints, None
+
+
+class TestStreamsMatchReferenceLoop:
+    """``calibrate`` and ``run_detection_delay`` start every descent of a
+    stream before they finish any; what they return equals what the
+    sequential order gives, and so does the error when every stream
+    fails."""
+
+    CELLS = TestTrialMatchesReferenceLoop.CELLS
+    N_STREAMS = 8
+    N_SUBFRAMES = 6
+    ATTACK_START = 4
+
+    def reference(self, cfg, attack_start):
+        """(detector states, errors, failing subframes) of the streams."""
+        states, errors, failing = [], [], []
+        for index in range(self.N_STREAMS):
+            out, subframe = sequential_stream(
+                cfg, index, self.N_SUBFRAMES, attack_start
+            )
+            if subframe is None:
+                states.append(
+                    run_stream(out, threshold=cfg.similarity_threshold)
+                )
+            else:
+                errors.append(out)
+                failing.append(subframe)
+        return states, errors, failing
+
+    def check(self, states, errors, run):
+        """``run()`` returns a result whose failed-stream count matches, or
+        raises the error naming the first stream's failure."""
+        if not states:
+            message = (
+                f"every one of the {self.N_STREAMS} streams failed; "
+                f"first error: {errors[0]}"
+            )
+            with pytest.raises(
+                InsufficientDataError, match=f"^{re.escape(message)}$"
+            ):
+                run()
+            return None
+        result = run()
+        assert result.failed_streams == len(errors)
+        return result
+
+    def test_results_equal(self):
+        failing = Counter()
+        completed = 0
+        for cfg in self.CELLS:
+            states, errors, quiet_failing = self.reference(cfg, None)
+            calibration = self.check(states, errors, lambda: calibrate(
+                cfg, self.N_STREAMS, self.N_SUBFRAMES
+            ))
+            if calibration is not None:
+                assert calibration.similarities == tuple(
+                    outcome.similarity
+                    for state in states for outcome in state.history
+                )
+            completed += len(states)
+
+            states, errors, attacked_failing = self.reference(
+                cfg, self.ATTACK_START
+            )
+            delay = self.check(states, errors, lambda: run_detection_delay(
+                cfg, self.ATTACK_START, self.N_SUBFRAMES, self.N_STREAMS
+            ))
+            if delay is not None:
+                assert delay.first_alarms == tuple(
+                    state.first_alarm_index for state in states
+                )
+            completed += len(states)
+            failing.update(quiet_failing + attacked_failing)
+        # Completed streams, and streams failing at the first subframe, at
+        # a later one before the onset, and at or after it.
+        assert completed > 0
+        assert 1 in failing
+        assert any(1 < k < self.ATTACK_START for k in failing)
+        assert any(k >= self.ATTACK_START for k in failing)
 
 
 def silent_attacker_draws(sources):
@@ -755,6 +909,57 @@ class TestEarlyStop:
         assert run_single_trial(cfg, 0).error == (
             "trial 0: ConfigurationError: trial 0: drew a zero-energy channel"
         )
+
+
+class TestStreamEarlyStop:
+    """A stream stops at the first descent whose start fails, having run
+    only the first iteration of the descents before it."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The batch of every point a descent evaluates, in call order."""
+        seen = []
+        evaluate = extractor._evaluate
+
+        def spy(batch, phi):
+            seen.append(batch)
+            return evaluate(batch, phi)
+
+        monkeypatch.setattr(extractor, "_evaluate", spy)
+        return seen
+
+    @pytest.mark.parametrize("index, failing", [(0, 3), (3, 6)])
+    def test_failure_at_subframe_k(self, evaluated, index, failing):
+        # Without an attack, stream 0 of this cell fails at subframe 3
+        # and stream 3 at subframe 6.
+        cfg = ScenarioConfig(master_seed=7)
+        with pytest.raises(ExtractionError, match="identically zero"):
+            fingerprint_stream(cfg, index, 6)
+        runs = {}
+        for batch in evaluated:
+            runs.setdefault(id(batch), []).append(batch)
+        runs = list(runs.values())
+        assert [calls[0].subframe_index for calls in runs] == list(
+            range(1, failing + 1)
+        )
+
+        def evaluations(batch, max_iterations):
+            evaluated.clear()
+            try:
+                extract(batch, replace(
+                    cfg.extractor, max_iterations=max_iterations
+                ))
+            except ExtractionError:
+                pass
+            return len(evaluated)
+
+        budget = cfg.extractor.max_iterations
+        for calls in runs[:-1]:
+            first = evaluations(calls[0], 1)
+            assert len(calls) == first < evaluations(calls[0], budget)
+        last = runs[-1]
+        assert len(last) == evaluations(last[0], 1)
+        assert len(last) == evaluations(last[0], budget)
 
 
 class TestNoiseShortcutMoments:

@@ -1,6 +1,8 @@
-"""Package hygiene: every exported name of every module exists, and the
-harness does not load the ``link`` test oracle."""
+"""Package hygiene: every exported name of every module exists, no module
+imports another's private name, and the harness does not load the ``link``
+test oracle."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -27,6 +29,23 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", ())
     missing = [item for item in exported if not hasattr(module, item)]
     assert missing == []
+
+
+def test_no_module_imports_a_private_name():
+    # A private name is an implementation detail of its own module.
+    imported = []
+    for name in MODULES:
+        path = os.path.join(SRC, "spoofdet", f"{name}.py")
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        imported += [
+            f"{name}: from {node.module} import {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert imported == []
 
 
 def test_harness_does_not_load_link_oracle():
