@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -172,13 +172,22 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold-swept operating points of one detector."""
+    """Threshold-swept operating points of one detector, with the AUC and
+    its DeLong standard error (NaN with fewer than two trials of a
+    class)."""
 
     detector: str
     points: tuple  # (p_fa, p_d, threshold) triples, p_fa ascending
     auc: float
     n_attack: int
     n_normal: int
+    auc_se: float
+
+    @property
+    def auc_ci95(self) -> tuple:
+        """Normal-approximation 95% interval of the AUC, cut to [0, 1]."""
+        half = _Z95 * self.auc_se
+        return max(0.0, self.auc - half), min(1.0, self.auc + half)
 
     def __post_init__(self) -> None:
         fa = [p[0] for p in self.points]
@@ -189,6 +198,10 @@ class RocCurve:
             raise ConfigurationError("points must be sorted by false-alarm rate")
         if not 0.0 <= self.auc <= 1.0:
             raise ConfigurationError("area under the curve must lie in [0, 1]")
+
+
+# The 97.5% quantile of the standard normal distribution.
+_Z95 = 1.959963984540054
 
 
 # Per-process memo of the inputs every trial of a run shares.  Filled on
@@ -576,6 +589,10 @@ def run_trials(cfg: ScenarioConfig) -> list:
     """
     indices = range(cfg.trials)
     if cfg.workers > 1:
+        # Imported here, so that a serial run and every import of this
+        # module skip loading the pool machinery (13-15 ms).
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(
                 pool.map(
@@ -602,6 +619,30 @@ def detector_scores(records, detector: str) -> tuple:
     return np.asarray(attack, dtype=float), np.asarray(normal, dtype=float)
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values`` in which tied values share the midrank
+    of the positions they occupy; NaNs rank above every number and tie
+    with one another."""
+    # A group starting at 0-based position ``start`` with ``count`` members
+    # gets rank ``start + (count + 1) / 2``.
+    _, group, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    starts = np.cumsum(counts) - counts
+    return (starts + 0.5 * (counts + 1))[group]
+
+
+def _oriented(attack_scores, normal_scores, orientation: float) -> tuple:
+    """Both classes' scores as float arrays times ``orientation``."""
+    attack = orientation * np.asarray(attack_scores, dtype=float)
+    normal = orientation * np.asarray(normal_scores, dtype=float)
+    if attack.size == 0 or normal.size == 0:
+        raise InsufficientDataError(
+            "ranking needs at least one sample of each class"
+        )
+    return attack, normal
+
+
 def auc_rank(attack_scores, normal_scores, orientation: float = 1.0) -> float:
     """Probability a random attack trial outscores a random quiet one.
 
@@ -610,24 +651,56 @@ def auc_rank(attack_scores, normal_scores, orientation: float = 1.0) -> float:
     orientation, NaN statistics rank above every number and tie with one
     another.
     """
-    attack = orientation * np.asarray(attack_scores, dtype=float)
-    normal = orientation * np.asarray(normal_scores, dtype=float)
-    if attack.size == 0 or normal.size == 0:
-        raise InsufficientDataError(
-            "ranking needs at least one sample of each class"
-        )
-    pooled = np.concatenate([attack, normal])
-    # Tied values share the midrank of the positions they occupy in the
-    # sorted pool: a group starting at 0-based position ``start`` with
-    # ``count`` members gets rank ``start + (count + 1) / 2``.
-    _, group, counts = np.unique(
-        pooled, return_inverse=True, return_counts=True
-    )
-    starts = np.cumsum(counts) - counts
-    ranks = (starts + 0.5 * (counts + 1))[group]
+    attack, normal = _oriented(attack_scores, normal_scores, orientation)
+    ranks = _midranks(np.concatenate([attack, normal]))
     rank_sum = float(np.sum(ranks[: attack.size]))
     n_a, n_n = attack.size, normal.size
     return (rank_sum - n_a * (n_a + 1) / 2.0) / (n_a * n_n)
+
+
+def _auc_placements(
+    attack_scores, normal_scores, orientation: float = 1.0
+) -> tuple:
+    """DeLong's placement values ``(v_attack, v_normal)`` of one score set.
+
+    ``v_attack[i]`` is the share of quiet trials that attack trial ``i``
+    outscores and ``v_normal[j]`` the share of attack trials that outscore
+    quiet trial ``j``, ties counting one half; each averages to the AUC of
+    :func:`auc_rank`.  They come from midranks, as in Sun & Xu (IEEE Signal
+    Process. Lett. 2014): an attack score's rank in the pooled scores minus
+    its rank among the attack scores counts the quiet scores below it.
+    """
+    attack, normal = _oriented(attack_scores, normal_scores, orientation)
+    pooled = _midranks(np.concatenate([attack, normal]))
+    v_attack = (pooled[: attack.size] - _midranks(attack)) / normal.size
+    v_normal = 1.0 - (pooled[attack.size:] - _midranks(normal)) / attack.size
+    return v_attack, v_normal
+
+
+def auc_covariance(score_sets) -> tuple:
+    """AUCs and their DeLong covariance matrix (DeLong et al., Biometrics
+    1988) for score sets taken on the same trials.
+
+    ``score_sets`` holds ``(attack_scores, normal_scores, orientation)``
+    triples whose scores list the same trials in the same order, for
+    example several detectors of one run.  Returns ``(aucs, covariance)``,
+    a vector and a square matrix: ``covariance = S_attack / m + S_normal /
+    n`` with ``S`` the sample covariances (``ddof=1``) of the placement
+    values over the ``m`` attack and ``n`` quiet trials.  With fewer than
+    two trials of a class the covariance is NaN.
+    """
+    placements = [_auc_placements(*scores) for scores in score_sets]
+    v_attack = np.array([p[0] for p in placements])
+    v_normal = np.array([p[1] for p in placements])
+    aucs = v_attack.mean(axis=1)
+    m, n = v_attack.shape[1], v_normal.shape[1]
+    if m < 2 or n < 2:
+        return aucs, np.full((len(aucs), len(aucs)), np.nan)
+    covariance = (
+        np.atleast_2d(np.cov(v_attack)) / m
+        + np.atleast_2d(np.cov(v_normal)) / n
+    )
+    return aucs, covariance
 
 
 def roc_from_outcomes(records, detector: str) -> RocCurve:
@@ -650,12 +723,14 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
         threshold = float(orientation * cut)
         points.append((p_fa, p_d, threshold))
     points.sort(key=lambda p: (p[0], p[1]))
+    _, covariance = auc_covariance([(attack, normal, orientation)])
     return RocCurve(
         detector=detector,
         points=tuple(points),
         auc=auc_rank(attack, normal, orientation),
         n_attack=int(attack.size),
         n_normal=int(normal.size),
+        auc_se=float(np.sqrt(covariance[0, 0])),
     )
 
 
@@ -726,7 +801,7 @@ class CalibrationResult:
     similarities: tuple
     suggested_threshold: float
     quantile: float
-    fraction_above_threshold: float
+    fraction_above_threshold: float  # judged normal: similarity >= threshold
     threshold: float
     failed_streams: int  # streams skipped because a step failed
 
@@ -761,7 +836,7 @@ def calibrate(
         suggested_threshold=float(np.quantile(similarities, quantile)),
         quantile=quantile,
         fraction_above_threshold=float(
-            np.mean(similarities > cfg.similarity_threshold)
+            np.mean(similarities >= cfg.similarity_threshold)
         ),
         threshold=cfg.similarity_threshold,
         failed_streams=failed,
@@ -883,6 +958,17 @@ def emit_results(
         "trials": cfg.trials,
         "failed_trials": sum(1 for r in records if r.failed),
         "auc": {curve.detector: curve.auc for curve in curves},
+        # JSON has no NaN: an undefined standard error is written as null.
+        "auc_se": {
+            curve.detector: curve.auc_se if math.isfinite(curve.auc_se)
+            else None
+            for curve in curves
+        },
+        "auc_ci95": {
+            curve.detector: list(curve.auc_ci95)
+            if math.isfinite(curve.auc_se) else None
+            for curve in curves
+        },
         "wall_time_s": wall_time_s,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

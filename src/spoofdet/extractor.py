@@ -11,10 +11,13 @@ samples: it minimizes the mean squared residual
 over ``phi`` by hard-thresholded gradient descent, started from a spectral
 initializer restricted to a pre-selected coordinate subset (its covariance
 is a sum of ``L`` rank-one terms, so a subset wider than ``L`` is solved as
-an ``L x L`` eigenproblem).  The recovered support concentrates on the
-dominant beams of the underlying channel, so the normalized vector acts as
-a spatial fingerprint: stable across subframes for one transmitter,
-disrupted when a second transmitter contaminates the estimates.
+an ``L x L`` eigenproblem).  The descent stops once its support and loss
+have settled: after five accepted iterations in a row that each keep the
+support and lower the loss by at most ``tolerance`` times the loss before
+them.  The recovered support concentrates on the dominant beams of the
+underlying channel, so the normalized vector acts as a spatial
+fingerprint: stable across subframes for one transmitter, disrupted when a
+second transmitter contaminates the estimates.
 
 The loss depends on ``phi`` only through ``|<h, phi>|^2`` and ``||phi||^2``,
 so solutions carry an arbitrary global phase; consumers must compare
@@ -76,7 +79,12 @@ class ExtractorConfig:
     threshold_scale : float
         Multiplier on the residual-driven adaptive threshold.
     tolerance : float
-        Early-stop threshold on the relative iterate change.
+        Relative bound on the loss drop of a settled iteration.  An
+        accepted iteration is settled when its candidate keeps the current
+        support and lowers the loss by at most ``tolerance`` times the
+        current loss; five settled iterations in a row end the descent as
+        converged.  At 0 only iterations that leave the loss exactly where
+        it was count as settled.
     max_backtracks : int
         Step halvings allowed per iteration.  When every one of the
         ``max_backtracks + 1`` candidates would raise the loss (or is not
@@ -87,7 +95,7 @@ class ExtractorConfig:
     max_iterations: int = 200
     step_size: float = 0.1
     threshold_scale: float = 15.0
-    tolerance: float = 1e-6
+    tolerance: float = 1e-3
     max_backtracks: int = 20
 
     def __post_init__(self) -> None:
@@ -156,6 +164,18 @@ class SensingBatch:
 
 @dataclass(frozen=True)
 class ExtractionDiagnostics:
+    """How one descent went.
+
+    ``iterations`` counts accepted iterations.  ``converged`` says that the
+    descent stopped because its support and loss had settled (see
+    ``ExtractorConfig.tolerance``); ``backtracks_exhausted`` that no step
+    lowered the loss.  A descent with neither flag ran its full
+    ``max_iterations`` budget.  ``initial_support`` is the screened
+    support, ``init_fallback`` says that the screen kept no coordinate and
+    the largest-statistic one was used, and ``degenerate_init`` that the
+    spectral start took its fallback direction.
+    """
+
     final_loss: float
     iterations: int
     initial_support: tuple
@@ -178,6 +198,10 @@ class SparsityFingerprint:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
+
+# A descent stops after this many settled iterations in a row (see
+# ``ExtractorConfig.tolerance``).
+_SETTLE_ITERATIONS = 5
 
 _ZERO_VECTOR = (
     "extraction produced an identically zero vector; the samples carry no "
@@ -406,7 +430,8 @@ def extract(
 ) -> SparsityFingerprint:
     """Full extraction of one batch, as :func:`extract_all` of ``[batch]``:
     support screening, spectral start, thresholded gradient descent with
-    monotone backtracking.
+    monotone backtracking, until the support and loss have settled (see
+    ``ExtractorConfig.tolerance``) or the iteration budget is spent.
 
     The descent ends at its first iterate that is exactly zero: the zero
     vector is a fixed point of the update (the gradient and the threshold
@@ -465,8 +490,8 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
     probes_t = batch.probes.T
     two_over_l = 2.0 / batch.n_samples
     kappa = _kappa(batch)
-    tiny = np.finfo(float).tiny
     iterations = 0
+    settled = 0
     converged = False
     backtracks_exhausted = False
 
@@ -487,12 +512,17 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
             backtracks_exhausted = True
             break
         iterations += 1
-        change = _norm(candidate - phi)
-        scale = max(point.norm, tiny)
+        drop = current_loss - candidate_loss
+        if drop <= cfg.tolerance * current_loss and np.array_equal(
+            candidate != 0, phi != 0
+        ):
+            settled += 1
+        else:
+            settled = 0
         phi, point, current_loss = candidate, candidate_point, candidate_loss
         if point.norm == 0.0 and not phi.any():
             raise ExtractionError(_ZERO_VECTOR)
-        if change <= cfg.tolerance * scale:
+        if settled == _SETTLE_ITERATIONS:
             converged = True
             break
         if iterations == 1:

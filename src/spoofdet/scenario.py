@@ -137,6 +137,13 @@ class ScenarioConfig:
                     f"{name} must be a path, got {value!r}"
                 )
             object.__setattr__(self, name, path)
+        for name, kind in (("extractor", ExtractorConfig),
+                           ("subspace", SdConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be an {kind.__name__}, got {value!r}"
+                )
         for name in ("num_antennas", "num_users", "num_taps", "rb_count",
                      "trials", "workers"):
             if getattr(self, name) < 1:

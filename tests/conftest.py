@@ -134,6 +134,7 @@ def reference_extract(batch, cfg):
     mean = batch.sample_mean
     base_step = cfg.step_size / mean if mean > 0 else cfg.step_size
     iterations = 0
+    settled = 0
     converged = False
     backtracks_exhausted = False
     for _ in range(cfg.max_iterations):
@@ -152,10 +153,18 @@ def reference_extract(batch, cfg):
             backtracks_exhausted = True
             break
         iterations += 1
-        change = np.linalg.norm(candidate - phi)
-        scale = max(np.linalg.norm(phi), np.finfo(float).tiny)
+        # Five accepted iterations in a row that keep the support and lower
+        # the loss by at most ``tolerance`` of it end the descent.
+        keeps_support = np.array_equal(
+            np.flatnonzero(candidate), np.flatnonzero(phi)
+        )
+        loss_drop = current_loss - candidate_loss
+        if keeps_support and loss_drop <= cfg.tolerance * current_loss:
+            settled += 1
+        else:
+            settled = 0
         phi, current_loss = candidate, candidate_loss
-        if change <= cfg.tolerance * scale:
+        if settled == 5:
             converged = True
             break
     if np.linalg.norm(phi) == 0.0:

@@ -1,9 +1,10 @@
 """Tests for the experiment harness: rank AUC, ROC curves, result files,
 the closed-form observation builders, and the multi-subframe entry points.
 
-Oracles: direct pair counting for the Mann-Whitney AUC; reruns of a tiny
-cell (serial and pooled) for byte-stable result files, and its records
-pinned to the bit; the full transmit/receive chain of ``link.py`` for the
+Oracles: direct pair counting for the Mann-Whitney AUC, and for its
+DeLong placements and covariance, with a bootstrap for the standard
+errors; reruns of a tiny cell (serial and pooled) for byte-stable result
+files, and its records pinned to the bit; the full transmit/receive chain of ``link.py`` for the
 noise-free sensing batches and subspace snapshots that ``TrialSimulator``
 builds in closed form; the stated laws of the three noise shortcuts, by
 their moments; a fresh simulator per call for the builders' results
@@ -19,6 +20,7 @@ on the descents' point evaluations for how far each one ran.
 import csv
 import hashlib
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import replace
@@ -29,7 +31,7 @@ import pytest
 from conftest import reference_extract, same_bits
 from spoofdet import experiments, extractor
 from spoofdet.channel import complex_normal, draw_channel
-from spoofdet.detector import run_stream
+from spoofdet.detector import Decision, run_stream
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -41,6 +43,7 @@ from spoofdet.experiments import (
     ArmObservables,
     TrialRecord,
     TrialSimulator,
+    auc_covariance,
     auc_rank,
     calibrate,
     detector_scores,
@@ -105,6 +108,145 @@ class TestAucRank:
     def test_empty_class_rejected(self):
         with pytest.raises(InsufficientDataError):
             auc_rank([], [1.0])
+
+
+def pair_kernel(attack, normal, orientation):
+    """Per (attack, quiet) pair: 1 if the attack trial outscores the quiet
+    one, 1/2 on a tie, else 0."""
+    a = orientation * np.asarray(attack, dtype=float)[:, None]
+    n = orientation * np.asarray(normal, dtype=float)[None, :]
+    return (a > n) + 0.5 * (a == n)
+
+
+def brute_force_delong(score_sets):
+    """AUCs and DeLong covariance by explicit pair counting and sums."""
+    kernels = [pair_kernel(*scores) for scores in score_sets]
+    m, n = kernels[0].shape
+    aucs = [float(k.sum()) / (m * n) for k in kernels]
+    rows = [k.mean(axis=1) for k in kernels]
+    columns = [k.mean(axis=0) for k in kernels]
+    size = len(kernels)
+    covariance = np.zeros((size, size))
+    for i in range(size):
+        for j in range(size):
+            s_attack = sum(
+                (rows[i][r] - aucs[i]) * (rows[j][r] - aucs[j])
+                for r in range(m)
+            ) / (m - 1)
+            s_normal = sum(
+                (columns[i][c] - aucs[i]) * (columns[j][c] - aucs[j])
+                for c in range(n)
+            ) / (n - 1)
+            covariance[i, j] = s_attack / m + s_normal / n
+    return np.array(aucs), covariance
+
+
+def three_score_sets(gen, m, n):
+    """Scores of three detectors on the same m attack and n quiet trials:
+    a similarity-like score in [0, 1] with exact ties at 1, a continuous
+    energy, and integer subspace dimensions with many ties."""
+    shift = gen.normal(size=m)
+    similarity = (
+        np.minimum(1.0, gen.uniform(0.5, 1.3, size=m) - 0.2 * shift),
+        np.minimum(1.0, gen.uniform(0.7, 1.4, size=n)),
+    )
+    energy = (gen.normal(0.5, 1.0, size=m) + 0.5 * shift,
+              gen.normal(0.0, 1.0, size=n))
+    subspace = (gen.integers(2, 6, size=m), gen.integers(1, 5, size=n))
+    return [
+        (*similarity, -1.0), (*energy, 1.0), (*subspace, 1.0)
+    ]
+
+
+class TestAucUncertainty:
+    @pytest.mark.parametrize("orientation", [1.0, -1.0])
+    def test_placements_match_pair_counting(self, orientation):
+        gen = np.random.default_rng(11)
+        for _ in range(30):
+            attack = gen.integers(10, 16, size=gen.integers(1, 40))
+            normal = gen.integers(9, 15, size=gen.integers(1, 40))
+            v_attack, v_normal = experiments._auc_placements(
+                attack, normal, orientation
+            )
+            kernel = pair_kernel(attack, normal, orientation)
+            assert np.allclose(v_attack, kernel.mean(axis=1), atol=1e-12)
+            assert np.allclose(v_normal, kernel.mean(axis=0), atol=1e-12)
+            for values in (v_attack, v_normal):
+                assert values.mean() == pytest.approx(
+                    auc_rank(attack, normal, orientation), abs=1e-12
+                )
+
+    def test_covariance_matches_brute_force(self):
+        gen = np.random.default_rng(12)
+        for m, n in ((2, 2), (7, 3), (25, 31)):
+            sets = three_score_sets(gen, m, n)
+            aucs, covariance = auc_covariance(sets)
+            expected_aucs, expected = brute_force_delong(sets)
+            assert np.allclose(aucs, expected_aucs, atol=1e-12)
+            assert np.allclose(covariance, expected, rtol=1e-9, atol=1e-15)
+            # Each score set alone gives its diagonal entry.
+            for k, scores in enumerate(sets):
+                _, alone = auc_covariance([scores])
+                assert alone.shape == (1, 1)
+                assert alone[0, 0] == pytest.approx(covariance[k, k])
+
+    def test_standard_errors_match_a_bootstrap(self):
+        # Resampling trials within each class, jointly for the detectors,
+        # estimates the same standard errors, also of a paired gap.
+        gen = np.random.default_rng(13)
+        m, n = 80, 90
+        sets = three_score_sets(gen, m, n)
+        aucs, covariance = auc_covariance(sets)
+        draws = []
+        for _ in range(500):
+            rows = gen.integers(0, m, size=m)
+            columns = gen.integers(0, n, size=n)
+            draws.append([
+                auc_rank(attack[rows], normal[columns], orientation)
+                for attack, normal, orientation in sets
+            ])
+        draws = np.array(draws)
+        bootstrap_se = draws.std(axis=0, ddof=1)
+        delong_se = np.sqrt(np.diag(covariance))
+        assert np.all(delong_se > 0)
+        assert np.allclose(bootstrap_se / delong_se, 1.0, atol=0.15)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            gap_se = math.sqrt(
+                covariance[i, i] + covariance[j, j] - 2 * covariance[i, j]
+            )
+            bootstrap_gap_se = (draws[:, i] - draws[:, j]).std(ddof=1)
+            assert bootstrap_gap_se / gap_se == pytest.approx(1.0, abs=0.15)
+        # The similarity and energy scores share a per-trial term, so their
+        # AUCs covary; the test sees that through the gap.
+        assert covariance[0, 1] > 0
+
+    def test_fewer_than_two_of_a_class_has_no_variance(self):
+        aucs, covariance = auc_covariance([([1.0], [0.0, 2.0], 1.0)])
+        assert aucs[0] == 0.5
+        assert np.isnan(covariance).all()
+        with pytest.raises(InsufficientDataError):
+            experiments._auc_placements([], [1.0])
+
+    def test_roc_curve_carries_the_standard_error(self):
+        gen = np.random.default_rng(14)
+        records = [
+            record(i, float(gen.integers(0, 4)), float(gen.integers(1, 5)))
+            for i in range(30)
+        ]
+        for name in DETECTOR_NAMES:
+            curve = roc_from_outcomes(records, name)
+            attack, normal = detector_scores(records, name)
+            orientation = -1.0 if name == "sparsity" else 1.0
+            _, covariance = brute_force_delong(
+                [(attack, normal, orientation)]
+            )
+            se = math.sqrt(covariance[0, 0])
+            assert curve.auc_se == pytest.approx(se, rel=1e-9)
+            low, high = curve.auc_ci95
+            assert low == pytest.approx(max(0.0, curve.auc - 1.96 * se),
+                                        abs=1e-4)
+            assert high == pytest.approx(min(1.0, curve.auc + 1.96 * se),
+                                         abs=1e-4)
 
 
 class TestRocFromOutcomes:
@@ -243,6 +385,36 @@ class TestRunScenario:
         for name in DETECTOR_NAMES:
             assert 0.0 <= summary["auc"][name] <= 1.0
 
+
+    def test_summary_reports_auc_uncertainty(self, tmp_path):
+        cfg = ScenarioConfig(**TINY)
+        summary = run_scenario(cfg, tmp_path)
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        records = run_trials(cfg)
+        for name in DETECTOR_NAMES:
+            curve = roc_from_outcomes(records, name)
+            assert summary["auc_se"][name] == curve.auc_se
+            assert summary["auc_ci95"][name] == list(curve.auc_ci95)
+            low, high = summary["auc_ci95"][name]
+            assert 0.0 <= low <= summary["auc"][name] <= high <= 1.0
+        # The subspace dimensions differ within each arm, so that AUC has
+        # a positive standard error.
+        assert summary["auc_se"]["subspace"] > 0
+
+    def test_undefined_standard_error_is_null(self, tmp_path):
+        # One completed trial: no variance across trials exists.
+        records = [
+            record(0, 1.0, 2.0),
+            TrialRecord(1, None, None, error="trial 1: failed"),
+        ]
+        curves = [roc_from_outcomes(records, name) for name in DETECTOR_NAMES]
+        summary = experiments.emit_results(
+            curves, records, tmp_path, ScenarioConfig(**TINY)
+        )
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        for name in DETECTOR_NAMES:
+            assert summary["auc_se"][name] is None
+            assert summary["auc_ci95"][name] is None
 
     def test_tiny_cell_matches_golden_records(self, tmp_path):
         cfg = ScenarioConfig(**TINY)
@@ -1042,6 +1214,21 @@ class TestOtherEntryPoints:
         assert result.fraction_above_threshold == float(
             np.mean(values > cfg.similarity_threshold)
         )
+
+    def test_similarity_at_the_threshold_counts_as_normal(self):
+        # Tiny-cell similarities are exactly 0 or 1; at a threshold of 1.0
+        # a similarity of 1.0 is judged normal, as detector.step judges it.
+        cfg = ScenarioConfig(**{**TINY, "similarity_threshold": 1.0})
+        result = calibrate(cfg, n_streams=6, subframes_per_stream=4)
+        states, failed = experiments._stream_states(cfg, 6, 4, None)
+        decisions = [
+            outcome.decision for state in states for outcome in state.history
+        ]
+        normal = sum(1 for d in decisions if d is Decision.NORMAL)
+        assert failed == result.failed_streams
+        assert len(decisions) == len(result.similarities) == 12
+        assert normal == 6
+        assert result.fraction_above_threshold == normal / len(decisions)
 
     def test_run_detection_delay(self):
         cfg = ScenarioConfig(**TINY)

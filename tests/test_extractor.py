@@ -6,9 +6,11 @@ closed-form constants, Monte Carlo recovery on noiseless planted
 instances with known sparse ground truth, a bit-exact reference copy
 of the descent loop built from the public per-point functions, the
 expressions the per-point quantities and the probe draws were first
-written with, matched to the bit, a spy on the point evaluations of a
-descent started at the exact zero vector, and a test-only copy of the
-spectral start that always solves the full support-by-support covariance.
+written with, matched to the bit, spies on the point evaluations (of a
+descent started at the exact zero vector, and of descents whose accepted
+iterations are replayed against the settle rule), and a test-only copy of
+the spectral start that always solves the full support-by-support
+covariance.
 """
 
 import math
@@ -651,6 +653,136 @@ class TestExtract:
         assert agree >= 8
 
 
+def spy_on_evaluations(monkeypatch):
+    """Record ``(phi, loss)`` of every point evaluation from now on."""
+    evaluated = []
+    evaluate = extractor._evaluate
+
+    def spy(batch, phi):
+        point = evaluate(batch, phi)
+        evaluated.append((phi.copy(), point.loss))
+        return point
+
+    monkeypatch.setattr(extractor, "_evaluate", spy)
+    return evaluated
+
+
+def accepted_points(evaluated):
+    """The start and every accepted candidate of one descent, replayed from
+    its point evaluations: backtracking accepts the first candidate whose
+    loss is finite and no larger than the current one."""
+    current = evaluated[0]
+    accepted = [current]
+    for point in evaluated[1:]:
+        if math.isfinite(point[1]) and point[1] <= current[1]:
+            current = point
+            accepted.append(point)
+    return accepted
+
+
+def settled_streaks(accepted, tolerance):
+    """Per accepted iteration, how many accepted iterations in a row, up to
+    and including it, kept the support and lowered the loss by at most
+    ``tolerance`` times the loss before them."""
+    streaks = []
+    run = 0
+    for (phi, before), (candidate, after) in zip(accepted, accepted[1:]):
+        keeps = set(np.flatnonzero(candidate)) == set(np.flatnonzero(phi))
+        run = run + 1 if keeps and before - after <= tolerance * before else 0
+        streaks.append(run)
+    return streaks
+
+
+@pytest.fixture(scope="module")
+def seed7_batches():
+    """The three sensing batches of each of the first 10 default-cell
+    trials at seed 7."""
+    cfg = ScenarioConfig(master_seed=7)
+    return [
+        TrialSimulator(cfg, trial).sensing_batch(subframe, attacked)
+        for trial in range(10)
+        for subframe, attacked in ((1, False), (2, False), (2, True))
+    ]
+
+
+class TestSettleRule:
+    """A descent stops after five accepted iterations in a row that keep
+    the support and lower the loss by at most ``tolerance`` of it."""
+
+    def test_default_cell_descents_converge_before_the_cap(
+        self, seed7_batches
+    ):
+        cfg = ExtractorConfig()
+        completed = []
+        for batch in seed7_batches:
+            try:
+                completed.append(extract(batch, cfg).diagnostics)
+            except ExtractionError:
+                continue
+        assert len(completed) >= 20
+        for diagnostics in completed:
+            assert diagnostics.converged
+            assert not diagnostics.backtracks_exhausted
+            assert diagnostics.iterations < cfg.max_iterations
+
+    def test_stops_at_the_fifth_settled_iteration_in_a_row(
+        self, seed7_batches, monkeypatch
+    ):
+        evaluated = spy_on_evaluations(monkeypatch)
+        broken_streaks = 0
+        # At the looser tolerance, a settled run of trial 5's quiet test
+        # batch is interrupted before it reaches five.
+        for cfg in (ExtractorConfig(), ExtractorConfig(tolerance=1e-2)):
+            for batch in seed7_batches:
+                evaluated.clear()
+                try:
+                    fp = extract(batch, cfg)
+                except ExtractionError:
+                    continue
+                accepted = accepted_points(evaluated)
+                streaks = settled_streaks(accepted, cfg.tolerance)
+                assert len(streaks) == fp.diagnostics.iterations
+                assert streaks[-1] == 5 and 5 not in streaks[:-1]
+                assert fp.diagnostics.converged
+                assert same_bits(fp.values, accepted[-1][0])
+                assert fp.diagnostics.final_loss == accepted[-1][1]
+                broken_streaks += sum(
+                    1 for a, b in zip(streaks, streaks[1:]) if a > 0 and b == 0
+                )
+        # Only five settled iterations in a row stop a descent: a run that
+        # a changed support or a larger drop interrupts starts again.
+        assert broken_streaks > 0
+
+    def test_zero_tolerance_stops_only_where_the_loss_stands_still(
+        self, seed7_batches, monkeypatch
+    ):
+        cfg = ExtractorConfig(tolerance=0.0, max_iterations=1000)
+        evaluated = spy_on_evaluations(monkeypatch)
+        converged = 0
+        planted = [
+            planted_batch(16, 300, (3, 9, 14), [1.2, 1.0, 0.7], seed)[0]
+            for seed in range(600, 606)
+        ]
+        for batch in planted + seed7_batches[:9]:
+            evaluated.clear()
+            try:
+                fp = extract(batch, cfg)
+            except ExtractionError:
+                continue
+            if not fp.diagnostics.converged:
+                continue
+            converged += 1
+            accepted = accepted_points(evaluated)
+            # The last five accepted iterations kept the support and left
+            # the loss exactly where it was.
+            for (phi, before), (candidate, after) in zip(
+                accepted[-6:], accepted[-5:]
+            ):
+                assert after == before
+                assert np.array_equal(candidate != 0, phi != 0)
+        assert converged >= 2
+
+
 def assert_matches_reference(batch, cfg):
     """``extract`` and the reference loop agree bit for bit, or both raise
     ``ExtractionError`` with the same message.  Returns the fingerprint, or
@@ -711,10 +843,11 @@ class TestExtractMatchesReferenceLoop:
         assert any(produced) and not all(produced)
         # At L=48 every batch collapses to the zero vector.
         assert not any(simulator_outcomes(ScenarioConfig(rb_count=4)))
-        # A low threshold keeps wide supports over long descents.
-        wide = simulator_outcomes(
-            ScenarioConfig(extractor=ExtractorConfig(threshold_scale=2.0))
-        )
+        # A low threshold keeps wide supports; with no loss tolerance their
+        # descents run long, up to the iteration budget.
+        wide = simulator_outcomes(ScenarioConfig(
+            extractor=ExtractorConfig(threshold_scale=2.0, tolerance=0.0)
+        ))
         assert all(wide)
         assert min(len(fp.support) for fp in wide) >= 5
         assert max(fp.diagnostics.iterations for fp in wide) == 200

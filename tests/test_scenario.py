@@ -60,7 +60,7 @@ extractor:
   max_iterations: 200
   step_size: 0.1
   threshold_scale: 15.0
-  tolerance: 1.0e-06
+  tolerance: 0.001
   max_backtracks: 20
 detector:
   similarity_threshold: 0.92
@@ -95,7 +95,7 @@ extractor:
   max_iterations: 50
   step_size: 0.1
   threshold_scale: 5.0
-  tolerance: 1.0e-06
+  tolerance: 0.001
   max_backtracks: 20
 detector:
   similarity_threshold: 0.8
@@ -196,6 +196,24 @@ class TestWrongTypes:
             ScenarioConfig.from_dict(raw)
 
 
+class TestNestedConfigTypes:
+    # Before, these built and failed late: config_hash raised a bare
+    # TypeError from asdict, and a dict extractor an AttributeError inside
+    # the first trial.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"extractor": None},
+            {"subspace": None},
+            {"extractor": {"max_iterations": 5}},
+        ],
+        ids=["extractor-none", "subspace-none", "extractor-dict"],
+    )
+    def test_rejected_when_built(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(**kwargs)
+
+
 class TestConfigHash:
     def test_ignores_where_and_how_trials_run(self):
         base = ScenarioConfig()
@@ -233,8 +251,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "a29bb4289ec67f00"),
-        (CUSTOM, CUSTOM_YAML, "2c090e0364efc5c7"),
+        (ScenarioConfig(), DEFAULT_YAML, "509b14d3f230f47b"),
+        (CUSTOM, CUSTOM_YAML, "4fb36c240c7c25a3"),
     ]
 
     @pytest.mark.parametrize("cfg, text, digest", CASES,
