@@ -1000,6 +1000,31 @@ class TestStreamsMatchReferenceLoop:
         assert any(k >= self.ATTACK_START for k in failing)
 
 
+class TestStreamGolden:
+    """The stream entry points at the paper cell, seed 11, pinned to the
+    bit: the reference-loop test above scores its oracle through
+    ``run_stream`` itself, so only a pinned result shows a change to the
+    sequential rule."""
+
+    CFG = ScenarioConfig(master_seed=11)
+
+    def test_calibrate(self):
+        result = calibrate(self.CFG, 20, 6)
+        assert [v.hex() for v in result.similarities] == [
+            "0x1.b62db0d2569a7p-1", "0x1.d6bcdf62fb19bp-1",
+            "0x1.97624f9cf6848p-1", "0x1.dfd4c75415dabp-1",
+            "0x1.ee71164d755d7p-1", "0x1.e23ef7d1f5939p-1",
+            "0x1.795609f3c0d0ep-1", "0x1.e68378de22d5ap-1",
+            "0x1.92ccd13f6c74ep-1", "0x1.e12d2f1a26ea8p-1",
+        ]
+        assert result.failed_streams == 18
+
+    def test_run_detection_delay(self):
+        result = run_detection_delay(self.CFG, 4, 6, 20)
+        assert result.first_alarms == (2, 2, 2)
+        assert result.failed_streams == 17
+
+
 def silent_attacker_draws(sources):
     """A ``draw_channel`` that gives the attacker a zero-energy channel and
     appends every source it draws to ``sources``."""
