@@ -4,11 +4,11 @@ Each subframe yields a sparse spatial fingerprint of the monitored user's
 channel.  Under normal operation consecutive fingerprints point in nearly
 the same direction, so their normalized inner-product magnitude stays close
 to one; a second transmitter superimposes its own spatial structure and
-drags the similarity down.  The detector keeps a reference fingerprint,
-compares each new fingerprint against it, and raises an alarm whenever the
-similarity falls below a calibrated threshold.  Only a fingerprint judged
-normal replaces the reference, so an attack cannot poison the comparisons
-that follow it.
+drags the similarity down.  :func:`run_stream` is one fold over a stream:
+it compares each fingerprint with a reference, judges a similarity at or
+above the threshold normal and one below it an alarm.  Only a fingerprint
+judged normal replaces the reference, so an attack cannot poison the
+comparisons that follow it.
 
 Fingerprints carry an arbitrary global phase (the extraction loss is
 phase-invariant), so the similarity uses the Hermitian inner product with
@@ -18,8 +18,7 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,63 +26,9 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateFingerprintError
 from .extractor import SparsityFingerprint
 
-__all__ = [
-    "Decision",
-    "DetectionOutcome",
-    "DetectorState",
-    "similarity",
-    "step",
-    "run_stream",
-]
+__all__ = ["DEFAULT_THRESHOLD", "StreamResult", "similarity", "run_stream"]
 
 DEFAULT_THRESHOLD = 0.92
-
-
-class Decision(str, Enum):
-    NORMAL = "normal"
-    ALARM = "spoofing-alarm"
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    """One decision record: which subframe, how similar, what was decided,
-    and which reference subframe the comparison used."""
-
-    subframe_index: int
-    similarity: float
-    decision: Decision
-    reference_subframe: int
-
-
-@dataclass
-class DetectorState:
-    """Mutable per-user detector state.
-
-    The reference is the most recent fingerprint judged normal: an alarmed
-    fingerprint never becomes the reference, so a transient attack cannot
-    poison later comparisons.
-    """
-
-    reference: SparsityFingerprint
-    threshold: float = DEFAULT_THRESHOLD
-    history: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigurationError(
-                f"similarity threshold must lie in [0, 1], got {self.threshold}"
-            )
-        if self.reference.norm == 0.0:
-            raise DegenerateFingerprintError(
-                "reference fingerprint has zero norm"
-            )
-
-    @property
-    def first_alarm_index(self) -> int | None:
-        for outcome in self.history:
-            if outcome.decision is Decision.ALARM:
-                return outcome.subframe_index
-        return None
 
 
 def _values(fingerprint) -> np.ndarray:
@@ -110,57 +55,50 @@ def similarity(fingerprint_a, fingerprint_b) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def step(state: DetectorState, new: SparsityFingerprint) -> DetectionOutcome:
-    """Compare ``new`` against the reference and decide.
+@dataclass(frozen=True)
+class StreamResult:
+    """The similarities of one stream's positions ``2..n``, each against
+    the last earlier fingerprint judged normal, and the threshold that
+    judged them."""
 
-    Similarity at or above the threshold is normal and promotes ``new`` to
-    the reference; below the threshold raises a spoofing alarm and keeps
-    the reference.  Degenerate input or an out-of-order subframe index
-    raises without touching the state.
-    """
-    if new.norm == 0.0:
-        raise DegenerateFingerprintError(
-            "new fingerprint has zero norm; state unchanged"
-        )
-    if state.history and new.subframe_index <= state.history[-1].subframe_index:
-        raise ConfigurationError(
-            f"subframe indices must be strictly increasing: got "
-            f"{new.subframe_index} after {state.history[-1].subframe_index}"
-        )
+    similarities: tuple
+    threshold: float
 
-    value = similarity(state.reference, new)
-    decision = Decision.NORMAL if value >= state.threshold else Decision.ALARM
-    outcome = DetectionOutcome(
-        subframe_index=new.subframe_index,
-        similarity=value,
-        decision=decision,
-        reference_subframe=state.reference.subframe_index,
-    )
-    state.history.append(outcome)
-    if decision is Decision.NORMAL:
-        state.reference = new
-    return outcome
+    @property
+    def first_alarm_index(self) -> int | None:
+        """The first 1-based position judged an alarm, or ``None`` when
+        the whole stream is normal."""
+        for position, value in enumerate(self.similarities, start=2):
+            if value < self.threshold:
+                return position
+        return None
 
 
 def run_stream(
     fingerprints: Sequence[SparsityFingerprint],
     threshold: float = DEFAULT_THRESHOLD,
-) -> DetectorState:
-    """Fold :func:`step` over an ordered fingerprint stream and return the
-    folded state.
+) -> StreamResult:
+    """Fold the sequential rule over an ordered fingerprint stream.
 
-    Positions are numbered 1-based; the first fingerprint initializes the
-    reference and produces no decision, so the state's ``history`` starts
-    at position 2.  Its ``first_alarm_index`` is the smallest position
-    decided as an alarm, or ``None`` when the whole stream is normal.
+    The first fingerprint is the first reference and gets no similarity.
+    Each later one is compared with the reference; a similarity at or above
+    ``threshold`` is normal and makes it the reference, one below is an
+    alarm and keeps the reference.  An empty stream or a threshold outside
+    [0, 1] is a configuration error; a zero-norm fingerprint is degenerate.
     """
     if len(fingerprints) == 0:
         raise ConfigurationError("fingerprint stream is empty")
-    renumbered = [
-        replace(fp, subframe_index=position)
-        for position, fp in enumerate(fingerprints, start=1)
-    ]
-    state = DetectorState(reference=renumbered[0], threshold=threshold)
-    for fp in renumbered[1:]:
-        step(state, fp)
-    return state
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigurationError(
+            f"similarity threshold must lie in [0, 1], got {threshold}"
+        )
+    reference = fingerprints[0]
+    if np.linalg.norm(_values(reference)) == 0.0:
+        raise DegenerateFingerprintError("reference fingerprint has zero norm")
+    similarities = []
+    for fingerprint in fingerprints[1:]:
+        value = similarity(reference, fingerprint)
+        similarities.append(value)
+        if value >= threshold:
+            reference = fingerprint
+    return StreamResult(tuple(similarities), threshold)

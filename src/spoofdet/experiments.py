@@ -666,7 +666,7 @@ def _auc_placements(
     ``v_attack[i]`` is the share of quiet trials that attack trial ``i``
     outscores and ``v_normal[j]`` the share of attack trials that outscore
     quiet trial ``j``, ties counting one half; each averages to the AUC of
-    :func:`auc_rank`.  They come from midranks, as in Sun & Xu (IEEE Signal
+    :func:`auc_rank`, up to rounding.  They come from midranks, as in Sun & Xu (IEEE Signal
     Process. Lett. 2014): an attack score's rank in the pooled scores minus
     its rank among the attack scores counts the quiet scores below it.
     """
@@ -683,16 +683,17 @@ def auc_covariance(score_sets) -> tuple:
 
     ``score_sets`` holds ``(attack_scores, normal_scores, orientation)``
     triples whose scores list the same trials in the same order, for
-    example several detectors of one run.  Returns ``(aucs, covariance)``,
-    a vector and a square matrix: ``covariance = S_attack / m + S_normal /
-    n`` with ``S`` the sample covariances (``ddof=1``) of the placement
-    values over the ``m`` attack and ``n`` quiet trials.  With fewer than
-    two trials of a class the covariance is NaN.
+    example several detectors of one run.  Returns ``(aucs, covariance)``:
+    the :func:`auc_rank` values, and the square matrix ``covariance =
+    S_attack / m + S_normal / n`` with ``S`` the sample covariances
+    (``ddof=1``) of the placement values over the ``m`` attack and ``n``
+    quiet trials.  With fewer than two trials of a class the covariance is
+    NaN.
     """
     placements = [_auc_placements(*scores) for scores in score_sets]
     v_attack = np.array([p[0] for p in placements])
     v_normal = np.array([p[1] for p in placements])
-    aucs = v_attack.mean(axis=1)
+    aucs = np.array([auc_rank(*scores) for scores in score_sets])
     m, n = v_attack.shape[1], v_normal.shape[1]
     if m < 2 or n < 2:
         return aucs, np.full((len(aucs), len(aucs)), np.nan)
@@ -766,14 +767,14 @@ def _stream_states(
     n_subframes: int,
     attack_start: int | None,
 ) -> tuple:
-    """(sequential-detector states, failed-stream count) over the streams.
+    """(``run_stream`` results, failed-stream count) over the streams.
 
     A stream that fails is skipped and counted, as a failed trial is
     recorded, so one bad deployment does not end the run; if every stream
     fails there is nothing to report, and the error names the first
     stream's failure.
     """
-    states = []
+    results = []
     errors = []
     for stream in range(n_streams):
         try:
@@ -783,15 +784,15 @@ def _stream_states(
         except SpoofdetError as exc:
             errors.append(f"stream {stream}: {type(exc).__name__}: {exc}")
             continue
-        states.append(
+        results.append(
             run_stream(fingerprints, threshold=cfg.similarity_threshold)
         )
-    if not states:
+    if not results:
         raise InsufficientDataError(
             f"every one of the {n_streams} streams failed; first error: "
             + errors[0]
         )
-    return states, len(errors)
+    return results, len(errors)
 
 
 @dataclass(frozen=True)
@@ -803,7 +804,7 @@ class CalibrationResult:
     quantile: float
     fraction_above_threshold: float  # judged normal: similarity >= threshold
     threshold: float
-    failed_streams: int  # streams skipped because a step failed
+    failed_streams: int  # streams whose deployment or an extraction failed
 
 
 def calibrate(
@@ -825,11 +826,11 @@ def calibrate(
         )
     if not 0.0 < quantile < 1.0:
         raise ConfigurationError("quantile must lie strictly inside (0, 1)")
-    states, failed = _stream_states(
+    results, failed = _stream_states(
         cfg, n_streams, subframes_per_stream, attack_start=None
     )
     similarities = np.asarray([
-        outcome.similarity for state in states for outcome in state.history
+        value for result in results for value in result.similarities
     ])
     return CalibrationResult(
         similarities=tuple(float(v) for v in similarities),
@@ -850,7 +851,7 @@ class DelayResult:
     first_alarms: tuple  # subframe index or None per completed stream
     attack_start: int
     n_subframes: int
-    failed_streams: int  # streams skipped because a step failed
+    failed_streams: int  # streams whose deployment or an extraction failed
 
     @property
     def median_first_alarm(self) -> float:
@@ -888,11 +889,11 @@ def run_detection_delay(
         )
     if n_streams < 1:
         raise ConfigurationError("need at least one stream")
-    states, failed = _stream_states(
+    results, failed = _stream_states(
         cfg, n_streams, n_subframes, attack_start=attack_start
     )
     return DelayResult(
-        first_alarms=tuple(state.first_alarm_index for state in states),
+        first_alarms=tuple(result.first_alarm_index for result in results),
         attack_start=attack_start,
         n_subframes=n_subframes,
         failed_streams=failed,
@@ -993,12 +994,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
 
 
 def run_sweep(cfg: ScenarioConfig, snr_values, rb_values, out_dir=None) -> dict:
-    """Grid of scenarios over operating points, one subdirectory per cell."""
+    """Grid of scenarios over operating points, one subdirectory per cell.
+
+    Each value goes to ``ScenarioConfig`` as given, so its checks apply: a
+    fractional block count or a string raises ``ConfigurationError``.
+    """
     root = Path(cfg.output_dir if out_dir is None else out_dir)
     cells = {}
     for snr_db in snr_values:
         for rb_count in rb_values:
-            cell_cfg = replace(cfg, snr_db=float(snr_db), rb_count=int(rb_count))
+            cell_cfg = replace(cfg, snr_db=snr_db, rb_count=rb_count)
             summary = run_scenario(cell_cfg, root / cell_cfg.cell_tag())
             cells[cell_cfg.cell_tag()] = summary["auc"]
     grid_summary = {

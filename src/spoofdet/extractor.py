@@ -14,10 +14,11 @@ is a sum of ``L`` rank-one terms, so a subset wider than ``L`` is solved as
 an ``L x L`` eigenproblem).  The descent stops once its support and loss
 have settled: after five accepted iterations in a row that each keep the
 support and lower the loss by at most ``tolerance`` times the loss before
-them.  The recovered support concentrates on the dominant beams of the
-underlying channel, so the normalized vector acts as a spatial
-fingerprint: stable across subframes for one transmitter, disrupted when a
-second transmitter contaminates the estimates.
+them, or reach a loss at the rounding level of the squared samples,
+``eps * mean(s)**2``.  The recovered support concentrates on the dominant
+beams of the underlying channel, so the normalized vector acts as a
+spatial fingerprint: stable across subframes for one transmitter,
+disrupted when a second transmitter contaminates the estimates.
 
 The loss depends on ``phi`` only through ``|<h, phi>|^2`` and ``||phi||^2``,
 so solutions carry an arbitrary global phase; consumers must compare
@@ -82,9 +83,12 @@ class ExtractorConfig:
         Relative bound on the loss drop of a settled iteration.  An
         accepted iteration is settled when its candidate keeps the current
         support and lowers the loss by at most ``tolerance`` times the
-        current loss; five settled iterations in a row end the descent as
-        converged.  At 0 only iterations that leave the loss exactly where
-        it was count as settled.
+        current loss, or when the candidate's loss is at most
+        ``eps * mean(s)**2`` (a noiseless batch's loss falls by a steady
+        ratio toward 0 and never drops by a small relative amount); five
+        settled iterations in a row end the descent as converged.  At 0
+        only iterations that leave the loss exactly where it was, or reach
+        that floor, count as settled.
     max_backtracks : int
         Step halvings allowed per iteration.  When every one of the
         ``max_backtracks + 1`` candidates would raise the loss (or is not
@@ -490,6 +494,10 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
     probes_t = batch.probes.T
     two_over_l = 2.0 / batch.n_samples
     kappa = _kappa(batch)
+    # A noiseless batch's loss falls by a steady ratio toward 0, so its
+    # relative drop never gets small: a loss at the rounding level of the
+    # squared samples also counts as settled.
+    loss_floor = float(np.finfo(float).eps) * mean**2
     iterations = 0
     settled = 0
     converged = False
@@ -513,8 +521,9 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
             break
         iterations += 1
         drop = current_loss - candidate_loss
-        if drop <= cfg.tolerance * current_loss and np.array_equal(
-            candidate != 0, phi != 0
+        if candidate_loss <= loss_floor or (
+            drop <= cfg.tolerance * current_loss
+            and np.array_equal(candidate != 0, phi != 0)
         ):
             settled += 1
         else:

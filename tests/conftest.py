@@ -133,6 +133,7 @@ def reference_extract(batch, cfg):
         raise ExtractionError("loss is not finite at the initializer")
     mean = batch.sample_mean
     base_step = cfg.step_size / mean if mean > 0 else cfg.step_size
+    loss_floor = np.finfo(float).eps * mean**2
     iterations = 0
     settled = 0
     converged = False
@@ -154,12 +155,14 @@ def reference_extract(batch, cfg):
             break
         iterations += 1
         # Five accepted iterations in a row that keep the support and lower
-        # the loss by at most ``tolerance`` of it end the descent.
+        # the loss by at most ``tolerance`` of it, or that reach a loss at
+        # the rounding level of the squared samples, end the descent.
         keeps_support = np.array_equal(
             np.flatnonzero(candidate), np.flatnonzero(phi)
         )
         loss_drop = current_loss - candidate_loss
-        if keeps_support and loss_drop <= cfg.tolerance * current_loss:
+        small_drop = keeps_support and loss_drop <= cfg.tolerance * current_loss
+        if small_drop or candidate_loss <= loss_floor:
             settled += 1
         else:
             settled = 0

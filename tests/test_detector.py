@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import planted_batch
 from spoofdet.detector import (
-    Decision,
-    DetectorState,
+    DEFAULT_THRESHOLD,
+    StreamResult,
     run_stream,
     similarity,
-    step,
 )
 from spoofdet.errors import ConfigurationError, DegenerateFingerprintError
 from spoofdet.extractor import (
@@ -95,115 +94,102 @@ class TestSimilarity:
 
 
 class TestStep:
+    """One step of the fold, seen in streams of two and three
+    fingerprints."""
+
     def test_identical_fingerprint_normal(self):
-        ref = random_fp(8, 0, index=1)
-        state = DetectorState(reference=ref)
-        outcome = step(state, random_fp(8, 0, index=2))
-        assert outcome.decision is Decision.NORMAL
-        assert outcome.similarity == pytest.approx(1.0, abs=1e-12)
-        assert outcome.reference_subframe == 1
-        assert state.first_alarm_index is None
+        ref = random_fp(8, 0)
+        result = run_stream([ref, random_fp(8, 0)])
+        assert result.similarities == pytest.approx((1.0,), abs=1e-12)
+        assert result.first_alarm_index is None
 
     def test_reference_updates_on_normal(self):
-        ref = random_fp(8, 0, index=1)
-        state = DetectorState(reference=ref)
-        nxt = make_fp(1.0001 * ref.values, index=2)
-        step(state, nxt)
-        assert state.reference is nxt
+        # The third fingerprint is compared with the second, which was
+        # judged normal, and not with the first.
+        ref = make_fp([1.0, 0.0])
+        nxt = make_fp([1.0, 0.3])
+        third = make_fp([1.0, 0.6])
+        result = run_stream([ref, nxt, third])
+        assert result.first_alarm_index is None
+        assert result.similarities == (
+            similarity(ref, nxt),
+            similarity(nxt, third),
+        )
+        assert similarity(nxt, third) != similarity(ref, third)
 
     def test_quarantine_freezes_reference_on_alarm(self):
-        ref = make_fp([1.0, 0.0], index=1)
-        state = DetectorState(reference=ref, threshold=0.92)
-        attacked = make_fp([0.0, 1.0], index=2)
-        outcome = step(state, attacked)
-        assert outcome.decision is Decision.ALARM
-        assert state.reference is ref
-        assert state.first_alarm_index == 2
+        # After the alarm at position 2 the third fingerprint is still
+        # compared with the first.
+        ref = make_fp([1.0, 0.0])
+        attacked = make_fp([0.0, 1.0])
+        back = make_fp([1.0, 0.1])
+        result = run_stream([ref, attacked, back], threshold=0.92)
+        assert result.similarities == (0.0, similarity(ref, back))
+        assert result.first_alarm_index == 2
 
-    def test_degenerate_input_leaves_state_unchanged(self):
-        ref = random_fp(4, 1, index=1)
-        state = DetectorState(reference=ref)
-        step(state, random_fp(4, 2, index=2))
-        before_history = list(state.history)
-        before_ref = state.reference
+    def test_degenerate_input_rejected(self):
+        stream = [random_fp(4, 1), random_fp(4, 2), make_fp(np.zeros(4))]
         with pytest.raises(DegenerateFingerprintError):
-            step(state, make_fp(np.zeros(4), index=3))
-        assert state.history == before_history
-        assert state.reference is before_ref
-
-    def test_out_of_order_subframe_rejected(self):
-        ref = random_fp(4, 1, index=1)
-        state = DetectorState(reference=ref)
-        step(state, random_fp(4, 2, index=5))
-        with pytest.raises(ConfigurationError):
-            step(state, random_fp(4, 3, index=5))
-        assert len(state.history) == 1
+            run_stream(stream)
 
     def test_boundary_similarity_is_normal(self):
         # Exactly at the threshold counts as normal (alarm iff strictly
-        # below).
-        ref = make_fp([1.0, 0.0], index=1)
-        state = DetectorState(reference=ref, threshold=0.0)
-        outcome = step(state, make_fp([0.0, 1.0], index=2))
-        assert outcome.similarity == 0.0
-        assert outcome.decision is Decision.NORMAL
+        # below), so the fingerprint becomes the reference.
+        phi = make_fp([1.0, 0.0])
+        phi_perp = make_fp([0.0, 1.0])
+        result = run_stream([phi, phi_perp, phi_perp], threshold=0.0)
+        assert result.similarities == (0.0, 1.0)
+        assert result.first_alarm_index is None
 
     def test_threshold_one_alarms_below_unity(self):
-        ref = make_fp([1.0, 0.0], index=1)
-        state = DetectorState(reference=ref, threshold=1.0)
-        outcome = step(state, make_fp([1.0, 0.1], index=2))
-        assert outcome.decision is Decision.ALARM
+        result = run_stream(
+            [make_fp([1.0, 0.0]), make_fp([1.0, 0.1])], threshold=1.0
+        )
+        assert result.first_alarm_index == 2
 
 
 class TestRunStream:
     def test_identical_stream_no_alarm(self):
         fp = random_fp(6, 9)
-        state = run_stream([fp] * 5)
-        assert state.first_alarm_index is None
-        assert len(state.history) == 4
-        for outcome in state.history:
-            assert outcome.similarity == pytest.approx(1.0, abs=1e-12)
-            assert outcome.decision is Decision.NORMAL
+        result = run_stream([fp] * 5)
+        assert result.first_alarm_index is None
+        assert len(result.similarities) == 4
+        for value in result.similarities:
+            assert value == pytest.approx(1.0, abs=1e-12)
+            assert value >= result.threshold
 
     def test_orthogonal_third_alarms_at_three(self):
         phi = make_fp([1.0, 0.0, 0.0])
         phi_perp = make_fp([0.0, 1.0, 0.0])
-        state = run_stream([phi, phi, phi_perp])
-        assert state.first_alarm_index == 3
-        assert [o.decision for o in state.history] == [
-            Decision.NORMAL,
-            Decision.ALARM,
-        ]
+        result = run_stream([phi, phi, phi_perp])
+        assert result.first_alarm_index == 3
+        assert result.similarities == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_positions_are_one_based(self):
-        stream = [random_fp(5, 0), random_fp(5, 0), random_fp(5, 0)]
-        state = run_stream(stream)
-        assert [o.subframe_index for o in state.history] == [2, 3]
-        assert [o.reference_subframe for o in state.history] == [1, 2]
+        # Positions count the stream, whatever subframe index each
+        # fingerprint carries.
+        phi = make_fp([1.0, 0.0], index=40)
+        phi_perp = make_fp([0.0, 1.0], index=7)
+        assert run_stream([phi, phi_perp]).first_alarm_index == 2
+        assert run_stream([phi, phi, phi_perp]).first_alarm_index == 3
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ConfigurationError):
             run_stream([])
 
     def test_single_fingerprint_no_outcomes(self):
-        state = run_stream([random_fp(4, 2)])
-        assert state.history == []
-        assert state.first_alarm_index is None
+        result = run_stream([random_fp(4, 2)])
+        assert result.similarities == ()
+        assert result.first_alarm_index is None
 
     def test_quarantine_reference_trace(self):
         # After an alarm the reference stays put, so a return to the
         # original direction is accepted again.
         phi = make_fp([1.0, 0.0])
         phi_perp = make_fp([0.0, 1.0])
-        state = run_stream([phi, phi_perp, phi])
-        assert [o.decision for o in state.history] == [
-            Decision.ALARM,
-            Decision.NORMAL,
-        ]
-        assert state.history[1].reference_subframe == 1
-        # The returned state is the fold's: its reference is the last
-        # fingerprint judged normal.
-        assert state.reference.subframe_index == 3
+        result = run_stream([phi, phi_perp, phi])
+        assert result.similarities == (0.0, 1.0)
+        assert result.first_alarm_index == 2
 
     def test_monotone_threshold_replay(self):
         # Up to the stricter run's first alarm both runs decide "normal" at
@@ -220,10 +206,8 @@ class TestRunStream:
         first = high.first_alarm_index
         assert first is not None
         assert low.first_alarm_index is None or low.first_alarm_index >= first
-        for lo, hi in zip(low.history, high.history):
-            if lo.subframe_index > first:
-                break
-            assert lo.similarity == hi.similarity
+        # Positions 2..first are the first ``first - 1`` similarities.
+        assert low.similarities[:first - 1] == high.similarities[:first - 1]
 
     def test_global_scaling_changes_no_decision(self):
         gen = np.random.default_rng(13)
@@ -240,34 +224,42 @@ class TestRunStream:
         ]
         plain = run_stream(stream, threshold=0.8)
         rescaled = run_stream(scaled, threshold=0.8)
-        assert [o.decision for o in plain.history] == [
-            o.decision for o in rescaled.history
+        assert [v >= 0.8 for v in plain.similarities] == [
+            v >= 0.8 for v in rescaled.similarities
         ]
-        for a, b in zip(plain.history, rescaled.history):
-            assert a.similarity == pytest.approx(b.similarity, abs=1e-12)
+        assert plain.similarities == pytest.approx(
+            rescaled.similarities, abs=1e-12
+        )
 
 
 class TestStateValidation:
+    """Checks on the input of ``run_stream`` and on its result."""
+
     def test_threshold_range(self):
         ref = random_fp(4, 0)
         with pytest.raises(ConfigurationError):
-            DetectorState(reference=ref, threshold=1.1)
+            run_stream([ref], threshold=1.1)
         with pytest.raises(ConfigurationError):
-            DetectorState(reference=ref, threshold=-0.01)
+            run_stream([ref], threshold=-0.01)
 
     def test_zero_reference_rejected(self):
         with pytest.raises(DegenerateFingerprintError):
-            DetectorState(reference=make_fp(np.zeros(3)))
+            run_stream([make_fp(np.zeros(3))])
+        with pytest.raises(DegenerateFingerprintError):
+            run_stream([make_fp(np.zeros(3)), random_fp(3, 0)])
 
     def test_default_threshold(self):
-        state = DetectorState(reference=random_fp(4, 0))
-        assert state.threshold == 0.92
+        result = run_stream([random_fp(4, 0)])
+        assert result.threshold == DEFAULT_THRESHOLD == 0.92
 
     def test_first_alarm_index_property(self):
         phi = make_fp([1.0, 0.0])
         phi_perp = make_fp([0.0, 1.0])
-        state = run_stream([phi, phi, phi_perp, phi_perp])
-        assert state.first_alarm_index == 3
+        result = run_stream([phi, phi, phi_perp, phi_perp])
+        assert result.first_alarm_index == 3
+        # An alarm is a similarity strictly below the threshold.
+        assert StreamResult((0.5, 0.4, 0.3), 0.4).first_alarm_index == 4
+        assert StreamResult((0.5, 0.4), 0.4).first_alarm_index is None
 
 
 class TestMixtureResponse:

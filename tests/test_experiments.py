@@ -31,7 +31,7 @@ import pytest
 from conftest import reference_extract, same_bits
 from spoofdet import experiments, extractor
 from spoofdet.channel import complex_normal, draw_channel
-from spoofdet.detector import Decision, run_stream
+from spoofdet.detector import run_stream
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -163,18 +163,25 @@ class TestAucUncertainty:
     def test_placements_match_pair_counting(self, orientation):
         gen = np.random.default_rng(11)
         for _ in range(30):
-            attack = gen.integers(10, 16, size=gen.integers(1, 40))
-            normal = gen.integers(9, 15, size=gen.integers(1, 40))
-            v_attack, v_normal = experiments._auc_placements(
-                attack, normal, orientation
-            )
-            kernel = pair_kernel(attack, normal, orientation)
-            assert np.allclose(v_attack, kernel.mean(axis=1), atol=1e-12)
-            assert np.allclose(v_normal, kernel.mean(axis=0), atol=1e-12)
-            for values in (v_attack, v_normal):
-                assert values.mean() == pytest.approx(
-                    auc_rank(attack, normal, orientation), abs=1e-12
+            # Integer scores with many ties, then continuous scores.
+            for attack, normal in (
+                (gen.integers(10, 16, size=gen.integers(1, 40)),
+                 gen.integers(9, 15, size=gen.integers(1, 40))),
+                (gen.normal(0.3, 1.0, size=gen.integers(1, 40)),
+                 gen.normal(0.0, 1.0, size=gen.integers(1, 40))),
+            ):
+                v_attack, v_normal = experiments._auc_placements(
+                    attack, normal, orientation
                 )
+                kernel = pair_kernel(attack, normal, orientation)
+                assert np.allclose(v_attack, kernel.mean(axis=1), atol=1e-12)
+                assert np.allclose(v_normal, kernel.mean(axis=0), atol=1e-12)
+                auc = auc_rank(attack, normal, orientation)
+                for values in (v_attack, v_normal):
+                    assert values.mean() == pytest.approx(auc, abs=1e-12)
+                # The covariance's AUC is the rank AUC to the last bit.
+                aucs, _ = auc_covariance([(attack, normal, orientation)])
+                assert aucs[0] == auc
 
     def test_covariance_matches_brute_force(self):
         gen = np.random.default_rng(12)
@@ -933,25 +940,26 @@ class TestStreamsMatchReferenceLoop:
     ATTACK_START = 4
 
     def reference(self, cfg, attack_start):
-        """(detector states, errors, failing subframes) of the streams."""
-        states, errors, failing = [], [], []
+        """(``run_stream`` results, errors, failing subframes) of the
+        streams."""
+        results, errors, failing = [], [], []
         for index in range(self.N_STREAMS):
             out, subframe = sequential_stream(
                 cfg, index, self.N_SUBFRAMES, attack_start
             )
             if subframe is None:
-                states.append(
+                results.append(
                     run_stream(out, threshold=cfg.similarity_threshold)
                 )
             else:
                 errors.append(out)
                 failing.append(subframe)
-        return states, errors, failing
+        return results, errors, failing
 
-    def check(self, states, errors, run):
+    def check(self, results, errors, run):
         """``run()`` returns a result whose failed-stream count matches, or
         raises the error naming the first stream's failure."""
-        if not states:
+        if not results:
             message = (
                 f"every one of the {self.N_STREAMS} streams failed; "
                 f"first error: {errors[0]}"
@@ -969,28 +977,28 @@ class TestStreamsMatchReferenceLoop:
         failing = Counter()
         completed = 0
         for cfg in self.CELLS:
-            states, errors, quiet_failing = self.reference(cfg, None)
-            calibration = self.check(states, errors, lambda: calibrate(
+            results, errors, quiet_failing = self.reference(cfg, None)
+            calibration = self.check(results, errors, lambda: calibrate(
                 cfg, self.N_STREAMS, self.N_SUBFRAMES
             ))
             if calibration is not None:
                 assert calibration.similarities == tuple(
-                    outcome.similarity
-                    for state in states for outcome in state.history
+                    value
+                    for result in results for value in result.similarities
                 )
-            completed += len(states)
+            completed += len(results)
 
-            states, errors, attacked_failing = self.reference(
+            results, errors, attacked_failing = self.reference(
                 cfg, self.ATTACK_START
             )
-            delay = self.check(states, errors, lambda: run_detection_delay(
+            delay = self.check(results, errors, lambda: run_detection_delay(
                 cfg, self.ATTACK_START, self.N_SUBFRAMES, self.N_STREAMS
             ))
             if delay is not None:
                 assert delay.first_alarms == tuple(
-                    state.first_alarm_index for state in states
+                    result.first_alarm_index for result in results
                 )
-            completed += len(states)
+            completed += len(results)
             failing.update(quiet_failing + attacked_failing)
         # Completed streams, and streams failing at the first subframe, at
         # a later one before the onset, and at or after it.
@@ -1224,6 +1232,19 @@ class TestOtherEntryPoints:
             tmp_path / "direct" / "trials.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "snr_values, rb_values", [([5.0], [4.5]), (["5"], [8])]
+    )
+    def test_run_sweep_rejects_what_the_config_rejects(
+        self, tmp_path, snr_values, rb_values
+    ):
+        # A fractional block count or a quoted SNR is not coerced into a
+        # cell: the config's own check raises before any cell runs.
+        cfg = ScenarioConfig(**TINY)
+        with pytest.raises(ConfigurationError):
+            run_sweep(cfg, snr_values, rb_values, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_calibrate(self):
         cfg = ScenarioConfig(**TINY)
         result = calibrate(cfg, n_streams=2, subframes_per_stream=3)
@@ -1237,23 +1258,22 @@ class TestOtherEntryPoints:
             np.quantile(values, result.quantile)
         )
         assert result.fraction_above_threshold == float(
-            np.mean(values > cfg.similarity_threshold)
+            np.mean(values >= cfg.similarity_threshold)
         )
 
     def test_similarity_at_the_threshold_counts_as_normal(self):
         # Tiny-cell similarities are exactly 0 or 1; at a threshold of 1.0
-        # a similarity of 1.0 is judged normal, as detector.step judges it.
+        # a similarity of 1.0 is judged normal, as detector.run_stream
+        # judges it.
         cfg = ScenarioConfig(**{**TINY, "similarity_threshold": 1.0})
         result = calibrate(cfg, n_streams=6, subframes_per_stream=4)
-        states, failed = experiments._stream_states(cfg, 6, 4, None)
-        decisions = [
-            outcome.decision for state in states for outcome in state.history
-        ]
-        normal = sum(1 for d in decisions if d is Decision.NORMAL)
+        results, failed = experiments._stream_states(cfg, 6, 4, None)
+        values = [value for r in results for value in r.similarities]
+        normal = sum(1 for value in values if value >= 1.0)
         assert failed == result.failed_streams
-        assert len(decisions) == len(result.similarities) == 12
+        assert len(values) == len(result.similarities) == 12
         assert normal == 6
-        assert result.fraction_above_threshold == normal / len(decisions)
+        assert result.fraction_above_threshold == normal / len(values)
 
     def test_run_detection_delay(self):
         cfg = ScenarioConfig(**TINY)

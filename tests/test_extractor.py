@@ -680,17 +680,24 @@ def accepted_points(evaluated):
     return accepted
 
 
-def settled_streaks(accepted, tolerance):
+def settled_streaks(accepted, tolerance, floor):
     """Per accepted iteration, how many accepted iterations in a row, up to
     and including it, kept the support and lowered the loss by at most
-    ``tolerance`` times the loss before them."""
+    ``tolerance`` times the loss before them, or reached a loss of at most
+    ``floor``."""
     streaks = []
     run = 0
     for (phi, before), (candidate, after) in zip(accepted, accepted[1:]):
         keeps = set(np.flatnonzero(candidate)) == set(np.flatnonzero(phi))
-        run = run + 1 if keeps and before - after <= tolerance * before else 0
+        small_drop = keeps and before - after <= tolerance * before
+        run = run + 1 if small_drop or after <= floor else 0
         streaks.append(run)
     return streaks
+
+
+def loss_floor(batch):
+    """The loss at the rounding level of the squared samples."""
+    return np.finfo(float).eps * batch.sample_mean**2
 
 
 @pytest.fixture(scope="module")
@@ -707,7 +714,8 @@ def seed7_batches():
 
 class TestSettleRule:
     """A descent stops after five accepted iterations in a row that keep
-    the support and lower the loss by at most ``tolerance`` of it."""
+    the support and lower the loss by at most ``tolerance`` of it, or that
+    reach a loss at the rounding level of the squared samples."""
 
     def test_default_cell_descents_converge_before_the_cap(
         self, seed7_batches
@@ -740,7 +748,9 @@ class TestSettleRule:
                 except ExtractionError:
                     continue
                 accepted = accepted_points(evaluated)
-                streaks = settled_streaks(accepted, cfg.tolerance)
+                streaks = settled_streaks(
+                    accepted, cfg.tolerance, loss_floor(batch)
+                )
                 assert len(streaks) == fp.diagnostics.iterations
                 assert streaks[-1] == 5 and 5 not in streaks[:-1]
                 assert fp.diagnostics.converged
@@ -759,6 +769,7 @@ class TestSettleRule:
         cfg = ExtractorConfig(tolerance=0.0, max_iterations=1000)
         evaluated = spy_on_evaluations(monkeypatch)
         converged = 0
+        at_floor = 0
         planted = [
             planted_batch(16, 300, (3, 9, 14), [1.2, 1.0, 0.7], seed)[0]
             for seed in range(600, 606)
@@ -773,14 +784,39 @@ class TestSettleRule:
                 continue
             converged += 1
             accepted = accepted_points(evaluated)
+            floor = loss_floor(batch)
             # The last five accepted iterations kept the support and left
-            # the loss exactly where it was.
+            # the loss exactly where it was, or reached the rounding floor.
             for (phi, before), (candidate, after) in zip(
                 accepted[-6:], accepted[-5:]
             ):
+                if after <= floor:
+                    continue
                 assert after == before
                 assert np.array_equal(candidate != 0, phi != 0)
+            at_floor += accepted[-1][1] <= floor
         assert converged >= 2
+        # The noiseless planted batch of seed 602 stops at the floor.
+        assert 1 <= at_floor < converged
+
+    def test_noiseless_planted_descent_settles_at_the_rounding_floor(
+        self, monkeypatch
+    ):
+        # The loss of a noiseless planted batch falls by a steady ratio
+        # toward 0, so its relative drops stay large; reaching the rounding
+        # floor counts as settled instead of running to the cap.
+        batch, _ = planted_batch(32, 5000, (2, 11, 29), [1.0] * 3, 900)
+        cfg = ExtractorConfig()
+        evaluated = spy_on_evaluations(monkeypatch)
+        fp = extract(batch, cfg)
+        assert fp.diagnostics.converged
+        assert fp.diagnostics.iterations < cfg.max_iterations
+        accepted = accepted_points(evaluated)
+        floor = loss_floor(batch)
+        assert settled_streaks(accepted, cfg.tolerance, floor)[-1] == 5
+        assert all(loss <= floor for _, loss in accepted[-5:])
+        # The relative drops alone would not have stopped it.
+        assert settled_streaks(accepted, cfg.tolerance, 0.0)[-1] < 5
 
 
 def assert_matches_reference(batch, cfg):
