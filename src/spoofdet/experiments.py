@@ -666,9 +666,10 @@ def _auc_placements(
     ``v_attack[i]`` is the share of quiet trials that attack trial ``i``
     outscores and ``v_normal[j]`` the share of attack trials that outscore
     quiet trial ``j``, ties counting one half; each averages to the AUC of
-    :func:`auc_rank`, up to rounding.  They come from midranks, as in Sun & Xu (IEEE Signal
-    Process. Lett. 2014): an attack score's rank in the pooled scores minus
-    its rank among the attack scores counts the quiet scores below it.
+    :func:`auc_rank`, up to rounding.  They come from midranks, as in Sun &
+    Xu (IEEE Signal Process. Lett. 2014): an attack score's rank in the
+    pooled scores minus its rank among the attack scores counts the quiet
+    scores below it.
     """
     attack, normal = _oriented(attack_scores, normal_scores, orientation)
     pooled = _midranks(np.concatenate([attack, normal]))

@@ -161,8 +161,8 @@ def reference_extract(batch, cfg):
             np.flatnonzero(candidate), np.flatnonzero(phi)
         )
         loss_drop = current_loss - candidate_loss
-        small_drop = keeps_support and loss_drop <= cfg.tolerance * current_loss
-        if small_drop or candidate_loss <= loss_floor:
+        small_drop = loss_drop <= cfg.tolerance * current_loss
+        if (keeps_support and small_drop) or candidate_loss <= loss_floor:
             settled += 1
         else:
             settled = 0
