@@ -37,14 +37,16 @@ energies and the clean snapshot spectra are built on first access, and each
 subframe's probes (with their conjugate), tap noise and snapshot noise are
 drawn once, for both arms.
 
-Trials and streams extract by one rule: their ``(subframe, attacked)``
-schedule goes to ``extractor.extract_all`` as a generator of sensing
-batches, so each batch is built only after the descent before it has
-started, and a descent whose first iterate is zero ends the schedule there.
-A trial's schedule is ``TRIAL_SCHEDULE``, and only a trial whose three
-extractions succeed builds its baseline inputs; a stream's is subframes
-``1..n``, attacked from the onset on.  ``DETECTORS`` names each detector's
-statistic, ``trials.csv`` columns and ROC orientation.
+Trials and streams take one path, ``_arm_streams``: the quiet subframes
+``1..onset-1``, shared by every arm, then each arm's subframes from the
+onset on go to ``extractor.extract_all`` as a generator of sensing batches,
+so each batch is built only after the descent before it has started, and
+a descent whose first iterate is zero ends the schedule there; each arm's
+fingerprints are then folded by ``detector.run_stream``.  A paired trial
+is two subframes with a quiet and an attacked arm from onset 2, and only a
+trial whose three extractions succeed builds its baseline inputs; a stream
+is one arm.  ``DETECTORS`` names each detector's statistic, ``trials.csv``
+columns and ROC orientation.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .channel import (
     load_cluster_table,
     vectorize_taps,
 )
-from .detector import run_stream, similarity
+from .detector import StreamResult, run_stream
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -80,7 +82,6 @@ from .errors import (
 )
 from .extractor import (
     SensingBatch,
-    SparsityFingerprint,
     draw_gaussian_probes,
     extract_all,
 )
@@ -119,10 +120,6 @@ def _detector(name: str) -> Detector:
 
 # The monitored user; users are exchangeable (see ``scenario``).
 VICTIM = 0
-
-# The (subframe, attacked) pairs a paired trial extracts: the reference,
-# the quiet test and the attacked test.
-TRIAL_SCHEDULE = ((1, False), (2, False), (2, True))
 
 # Seed-stream identifiers.  Every random draw in a trial comes from
 # SeedSequence(master, spawn_key=(trial, stream)), so changing one trial
@@ -185,7 +182,10 @@ class RocCurve:
 
     @property
     def auc_ci95(self) -> tuple:
-        """Normal-approximation 95% interval of the AUC, cut to [0, 1]."""
+        """Normal-approximation 95% interval of the AUC, cut to [0, 1];
+        ``(nan, nan)`` when the standard error is NaN."""
+        if math.isnan(self.auc_se):
+            return math.nan, math.nan
         half = _Z95 * self.auc_se
         return max(0.0, self.auc - half), min(1.0, self.auc + half)
 
@@ -303,6 +303,9 @@ class _SubframeDraws:
 class TrialSimulator:
     """One trial's frozen deployment plus its observation builders.
 
+    Trials and streams build one simulator per deployment in
+    ``_arm_streams``, which extracts every arm's sensing batches; a trial
+    then reads each arm's statistics through :meth:`arm_observables`.
     Every random quantity is regenerated from named seed streams, so
     calling a builder twice — or for both arms — replays identical draws,
     in any call order, and building an input late or not at all changes no
@@ -316,8 +319,8 @@ class TrialSimulator:
     * Per trial, on construction: the geometry (the array and one azimuth
       per actor), the victim's ``(num_taps, M)`` tap matrix, its
       fingerprint coordinates ``psi_victim``, and the check that the
-      victim's channel carries energy.  This is all the reference and the
-      quiet test extraction read.
+      victim's channel carries energy.  This is all the quiet extractions
+      read.
     * Per trial, on first access: the attacker's channel, its amplitude
       ``rho`` (which first checks that the attacker's channel carries
       energy) and ``psi_attacker``, read when the attacked extraction
@@ -475,9 +478,7 @@ class TrialSimulator:
         mean = float(samples.mean())
         if mean > 0:
             samples = samples / mean
-        batch = SensingBatch(
-            probes=draws.probes, samples=samples, subframe_index=subframe
-        )
+        batch = SensingBatch(probes=draws.probes, samples=samples)
         # Hand the batch the shared conjugate; SensingBatch.conj_probes is a
         # cached_property, which keeps its value in the instance dict.
         vars(batch)["conj_probes"] = draws.conj_probes
@@ -523,48 +524,62 @@ class TrialSimulator:
         return rows
 
     def arm_observables(
-        self,
-        reference: SparsityFingerprint,
-        test: SparsityFingerprint,
-        attacked: bool,
+        self, result: StreamResult, subframe: int, attacked: bool
     ) -> ArmObservables:
-        """Statistics of one arm at test subframe 2.
+        """Statistics of one arm at ``subframe``: the last similarity of
+        the arm's stream ``result``, and the energy and subspace statistics
+        built here."""
+        energy = ed_statistic(self.energy_observation(subframe, attacked))
+        window = self.snapshot_window(subframe, attacked)
+        dimension = sd_statistic(window, self.cfg.subspace_config())
+        return ArmObservables(result.similarities[-1], energy, dimension)
 
-        ``test`` is this arm's fingerprint of subframe 2, scored against
-        the fixed ``reference``; the energy and subspace statistics are
-        built here.
-        """
-        c = similarity(reference, test)
-        energy = ed_statistic(self.energy_observation(2, attacked))
-        dimension = sd_statistic(
-            self.snapshot_window(2, attacked), self.cfg.subspace_config()
-        )
-        return ArmObservables(
-            similarity=c, energy=energy, subspace_dimension=dimension
-        )
+
+def _arm_streams(
+    cfg: ScenarioConfig, trial_index: int, n_subframes: int, onset: int,
+    arms: tuple,
+) -> tuple:
+    """(simulator, one ``run_stream`` result per arm) of one deployment.
+
+    Subframes ``1..onset-1`` are quiet and shared by every arm; from the
+    onset to ``n_subframes`` each entry of ``arms`` says whether that arm
+    is attacked.  The whole schedule, the shared subframes then each arm's
+    own in turn, goes through one ``extract_all``, whose first error is
+    raised.
+    """
+    simulator = TrialSimulator(cfg, trial_index)
+    own = range(onset, n_subframes + 1)
+    schedule = [(s, False) for s in range(1, onset)]
+    schedule += [(s, attacked) for attacked in arms for s in own]
+    fingerprints = extract_all(
+        (simulator.sensing_batch(*pair) for pair in schedule), cfg.extractor
+    )
+    shared, tests = fingerprints[: onset - 1], fingerprints[onset - 1:]
+    n = len(own)
+    results = [
+        run_stream(shared + tests[k * n:(k + 1) * n], cfg.similarity_threshold)
+        for k in range(len(arms))
+    ]
+    return simulator, results
 
 
 def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
     """Run one paired trial; failures become records, not exceptions.
 
-    The extractions of ``TRIAL_SCHEDULE`` (the reference from subframe 1,
-    then the quiet and the attacked test from subframe 2) run first, as
-    they are the steps that fail; only a trial that passes all three builds
-    its energy and subspace statistics, whose inputs cannot fail on a
-    config that validates.
+    The trial is the two-subframe stream of a quiet and an attacked arm:
+    the reference from subframe 1, then each arm's test from subframe 2.
+    Those extractions run first, as they are the steps that fail; only a
+    trial that passes all three builds its energy and subspace statistics,
+    whose inputs cannot fail on a config that validates.
     """
     try:
-        simulator = TrialSimulator(cfg, trial_index)
-        reference, test_quiet, test_attacked = extract_all(
-            (simulator.sensing_batch(*pair) for pair in TRIAL_SCHEDULE),
-            cfg.extractor,
+        simulator, (quiet, attacked) = _arm_streams(
+            cfg, trial_index, 2, 2, (False, True)
         )
         return TrialRecord(
             trial_index,
-            simulator.arm_observables(reference, test_quiet, attacked=False),
-            simulator.arm_observables(
-                reference, test_attacked, attacked=True
-            ),
+            simulator.arm_observables(quiet, 2, attacked=False),
+            simulator.arm_observables(attacked, 2, attacked=True),
         )
     except SpoofdetError as exc:
         return TrialRecord(
@@ -739,29 +754,6 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
 # ------------------------------------------------------------ multi-subframe
 
 
-def fingerprint_stream(
-    cfg: ScenarioConfig,
-    trial_index: int,
-    n_subframes: int,
-    attack_start: int | None = None,
-) -> list:
-    """Fingerprints of subframes ``1..n_subframes`` of one deployment,
-    attacked from subframe ``attack_start`` on, if it is given.
-
-    The schedule is extracted by ``extract_all``, as a trial's is; the
-    first error of the deployment or of an extraction is raised.
-    """
-    if n_subframes < 1:
-        raise ConfigurationError("need at least one subframe")
-    simulator = TrialSimulator(cfg, trial_index)
-    onset = n_subframes + 1 if attack_start is None else attack_start
-    batches = (
-        simulator.sensing_batch(s, s >= onset)
-        for s in range(1, n_subframes + 1)
-    )
-    return extract_all(batches, cfg.extractor)
-
-
 def _stream_states(
     cfg: ScenarioConfig,
     n_streams: int,
@@ -775,19 +767,19 @@ def _stream_states(
     fails there is nothing to report, and the error names the first
     stream's failure.
     """
+    # Without an attack the onset lies past the stream's end.
+    onset = n_subframes + 1 if attack_start is None else attack_start
     results = []
     errors = []
     for stream in range(n_streams):
         try:
-            fingerprints = fingerprint_stream(
-                cfg, stream, n_subframes, attack_start=attack_start
+            _, (result,) = _arm_streams(
+                cfg, stream, n_subframes, onset, (True,)
             )
         except SpoofdetError as exc:
             errors.append(f"stream {stream}: {type(exc).__name__}: {exc}")
             continue
-        results.append(
-            run_stream(fingerprints, threshold=cfg.similarity_threshold)
-        )
+        results.append(result)
     if not results:
         raise InsufficientDataError(
             f"every one of the {n_streams} streams failed; first error: "
@@ -999,14 +991,24 @@ def run_sweep(cfg: ScenarioConfig, snr_values, rb_values, out_dir=None) -> dict:
 
     Each value goes to ``ScenarioConfig`` as given, so its checks apply: a
     fractional block count or a string raises ``ConfigurationError``.
+    Every cell's config is built before any cell runs; two cells with one
+    tag (``5`` and ``5.0``, say) raise too, rather than share a directory.
     """
     root = Path(cfg.output_dir if out_dir is None else out_dir)
-    cells = {}
+    cell_cfgs = {}
     for snr_db in snr_values:
         for rb_count in rb_values:
             cell_cfg = replace(cfg, snr_db=snr_db, rb_count=rb_count)
-            summary = run_scenario(cell_cfg, root / cell_cfg.cell_tag())
-            cells[cell_cfg.cell_tag()] = summary["auc"]
+            tag = cell_cfg.cell_tag()
+            if tag in cell_cfgs:
+                raise ConfigurationError(
+                    f"snr_db={snr_db!r}, rb_count={rb_count!r} repeats {tag}"
+                )
+            cell_cfgs[tag] = cell_cfg
+    cells = {
+        tag: run_scenario(cell_cfg, root / tag)["auc"]
+        for tag, cell_cfg in cell_cfgs.items()
+    }
     grid_summary = {
         "schema_version": SCHEMA_VERSION,
         "master_seed": cfg.master_seed,

@@ -126,7 +126,6 @@ class SensingBatch:
         Shape ``(L, D)``; row ``l`` is the known probe vector ``h(l)``.
     samples : numpy.ndarray
         Shape ``(L,)`` of real non-negative measurements ``s(l)``.
-    subframe_index : int
 
     The conjugated probes and the sample mean are computed once per batch
     and cached, so ``probes`` and ``samples`` must not be mutated after
@@ -135,7 +134,6 @@ class SensingBatch:
 
     probes: np.ndarray
     samples: np.ndarray
-    subframe_index: int = 0
 
     def __post_init__(self) -> None:
         if self.probes.ndim != 2:
@@ -195,7 +193,6 @@ class SparsityFingerprint:
 
     values: np.ndarray
     support: tuple
-    subframe_index: int
     diagnostics: ExtractionDiagnostics | None = None
 
     @property
@@ -553,7 +550,6 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
     yield SparsityFingerprint(
         values=phi,
         support=final_support,
-        subframe_index=batch.subframe_index,
         diagnostics=diagnostics,
     )
 

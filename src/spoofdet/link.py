@@ -72,12 +72,10 @@ class StackedEstimate:
         Shape ``(L, M * tau)``: delay-tap estimates, tap-major (tap 0's
         ``M`` antennas, then tap 1's, ...), matching the fingerprint
         coordinate layout.
-    subframe_index : int
     """
 
     fd: np.ndarray
     tap: np.ndarray
-    subframe_index: int
     num_antennas: int
     num_taps: int
 
@@ -154,7 +152,7 @@ def to_frequency_domain(y_td: np.ndarray) -> np.ndarray:
 
 
 def ls_estimate(
-    y_fd: np.ndarray, pilot: np.ndarray, num_taps: int, subframe_index: int = 0
+    y_fd: np.ndarray, pilot: np.ndarray, num_taps: int
 ) -> StackedEstimate:
     """Least-squares estimate of the victim's stacked frequency response.
 
@@ -189,7 +187,7 @@ def ls_estimate(
     taps = np.fft.ifft(estimates, axis=-1, norm="ortho")[:, :, :num_taps]
     taps = taps / np.sqrt(n)
     tap = np.transpose(taps, (0, 2, 1)).reshape(n_samples, num_taps * m_ant)
-    return StackedEstimate(fd, tap, subframe_index, m_ant, num_taps)
+    return StackedEstimate(fd, tap, m_ant, num_taps)
 
 
 def simulate_subframe(
@@ -199,7 +197,6 @@ def simulate_subframe(
     noise_variance: float,
     n_samples: int,
     rng,
-    subframe_index: int = 0,
     num_taps: int | None = None,
 ) -> StackedEstimate:
     """Run the full chain for one subframe: transmit, FFT, least squares.
@@ -212,7 +209,7 @@ def simulate_subframe(
         pool, channels, attacker, noise_variance, n_samples, rng
     )
     pilot = pool.sequence_for_user(VICTIM)
-    return ls_estimate(to_frequency_domain(y_td), pilot, num_taps, subframe_index)
+    return ls_estimate(to_frequency_domain(y_td), pilot, num_taps)
 
 
 def frequency_reference(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
@@ -252,6 +249,4 @@ def build_subframe_batch(
     mean = float(np.mean(samples))
     if mean > 0:
         samples = samples / mean
-    return SensingBatch(
-        probes=probes, samples=samples, subframe_index=estimate.subframe_index
-    )
+    return SensingBatch(probes=probes, samples=samples)

@@ -27,19 +27,18 @@ from spoofdet.extractor import (
 )
 
 
-def make_fp(values, index=0):
+def make_fp(values):
     values = np.asarray(values, dtype=np.complex128)
     return SparsityFingerprint(
         values=values,
         support=tuple(int(i) for i in np.flatnonzero(values)),
-        subframe_index=index,
     )
 
 
-def random_fp(dimension, seed, index=0):
+def random_fp(dimension, seed):
     gen = np.random.default_rng(seed)
     values = gen.normal(size=dimension) + 1j * gen.normal(size=dimension)
-    return make_fp(values, index)
+    return make_fp(values)
 
 
 class TestSimilarity:
@@ -166,10 +165,8 @@ class TestRunStream:
         assert result.similarities == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_positions_are_one_based(self):
-        # Positions count the stream, whatever subframe index each
-        # fingerprint carries.
-        phi = make_fp([1.0, 0.0], index=40)
-        phi_perp = make_fp([0.0, 1.0], index=7)
+        phi = make_fp([1.0, 0.0])
+        phi_perp = make_fp([0.0, 1.0])
         assert run_stream([phi, phi_perp]).first_alarm_index == 2
         assert run_stream([phi, phi, phi_perp]).first_alarm_index == 3
 
@@ -198,9 +195,9 @@ class TestRunStream:
         gen = np.random.default_rng(11)
         stream = []
         base = gen.normal(size=6) + 1j * gen.normal(size=6)
-        for t in range(12):
+        for _ in range(12):
             jitter = 0.35 * (gen.normal(size=6) + 1j * gen.normal(size=6))
-            stream.append(make_fp(base + jitter, index=t))
+            stream.append(make_fp(base + jitter))
         low = run_stream(stream, threshold=0.6)
         high = run_stream(stream, threshold=0.9)
         first = high.first_alarm_index

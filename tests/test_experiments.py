@@ -13,8 +13,10 @@ in any call order; counting spies on ``draw_channel`` and
 builds; the complex-noise expression the snapshot noise was first written
 with; whole trials and streams run in the sequential order, each
 extraction to its end through the reference copy of the extractor's
-descent loop, for the results of the start-then-finish schedule; and a spy
-on the descents' point evaluations for how far each one ran.
+descent loop, each arm scored with ``similarity``, for the results of the
+start-then-finish schedule; and a spy on the descents' point evaluations
+for how far each one ran, with a fresh simulator's batches naming the
+subframe each descent extracted.
 """
 
 import csv
@@ -30,8 +32,9 @@ import pytest
 
 from conftest import reference_extract, same_bits
 from spoofdet import experiments, extractor
+from spoofdet.baselines import ed_statistic, sd_statistic
 from spoofdet.channel import complex_normal, draw_channel
-from spoofdet.detector import run_stream
+from spoofdet.detector import run_stream, similarity
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -47,7 +50,6 @@ from spoofdet.experiments import (
     auc_rank,
     calibrate,
     detector_scores,
-    fingerprint_stream,
     roc_from_outcomes,
     run_detection_delay,
     run_scenario,
@@ -422,6 +424,9 @@ class TestRunScenario:
         for name in DETECTOR_NAMES:
             assert summary["auc_se"][name] is None
             assert summary["auc_ci95"][name] is None
+        # No interval is made up for a standard error that does not exist.
+        for curve in curves:
+            assert all(math.isnan(v) for v in curve.auc_ci95)
 
     def test_tiny_cell_matches_golden_records(self, tmp_path):
         cfg = ScenarioConfig(**TINY)
@@ -503,9 +508,7 @@ class TestShortcutsMatchLinkChain:
             pool, simulator.channels, attacker, 0.0, cfg.n_samples, rng=0
         )
         y_fd = to_frequency_domain(y_td)
-        estimate = ls_estimate(
-            y_fd, pool.sequence_for_user(0), cfg.num_taps, subframe_index=1
-        )
+        estimate = ls_estimate(y_fd, pool.sequence_for_user(0), cfg.num_taps)
         return y_fd, estimate
 
     @pytest.mark.parametrize("trial", [0, 1, 2])
@@ -587,12 +590,10 @@ def observed(simulator, name, *args):
     if isinstance(value, list):  # the users' tap arrays
         return tuple(value)
     if isinstance(value, SensingBatch):
-        return (value.probes, value.conj_probes, value.samples,
-                value.subframe_index)
+        return (value.probes, value.conj_probes, value.samples)
     if isinstance(value, np.ndarray):
         return (value,)
-    return (value.values, value.support, value.subframe_index,
-            value.diagnostics)
+    return (value.values, value.support, value.diagnostics)
 
 
 def assert_same(ours, fresh):
@@ -708,8 +709,12 @@ class TestDrawsOnlyWhatIsRead:
         assert run_single_trial(cfg, 0).failed
         assert built == [(1, False)]
         built.clear()
-        with pytest.raises(ExtractionError):
-            fingerprint_stream(cfg, 0, 4, attack_start=2)
+        with pytest.raises(
+            InsufficientDataError, match="stream 0: ExtractionError"
+        ):
+            run_detection_delay(
+                cfg, attack_start=2, n_subframes=4, n_streams=1
+            )
         assert built == [(1, False)]
 
     def test_completed_trial_draws_each_channel_once(self, sources):
@@ -837,7 +842,8 @@ EXTRACTIONS = (
 def sequential_trial(cfg, index):
     """(record, role of the failing extraction or None) of one trial with
     each extraction run to the end through the reference copy of the
-    descent loop before the next one starts: the order whose records
+    descent loop before the next one starts, and each arm's test scored
+    against the reference with ``similarity``: the order whose records
     ``run_single_trial`` must reproduce."""
     fingerprints = []
     role = None
@@ -845,19 +851,22 @@ def sequential_trial(cfg, index):
         simulator = TrialSimulator(cfg, index)
         for role, subframe, attacked in EXTRACTIONS:
             batch = simulator.sensing_batch(subframe, attacked)
-            values, support, diagnostics = reference_extract(
-                batch, cfg.extractor
-            )
-            fingerprints.append(
-                SparsityFingerprint(values, support, subframe, diagnostics)
-            )
+            fingerprints.append(SparsityFingerprint(
+                *reference_extract(batch, cfg.extractor)
+            ))
         role = None
-        reference, quiet, attacked = fingerprints
-        record = TrialRecord(
-            index,
-            simulator.arm_observables(reference, quiet, attacked=False),
-            simulator.arm_observables(reference, attacked, attacked=True),
-        )
+        reference, *tests = fingerprints
+        record = TrialRecord(index, *(
+            ArmObservables(
+                similarity=similarity(reference, test),
+                energy=ed_statistic(simulator.energy_observation(2, attacked)),
+                subspace_dimension=sd_statistic(
+                    simulator.snapshot_window(2, attacked),
+                    cfg.subspace_config(),
+                ),
+            )
+            for test, attacked in zip(tests, (False, True))
+        ))
     except SpoofdetError as exc:
         record = TrialRecord(
             index, None, None,
@@ -917,12 +926,9 @@ def sequential_stream(cfg, index, n_subframes, attack_start):
         for subframe in range(1, n_subframes + 1):
             attacked = attack_start is not None and subframe >= attack_start
             batch = simulator.sensing_batch(subframe, attacked)
-            values, support, diagnostics = reference_extract(
-                batch, cfg.extractor
-            )
-            fingerprints.append(
-                SparsityFingerprint(values, support, subframe, diagnostics)
-            )
+            fingerprints.append(SparsityFingerprint(
+                *reference_extract(batch, cfg.extractor)
+            ))
     except SpoofdetError as exc:
         return f"stream {index}: {type(exc).__name__}: {exc}", subframe
     return fingerprints, None
@@ -1047,32 +1053,54 @@ def silent_attacker_draws(sources):
     return draw
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The batch of every point a descent evaluates, in call order."""
+    seen = []
+    evaluate = extractor._evaluate
+
+    def spy(batch, phi):
+        seen.append(batch)
+        return evaluate(batch, phi)
+
+    monkeypatch.setattr(extractor, "_evaluate", spy)
+    return seen
+
+
+def descents(evaluated):
+    """The evaluations of each descent, grouped by batch, in start order."""
+    runs = {}
+    for batch in evaluated:
+        runs.setdefault(id(batch), []).append(batch)
+    return list(runs.values())
+
+
+def schedule_of(runs, simulator, candidates):
+    """The ``(subframe, attacked)`` pair of each descent's batch: the one
+    candidate whose fresh batch has the same probes and samples."""
+    pairs = []
+    for calls in runs:
+        matches = []
+        for pair in candidates:
+            fresh = simulator.sensing_batch(*pair)
+            if (np.array_equal(calls[0].probes, fresh.probes)
+                    and np.array_equal(calls[0].samples, fresh.samples)):
+                matches.append(pair)
+        assert len(matches) == 1
+        pairs.append(matches[0])
+    return pairs
+
+
 class TestEarlyStop:
     """A trial stops at the first descent whose iterate is exactly zero,
     or at the first descent whose start raises."""
-
-    @pytest.fixture
-    def evaluated(self, monkeypatch):
-        """The batch of every point a descent evaluates, in call order."""
-        seen = []
-        evaluate = extractor._evaluate
-
-        def spy(batch, phi):
-            seen.append(batch)
-            return evaluate(batch, phi)
-
-        monkeypatch.setattr(extractor, "_evaluate", spy)
-        return seen
 
     def test_attacked_failure_runs_one_iteration_of_the_others(
         self, evaluated
     ):
         cfg = ScenarioConfig(master_seed=7)  # trial 0 fails at the attacked
         assert run_single_trial(cfg, 0).error == f"trial 0: {ZERO_VECTOR}"
-        per_batch = {}
-        for batch in evaluated:
-            per_batch.setdefault(id(batch), []).append(batch)
-        runs = list(per_batch.values())
+        runs = descents(evaluated)
         assert len(runs) == 3
 
         def evaluations(batch, max_iterations):
@@ -1116,22 +1144,66 @@ class TestEarlyStop:
         )
 
 
+class TestArmStreams:
+    """Trials and streams share one path: a trial is its two-subframe,
+    two-arm case, and with two reference subframes (``n_subframes=3``,
+    onset 3) the shared subframes are extracted once for both arms."""
+
+    CFG = ScenarioConfig(master_seed=7)
+    # Deployments of this cell whose six extractions at onset 3 complete.
+    COMPLETE_AT_ONSET_3 = (3, 5, 7, 11)
+
+    def test_trial_is_the_two_arm_stream(self):
+        failed = Counter()
+        for index in range(10):
+            try:
+                simulator, (quiet, attacked) = experiments._arm_streams(
+                    self.CFG, index, 2, 2, (False, True)
+                )
+            except SpoofdetError as exc:
+                expected = TrialRecord(
+                    index, None, None,
+                    error=f"trial {index}: {type(exc).__name__}: {exc}",
+                )
+            else:
+                expected = TrialRecord(
+                    index,
+                    simulator.arm_observables(quiet, 2, attacked=False),
+                    simulator.arm_observables(attacked, 2, attacked=True),
+                )
+            assert hex_record(run_single_trial(self.CFG, index)) == (
+                hex_record(expected)
+            )
+            failed[expected.failed] += 1
+        assert failed[True] > 0 and failed[False] > 0
+
+    def test_shared_subframes_are_extracted_once(self, evaluated):
+        index = self.COMPLETE_AT_ONSET_3[0]
+        experiments._arm_streams(self.CFG, index, 3, 3, (False, True))
+        candidates = [(s, a) for s in (1, 2, 3) for a in (False, True)]
+        assert schedule_of(
+            descents(evaluated), TrialSimulator(self.CFG, index), candidates
+        ) == [(1, False), (2, False), (3, False), (3, True)]
+
+    def test_arms_share_their_first_similarity(self):
+        for index in self.COMPLETE_AT_ONSET_3:
+            _, (quiet, attacked) = experiments._arm_streams(
+                self.CFG, index, 3, 3, (False, True)
+            )
+            simulator = TrialSimulator(self.CFG, index)
+            first, second = (
+                extract(simulator.sensing_batch(s, False), self.CFG.extractor)
+                for s in (1, 2)
+            )
+            assert len(quiet.similarities) == len(attacked.similarities) == 2
+            assert quiet.similarities[0] == attacked.similarities[0] == (
+                similarity(first, second)
+            )
+
+
 class TestStreamEarlyStop:
     """A stream stops at the first descent whose start fails, having run
     only the first iteration of the descents before it."""
-
-    @pytest.fixture
-    def evaluated(self, monkeypatch):
-        """The batch of every point a descent evaluates, in call order."""
-        seen = []
-        evaluate = extractor._evaluate
-
-        def spy(batch, phi):
-            seen.append(batch)
-            return evaluate(batch, phi)
-
-        monkeypatch.setattr(extractor, "_evaluate", spy)
-        return seen
 
     @pytest.mark.parametrize("index, failing", [(0, 3), (3, 6)])
     def test_failure_at_subframe_k(self, evaluated, index, failing):
@@ -1139,14 +1211,11 @@ class TestStreamEarlyStop:
         # and stream 3 at subframe 6.
         cfg = ScenarioConfig(master_seed=7)
         with pytest.raises(ExtractionError, match="identically zero"):
-            fingerprint_stream(cfg, index, 6)
-        runs = {}
-        for batch in evaluated:
-            runs.setdefault(id(batch), []).append(batch)
-        runs = list(runs.values())
-        assert [calls[0].subframe_index for calls in runs] == list(
-            range(1, failing + 1)
-        )
+            experiments._arm_streams(cfg, index, 6, 7, (True,))
+        runs = descents(evaluated)
+        fresh = TrialSimulator(cfg, index)
+        quiet = [(s, False) for s in range(1, 7)]
+        assert schedule_of(runs, fresh, quiet) == quiet[:failing]
 
         def evaluations(batch, max_iterations):
             evaluated.clear()
@@ -1233,13 +1302,15 @@ class TestOtherEntryPoints:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "snr_values, rb_values", [([5.0], [4.5]), (["5"], [8])]
+        "snr_values, rb_values",
+        [([5.0], [4.5]), (["5"], [8]), ([5, 5.0], [8]), ([5.0, "5"], [8])],
     )
     def test_run_sweep_rejects_what_the_config_rejects(
         self, tmp_path, snr_values, rb_values
     ):
         # A fractional block count or a quoted SNR is not coerced into a
-        # cell: the config's own check raises before any cell runs.
+        # cell, and two values naming one cell do not share its directory:
+        # the sweep raises before any cell runs.
         cfg = ScenarioConfig(**TINY)
         with pytest.raises(ConfigurationError):
             run_sweep(cfg, snr_values, rb_values, tmp_path)

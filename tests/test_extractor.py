@@ -1020,7 +1020,6 @@ class TestBatchBuilder:
         est = StackedEstimate(
             fd=np.zeros((n_samples, m_ant * bins), dtype=np.complex128),
             tap=tap,
-            subframe_index=4,
             num_antennas=m_ant,
             num_taps=taps,
         )
@@ -1034,7 +1033,6 @@ class TestBatchBuilder:
         np.testing.assert_allclose(
             batch.samples, expected / expected.mean(), rtol=1e-12
         )
-        assert batch.subframe_index == 4
 
     def test_normalization_sets_unit_mean(self):
         gen = np.random.default_rng(8)
@@ -1045,7 +1043,6 @@ class TestBatchBuilder:
         est = StackedEstimate(
             fd=np.zeros((n_samples, m_ant * 8), dtype=np.complex128),
             tap=tap,
-            subframe_index=0,
             num_antennas=m_ant,
             num_taps=taps,
         )
@@ -1057,7 +1054,6 @@ class TestBatchBuilder:
         est = StackedEstimate(
             fd=np.zeros((4, 8), dtype=np.complex128),
             tap=np.zeros((4, 4), dtype=np.complex128),
-            subframe_index=0,
             num_antennas=2,
             num_taps=2,
         )
@@ -1069,7 +1065,6 @@ class TestBatchBuilder:
         est = StackedEstimate(
             fd=np.zeros((4, 8), dtype=np.complex128),
             tap=np.zeros((4, 4), dtype=np.complex128),
-            subframe_index=0,
             num_antennas=2,
             num_taps=2,
         )
