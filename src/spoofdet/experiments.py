@@ -38,25 +38,29 @@ subframe's probes (with their conjugate), tap noise and snapshot noise are
 drawn once, for both arms.
 
 Trials and streams take one path, ``_arm_streams``: the quiet subframes
-``1..onset-1``, shared by every arm, then each arm's subframes from the
-onset on go to ``extractor.extract_all`` as a generator of sensing batches,
-so each batch is built only after the descent before it has started, and
-a descent whose first iterate is zero ends the schedule there; each arm's
-fingerprints are then folded by ``detector.run_stream``.  A paired trial
-is two subframes with a quiet and an attacked arm from onset 2, and only a
-trial whose three extractions succeed builds its baseline inputs; a stream
-is one arm.  ``DETECTORS`` names each detector's statistic, ``trials.csv``
-columns and ROC orientation.
+``1..onset-1``, shared by every arm, then each later subframe for every
+arm in turn go to ``extractor.extract_all`` as a generator of sensing
+batches, so each batch is built only after the descent before it has
+started, and a descent whose first iterate is zero ends the schedule
+there; each arm's fingerprints are then folded by ``detector.run_stream``.
+A paired trial is two subframes with a quiet and an attacked arm from
+onset 2, and only a trial whose three extractions succeed builds its
+baseline inputs; a stream is one arm.  ``DETECTORS`` names each detector's
+statistic, ``trials.csv`` columns and ROC orientation.
+
+``run_scenario`` runs one cell and writes its files; ``run_sweep`` runs
+one cell per combination of the ``ScenarioConfig`` values it is given.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -311,26 +315,19 @@ class TrialSimulator:
     in any call order, and building an input late or not at all changes no
     other value.
 
-    What is built when:
+    What is built when (the per-process memo of the cluster table and the
+    pilot spectra aside):
 
-    * Per process: the cluster table and the FFTs of the users' pilots
-      (shared by every trial with the same table path, ``N``, shift size
-      and user count).
-    * Per trial, on construction: the geometry (the array and one azimuth
-      per actor), the victim's ``(num_taps, M)`` tap matrix, its
-      fingerprint coordinates ``psi_victim``, and the check that the
-      victim's channel carries energy.  This is all the quiet extractions
-      read.
-    * Per trial, on first access: the attacker's channel, its amplitude
-      ``rho`` (which first checks that the attacker's channel carries
-      energy) and ``psi_attacker``, read when the attacked extraction
-      starts; the other users' channels in ``channels`` and the clean
-      energies ``clean_energy_quiet`` and ``clean_energy_attacked``, read
-      by the energy detector; and the clean snapshot spectra
-      ``snapshot_quiet`` and ``snapshot_attacked``, read by the subspace
-      detector.
+    * On construction: the geometry (the array and one azimuth per actor),
+      the victim's ``(num_taps, M)`` tap matrix, its fingerprint
+      coordinates ``psi_victim``, and the check that the victim's channel
+      carries energy; this is all the quiet extractions read.
+    * On first access: the attacker's channel, ``rho`` (which first checks
+      that channel's energy) and ``psi_attacker``, for the attacked
+      extraction; ``channels`` and the clean energies, for the energy
+      detector; the clean snapshot spectra, for the subspace detector.
     * Per subframe, on first use: the probes and their conjugate, the tap
-      noise and the snapshot noise, shared by both arms.  Only the latest
+      noise and the snapshot noise, shared by every arm.  Only the latest
       subframe's draws are kept by the simulator.
     """
 
@@ -543,21 +540,21 @@ def _arm_streams(
 
     Subframes ``1..onset-1`` are quiet and shared by every arm; from the
     onset to ``n_subframes`` each entry of ``arms`` says whether that arm
-    is attacked.  The whole schedule, the shared subframes then each arm's
-    own in turn, goes through one ``extract_all``, whose first error is
-    raised.
+    is attacked.  The whole schedule, the shared subframes then each later
+    subframe for every arm in turn (so each subframe is drawn once, and an
+    arm's own fingerprints sit ``len(arms)`` apart), goes through one
+    ``extract_all``, whose first error is raised.
     """
     simulator = TrialSimulator(cfg, trial_index)
-    own = range(onset, n_subframes + 1)
     schedule = [(s, False) for s in range(1, onset)]
-    schedule += [(s, attacked) for attacked in arms for s in own]
+    schedule += [(s, attacked) for s in range(onset, n_subframes + 1)
+                 for attacked in arms]
     fingerprints = extract_all(
         (simulator.sensing_batch(*pair) for pair in schedule), cfg.extractor
     )
     shared, tests = fingerprints[: onset - 1], fingerprints[onset - 1:]
-    n = len(own)
     results = [
-        run_stream(shared + tests[k * n:(k + 1) * n], cfg.similarity_threshold)
+        run_stream(shared + tests[k::len(arms)], cfg.similarity_threshold)
         for k in range(len(arms))
     ]
     return simulator, results
@@ -590,11 +587,6 @@ def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
         )
 
 
-def _trial_task(payload) -> TrialRecord:
-    cfg, index = payload
-    return run_single_trial(cfg, index)
-
-
 def run_trials(cfg: ScenarioConfig) -> list:
     """All trials of one scenario, ordered by trial index.
 
@@ -609,13 +601,10 @@ def run_trials(cfg: ScenarioConfig) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(
-                pool.map(
-                    _trial_task,
-                    [(cfg, i) for i in indices],
-                    chunksize=max(1, cfg.trials // (4 * cfg.workers)),
-                )
-            )
+            records = list(pool.map(
+                partial(run_single_trial, cfg), indices,
+                chunksize=max(1, cfg.trials // (4 * cfg.workers)),
+            ))
     else:
         records = [run_single_trial(cfg, i) for i in indices]
     return sorted(records, key=lambda r: r.trial_index)
@@ -740,11 +729,11 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
         threshold = float(orientation * cut)
         points.append((p_fa, p_d, threshold))
     points.sort(key=lambda p: (p[0], p[1]))
-    _, covariance = auc_covariance([(attack, normal, orientation)])
+    aucs, covariance = auc_covariance([(attack, normal, orientation)])
     return RocCurve(
         detector=detector,
         points=tuple(points),
-        auc=auc_rank(attack, normal, orientation),
+        auc=float(aucs[0]),
         n_attack=int(attack.size),
         n_normal=int(normal.size),
         auc_se=float(np.sqrt(covariance[0, 0])),
@@ -895,7 +884,7 @@ def run_detection_delay(
 
 # -------------------------------------------------------------- result files
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -973,8 +962,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     """Full single-cell pipeline: trials, ROC per detector, files."""
     started = time.perf_counter()
     records = run_trials(cfg)
-    complete = [r for r in records if not r.failed]
-    if not complete:
+    if all(record.failed for record in records):
         raise InsufficientDataError(
             "every trial failed; nothing to report; first error: "
             + records[0].error
@@ -982,39 +970,58 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     curves = [roc_from_outcomes(records, name) for name in DETECTOR_NAMES]
     wall = time.perf_counter() - started
     destination = cfg.output_dir if out_dir is None else out_dir
-    summary = emit_results(curves, records, destination, cfg, wall_time_s=wall)
-    return summary
+    return emit_results(curves, records, destination, cfg, wall_time_s=wall)
 
 
-def run_sweep(cfg: ScenarioConfig, snr_values, rb_values, out_dir=None) -> dict:
-    """Grid of scenarios over operating points, one subdirectory per cell.
+def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
+    """One ``run_scenario`` per cell of a product of config values.
 
-    Each value goes to ``ScenarioConfig`` as given, so its checks apply: a
-    fractional block count or a string raises ``ConfigurationError``.
-    Every cell's config is built before any cell runs; two cells with one
-    tag (``5`` and ``5.0``, say) raise too, rather than share a directory.
+    ``axes`` maps ``ScenarioConfig`` field names, in order, to their values,
+    and the cells are their product, the last axis varying fastest.  A
+    cell's tag, which names its subdirectory, is ``name=value`` per axis
+    joined by commas, each value as the cell's built config holds it
+    (``rb_count=4,jsr_db=-10.0``).  Every cell config is built before any
+    cell runs, so an unknown name, a value the config rejects, a repeated
+    tag (``5`` and ``5.0``) or a tag with a path separator raises
+    ``ConfigurationError`` before anything is written.  A cell whose every
+    trial fails is kept with its error and null AUCs, and the sweep goes
+    on.  ``sweep.json`` holds the axes and, per tag, the failed-trial
+    count, each detector's AUC and standard error, and the error.
     """
+    unknown = sorted(set(axes) - {spec.name for spec in fields(cfg)})
+    if unknown:
+        raise ConfigurationError(f"not ScenarioConfig fields: {unknown}")
     root = Path(cfg.output_dir if out_dir is None else out_dir)
     cell_cfgs = {}
-    for snr_db in snr_values:
-        for rb_count in rb_values:
-            cell_cfg = replace(cfg, snr_db=snr_db, rb_count=rb_count)
-            tag = cell_cfg.cell_tag()
-            if tag in cell_cfgs:
-                raise ConfigurationError(
-                    f"snr_db={snr_db!r}, rb_count={rb_count!r} repeats {tag}"
-                )
-            cell_cfgs[tag] = cell_cfg
-    cells = {
-        tag: run_scenario(cell_cfg, root / tag)["auc"]
-        for tag, cell_cfg in cell_cfgs.items()
-    }
-    grid_summary = {
+    for values in itertools.product(*axes.values()):
+        cell_cfg = replace(cfg, **dict(zip(axes, values)))
+        tag = ",".join(f"{name}={getattr(cell_cfg, name)}" for name in axes)
+        if tag in cell_cfgs or Path(tag).name != tag:
+            raise ConfigurationError(f"cell directory {tag!r} is repeated "
+                                     "or not a plain name")
+        cell_cfgs[tag] = cell_cfg
+    cells = {}
+    for tag, cell_cfg in cell_cfgs.items():
+        try:
+            summary = run_scenario(cell_cfg, root / tag)
+        except InsufficientDataError as exc:  # every trial failed
+            summary = {"failed_trials": cell_cfg.trials, "error": str(exc)}
+        keys = ("failed_trials", "auc", "auc_se", "error")
+        cells[tag] = {key: summary.get(key) for key in keys}
+    built = cell_cfgs.values()
+    sweep = {
         "schema_version": SCHEMA_VERSION,
         "master_seed": cfg.master_seed,
         "trials_per_cell": cfg.trials,
+        "axes": {
+            name: list(dict.fromkeys(getattr(c, name) for c in built))
+            for name in axes
+        },
         "cells": cells,
     }
     root.mkdir(parents=True, exist_ok=True)
-    (root / "sweep.json").write_text(json.dumps(grid_summary, indent=2) + "\n")
-    return grid_summary
+    # A nested config (``extractor``, ``subspace``) is written as its repr.
+    (root / "sweep.json").write_text(
+        json.dumps(sweep, indent=2, default=str) + "\n"
+    )
+    return sweep

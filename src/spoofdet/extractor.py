@@ -195,10 +195,6 @@ class SparsityFingerprint:
     support: tuple
     diagnostics: ExtractionDiagnostics | None = None
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
 
 # A descent stops after this many settled iterations in a row (see
 # ``ExtractorConfig.tolerance``).

@@ -236,10 +236,6 @@ class ScenarioConfig:
         """Subspace-detector settings."""
         return self.subspace
 
-    def cell_tag(self) -> str:
-        """Short label for this operating point, used in file naming."""
-        return f"snr{self.snr_db:+g}_rb{self.rb_count}"
-
     # ------------------------------------------------------------ serialization
 
     def to_dict(self) -> dict:

@@ -14,13 +14,16 @@ builds; the complex-noise expression the snapshot noise was first written
 with; whole trials and streams run in the sequential order, each
 extraction to its end through the reference copy of the extractor's
 descent loop, each arm scored with ``similarity``, for the results of the
-start-then-finish schedule; and a spy on the descents' point evaluations
+start-then-finish schedule; a spy on the descents' point evaluations
 for how far each one ran, with a fresh simulator's batches naming the
-subframe each descent extracted.
+subframe each descent extracted; a spy on ``_SubframeDraws`` for which
+subframes a stream draws; and ``run_scenario`` of each cell's config for
+what ``run_sweep`` writes.
 """
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -1201,6 +1204,39 @@ class TestArmStreams:
             )
 
 
+class TestArmStreamsDrawEachSubframeOnce:
+    """Past the onset the schedule runs subframe by subframe, every arm at
+    each, so a two-arm stream draws each subframe once and each arm's
+    stream is the one-arm stream of that arm."""
+
+    CFG = ScenarioConfig(**TINY)
+    # A tiny-cell deployment whose ten extractions at onset 3 complete.
+    INDEX = 0
+
+    def test_each_subframe_is_drawn_once(self, monkeypatch):
+        drawn = []
+        init = experiments._SubframeDraws.__init__
+
+        def spy(self, cfg, trial_index, subframe):
+            drawn.append(subframe)
+            init(self, cfg, trial_index, subframe)
+
+        monkeypatch.setattr(experiments._SubframeDraws, "__init__", spy)
+        experiments._arm_streams(self.CFG, self.INDEX, 5, 3, (False, True))
+        assert drawn == [1, 2, 3, 4, 5]
+
+    def test_each_arm_is_its_one_arm_stream(self):
+        _, results = experiments._arm_streams(
+            self.CFG, self.INDEX, 5, 3, (False, True)
+        )
+        for attacked, result in zip((False, True), results):
+            _, (alone,) = experiments._arm_streams(
+                self.CFG, self.INDEX, 5, 3, (attacked,)
+            )
+            assert len(result.similarities) == 4
+            assert result == alone
+
+
 class TestStreamEarlyStop:
     """A stream stops at the first descent whose start fails, having run
     only the first iteration of the descents before it."""
@@ -1287,33 +1323,109 @@ class TestNoiseShortcutMoments:
 class TestOtherEntryPoints:
     def test_run_sweep_one_cell(self, tmp_path):
         cfg = ScenarioConfig(**TINY)
-        grid = run_sweep(cfg, [cfg.snr_db], [cfg.rb_count], tmp_path)
+        grid = run_sweep(cfg, {"snr_db": [cfg.snr_db]}, tmp_path)
         assert json.loads((tmp_path / "sweep.json").read_text()) == grid
-        tag = cfg.cell_tag()
-        assert grid["cells"] == {
-            tag: json.loads((tmp_path / tag / "summary.json").read_text())["auc"]
-        }
+        tag = "snr_db=5.0"
+        summary = json.loads((tmp_path / tag / "summary.json").read_text())
+        assert grid["cells"] == {tag: {
+            "failed_trials": summary["failed_trials"],
+            "auc": summary["auc"],
+            "auc_se": summary["auc_se"],
+            "error": None,
+        }}
+        assert grid["axes"] == {"snr_db": [5.0]}
         assert grid["master_seed"] == cfg.master_seed
         assert grid["trials_per_cell"] == cfg.trials
+        assert grid["schema_version"] == experiments.SCHEMA_VERSION
         direct = run_scenario(cfg, tmp_path / "direct")
-        assert grid["cells"][tag] == direct["auc"]
+        assert grid["cells"][tag]["auc"] == direct["auc"]
+        assert grid["cells"][tag]["auc_se"] == direct["auc_se"]
         assert (tmp_path / tag / "trials.csv").read_bytes() == (
             tmp_path / "direct" / "trials.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize(
-        "snr_values, rb_values",
-        [([5.0], [4.5]), (["5"], [8]), ([5, 5.0], [8]), ([5.0, "5"], [8])],
-    )
-    def test_run_sweep_rejects_what_the_config_rejects(
-        self, tmp_path, snr_values, rb_values
+    @pytest.mark.parametrize("axes, tags", [
+        ({"rb_count": [8, 4]}, ["rb_count=8", "rb_count=4"]),
+        ({"jsr_db": [0, -5.0], "rb_count": [8.0, 4]},
+         ["jsr_db=0.0,rb_count=8", "jsr_db=0.0,rb_count=4",
+          "jsr_db=-5.0,rb_count=8", "jsr_db=-5.0,rb_count=4"]),
+        ({"snr_db": [5, 10], "rb_count": [8], "master_seed": [7, 8]},
+         ["snr_db=5.0,rb_count=8,master_seed=7",
+          "snr_db=5.0,rb_count=8,master_seed=8",
+          "snr_db=10.0,rb_count=8,master_seed=7",
+          "snr_db=10.0,rb_count=8,master_seed=8"]),
+    ], ids=["one-axis", "two-axes", "three-axes"])
+    def test_run_sweep_cells_are_the_product_of_the_axes(
+        self, tmp_path, axes, tags
     ):
-        # A fractional block count or a quoted SNR is not coerced into a
-        # cell, and two values naming one cell do not share its directory:
-        # the sweep raises before any cell runs.
+        # The last axis varies fastest; each tag holds the values as the
+        # cell's config holds them, and each cell ran that config.
+        cfg = ScenarioConfig(**{**TINY, "trials": 4})
+        grid = run_sweep(cfg, axes, tmp_path)
+        assert json.loads((tmp_path / "sweep.json").read_text()) == grid
+        assert list(grid["cells"]) == tags
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            tags + ["sweep.json"]
+        )
+        assert grid["axes"] == {
+            name: [getattr(replace(cfg, **{name: v}), name) for v in values]
+            for name, values in axes.items()
+        }
+        for tag, values in zip(tags, itertools.product(*axes.values())):
+            cell_cfg = replace(cfg, **dict(zip(axes, values)))
+            summary = json.loads((tmp_path / tag / "summary.json").read_text())
+            assert summary["config_hash"] == cell_cfg.config_hash()
+            assert grid["cells"][tag] == {
+                "failed_trials": summary["failed_trials"],
+                "auc": summary["auc"],
+                "auc_se": summary["auc_se"],
+                "error": None,
+            }
+
+    def test_run_sweep_keeps_going_past_a_cell_where_every_trial_fails(
+        self, tmp_path
+    ):
+        # At rb_count=4 (L=48) every trial of the paper cell fails.
+        cfg = ScenarioConfig(trials=10, master_seed=7)
+        grid = run_sweep(cfg, {"rb_count": [16, 4]}, tmp_path)
+        assert json.loads((tmp_path / "sweep.json").read_text()) == grid
+        complete = grid["cells"]["rb_count=16"]
+        failed = grid["cells"]["rb_count=4"]
+        assert complete["failed_trials"] < cfg.trials
+        assert complete["error"] is None
+        assert set(complete["auc"]) == set(DETECTOR_NAMES)
+        with pytest.raises(InsufficientDataError) as raised:
+            run_scenario(replace(cfg, rb_count=4), tmp_path / "direct")
+        assert failed == {
+            "failed_trials": cfg.trials,
+            "auc": None,
+            "auc_se": None,
+            "error": str(raised.value),
+        }
+        assert failed["error"].startswith("every trial failed")
+        assert not (tmp_path / "rb_count=4").exists()
+
+    @pytest.mark.parametrize("axes", [
+        {"rb_count": [8, 4.5]},
+        {"snr_db": [5.0, "5"]},
+        {"snr_db": [5, 5.0]},
+        {"rb_count": [8], "snr_db": [10.0, 10]},
+        {"rb_count": [8, 8.0], "jsr_db": [0.0]},
+        {"snr_db": [5.0], "snr": [5.0]},
+        {"shift_size": [5, 4]},
+        {"cluster_table": ["profiles/clustered.yaml"]},
+    ], ids=[
+        "fractional-block-count", "quoted-snr", "5-and-5.0",
+        "repeat-on-the-last-axis", "repeat-on-the-first-axis",
+        "unknown-field", "shift-within-the-delay-spread", "path-separator",
+    ])
+    def test_run_sweep_rejects_what_the_config_rejects(self, tmp_path, axes):
+        # A value the config rejects, two values naming one cell, a name
+        # that is no config field, or a tag that is not a plain directory
+        # name raises before any cell runs, here after a first good cell.
         cfg = ScenarioConfig(**TINY)
         with pytest.raises(ConfigurationError):
-            run_sweep(cfg, snr_values, rb_values, tmp_path)
+            run_sweep(cfg, axes, tmp_path / "sweep")
         assert list(tmp_path.iterdir()) == []
 
     def test_calibrate(self):

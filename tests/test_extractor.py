@@ -531,7 +531,7 @@ class TestExtract:
         phi0, _ = spectral_init(batch, select_support(batch))
         assert fp.diagnostics.final_loss <= loss(batch, phi0) + 1e-12
         assert fp.support == tuple(np.flatnonzero(fp.values))
-        assert fp.norm > 0
+        assert np.linalg.norm(fp.values) > 0
         assert fp.diagnostics.iterations <= ExtractorConfig().max_iterations
 
     def test_all_zero_samples_error(self):
@@ -623,7 +623,7 @@ class TestExtract:
         batch = SensingBatch(probes=probes, samples=np.full(50, 5.0))
         fp = extract(batch)
         assert fp.diagnostics.degenerate_init
-        assert fp.norm > 0
+        assert np.linalg.norm(fp.values) > 0
 
     def test_nonfinite_samples_error(self):
         gen = np.random.default_rng(6)
