@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ClusterTableError, ConfigurationError, ShapeError
 
@@ -144,6 +143,9 @@ def load_cluster_table(path: str | Path) -> ClusterTable:
     table raises :class:`ClusterTableError` naming the path, so a trial
     records it as it records any other configuration error.
     """
+    # Imported here: only a run that parses a table pays for loading yaml.
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -223,12 +225,14 @@ def complex_normal(shape, scale: float, rng) -> np.ndarray:
     ``scale * x`` in place.  Those are the bits numpy gives for a real
     times a complex array, and for a complex array divided by
     ``1 / scale`` (complex-by-real division multiplies each part by the
-    reciprocal).
+    reciprocal).  ``standard_normal`` gives the values of ``normal(0, 1)``
+    and leaves the generator at the same position, without its
+    location-scale step.
     """
     gen = as_generator(rng)
     out = np.empty(shape, dtype=np.complex128)
-    np.multiply(gen.normal(size=shape), scale, out=out.real)
-    np.multiply(gen.normal(size=shape), scale, out=out.imag)
+    np.multiply(gen.standard_normal(size=shape), scale, out=out.real)
+    np.multiply(gen.standard_normal(size=shape), scale, out=out.imag)
     return out
 
 

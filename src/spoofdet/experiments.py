@@ -18,9 +18,10 @@ instead of materialising the full ``(L, M, N)`` receive tensor:
 * Energy-detector sketches: a random isotropic probe of the received
   vector gives ``|u^H y|^2 = ||y||^2 x Exp(1)``, and ``||clean + noise||^2``
   is one noncentral component plus a Gamma bulk.
-* Subspace windows: the clean antenna-by-subcarrier receive matrix is
-  assembled per actor from closed-form spectra (pilot spectrum times tap
-  spectrum), and white receive noise is added to the snapshot rows.
+* Subspace windows: the clean antenna-by-subcarrier receive matrix is one
+  product of a pilot-tap basis (each user's pilot spectrum times the
+  spectrum of each delay tap) with the users' stacked taps, and white
+  receive noise is added to the snapshot rows.
 
 These shortcuts are derived from the full transmit/receive chain in
 ``link.py``.  ``tests/test_experiments.py::TestShortcutsMatchLinkChain``
@@ -30,12 +31,14 @@ the tap noise, the energy sketch and the snapshot noise against the laws
 above.
 
 Each input is built once and only when needed.  The cluster table and the
-FFTs of the users' pilots are kept per process, keyed on the config fields
-they depend on.  A ``TrialSimulator`` draws only the victim's channel on
-construction; the attacker's channel, the other users' channels, the clean
-energies and the clean snapshot spectra are built on first access, and each
-subframe's probes (with their conjugate), tap noise and snapshot noise are
-drawn once, for both arms.
+``(N, K * T)`` pilot-tap basis are kept per process, keyed on the config
+fields they depend on.  A ``TrialSimulator`` draws only the victim's
+channel on construction; the attacker's channel, the other users' channels,
+the clean energies and the clean snapshot spectra are built on first
+access, and each subframe's probes, tap noise, energy-sketch draws and
+snapshot noise are drawn once, for both arms.  No conjugated copy of the
+probes is made: a probe response conjugates the vector and the product
+instead, which gives the same bits up to the sign of an exact zero.
 
 Trials and streams take one path, ``_arm_streams``: the quiet subframes
 ``1..onset-1``, shared by every arm, then each later subframe for every
@@ -59,6 +62,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -212,7 +216,7 @@ _Z95 = 1.959963984540054
 # first use, so importing this module stays cheap; each worker process of
 # ``run_trials`` fills its own.
 _CLUSTER_TABLES: dict = {}
-_PILOT_SPECTRA: dict = {}
+_PILOT_TAP_BASES: dict = {}
 
 
 def _cluster_table(cfg: ScenarioConfig) -> ClusterTable:
@@ -226,20 +230,30 @@ def _cluster_table(cfg: ScenarioConfig) -> ClusterTable:
     return _CLUSTER_TABLES[key]
 
 
-def _pilot_spectra(cfg: ScenarioConfig) -> np.ndarray:
-    """Read-only ``(K, N)`` FFTs of the users' pilots, once per process."""
-    key = (cfg.sequence_length, cfg.shift_size, cfg.num_users)
-    if key not in _PILOT_SPECTRA:
+def _pilot_tap_basis(cfg: ScenarioConfig) -> np.ndarray:
+    """Read-only ``(N, K * T)`` map from the users' stacked taps to the
+    clean receive spectrum, built once per process.
+
+    Column ``k * T + t`` is ``P_k[n] * exp(-2 pi i n t / N) / sqrt(N)``:
+    user ``k``'s pilot spectrum times the spectrum of a unit tap at delay
+    ``t``.  So ``basis @ vstack(channels)`` is the ``(N, M)`` unitary-FFT
+    receive of every pilot through its channel, the frequency-domain image
+    of the circular convolutions.
+    """
+    key = (cfg.sequence_length, cfg.shift_size, cfg.num_users, cfg.num_taps)
+    if key not in _PILOT_TAP_BASES:
+        n = cfg.sequence_length
         pool = cfg.build_pool()
-        spectra = np.stack([
-            np.fft.fft(
-                np.asarray(pool.sequence_for_user(k), dtype=np.complex128)
-            )
-            for k in range(cfg.num_users)
-        ])
-        spectra.setflags(write=False)
-        _PILOT_SPECTRA[key] = spectra
-    return _PILOT_SPECTRA[key]
+        pilots = np.fft.fft(np.array(
+            [pool.sequence_for_user(k) for k in range(cfg.num_users)],
+            dtype=np.complex128,
+        ), axis=1)  # (K, N)
+        delays = np.fft.fft(np.eye(n, cfg.num_taps), axis=0)  # (N, T)
+        basis = (pilots.T[:, :, None] * delays[:, None, :]).reshape(n, -1)
+        basis /= np.sqrt(n)
+        basis.setflags(write=False)
+        _PILOT_TAP_BASES[key] = basis
+    return _PILOT_TAP_BASES[key]
 
 
 class _SubframeDraws:
@@ -270,12 +284,6 @@ class _SubframeDraws:
         return probes
 
     @cached_property
-    def conj_probes(self) -> np.ndarray:
-        conj = self.probes.conj()
-        conj.setflags(write=False)
-        return conj
-
-    @cached_property
     def tap_noise(self) -> np.ndarray:
         """Estimate noise projected onto each probe, one complex per sample."""
         cfg = self.cfg
@@ -285,6 +293,24 @@ class _SubframeDraws:
         noise = noise_scale * (pair[:, 0] + 1j * pair[:, 1])
         noise.setflags(write=False)
         return noise
+
+    @cached_property
+    def energy_sketch(self) -> tuple:
+        """The energy sketch's draws, one of each per sample: the
+        noncentral component's normal pair, the Gamma bulk and the Exp(1)
+        gain of the isotropic probe."""
+        cfg = self.cfg
+        n_samples = cfg.n_samples
+        dimension = cfg.num_antennas * cfg.sequence_length
+        rng = self._rng(_STREAM_SKETCH)
+        draws = (
+            rng.normal(size=(n_samples, 2)),
+            rng.gamma(shape=dimension - 1, scale=1.0, size=n_samples),
+            rng.exponential(size=n_samples),
+        )
+        for values in draws:
+            values.setflags(write=False)
+        return draws
 
     @cached_property
     def snapshot_noise(self) -> np.ndarray | None:
@@ -316,7 +342,7 @@ class TrialSimulator:
     other value.
 
     What is built when (the per-process memo of the cluster table and the
-    pilot spectra aside):
+    pilot-tap basis aside):
 
     * On construction: the geometry (the array and one azimuth per actor),
       the victim's ``(num_taps, M)`` tap matrix, its fingerprint
@@ -325,10 +351,13 @@ class TrialSimulator:
     * On first access: the attacker's channel, ``rho`` (which first checks
       that channel's energy) and ``psi_attacker``, for the attacked
       extraction; ``channels`` and the clean energies, for the energy
-      detector; the clean snapshot spectra, for the subspace detector.
-    * Per subframe, on first use: the probes and their conjugate, the tap
-      noise and the snapshot noise, shared by every arm.  Only the latest
-      subframe's draws are kept by the simulator.
+      detector; the clean snapshot spectra, for the subspace detector: the
+      quiet one is one product of the basis with the stacked channels, and
+      the attacked one adds ``rho`` times the victim's block of the basis
+      applied to the attacker's channel.
+    * Per subframe, on first use: the probes, the tap noise, the energy
+      sketch's draws and the snapshot noise, shared by every arm.  Only
+      the latest subframe's draws are kept by the simulator.
     """
 
     def __init__(self, cfg: ScenarioConfig, trial_index: int):
@@ -421,37 +450,16 @@ class TrialSimulator:
 
     @cached_property
     def snapshot_quiet(self) -> np.ndarray:
-        cfg = self.cfg
-        spectra = _pilot_spectra(cfg)
-        base = np.zeros(
-            (cfg.num_antennas, cfg.sequence_length), dtype=np.complex128
-        )
-        for k, taps in enumerate(self.channels):
-            base += self._clean_spectrum(spectra[k], taps)
-        return base
+        return (_pilot_tap_basis(self.cfg) @ np.vstack(self.channels)).T
 
     @cached_property
     def snapshot_attacked(self) -> np.ndarray:
-        cfg = self.cfg
-        attack_term = self.rho * self._clean_spectrum(
-            _pilot_spectra(cfg)[VICTIM], self.attacker_channel
-        )
+        width = self.cfg.num_taps
+        victim = _pilot_tap_basis(self.cfg)[
+            :, VICTIM * width:(VICTIM + 1) * width
+        ]
+        attack_term = self.rho * (victim @ self.attacker_channel).T
         return self.snapshot_quiet + attack_term
-
-    @staticmethod
-    def _clean_spectrum(
-        pilot_spectrum: np.ndarray, taps: np.ndarray
-    ) -> np.ndarray:
-        """Unitary-FFT receive of one pilot through one channel, (M, N).
-
-        Column ``n`` is ``pilot_spectrum[n] * tap_spectrum[n, :] / sqrt(N)``
-        — the frequency-domain image of the circular convolution.
-        """
-        n = pilot_spectrum.shape[0]
-        padded = np.zeros((n, taps.shape[1]), dtype=np.complex128)
-        padded[: taps.shape[0]] = taps
-        tap_spectrum = np.fft.fft(padded, axis=0)
-        return (pilot_spectrum[:, None] * tap_spectrum).T / np.sqrt(n)
 
     # ------------------------------------------------------------- builders
 
@@ -470,29 +478,21 @@ class TrialSimulator:
         """Probe-energy samples of one subframe's channel estimates."""
         draws = self._subframe_draws(subframe)
         psi = self._clean_fingerprint_vector(attacked)
-        response = draws.conj_probes @ psi + draws.tap_noise
+        # No conjugated copy of the probes: conj(probes @ conj(psi)) equals
+        # probes.conj() @ psi to the bit, up to the sign of an exact zero.
+        response = draws.probes @ psi.conj()
+        np.conjugate(response, out=response)
+        response += draws.tap_noise
         samples = np.abs(response) ** 2
         mean = float(samples.mean())
         if mean > 0:
             samples = samples / mean
-        batch = SensingBatch(probes=draws.probes, samples=samples)
-        # Hand the batch the shared conjugate; SensingBatch.conj_probes is a
-        # cached_property, which keeps its value in the instance dict.
-        vars(batch)["conj_probes"] = draws.conj_probes
-        return batch
+        return SensingBatch(probes=draws.probes, samples=samples)
 
     def energy_observation(self, subframe: int, attacked: bool) -> np.ndarray:
         """Isotropic-sketch energy samples of the raw received signal."""
-        cfg = self.cfg
-        n_samples = cfg.n_samples
-        dimension = cfg.num_antennas * cfg.sequence_length
-        rng = trial_rng(
-            cfg.master_seed, self.trial_index, _STREAM_SKETCH + subframe
-        )
-        pair = rng.normal(size=(n_samples, 2))
-        bulk = rng.gamma(shape=dimension - 1, scale=1.0, size=n_samples)
-        sketch = rng.exponential(size=n_samples)
-        sigma = cfg.receive_noise_variance
+        pair, bulk, sketch = self._subframe_draws(subframe).energy_sketch
+        sigma = self.cfg.receive_noise_variance
         amplitude = np.sqrt(
             self.clean_energy_attacked if attacked else self.clean_energy_quiet
         )
@@ -901,7 +901,8 @@ def emit_results(
     cfg: ScenarioConfig,
     wall_time_s: float = 0.0,
 ) -> dict:
-    """Write ROC tables, the per-trial log, and the run summary.
+    """Write ROC tables, the per-trial log, and the run summary, which
+    counts the failed trials by exception name.
 
     Returns the summary dictionary.  Output is byte-stable across reruns
     with the same seed except for the wall-time field of the summary.
@@ -940,6 +941,10 @@ def emit_results(
         "master_seed": cfg.master_seed,
         "trials": cfg.trials,
         "failed_trials": sum(1 for r in records if r.failed),
+        # A failed record's error reads "trial i: ExceptionName: message".
+        "failures_by_type": dict(sorted(Counter(
+            r.error.split(": ")[1] for r in records if r.failed
+        ).items())),
         "auc": {curve.detector: curve.auc for curve in curves},
         # JSON has no NaN: an undefined standard error is written as null.
         "auc_se": {
@@ -986,7 +991,8 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
     ``ConfigurationError`` before anything is written.  A cell whose every
     trial fails is kept with its error and null AUCs, and the sweep goes
     on.  ``sweep.json`` holds the axes and, per tag, the failed-trial
-    count, each detector's AUC and standard error, and the error.
+    count, the failures by exception name (null for a cell where every
+    trial fails), each detector's AUC and standard error, and the error.
     """
     unknown = sorted(set(axes) - {spec.name for spec in fields(cfg)})
     if unknown:
@@ -1006,7 +1012,8 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
             summary = run_scenario(cell_cfg, root / tag)
         except InsufficientDataError as exc:  # every trial failed
             summary = {"failed_trials": cell_cfg.trials, "error": str(exc)}
-        keys = ("failed_trials", "auc", "auc_se", "error")
+        keys = ("failed_trials", "failures_by_type", "auc", "auc_se",
+                "error")
         cells[tag] = {key: summary.get(key) for key in keys}
     built = cell_cfgs.values()
     sweep = {

@@ -127,9 +127,9 @@ class SensingBatch:
     samples : numpy.ndarray
         Shape ``(L,)`` of real non-negative measurements ``s(l)``.
 
-    The conjugated probes and the sample mean are computed once per batch
-    and cached, so ``probes`` and ``samples`` must not be mutated after
-    construction.
+    The sample mean is computed once per batch and cached, so ``samples``
+    must not be mutated after construction.  No conjugated copy of the
+    probes is kept: the probe responses conjugate the vector instead.
     """
 
     probes: np.ndarray
@@ -153,11 +153,6 @@ class SensingBatch:
     @property
     def dimension(self) -> int:
         return self.probes.shape[1]
-
-    @cached_property
-    def conj_probes(self) -> np.ndarray:
-        """``probes.conj()``, built on first use and kept for the batch."""
-        return self.probes.conj()
 
     @cached_property
     def sample_mean(self) -> float:
@@ -207,8 +202,21 @@ _ZERO_VECTOR = (
 
 
 def _responses(batch: SensingBatch, phi: np.ndarray) -> np.ndarray:
-    """Probe responses ``zeta_l = <h(l), phi>`` (conjugate-linear in h)."""
-    return batch.conj_probes @ phi
+    """Probe responses ``zeta_l = <h(l), phi>`` (conjugate-linear in h).
+
+    Formed as ``conj(probes @ conj(phi))``, with the outer conjugate taken
+    in place, so no conjugated copy of the probes is made.  Its bits are
+    those of ``probes.conj() @ phi``: the same mat-vec kernel runs on the
+    same layout with only the signs of operands flipped, and
+    round-to-nearest is symmetric in sign.  The one exception is an exact
+    zero, which may come out as ``-0.0`` where the copy gives ``+0.0`` (at
+    the zero vector, and in the imaginary part of the first probe's
+    response to a spectral start solved through its QR factorization); the
+    sign of a zero changes neither ``|zeta|`` nor any sum the gradient
+    forms from ``zeta``.
+    """
+    zeta = batch.probes @ phi.conj()
+    return np.conjugate(zeta, out=zeta)
 
 
 def _norm(v: np.ndarray) -> float:

@@ -4,13 +4,16 @@ the closed-form observation builders, and the multi-subframe entry points.
 Oracles: direct pair counting for the Mann-Whitney AUC, and for its
 DeLong placements and covariance, with a bootstrap for the standard
 errors; reruns of a tiny cell (serial and pooled) for byte-stable result
-files, and its records pinned to the bit; the full transmit/receive chain of ``link.py`` for the
+files, and its records and those of twelve paper-cell trials pinned to the
+bit; the full transmit/receive chain of ``link.py`` for the
 noise-free sensing batches and subspace snapshots that ``TrialSimulator``
-builds in closed form; the stated laws of the three noise shortcuts, by
+builds in closed form, and the snapshots written per user with FFTs for
+the one-product snapshots; the stated laws of the three noise shortcuts, by
 their moments; a fresh simulator per call for the builders' results
 in any call order; counting spies on ``draw_channel`` and
 ``TrialSimulator.sensing_batch`` for which channels and batches a trial
-builds; the complex-noise expression the snapshot noise was first written
+builds, and on ``trial_rng`` for which seed streams it draws from; the
+complex-noise expression the snapshot noise was first written
 with; whole trials and streams run in the sequential order, each
 extraction to its end through the reference copy of the extractor's
 descent loop, each arm scored with ``similarity``, for the results of the
@@ -345,6 +348,32 @@ GOLDEN_TINY_TRIALS_CSV_SHA256 = (
 )
 
 
+# Twelve trials of the paper cell (M=64, K=16, N=139, L=192) at seed 7,
+# pinned the same way: six of the completed arms score similarities
+# strictly between 0 and 1, and the subspace dimensions run from 13 to 16,
+# so these records check bits the tiny cell's 0-or-1 similarities cannot.
+PAPER_CELL = dict(master_seed=7, trials=12)
+GOLDEN_PAPER_CELL = {
+    0: ZERO_VECTOR,
+    1: ZERO_VECTOR,
+    2: ZERO_VECTOR,
+    3: (("0x1.0000000000000p+0", "0x1.1573b12da5bcbp+10", 13),
+        ("0x1.db40f9e913694p-1", "0x1.2673af3ed3938p+10", 13)),
+    4: ZERO_VECTOR,
+    5: (("0x1.d9a5dbdfc196dp-1", "0x1.2a77284bcffe5p+10", 15),
+        ("0x0.0p+0", "0x1.36c2032a781cbp+10", 16)),
+    6: (("0x1.02e813e93148bp-1", "0x1.2846980756acfp+10", 16),
+        ("0x0.0p+0", "0x1.35dea7d6032c9p+10", 16)),
+    7: ZERO_VECTOR,
+    8: (("0x1.0000000000000p+0", "0x1.22a97656e486fp+10", 14),
+        ("0x1.8e189f56bf7ffp-1", "0x1.36c862b10ab01p+10", 14)),
+    9: ZERO_VECTOR,
+    10: ZERO_VECTOR,
+    11: (("0x1.8a4f7cea5fd26p-1", "0x1.0d20ca2b75cd7p+10", 14),
+         ("0x1.1774f4379cf23p-1", "0x1.1da9f35f159e5p+10", 14)),
+}
+
+
 def hex_record(record):
     if record.failed:
         return record.error.removeprefix(f"trial {record.trial_index}: ")
@@ -394,6 +423,9 @@ class TestRunScenario:
         assert [int(row["trial"]) for row in rows] == list(range(cfg.trials))
         errors = sum(1 for row in rows if row["error"])
         assert summary["failed_trials"] == errors
+        # Every tiny-cell failure is the zero-vector extraction error.
+        assert errors > 0
+        assert summary["failures_by_type"] == {"ExtractionError": errors}
         for name in DETECTOR_NAMES:
             assert 0.0 <= summary["auc"][name] <= 1.0
 
@@ -438,6 +470,12 @@ class TestRunScenario:
         run_scenario(cfg, tmp_path)
         digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes())
         assert digest.hexdigest() == GOLDEN_TINY_TRIALS_CSV_SHA256
+
+    def test_paper_cell_matches_golden_records(self):
+        records = run_trials(ScenarioConfig(**PAPER_CELL))
+        assert {r.trial_index: hex_record(r) for r in records} == (
+            GOLDEN_PAPER_CELL
+        )
 
 
 class TestBadClusterTable:
@@ -536,13 +574,14 @@ class TestShortcutsMatchLinkChain:
 
 
     def test_cells_sharing_one_process(self, tmp_path):
-        """The per-process table and pilot memo tells cells apart by table
-        path, N, shift size and user count."""
+        """The per-process table and pilot-tap basis memo tells cells apart
+        by table path, N, shift size, user count and tap count."""
         cells = [
             self.CFG,
             replace(self.CFG, sequence_length=37),
             replace(self.CFG, num_users=5),
             replace(self.CFG, shift_size=6),
+            replace(self.CFG, num_taps=3, tap_duration_ns=400.0),
             self.CFG,
         ]
         for cfg in cells:
@@ -593,7 +632,7 @@ def observed(simulator, name, *args):
     if isinstance(value, list):  # the users' tap arrays
         return tuple(value)
     if isinstance(value, SensingBatch):
-        return (value.probes, value.conj_probes, value.samples)
+        return (value.probes, value.samples)
     if isinstance(value, np.ndarray):
         return (value,)
     return (value.values, value.support, value.diagnostics)
@@ -628,6 +667,11 @@ class TestBuildersInAnyOrder:
             ("sensing_batch", 1, False), ("snapshot_window", 1, False),
             ("sensing_batch", 2, True), ("snapshot_window", 2, False),
             ("sensing_batch", 1, True), ("snapshot_window", 1, True),
+        ],
+        "energy_subframes_1_2_1": [
+            ("energy_observation", 1, False), ("sensing_batch", 2, True),
+            ("energy_observation", 2, True), ("energy_observation", 1, True),
+            ("energy_observation", 2, False),
         ],
         "snapshot_before_extract": [
             ("snapshot_window", 2, False),
@@ -759,8 +803,16 @@ class TestArmsShareDraws:
         quiet = simulator.sensing_batch(2, False)
         attacked = simulator.sensing_batch(2, True)
         assert attacked.probes is quiet.probes
-        assert attacked.conj_probes is quiet.conj_probes
-        np.testing.assert_array_equal(quiet.conj_probes, quiet.probes.conj())
+        # Each batch's samples have the bits of the response written with
+        # a conjugated copy of the probes, which the simulator does not
+        # make.
+        tap_noise = experiments._SubframeDraws(simulator.cfg, 0, 2).tap_noise
+        for batch, psi in (
+            (quiet, simulator.psi_victim),
+            (attacked, simulator.psi_victim + simulator.psi_attacker),
+        ):
+            power = np.abs(batch.probes.conj() @ psi + tap_noise) ** 2
+            assert same_bits(batch.samples, power / float(power.mean()))
 
         repeats = simulator.cfg.subspace_config().samples_per_subframe
         attack_term = np.tile(
@@ -773,6 +825,20 @@ class TestArmsShareDraws:
             - simulator.snapshot_window(2, False),
             attack_term, rtol=0, atol=1e-12,
         )
+
+    def test_a_completed_trial_seeds_each_stream_once(self, monkeypatch):
+        # Both arms read one draw per subframe of the probes, the tap
+        # noise, the energy sketch and the snapshot noise.
+        streams = []
+
+        def counting(master_seed, trial_index, stream):
+            streams.append(stream)
+            return trial_rng(master_seed, trial_index, stream)
+
+        monkeypatch.setattr(experiments, "trial_rng", counting)
+        assert not run_single_trial(ScenarioConfig(), 1).failed
+        assert len(streams) == len(set(streams))
+        assert experiments._STREAM_SKETCH + 2 in streams
 
     def test_arms_agree_without_an_attacker(self):
         # At -400 dB the attacker term is ~1e-20 of the victim's, so the
@@ -793,6 +859,48 @@ class TestArmsShareDraws:
                 simulator.snapshot_window(subframe, True),
                 simulator.snapshot_window(subframe, False),
                 rtol=0, atol=1e-12,
+            )
+
+
+class TestSnapshotBasis:
+    """The clean snapshots are one product with the per-process pilot-tap
+    basis; they must match the receive written per user: the pilot's FFT
+    times the FFT of the zero-padded taps, over ``sqrt(N)``, summed."""
+
+    @staticmethod
+    def per_user(cfg, users, channels):
+        pool = cfg.build_pool()
+        n = cfg.sequence_length
+        total = np.zeros((cfg.num_antennas, n), dtype=np.complex128)
+        for k, taps in zip(users, channels):
+            pilot = np.fft.fft(
+                np.asarray(pool.sequence_for_user(k), dtype=np.complex128)
+            )
+            padded = np.zeros((n, cfg.num_antennas), dtype=np.complex128)
+            padded[: taps.shape[0]] = taps
+            spectrum = pilot[:, None] * np.fft.fft(padded, axis=0)
+            total += spectrum.T / np.sqrt(n)
+        return total
+
+    @pytest.mark.parametrize(
+        "cfg", [ScenarioConfig(), ScenarioConfig(**TINY)],
+        ids=["default", "tiny"],
+    )
+    def test_matches_the_per_user_fft(self, cfg):
+        for trial in (0, 1, 5):
+            simulator = TrialSimulator(cfg, trial)
+            quiet = self.per_user(
+                cfg, range(cfg.num_users), simulator.channels
+            )
+            attack = self.per_user(
+                cfg, [experiments.VICTIM],
+                [simulator.rho * simulator.attacker_channel],
+            )
+            np.testing.assert_allclose(
+                simulator.snapshot_quiet, quiet, rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                simulator.snapshot_attacked, quiet + attack, rtol=1e-12
             )
 
 
@@ -1329,6 +1437,7 @@ class TestOtherEntryPoints:
         summary = json.loads((tmp_path / tag / "summary.json").read_text())
         assert grid["cells"] == {tag: {
             "failed_trials": summary["failed_trials"],
+            "failures_by_type": summary["failures_by_type"],
             "auc": summary["auc"],
             "auc_se": summary["auc_se"],
             "error": None,
@@ -1377,6 +1486,7 @@ class TestOtherEntryPoints:
             assert summary["config_hash"] == cell_cfg.config_hash()
             assert grid["cells"][tag] == {
                 "failed_trials": summary["failed_trials"],
+                "failures_by_type": summary["failures_by_type"],
                 "auc": summary["auc"],
                 "auc_se": summary["auc_se"],
                 "error": None,
@@ -1393,11 +1503,15 @@ class TestOtherEntryPoints:
         failed = grid["cells"]["rb_count=4"]
         assert complete["failed_trials"] < cfg.trials
         assert complete["error"] is None
+        assert complete["failures_by_type"] == {
+            "ExtractionError": complete["failed_trials"]
+        }
         assert set(complete["auc"]) == set(DETECTOR_NAMES)
         with pytest.raises(InsufficientDataError) as raised:
             run_scenario(replace(cfg, rb_count=4), tmp_path / "direct")
         assert failed == {
             "failed_trials": cfg.trials,
+            "failures_by_type": None,
             "auc": None,
             "auc_se": None,
             "error": str(raised.value),

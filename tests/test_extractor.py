@@ -10,7 +10,8 @@ written with, matched to the bit, spies on the point evaluations (of a
 descent started at the exact zero vector, and of descents whose accepted
 iterations are replayed against the settle rule), and a test-only copy of
 the spectral start that always solves the full support-by-support
-covariance.
+covariance, and the product with a conjugated copy of the probes for the
+probe responses.
 """
 
 import math
@@ -889,10 +890,11 @@ class TestExtractMatchesReferenceLoop:
         assert max(fp.diagnostics.iterations for fp in wide) == 200
 
     def test_cached_batch_quantities(self):
+        # The sample mean is computed once and kept; the batch keeps no
+        # conjugated copy of its probes.
         batch = random_batch(7, 13, 8)
-        assert np.array_equal(batch.conj_probes, batch.probes.conj())
-        assert batch.conj_probes is batch.conj_probes
         assert batch.sample_mean == float(np.mean(batch.samples))
+        assert set(vars(batch)) == {"probes", "samples", "sample_mean"}
 
 
 def old_point_expressions(batch, phi, cfg):
@@ -960,6 +962,33 @@ class TestPointEvaluationMatchesOldExpressions:
             for subframe, attacked in ((1, False), (2, False), (2, True)):
                 batch = simulator.sensing_batch(subframe, attacked)
                 self.assert_old_bits(batch, 10 * trial + subframe + attacked)
+
+
+class TestResponsesMatchTheConjugatedProbes:
+    """``_responses`` conjugates the vector and the product instead of the
+    probes; its bits must be those of ``probes.conj() @ phi``, except that
+    an exactly zero part may have the other sign (adding ``0.0`` makes
+    every zero ``+0.0`` and changes nothing else).  Such zeros occur at the
+    zero vector, and in the first probe's response to a spectral start
+    solved through the QR factorization, whose imaginary part is 0."""
+
+    @pytest.mark.parametrize("rb_count", [16, 4], ids=["L192", "L48"])
+    def test_simulator_batches(self, rb_count):
+        cfg = ScenarioConfig(rb_count=rb_count)
+        points = TestPointEvaluationMatchesOldExpressions.points
+        for trial in range(2):
+            simulator = TrialSimulator(cfg, trial)
+            for subframe, attacked in ((1, False), (2, False), (2, True)):
+                batch = simulator.sensing_batch(subframe, attacked)
+                assert batch.n_samples == 12 * rb_count
+                for phi in (
+                    *points(batch, trial), simulator.psi_victim,
+                    simulator.psi_victim + simulator.psi_attacker,
+                ):
+                    assert same_bits(
+                        extractor._responses(batch, phi) + 0.0,
+                        batch.probes.conj() @ phi + 0.0,
+                    )
 
 
 class TestProbeDrawsMatchOldExpression:
