@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .errors import ClusterTableError, ConfigurationError, ShapeError
 
@@ -143,9 +144,6 @@ def load_cluster_table(path: str | Path) -> ClusterTable:
     table raises :class:`ClusterTableError` naming the path, so a trial
     records it as it records any other configuration error.
     """
-    # Imported here: only a run that parses a table pays for loading yaml.
-    import yaml
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

@@ -18,7 +18,7 @@ instead of materialising the full ``(L, M, N)`` receive tensor:
 * Energy-detector sketches: a random isotropic probe of the received
   vector gives ``|u^H y|^2 = ||y||^2 x Exp(1)``, and ``||clean + noise||^2``
   is one noncentral component plus a Gamma bulk.
-* Subspace windows: the clean antenna-by-subcarrier receive matrix is one
+* Subspace windows: the clean subcarrier-by-antenna receive matrix is one
   product of a pilot-tap basis (each user's pilot spectrum times the
   spectrum of each delay tap) with the users' stacked taps, and white
   receive noise is added to the snapshot rows.
@@ -61,6 +61,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -445,12 +446,12 @@ class TrialSimulator:
             + cross
         )
 
-    # The clean antenna-by-subcarrier receive matrices behind the subspace
-    # detector's snapshots.
+    # The clean subcarrier-by-antenna (N, M) receive matrices behind the
+    # subspace detector's snapshots.
 
     @cached_property
     def snapshot_quiet(self) -> np.ndarray:
-        return (_pilot_tap_basis(self.cfg) @ np.vstack(self.channels)).T
+        return _pilot_tap_basis(self.cfg) @ np.vstack(self.channels)
 
     @cached_property
     def snapshot_attacked(self) -> np.ndarray:
@@ -458,7 +459,7 @@ class TrialSimulator:
         victim = _pilot_tap_basis(self.cfg)[
             :, VICTIM * width:(VICTIM + 1) * width
         ]
-        attack_term = self.rho * (victim @ self.attacker_channel).T
+        attack_term = self.rho * (victim @ self.attacker_channel)
         return self.snapshot_quiet + attack_term
 
     # ------------------------------------------------------------- builders
@@ -511,9 +512,7 @@ class TrialSimulator:
         vector of that subcarrier plus white receive noise.
         """
         n_repeats = self.cfg.subspace_config().samples_per_subframe
-        clean = (
-            self.snapshot_attacked if attacked else self.snapshot_quiet
-        ).T  # (N, M)
+        clean = self.snapshot_attacked if attacked else self.snapshot_quiet
         rows = np.tile(clean, (n_repeats, 1))
         noise = self._subframe_draws(subframe).snapshot_noise
         if noise is not None:
@@ -886,6 +885,15 @@ def run_detection_delay(
 
 SCHEMA_VERSION = 2
 
+# A failed record's error reads "trial i: ExceptionName: message"
+# (``run_single_trial``); an error in any other form counts as "unparsed".
+_ERROR_TYPE = re.compile(r"trial \d+: (\w+): ")
+
+
+def _failure_type(error: str) -> str:
+    match = _ERROR_TYPE.match(error)
+    return match.group(1) if match else "unparsed"
+
 
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as handle:
@@ -941,9 +949,8 @@ def emit_results(
         "master_seed": cfg.master_seed,
         "trials": cfg.trials,
         "failed_trials": sum(1 for r in records if r.failed),
-        # A failed record's error reads "trial i: ExceptionName: message".
         "failures_by_type": dict(sorted(Counter(
-            r.error.split(": ")[1] for r in records if r.failed
+            _failure_type(r.error) for r in records if r.failed
         ).items())),
         "auc": {curve.detector: curve.auc for curve in curves},
         # JSON has no NaN: an undefined standard error is written as null.

@@ -37,6 +37,8 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import yaml
+
 from .baselines import SdConfig
 from .detector import DEFAULT_THRESHOLD
 from .errors import CapacityError, ConfigurationError, check_numeric_fields
@@ -259,10 +261,6 @@ class ScenarioConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def to_yaml(self, path: str | Path) -> None:
-        # yaml is imported by the two methods that use it, so that
-        # importing the harness and building a config do not load it.
-        import yaml
-
         Path(path).write_text(
             yaml.safe_dump(self.to_dict(), sort_keys=False)
         )
@@ -305,8 +303,6 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ScenarioConfig":
-        import yaml
-
         try:
             text = Path(path).read_text()
         except OSError as exc:

@@ -463,6 +463,26 @@ class TestRunScenario:
         for curve in curves:
             assert all(math.isnan(v) for v in curve.auc_ci95)
 
+    def test_failures_count_by_exception_name(self, tmp_path):
+        errors = (
+            "trial 1: ExtractionError: zero vector: no support",
+            "trial 2: CapacityError: too many users",
+            "trial 3: ExtractionError: diverged",
+            "trial 4: failed",  # no exception name
+            "no colon at all",
+        )
+        records = [record(0, 1.0, 2.0), record(5, 2.0, 3.0)] + [
+            TrialRecord(i, None, None, error=e)
+            for i, e in enumerate(errors, start=1)
+        ]
+        curves = [roc_from_outcomes(records, name) for name in DETECTOR_NAMES]
+        summary = experiments.emit_results(
+            curves, records, tmp_path, ScenarioConfig(**TINY)
+        )
+        assert summary["failures_by_type"] == {
+            "CapacityError": 1, "ExtractionError": 2, "unparsed": 2,
+        }
+
     def test_tiny_cell_matches_golden_records(self, tmp_path):
         cfg = ScenarioConfig(**TINY)
         records = run_trials(cfg)
@@ -570,7 +590,7 @@ class TestShortcutsMatchLinkChain:
             simulator.snapshot_attacked if attacked
             else simulator.snapshot_quiet
         )
-        np.testing.assert_allclose(snapshot, y_fd[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(snapshot, y_fd[0].T, rtol=0, atol=1e-12)
 
 
     def test_cells_sharing_one_process(self, tmp_path):
@@ -593,7 +613,7 @@ class TestShortcutsMatchLinkChain:
                     else simulator.snapshot_quiet
                 )
                 np.testing.assert_allclose(
-                    snapshot, y_fd[0], rtol=0, atol=1e-12
+                    snapshot, y_fd[0].T, rtol=0, atol=1e-12
                 )
 
         table = tmp_path / "table.yaml"
@@ -816,7 +836,7 @@ class TestArmsShareDraws:
 
         repeats = simulator.cfg.subspace_config().samples_per_subframe
         attack_term = np.tile(
-            (simulator.snapshot_attacked - simulator.snapshot_quiet).T,
+            simulator.snapshot_attacked - simulator.snapshot_quiet,
             (repeats, 1),
         )
         assert np.max(np.abs(attack_term)) > 0.1
@@ -871,7 +891,7 @@ class TestSnapshotBasis:
     def per_user(cfg, users, channels):
         pool = cfg.build_pool()
         n = cfg.sequence_length
-        total = np.zeros((cfg.num_antennas, n), dtype=np.complex128)
+        total = np.zeros((n, cfg.num_antennas), dtype=np.complex128)
         for k, taps in zip(users, channels):
             pilot = np.fft.fft(
                 np.asarray(pool.sequence_for_user(k), dtype=np.complex128)
@@ -879,7 +899,7 @@ class TestSnapshotBasis:
             padded = np.zeros((n, cfg.num_antennas), dtype=np.complex128)
             padded[: taps.shape[0]] = taps
             spectrum = pilot[:, None] * np.fft.fft(padded, axis=0)
-            total += spectrum.T / np.sqrt(n)
+            total += spectrum / np.sqrt(n)
         return total
 
     @pytest.mark.parametrize(
@@ -1420,7 +1440,7 @@ class TestNoiseShortcutMoments:
     def test_snapshot_noise_variance(self):
         simulator = TrialSimulator(self.CFG, 0)
         repeats = self.CFG.subspace_config().samples_per_subframe
-        clean = np.tile(simulator.snapshot_quiet.T, (repeats, 1))
+        clean = np.tile(simulator.snapshot_quiet, (repeats, 1))
         self.assert_mean(
             [np.abs(simulator.snapshot_window(s, False) - clean) ** 2
              for s in self.SUBFRAMES[:200]],

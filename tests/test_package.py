@@ -1,6 +1,6 @@
 """Package hygiene: every exported name of every module exists, no module
 imports another's private name, and the harness does not load the ``link``
-test oracle, nor ``yaml`` before a table or config file is read."""
+test oracle."""
 
 import ast
 import importlib
@@ -54,23 +54,6 @@ def test_harness_does_not_load_link_oracle():
         f"import sys; sys.path.insert(0, {SRC!r})\n"
         "import spoofdet.experiments\n"
         "assert 'spoofdet.link' not in sys.modules, 'link loaded'\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-
-
-def test_harness_and_config_do_not_load_yaml():
-    # Importing the harness and building a config is what a run pays for
-    # before its first trial; yaml loads only when a file is parsed.
-    script = (
-        f"import sys; sys.path.insert(0, {SRC!r})\n"
-        "import spoofdet.experiments\n"
-        "from spoofdet.scenario import ScenarioConfig\n"
-        "ScenarioConfig()\n"
-        "assert 'yaml' not in sys.modules, 'yaml loaded'\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
