@@ -65,7 +65,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,6 +95,7 @@ from .extractor import (
     extract_all,
 )
 from .scenario import ScenarioConfig
+from .zc import build_pool, generate_zc
 
 
 class Detector(NamedTuple):
@@ -158,9 +159,6 @@ class ArmObservables:
     energy: float
     subspace_dimension: int
 
-    def statistic(self, detector: str) -> float:
-        return float(getattr(self, _detector(detector).field))
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -198,42 +196,29 @@ class RocCurve:
         half = _Z95 * self.auc_se
         return max(0.0, self.auc - half), min(1.0, self.auc + half)
 
-    def __post_init__(self) -> None:
-        fa = [p[0] for p in self.points]
-        pd = [p[1] for p in self.points]
-        if any(not 0.0 <= v <= 1.0 for v in fa + pd):
-            raise ConfigurationError("operating points must lie in [0, 1]")
-        if any(b < a for a, b in zip(fa, fa[1:])):
-            raise ConfigurationError("points must be sorted by false-alarm rate")
-        if not 0.0 <= self.auc <= 1.0:
-            raise ConfigurationError("area under the curve must lie in [0, 1]")
-
 
 # The 97.5% quantile of the standard normal distribution.
 _Z95 = 1.959963984540054
 
 
-# Per-process memo of the inputs every trial of a run shares.  Filled on
-# first use, so importing this module stays cheap; each worker process of
-# ``run_trials`` fills its own.
-_CLUSTER_TABLES: dict = {}
-_PILOT_TAP_BASES: dict = {}
+# The inputs every trial of a run shares are cached per process on the
+# config fields they depend on.  Filled on first use, so importing this
+# module stays cheap; each worker process of ``run_trials`` fills its own.
 
 
-def _cluster_table(cfg: ScenarioConfig) -> ClusterTable:
-    """The cell's cluster table, parsed once per process per table path."""
-    key = cfg.cluster_table
-    if key not in _CLUSTER_TABLES:
-        _CLUSTER_TABLES[key] = (
-            default_cluster_table() if key is None
-            else load_cluster_table(key)
-        )
-    return _CLUSTER_TABLES[key]
+@cache
+def _cluster_table(path: str | None) -> ClusterTable:
+    """The cluster table at ``path`` (the packaged one for None), parsed
+    once per process."""
+    return default_cluster_table() if path is None else load_cluster_table(path)
 
 
-def _pilot_tap_basis(cfg: ScenarioConfig) -> np.ndarray:
+@cache
+def _pilot_tap_basis(
+    n: int, shift_size: int, num_users: int, num_taps: int
+) -> np.ndarray:
     """Read-only ``(N, K * T)`` map from the users' stacked taps to the
-    clean receive spectrum, built once per process.
+    clean receive spectrum of ``ScenarioConfig.build_pool``'s pilots.
 
     Column ``k * T + t`` is ``P_k[n] * exp(-2 pi i n t / N) / sqrt(N)``:
     user ``k``'s pilot spectrum times the spectrum of a unit tap at delay
@@ -241,20 +226,16 @@ def _pilot_tap_basis(cfg: ScenarioConfig) -> np.ndarray:
     receive of every pilot through its channel, the frequency-domain image
     of the circular convolutions.
     """
-    key = (cfg.sequence_length, cfg.shift_size, cfg.num_users, cfg.num_taps)
-    if key not in _PILOT_TAP_BASES:
-        n = cfg.sequence_length
-        pool = cfg.build_pool()
-        pilots = np.fft.fft(np.array(
-            [pool.sequence_for_user(k) for k in range(cfg.num_users)],
-            dtype=np.complex128,
-        ), axis=1)  # (K, N)
-        delays = np.fft.fft(np.eye(n, cfg.num_taps), axis=0)  # (N, T)
-        basis = (pilots.T[:, :, None] * delays[:, None, :]).reshape(n, -1)
-        basis /= np.sqrt(n)
-        basis.setflags(write=False)
-        _PILOT_TAP_BASES[key] = basis
-    return _PILOT_TAP_BASES[key]
+    pool = build_pool(generate_zc(n, 1), shift_size, num_users)
+    pilots = np.fft.fft(np.array(
+        [pool.sequence_for_user(k) for k in range(num_users)],
+        dtype=np.complex128,
+    ), axis=1)  # (K, N)
+    delays = np.fft.fft(np.eye(n, num_taps), axis=0)  # (N, T)
+    basis = (pilots.T[:, :, None] * delays[:, None, :]).reshape(n, -1)
+    basis /= np.sqrt(n)
+    basis.setflags(write=False)
+    return basis
 
 
 class _SubframeDraws:
@@ -314,18 +295,16 @@ class _SubframeDraws:
         return draws
 
     @cached_property
-    def snapshot_noise(self) -> np.ndarray | None:
-        """White receive noise of the snapshot rows; None when noise-free."""
+    def snapshot_noise(self) -> np.ndarray:
+        """White receive noise of the snapshot rows."""
         cfg = self.cfg
-        sigma = cfg.receive_noise_variance
-        if sigma <= 0:
-            return None
         shape = (
             cfg.subspace_config().samples_per_subframe * cfg.sequence_length,
             cfg.num_antennas,
         )
         noise = complex_normal(
-            shape, np.sqrt(sigma / 2.0), self._rng(_STREAM_SNAPSHOT_NOISE)
+            shape, np.sqrt(cfg.receive_noise_variance / 2.0),
+            self._rng(_STREAM_SNAPSHOT_NOISE),
         )
         noise.setflags(write=False)
         return noise
@@ -386,7 +365,7 @@ class TrialSimulator:
         cfg = self.cfg
         return draw_channel(
             self.geometry,
-            _cluster_table(cfg),
+            _cluster_table(cfg.cluster_table),
             source,
             cfg.num_taps,
             cfg.tap_duration_ns,
@@ -450,15 +429,19 @@ class TrialSimulator:
     # subspace detector's snapshots.
 
     @cached_property
+    def _basis(self) -> np.ndarray:
+        c = self.cfg
+        return _pilot_tap_basis(c.sequence_length, c.shift_size,
+                                c.num_users, c.num_taps)
+
+    @cached_property
     def snapshot_quiet(self) -> np.ndarray:
-        return _pilot_tap_basis(self.cfg) @ np.vstack(self.channels)
+        return self._basis @ np.vstack(self.channels)
 
     @cached_property
     def snapshot_attacked(self) -> np.ndarray:
         width = self.cfg.num_taps
-        victim = _pilot_tap_basis(self.cfg)[
-            :, VICTIM * width:(VICTIM + 1) * width
-        ]
+        victim = self._basis[:, VICTIM * width:(VICTIM + 1) * width]
         attack_term = self.rho * (victim @ self.attacker_channel)
         return self.snapshot_quiet + attack_term
 
@@ -513,11 +496,8 @@ class TrialSimulator:
         """
         n_repeats = self.cfg.subspace_config().samples_per_subframe
         clean = self.snapshot_attacked if attacked else self.snapshot_quiet
-        rows = np.tile(clean, (n_repeats, 1))
         noise = self._subframe_draws(subframe).snapshot_noise
-        if noise is not None:
-            rows = rows + noise
-        return rows
+        return np.tile(clean, (n_repeats, 1)) + noise
 
     def arm_observables(
         self, result: StreamResult, subframe: int, attacked: bool
@@ -614,71 +594,88 @@ def run_trials(cfg: ScenarioConfig) -> list:
 
 def detector_scores(records, detector: str) -> tuple:
     """(attack statistics, no-attack statistics) over completed trials."""
-    _detector(detector)  # an unknown name raises even without records
-    attack = [
-        r.attacked.statistic(detector) for r in records if not r.failed
-    ]
-    normal = [r.quiet.statistic(detector) for r in records if not r.failed]
+    field = _detector(detector).field  # raises for an unknown name
+    completed = [r for r in records if not r.failed]
+    attack = [getattr(r.attacked, field) for r in completed]
+    normal = [getattr(r.quiet, field) for r in completed]
     return np.asarray(attack, dtype=float), np.asarray(normal, dtype=float)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``values`` in which tied values share the midrank
-    of the positions they occupy; NaNs rank above every number and tie
-    with one another."""
-    # A group starting at 0-based position ``start`` with ``count`` members
-    # gets rank ``start + (count + 1) / 2``.
-    _, group, counts = np.unique(
-        values, return_inverse=True, return_counts=True
-    )
-    starts = np.cumsum(counts) - counts
-    return (starts + 0.5 * (counts + 1))[group]
+class _RankTable(NamedTuple):
+    """The AUC, DeLong placements and ROC points of one score set."""
+
+    auc: float
+    v_attack: np.ndarray
+    v_normal: np.ndarray
+    points: tuple
 
 
-def _oriented(attack_scores, normal_scores, orientation: float) -> tuple:
-    """Both classes' scores as float arrays times ``orientation``."""
+def _rank_table(attack_scores, normal_scores, orientation: float) -> _RankTable:
+    """Rank one score set once.
+
+    ``np.unique`` groups the pooled scores, times ``orientation``, by
+    value, ascending with NaN last (above every number, tied with other
+    NaNs), and ``np.bincount`` counts each class per value.  A score
+    outscores those below its value and half of those tied with it.
+    ``v_attack[i]`` is the share of quiet scores attack score ``i``
+    outscores, ``v_normal[j]`` the share of attack scores that outscore
+    quiet score ``j``.  The points alarm on scores above each value, from
+    the highest down, then reach ``(1, 1)``.
+    """
     attack = orientation * np.asarray(attack_scores, dtype=float)
     normal = orientation * np.asarray(normal_scores, dtype=float)
-    if attack.size == 0 or normal.size == 0:
+    m, n = attack.size, normal.size
+    if m == 0 or n == 0:
         raise InsufficientDataError(
             "ranking needs at least one sample of each class"
         )
-    return attack, normal
+    values, group = np.unique(
+        np.concatenate([attack, normal]), return_inverse=True
+    )
+    attack_counts, normal_counts = (
+        np.bincount(g, minlength=values.size) for g in (group[:m], group[m:])
+    )
+    attack_cum, normal_cum = np.cumsum(attack_counts), np.cumsum(normal_counts)
+    # Per value, each class's scores below it, ties counting half: exact
+    # half-integers, so the pair count is exact and divided once.
+    attack_below = attack_cum - 0.5 * attack_counts
+    normal_below = normal_cum - 0.5 * normal_counts
+    points = zip(((n - normal_cum[::-1]) / n).tolist(),
+                 ((m - attack_cum[::-1]) / m).tolist(),
+                 (orientation * values[::-1]).tolist())
+    return _RankTable(
+        auc=float(np.dot(attack_counts, normal_below)) / (m * n),
+        v_attack=(normal_below / n)[group[:m]],
+        v_normal=(1.0 - attack_below / m)[group[m:]],
+        points=(*points, (1.0, 1.0, orientation * -math.inf)),
+    )
 
 
 def auc_rank(attack_scores, normal_scores, orientation: float = 1.0) -> float:
     """Probability a random attack trial outscores a random quiet one.
 
-    Midrank (tie-aware) formulation of the Mann-Whitney statistic; equals
-    the trapezoid area under the threshold-swept operating curve.  After
-    orientation, NaN statistics rank above every number and tie with one
-    another.
+    The Mann-Whitney pair count, ties counting one half, from one rank
+    table; it equals the trapezoid area under the operating points of
+    :func:`roc_from_outcomes`.  After orientation, NaN statistics rank
+    above every number and tie with one another, in the AUC as in the
+    points.
     """
-    attack, normal = _oriented(attack_scores, normal_scores, orientation)
-    ranks = _midranks(np.concatenate([attack, normal]))
-    rank_sum = float(np.sum(ranks[: attack.size]))
-    n_a, n_n = attack.size, normal.size
-    return (rank_sum - n_a * (n_a + 1) / 2.0) / (n_a * n_n)
+    return _rank_table(attack_scores, normal_scores, orientation).auc
 
 
-def _auc_placements(
-    attack_scores, normal_scores, orientation: float = 1.0
-) -> tuple:
-    """DeLong's placement values ``(v_attack, v_normal)`` of one score set.
-
-    ``v_attack[i]`` is the share of quiet trials that attack trial ``i``
-    outscores and ``v_normal[j]`` the share of attack trials that outscore
-    quiet trial ``j``, ties counting one half; each averages to the AUC of
-    :func:`auc_rank`, up to rounding.  They come from midranks, as in Sun &
-    Xu (IEEE Signal Process. Lett. 2014): an attack score's rank in the
-    pooled scores minus its rank among the attack scores counts the quiet
-    scores below it.
-    """
-    attack, normal = _oriented(attack_scores, normal_scores, orientation)
-    pooled = _midranks(np.concatenate([attack, normal]))
-    v_attack = (pooled[: attack.size] - _midranks(attack)) / normal.size
-    v_normal = 1.0 - (pooled[attack.size:] - _midranks(normal)) / attack.size
-    return v_attack, v_normal
+def _delong(tables) -> tuple:
+    """AUCs and DeLong covariance of rank tables taken on the same trials."""
+    v_attack = np.array([table.v_attack for table in tables])
+    v_normal = np.array([table.v_normal for table in tables])
+    aucs = np.array([table.auc for table in tables])
+    m, n = v_attack.shape[1], v_normal.shape[1]
+    if m < 2 or n < 2:
+        return aucs, np.full((len(aucs), len(aucs)), np.nan)
+    covariance = (
+        np.atleast_2d(np.cov(v_attack)) / m
+        + np.atleast_2d(np.cov(v_normal)) / n
+    )
+    return aucs, covariance
 
 
 def auc_covariance(score_sets) -> tuple:
@@ -691,50 +688,34 @@ def auc_covariance(score_sets) -> tuple:
     the :func:`auc_rank` values, and the square matrix ``covariance =
     S_attack / m + S_normal / n`` with ``S`` the sample covariances
     (``ddof=1``) of the placement values over the ``m`` attack and ``n``
-    quiet trials.  With fewer than two trials of a class the covariance is
-    NaN.
+    quiet trials, counted from midranks as in Sun & Xu (IEEE Signal
+    Process. Lett. 2014), NaN ranked as in :func:`auc_rank`.  With fewer
+    than two trials of a class the covariance is NaN.
     """
-    placements = [_auc_placements(*scores) for scores in score_sets]
-    v_attack = np.array([p[0] for p in placements])
-    v_normal = np.array([p[1] for p in placements])
-    aucs = np.array([auc_rank(*scores) for scores in score_sets])
-    m, n = v_attack.shape[1], v_normal.shape[1]
-    if m < 2 or n < 2:
-        return aucs, np.full((len(aucs), len(aucs)), np.nan)
-    covariance = (
-        np.atleast_2d(np.cov(v_attack)) / m
-        + np.atleast_2d(np.cov(v_normal)) / n
-    )
-    return aucs, covariance
+    return _delong([_rank_table(*scores) for scores in score_sets])
 
 
 def roc_from_outcomes(records, detector: str) -> RocCurve:
-    """Threshold sweep over one detector's recorded statistics."""
+    """Threshold sweep over one detector's recorded statistics.
+
+    One rank table gives the points, sorted by ``(p_fa, p_d)`` from
+    ``(0, 0)`` to ``(1, 1)``, their trapezoid area as the AUC, and its
+    DeLong standard error (DeLong et al. 1988; Sun & Xu 2014).  A NaN
+    statistic ranks above every number, as in :func:`auc_rank`.
+    """
     attack, normal = detector_scores(records, detector)
     if attack.size == 0 or normal.size == 0:
         raise InsufficientDataError(
             f"ROC for {detector!r} needs completed trials of both classes"
         )
-    orientation = _detector(detector).orientation
-    attack_s = orientation * attack
-    normal_s = orientation * normal
-    cuts = np.concatenate(
-        [np.unique(np.concatenate([attack_s, normal_s]))[::-1], [-np.inf]]
-    )
-    points = []
-    for cut in cuts:
-        p_fa = float(np.mean(normal_s > cut))
-        p_d = float(np.mean(attack_s > cut))
-        threshold = float(orientation * cut)
-        points.append((p_fa, p_d, threshold))
-    points.sort(key=lambda p: (p[0], p[1]))
-    aucs, covariance = auc_covariance([(attack, normal, orientation)])
+    table = _rank_table(attack, normal, _detector(detector).orientation)
+    _, covariance = _delong([table])
     return RocCurve(
         detector=detector,
-        points=tuple(points),
-        auc=float(aucs[0]),
-        n_attack=int(attack.size),
-        n_normal=int(normal.size),
+        points=table.points,
+        auc=table.auc,
+        n_attack=attack.size,
+        n_normal=normal.size,
         auc_se=float(np.sqrt(covariance[0, 0])),
     )
 
@@ -912,9 +893,13 @@ def emit_results(
     """Write ROC tables, the per-trial log, and the run summary, which
     counts the failed trials by exception name.
 
-    Returns the summary dictionary.  Output is byte-stable across reruns
-    with the same seed except for the wall-time field of the summary.
+    With no ``curves`` (every trial failed) there are no ROC tables, the
+    summary's AUC fields are null, and its ``error`` names the first
+    trial's failure.  Returns the summary dictionary.  Output is
+    byte-stable across reruns with the same seed except for the wall-time
+    field of the summary.
     """
+    records = sorted(records, key=lambda r: r.trial_index)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for curve in curves:
@@ -934,7 +919,7 @@ def emit_results(
     for row in DETECTORS:
         header += [f"{row.column}_quiet", f"{row.column}_attack"]
     trial_rows = []
-    for record in sorted(records, key=lambda r: r.trial_index):
+    for record in records:
         values = [""] * (len(header) - 2) if record.failed else [
             repr(getattr(arm, row.field))
             for row in DETECTORS
@@ -952,37 +937,52 @@ def emit_results(
         "failures_by_type": dict(sorted(Counter(
             _failure_type(r.error) for r in records if r.failed
         ).items())),
-        "auc": {curve.detector: curve.auc for curve in curves},
-        # JSON has no NaN: an undefined standard error is written as null.
+        # Null without curves.  JSON has no NaN: an undefined standard
+        # error is written as null.
+        "auc": {curve.detector: curve.auc for curve in curves} or None,
         "auc_se": {
             curve.detector: curve.auc_se if math.isfinite(curve.auc_se)
             else None
             for curve in curves
-        },
+        } or None,
         "auc_ci95": {
             curve.detector: list(curve.auc_ci95)
             if math.isfinite(curve.auc_se) else None
             for curve in curves
-        },
+        } or None,
         "wall_time_s": wall_time_s,
     }
+    if not curves:
+        summary["error"] = (
+            "every trial failed; nothing to report; first error: "
+            + records[0].error
+        )
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
-    """Full single-cell pipeline: trials, ROC per detector, files."""
+def _run_cell(cfg: ScenarioConfig, out_dir) -> dict:
+    """Trials, ROC per detector (none if every trial failed), files; returns
+    the summary."""
     started = time.perf_counter()
     records = run_trials(cfg)
-    if all(record.failed for record in records):
-        raise InsufficientDataError(
-            "every trial failed; nothing to report; first error: "
-            + records[0].error
-        )
-    curves = [roc_from_outcomes(records, name) for name in DETECTOR_NAMES]
+    curves = [] if all(record.failed for record in records) else [
+        roc_from_outcomes(records, name) for name in DETECTOR_NAMES
+    ]
     wall = time.perf_counter() - started
-    destination = cfg.output_dir if out_dir is None else out_dir
-    return emit_results(curves, records, destination, cfg, wall_time_s=wall)
+    return emit_results(curves, records, out_dir, cfg, wall_time_s=wall)
+
+
+def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
+    """Full single-cell pipeline: trials, ROC per detector, files.
+
+    If every trial fails, the per-trial log and the summary are still
+    written, and then ``InsufficientDataError`` carries the summary's error.
+    """
+    summary = _run_cell(cfg, cfg.output_dir if out_dir is None else out_dir)
+    if "error" in summary:
+        raise InsufficientDataError(summary["error"])
+    return summary
 
 
 def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
@@ -996,10 +996,11 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
     cell runs, so an unknown name, a value the config rejects, a repeated
     tag (``5`` and ``5.0``) or a tag with a path separator raises
     ``ConfigurationError`` before anything is written.  A cell whose every
-    trial fails is kept with its error and null AUCs, and the sweep goes
-    on.  ``sweep.json`` holds the axes and, per tag, the failed-trial
-    count, the failures by exception name (null for a cell where every
-    trial fails), each detector's AUC and standard error, and the error.
+    trial fails writes its per-trial log and its summary, with null AUCs
+    and the error, and the sweep goes on.  ``sweep.json`` holds the axes
+    and, per tag, the failed-trial count, the failures by exception name,
+    each detector's AUC and standard error, and the error (null for a cell
+    with completed trials), all read from the cell's summary.
     """
     unknown = sorted(set(axes) - {spec.name for spec in fields(cfg)})
     if unknown:
@@ -1013,14 +1014,10 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
             raise ConfigurationError(f"cell directory {tag!r} is repeated "
                                      "or not a plain name")
         cell_cfgs[tag] = cell_cfg
+    keys = ("failed_trials", "failures_by_type", "auc", "auc_se", "error")
     cells = {}
     for tag, cell_cfg in cell_cfgs.items():
-        try:
-            summary = run_scenario(cell_cfg, root / tag)
-        except InsufficientDataError as exc:  # every trial failed
-            summary = {"failed_trials": cell_cfg.trials, "error": str(exc)}
-        keys = ("failed_trials", "failures_by_type", "auc", "auc_se",
-                "error")
+        summary = _run_cell(cell_cfg, root / tag)
         cells[tag] = {key: summary.get(key) for key in keys}
     built = cell_cfgs.values()
     sweep = {

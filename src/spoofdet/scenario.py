@@ -175,9 +175,11 @@ class ScenarioConfig:
                     f"{name} = {getattr(self, name)} gives a linear ratio "
                     "that is not a positive finite float"
                 )
-        if not math.isfinite(self.estimate_noise_variance):
+        if not (math.isfinite(self.estimate_noise_variance)
+                and self.receive_noise_variance > 0):
             raise ConfigurationError(
-                f"snr_db {self.snr_db} gives an infinite noise variance"
+                f"snr_db {self.snr_db} gives a noise variance that is not "
+                "positive and finite"
             )
         if self.tap_duration_ns <= 0:
             raise ConfigurationError("tap duration must be positive")

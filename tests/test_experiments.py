@@ -178,9 +178,8 @@ class TestAucUncertainty:
                 (gen.normal(0.3, 1.0, size=gen.integers(1, 40)),
                  gen.normal(0.0, 1.0, size=gen.integers(1, 40))),
             ):
-                v_attack, v_normal = experiments._auc_placements(
-                    attack, normal, orientation
-                )
+                table = experiments._rank_table(attack, normal, orientation)
+                v_attack, v_normal = table.v_attack, table.v_normal
                 kernel = pair_kernel(attack, normal, orientation)
                 assert np.allclose(v_attack, kernel.mean(axis=1), atol=1e-12)
                 assert np.allclose(v_normal, kernel.mean(axis=0), atol=1e-12)
@@ -240,7 +239,7 @@ class TestAucUncertainty:
         assert aucs[0] == 0.5
         assert np.isnan(covariance).all()
         with pytest.raises(InsufficientDataError):
-            experiments._auc_placements([], [1.0])
+            experiments._rank_table([], [1.0], 1.0)
 
     def test_roc_curve_carries_the_standard_error(self):
         gen = np.random.default_rng(14)
@@ -283,6 +282,37 @@ class TestRocFromOutcomes:
             )
             assert curve.n_attack == curve.n_normal == 30
 
+    def test_points_close_the_curve_past_a_nan_statistic(self):
+        # After orientation a NaN ranks above every number, in the AUC and
+        # in the points alike: the curve runs from (0, 0) to (1, 1), both
+        # rates rise, and the trapezoid area is the rank AUC.
+        gen = np.random.default_rng(15)
+        for _ in range(40):
+            size = int(gen.integers(2, 30))
+            values = gen.integers(0, 4, size=(size, 2)).astype(float)
+            values[gen.integers(size), gen.integers(2)] = np.nan
+            records = [
+                TrialRecord(i, ArmObservables(q, q, q),
+                            ArmObservables(a, a, a))
+                for i, (q, a) in enumerate(values)
+            ]
+            for row in experiments.DETECTORS:
+                curve = roc_from_outcomes(records, row.name)
+                p_fa, p_d = np.array([p[:2] for p in curve.points]).T
+                assert np.all((p_fa >= 0) & (p_fa <= 1))
+                assert np.all((p_d >= 0) & (p_d <= 1))
+                assert all(
+                    a[:2] < b[:2]
+                    for a, b in zip(curve.points, curve.points[1:])
+                )
+                assert curve.points[0][:2] == (0.0, 0.0)
+                assert curve.points[-1][:2] == (1.0, 1.0)
+                area = np.sum(np.diff(p_fa) * (p_d[1:] + p_d[:-1]) / 2)
+                attack, normal = detector_scores(records, row.name)
+                auc = auc_rank(attack, normal, row.orientation)
+                assert curve.auc == auc
+                assert area == pytest.approx(auc, abs=1e-12)
+
     def test_points_span_the_unit_square(self):
         records = [record(0, 1.0, 2.0), record(1, 2.0, 3.0)]
         points = roc_from_outcomes(records, "energy").points
@@ -297,7 +327,6 @@ class TestRocFromOutcomes:
     def test_unknown_detector_rejected(self):
         records = [record(0, 1.0, 2.0)]
         for call in (
-            lambda: records[0].quiet.statistic("residual"),
             lambda: detector_scores([], "residual"),
             lambda: roc_from_outcomes(records, "residual"),
         ):
@@ -1527,17 +1556,39 @@ class TestOtherEntryPoints:
             "ExtractionError": complete["failed_trials"]
         }
         assert set(complete["auc"]) == set(DETECTOR_NAMES)
-        with pytest.raises(InsufficientDataError) as raised:
-            run_scenario(replace(cfg, rb_count=4), tmp_path / "direct")
+        # The failed cell writes its per-trial log and its summary, with
+        # null AUCs; its sweep entry is read from that summary.
+        cell = tmp_path / "rb_count=4"
+        assert sorted(p.name for p in cell.iterdir()) == [
+            "summary.json", "trials.csv"
+        ]
+        summary = json.loads((cell / "summary.json").read_text())
+        assert summary["auc"] is summary["auc_se"] is None
+        assert summary["auc_ci95"] is None
+        assert summary["failed_trials"] == cfg.trials
+        rows = list(csv.DictReader(
+            (cell / "trials.csv").read_text().splitlines()
+        ))
+        assert [int(row["trial"]) for row in rows] == list(range(cfg.trials))
+        assert all(row["error"] for row in rows)
         assert failed == {
             "failed_trials": cfg.trials,
-            "failures_by_type": None,
+            "failures_by_type": {"ExtractionError": cfg.trials},
             "auc": None,
             "auc_se": None,
-            "error": str(raised.value),
+            "error": summary["error"],
         }
-        assert failed["error"].startswith("every trial failed")
-        assert not (tmp_path / "rb_count=4").exists()
+        # Run alone, the cell writes the same files and raises that error.
+        with pytest.raises(InsufficientDataError) as raised:
+            run_scenario(replace(cfg, rb_count=4), tmp_path / "direct")
+        assert str(raised.value) == failed["error"]
+        assert failed["error"] == (
+            "every trial failed; nothing to report; first error: "
+            + rows[0]["error"]
+        )
+        assert (tmp_path / "direct" / "trials.csv").read_bytes() == (
+            cell / "trials.csv"
+        ).read_bytes()
 
     @pytest.mark.parametrize("axes", [
         {"rb_count": [8, 4.5]},
