@@ -19,9 +19,9 @@ instead of materialising the full ``(L, M, N)`` receive tensor:
   vector gives ``|u^H y|^2 = ||y||^2 x Exp(1)``, and ``||clean + noise||^2``
   is one noncentral component plus a Gamma bulk.
 * Subspace windows: the clean subcarrier-by-antenna receive matrix is one
-  product of a pilot-tap basis (each user's pilot spectrum times the
-  spectrum of each delay tap) with the users' stacked taps, and white
-  receive noise is added to the snapshot rows.
+  product of a pilot-tap basis (the FFT of each row of the pilot array
+  times the spectrum of each delay tap) with the users' stacked taps, and
+  white receive noise is added to each pilot sample's copy of it.
 
 These shortcuts are derived from the full transmit/receive chain in
 ``link.py``.  ``tests/test_experiments.py::TestShortcutsMatchLinkChain``
@@ -61,9 +61,11 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property, partial
 from pathlib import Path
@@ -226,11 +228,9 @@ def _pilot_tap_basis(
     receive of every pilot through its channel, the frequency-domain image
     of the circular convolutions.
     """
-    pool = build_pool(generate_zc(n, 1), shift_size, num_users)
-    pilots = np.fft.fft(np.array(
-        [pool.sequence_for_user(k) for k in range(num_users)],
-        dtype=np.complex128,
-    ), axis=1)  # (K, N)
+    pilots = np.fft.fft(
+        build_pool(generate_zc(n, 1), shift_size, num_users), axis=1
+    )  # (K, N)
     delays = np.fft.fft(np.eye(n, num_taps), axis=0)  # (N, T)
     basis = (pilots.T[:, :, None] * delays[:, None, :]).reshape(n, -1)
     basis /= np.sqrt(n)
@@ -394,12 +394,15 @@ class TrialSimulator:
         return self._draw_channel("attacker", _STREAM_ATTACKER_CHANNEL)
 
     @cached_property
+    def _attacker_energy(self) -> float:
+        return self._checked_energy(self.attacker_channel)
+
+    @cached_property
     def rho(self) -> float:
         """Amplitude ratio making the attacker's received energy exactly
         ``jsr_linear`` times the victim's."""
-        attacker_energy = self._checked_energy(self.attacker_channel)
-        ratio = self.cfg.jsr_linear * self._victim_energy / attacker_energy
-        return float(np.sqrt(ratio))
+        ratio = self.cfg.jsr_linear * self._victim_energy
+        return float(np.sqrt(ratio / self._attacker_energy))
 
     @cached_property
     def psi_attacker(self) -> np.ndarray:
@@ -415,13 +418,12 @@ class TrialSimulator:
 
     @cached_property
     def clean_energy_attacked(self) -> float:
-        attacker_energy = self._checked_energy(self.attacker_channel)
         cross = 2.0 * self.rho * float(np.real(np.vdot(
             self.attacker_channel, self._victim_channel
         )))
         return (
             self.clean_energy_quiet
-            + self.rho**2 * attacker_energy
+            + self.rho**2 * self._attacker_energy
             + cross
         )
 
@@ -494,10 +496,9 @@ class TrialSimulator:
         One row per (pilot sample, subcarrier) pair: the clean antenna
         vector of that subcarrier plus white receive noise.
         """
-        n_repeats = self.cfg.subspace_config().samples_per_subframe
         clean = self.snapshot_attacked if attacked else self.snapshot_quiet
         noise = self._subframe_draws(subframe).snapshot_noise
-        return np.tile(clean, (n_repeats, 1)) + noise
+        return (clean + noise.reshape(-1, *clean.shape)).reshape(noise.shape)
 
     def arm_observables(
         self, result: StreamResult, subframe: int, attacked: bool
@@ -566,27 +567,57 @@ def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
         )
 
 
+# The thread-count variables of the BLAS builds numpy may load.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                          "VECLIB_MAXIMUM_THREADS")
+
+
+@contextmanager
+def _worker_pool(workers: int):
+    """A process pool whose workers each run BLAS on one thread.
+
+    BLAS reads its thread count when numpy loads, which a worker does as it
+    starts, importing the caller's main module.  So the workers are spawned
+    while the BLAS thread variables read 1, and the caller's values are
+    restored once the pool has shut down.
+    """
+    # Imported here, so that a serial run and every import of this module
+    # skip loading the pool machinery (13-15 ms).
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+    try:
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_trials(cfg: ScenarioConfig) -> list:
     """All trials of one scenario, ordered by trial index.
 
-    With ``cfg.workers > 1`` trials run in a process pool; results are
+    With ``cfg.workers > 1`` trials run in ``_worker_pool``; results are
     identical to the serial run because every trial is seeded from
-    ``(master seed, trial index)`` alone.
+    ``(master seed, trial index)`` alone.  Its workers import the caller's
+    main module, which must keep its work under ``__name__ == "__main__"``.
     """
     indices = range(cfg.trials)
-    if cfg.workers > 1:
-        # Imported here, so that a serial run and every import of this
-        # module skip loading the pool machinery (13-15 ms).
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(
-                partial(run_single_trial, cfg), indices,
-                chunksize=max(1, cfg.trials // (4 * cfg.workers)),
-            ))
-    else:
-        records = [run_single_trial(cfg, i) for i in indices]
-    return sorted(records, key=lambda r: r.trial_index)
+    if cfg.workers <= 1:
+        return [run_single_trial(cfg, i) for i in indices]
+    with _worker_pool(cfg.workers) as pool:
+        return list(pool.map(
+            partial(run_single_trial, cfg), indices,
+            chunksize=max(1, cfg.trials // (4 * cfg.workers)),
+        ))
 
 
 # ----------------------------------------------------------------- ROC math
@@ -620,7 +651,8 @@ def _rank_table(attack_scores, normal_scores, orientation: float) -> _RankTable:
     ``v_attack[i]`` is the share of quiet scores attack score ``i``
     outscores, ``v_normal[j]`` the share of attack scores that outscore
     quiet score ``j``.  The points alarm on scores above each value, from
-    the highest down, then reach ``(1, 1)``.
+    the highest down, then reach ``(1, 1)``; a group of zeros reports its
+    threshold as ``+0.0``, whichever signed zero the sort put first.
     """
     attack = orientation * np.asarray(attack_scores, dtype=float)
     normal = orientation * np.asarray(normal_scores, dtype=float)
@@ -642,7 +674,7 @@ def _rank_table(attack_scores, normal_scores, orientation: float) -> _RankTable:
     normal_below = normal_cum - 0.5 * normal_counts
     points = zip(((n - normal_cum[::-1]) / n).tolist(),
                  ((m - attack_cum[::-1]) / m).tolist(),
-                 (orientation * values[::-1]).tolist())
+                 (orientation * values[::-1] + 0.0).tolist())
     return _RankTable(
         auc=float(np.dot(attack_counts, normal_below)) / (m * n),
         v_attack=(normal_below / n)[group[:m]],

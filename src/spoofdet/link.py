@@ -12,16 +12,18 @@ victim's pilot spectrum gives the per-sample least-squares estimate of the
 victim's stacked frequency response.  It follows the scenario's
 conventions and has no settings of its own:
 
-* User ``k`` sends entry ``k`` of the pilot pool at unit power; user 0 is
-  the victim.  The pool fixes the transform size ``N`` (its sequence
-  length) and the user count ``K`` (its size).
+* User ``k`` sends row ``k`` of the ``(K, N)`` pilot array
+  (``ScenarioConfig.build_pool``) at unit power; user 0 is the victim.  The
+  array fixes the transform size ``N`` and the user count ``K``.  The least
+  squares separates the users only if no two pilots correlate at a cyclic
+  lag shorter than the delay spread, so a longer channel is rejected.
 * The attacker is its ``(tau, M)`` tap matrix already scaled by the
   amplitude ratio ``rho``, or ``None`` when there is no attack.  It shifts
   every estimate by its own stacked response, the bias the detectors look
   for.
 * Noise is one per-element receive-noise variance ``sigma^2``, for a
-  scenario ``ScenarioConfig.receive_noise_variance``.  Pool entries have
-  unit energy, so the frequency-domain estimate noise has per-element
+  scenario ``ScenarioConfig.receive_noise_variance``.  Pilots have unit
+  energy, so the frequency-domain estimate noise has per-element
   variance ``N * sigma^2`` (the scenario's ``estimate_noise_variance``)
   and the delay-tap form has ``sigma^2``; exact for prime ``N`` (flat
   pilot spectrum).
@@ -35,6 +37,7 @@ batch, as the harness's shortcut does in closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,7 +47,7 @@ import numpy as np
 from .channel import beamspace, complex_normal
 from .errors import ConfigurationError, PilotDivisionError, ShapeError
 from .extractor import SensingBatch
-from .zc import PreamblePool
+from .zc import periodic_correlation
 
 __all__ = [
     "StackedEstimate",
@@ -57,6 +60,9 @@ __all__ = [
 ]
 
 VICTIM = 0
+
+# Above rounding error for the correlation of two unit-energy pilots.
+_CORRELATED = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,27 +98,27 @@ def _padded_taps(taps: np.ndarray, n: int) -> np.ndarray:
     return padded
 
 
-def _receive(
-    pool: PreamblePool, user: int, taps: np.ndarray, m_ant: int
-) -> np.ndarray:
-    """Clean ``(M, N)`` receive of ``user``'s pilot through ``taps``: the
-    circular convolution of pilot and channel at each antenna."""
-    if taps.shape[1] != m_ant:
-        raise ConfigurationError("all channels must share the antenna count")
-    if taps.shape[0] >= pool.shift_size:
-        raise ConfigurationError(
-            f"delay spread {taps.shape[0]} is not smaller than the pool "
-            f"shift size {pool.shift_size}; same-root sequences would "
-            "interfere"
-        )
-    n = pool.length
-    pilot_spectrum = np.fft.fft(pool.sequence_for_user(user))
-    taps_fd = np.fft.fft(_padded_taps(taps, n), axis=0)
-    return np.fft.ifft(pilot_spectrum[None, :] * taps_fd.T, axis=1)
+def _check_delay_window(pilots: np.ndarray, delay_spread: int) -> None:
+    """Reject a delay spread over which two pilots' estimates interfere."""
+    for i, j in itertools.permutations(range(len(pilots)), 2):
+        lags = periodic_correlation(pilots[i], pilots[j])[:delay_spread]
+        if np.max(np.abs(lags)) > _CORRELATED:
+            raise ConfigurationError(
+                f"pilots {i} and {j} correlate at a cyclic lag shorter than "
+                f"the delay spread {delay_spread}; their estimates would "
+                "interfere"
+            )
+
+
+def _receive(pilot: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Clean ``(M, N)`` receive of ``pilot`` through ``taps``: the circular
+    convolution of pilot and channel at each antenna."""
+    taps_fd = np.fft.fft(_padded_taps(taps, len(pilot)), axis=0)
+    return np.fft.ifft(np.fft.fft(pilot)[None, :] * taps_fd.T, axis=1)
 
 
 def transmit_receive_td(
-    pool: PreamblePool,
+    pilots: np.ndarray,
     channels: Sequence[np.ndarray],
     attacker: np.ndarray | None,
     noise_variance: float,
@@ -121,26 +127,30 @@ def transmit_receive_td(
 ) -> np.ndarray:
     """Simulate the received time-domain pilot symbol at every antenna.
 
-    ``channels`` holds each user's ``(tau, M)`` tap matrix, one per pool
-    entry.  Returns an array of shape ``(n_samples, M, N)``: for each
-    sample the sum over users of ``p_k circ h_{k,m}``, plus ``p_0 circ
-    g_m`` for the attacker's (rho-scaled) taps ``g``, plus independent
-    complex Gaussian noise of per-element variance ``noise_variance``.
+    ``channels`` holds each user's ``(tau, M)`` tap matrix, one per row of
+    the ``(K, N)`` array ``pilots``.  Returns an array of shape
+    ``(n_samples, M, N)``: for each sample the sum over users of ``p_k circ
+    h_{k,m}``, plus ``p_0 circ g_m`` for the attacker's (rho-scaled) taps
+    ``g``, plus independent complex Gaussian noise of per-element variance
+    ``noise_variance``.
     """
-    if len(channels) != pool.size:
+    num_users, n = pilots.shape
+    if len(channels) != num_users:
         raise ConfigurationError(
-            f"expected {pool.size} user channels, got {len(channels)}"
+            f"expected {num_users} user channels, got {len(channels)}"
         )
     if noise_variance < 0:
         raise ConfigurationError("noise variance must be non-negative")
-    m_ant = channels[0].shape[1]
-    clean = sum(
-        _receive(pool, k, taps, m_ant) for k, taps in enumerate(channels)
-    )
+    sources = list(enumerate(channels))
     if attacker is not None:
-        clean += _receive(pool, VICTIM, attacker, m_ant)
+        sources.append((VICTIM, attacker))
+    m_ant = channels[0].shape[1]
+    if any(taps.shape[1] != m_ant for _, taps in sources):
+        raise ConfigurationError("all channels must share the antenna count")
+    _check_delay_window(pilots, max(taps.shape[0] for _, taps in sources))
+    clean = sum(_receive(pilots[k], taps) for k, taps in sources)
 
-    out = np.broadcast_to(clean, (n_samples, m_ant, pool.length)).copy()
+    out = np.broadcast_to(clean, (n_samples, m_ant, n)).copy()
     if noise_variance > 0:
         out += complex_normal(out.shape, math.sqrt(noise_variance / 2.0), rng)
     return out
@@ -191,7 +201,7 @@ def ls_estimate(
 
 
 def simulate_subframe(
-    pool: PreamblePool,
+    pilots: np.ndarray,
     channels: Sequence[np.ndarray],
     attacker: np.ndarray | None,
     noise_variance: float,
@@ -206,10 +216,9 @@ def simulate_subframe(
     if num_taps is None:
         num_taps = channels[VICTIM].shape[0]
     y_td = transmit_receive_td(
-        pool, channels, attacker, noise_variance, n_samples, rng
+        pilots, channels, attacker, noise_variance, n_samples, rng
     )
-    pilot = pool.sequence_for_user(VICTIM)
-    return ls_estimate(to_frequency_domain(y_td), pilot, num_taps)
+    return ls_estimate(to_frequency_domain(y_td), pilots[VICTIM], num_taps)
 
 
 def frequency_reference(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:

@@ -37,13 +37,14 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .baselines import SdConfig
 from .detector import DEFAULT_THRESHOLD
-from .errors import CapacityError, ConfigurationError, check_numeric_fields
+from .errors import ConfigurationError, check_numeric_fields
 from .extractor import ExtractorConfig
-from .zc import PreamblePool, build_pool, generate_zc
+from .zc import build_pool, generate_zc
 
 SAMPLES_PER_RB = 12
 ESTIMATE_SIGNAL_LEVEL = 5.0
@@ -156,13 +157,7 @@ class ScenarioConfig:
                 f"spread {self.num_taps} to keep same-root pilots "
                 "orthogonal over the delay window"
             )
-        capacity = self.sequence_length // self.shift_size
-        if self.num_users > capacity:
-            raise CapacityError(
-                f"{self.num_users} users do not fit the pilot pool: shift "
-                f"size {self.shift_size} over length {self.sequence_length} "
-                f"supplies {capacity}"
-            )
+        self.build_pool()  # raises CapacityError if the users do not fit
         if self.element_spacing_wavelengths <= 0:
             raise ConfigurationError("element spacing must be positive")
         for name in ("snr_db", "jsr_db"):
@@ -227,8 +222,9 @@ class ScenarioConfig:
         """
         return self.estimate_noise_variance / self.sequence_length
 
-    def build_pool(self) -> PreamblePool:
-        """Single-root pilot pool with one entry per user."""
+    def build_pool(self) -> np.ndarray:
+        """Read-only ``(num_users, sequence_length)`` array of the users'
+        pilots: one root's cyclic shifts, ``shift_size`` apart."""
         return build_pool(
             generate_zc(self.sequence_length, 1), self.shift_size,
             self.num_users,

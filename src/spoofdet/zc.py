@@ -9,61 +9,23 @@ this package relies on:
 * the periodic cross-correlation between two distinct roots has constant
   magnitude ``1/sqrt(N)`` at every lag.
 
-A preamble pool holds one root's cyclic shifts, one per user: user ``k``
-transmits the root advanced by ``k * shift_size`` samples.
+A preamble pool is a read-only ``(K, N)`` array of one root's cyclic shifts:
+row ``k``, user ``k``'s pilot, is the root advanced by ``k * shift_size``
+samples.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, ShapeError
 
 __all__ = [
-    "PreamblePool",
     "generate_zc",
     "cyclic_shift",
     "build_pool",
     "periodic_correlation",
 ]
-
-
-@dataclass(frozen=True)
-class PreamblePool:
-    """One root's cyclic shifts, entry ``k`` being user ``k``'s pilot.
-
-    Entries differ by multiples of ``shift_size`` samples, so for prime
-    length they are orthogonal over any delay window shorter than
-    ``shift_size``.
-
-    Attributes
-    ----------
-    sequences : tuple of numpy.ndarray
-        User pilots ``p_0 .. p_{K-1}``, each a complex vector of length ``N``.
-    shift_size : int
-        Cyclic-shift separation between consecutive entries.  Callers
-        combining the pool with a multipath channel must keep the channel's
-        delay-spread length strictly below this value.
-    """
-
-    sequences: tuple
-    shift_size: int
-
-    @property
-    def size(self) -> int:
-        return len(self.sequences)
-
-    @property
-    def length(self) -> int:
-        return len(self.sequences[0])
-
-    def sequence_for_user(self, user: int) -> np.ndarray:
-        """Return the pilot of ``user``."""
-        if not 0 <= user < self.size:
-            raise ConfigurationError(f"user {user} has no assigned sequence")
-        return self.sequences[user]
 
 
 def generate_zc(length: int, root: int) -> np.ndarray:
@@ -124,8 +86,9 @@ def periodic_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def build_pool(
     root: np.ndarray, shift_size: int, num_users: int
-) -> PreamblePool:
-    """Give user ``k`` the root advanced by ``k * shift_size`` samples.
+) -> np.ndarray:
+    """Read-only ``(num_users, N)`` array whose row ``k``, user ``k``'s
+    pilot, is the root advanced by ``k * shift_size`` samples.
 
     Parameters
     ----------
@@ -136,7 +99,7 @@ def build_pool(
         strictly greater than the channel delay-spread length so that the
         users' pilots stay orthogonal over the delay window.
     num_users : int
-        Number of users, each given one entry.
+        Number of users, each given one row.
 
     Raises
     ------
@@ -155,9 +118,8 @@ def build_pool(
             f"requested {num_users} sequences but shift size {shift_size} "
             f"over length {length} supplies only {capacity}"
         )
-    return PreamblePool(
-        sequences=tuple(
-            cyclic_shift(root, k * shift_size) for k in range(num_users)
-        ),
-        shift_size=shift_size,
+    pilots = np.array(
+        [cyclic_shift(root, k * shift_size) for k in range(num_users)]
     )
+    pilots.setflags(write=False)
+    return pilots

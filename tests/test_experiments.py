@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import replace
@@ -77,6 +78,7 @@ from spoofdet.link import (
     transmit_receive_td,
 )
 from spoofdet.scenario import ScenarioConfig
+from spoofdet.zc import cyclic_shift, generate_zc
 
 
 def pair_count_auc(attack, normal, orientation=1.0):
@@ -313,6 +315,21 @@ class TestRocFromOutcomes:
                 assert curve.auc == auc
                 assert area == pytest.approx(auc, abs=1e-12)
 
+    @pytest.mark.parametrize("orientation", [1.0, -1.0])
+    def test_a_group_of_signed_zeros_reads_plus_zero(self, orientation):
+        # Whichever signed zero the sort puts first in the tie group, the
+        # written threshold is +0.0.
+        for attack, normal in (
+            ([0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]),
+            ([-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]),
+            ([-0.0, 1.0], [-0.0, -1.0]),
+            ([0.0, 1.0], [0.0, -1.0]),
+        ):
+            table = experiments._rank_table(attack, normal, orientation)
+            zeros = [t for *_, t in table.points if t == 0]
+            assert len(zeros) == 1
+            assert math.copysign(1.0, zeros[0]) == 1.0
+
     def test_points_span_the_unit_square(self):
         records = [record(0, 1.0, 2.0), record(1, 2.0, 3.0)]
         points = roc_from_outcomes(records, "energy").points
@@ -527,6 +544,21 @@ class TestRunScenario:
         )
 
 
+class TestWorkerPool:
+    def test_workers_run_blas_on_one_thread(self, monkeypatch):
+        # Set in each worker from its start, whatever the caller has set;
+        # the caller's environment is as it was once the pool is gone.
+        names = experiments._BLAS_THREAD_VARIABLES
+        monkeypatch.setenv(names[0], "4")
+        for name in names[1:]:
+            monkeypatch.delenv(name, raising=False)
+        with experiments._worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, names, timeout=120))
+        assert seen == ["1"] * len(names)
+        assert os.environ[names[0]] == "4"
+        assert not any(name in os.environ for name in names[1:])
+
+
 class TestBadClusterTable:
     """A cluster table the trials cannot read is a configuration error that
     every trial records; it does not end the run."""
@@ -598,7 +630,7 @@ class TestShortcutsMatchLinkChain:
             pool, simulator.channels, attacker, 0.0, cfg.n_samples, rng=0
         )
         y_fd = to_frequency_domain(y_td)
-        estimate = ls_estimate(y_fd, pool.sequence_for_user(0), cfg.num_taps)
+        estimate = ls_estimate(y_fd, pool[0], cfg.num_taps)
         return y_fd, estimate
 
     @pytest.mark.parametrize("trial", [0, 1, 2])
@@ -842,6 +874,21 @@ class TestDrawsOnlyWhatIsRead:
         record = run_single_trial(cfg, 0)
         assert record.error == f"trial 0: ConfigurationError: {message}"
 
+    def test_attacker_energy_is_computed_once(self, monkeypatch):
+        energies = []
+        checked_energy = TrialSimulator._checked_energy
+
+        def counting(simulator, taps):
+            energies.append(taps)
+            return checked_energy(simulator, taps)
+
+        monkeypatch.setattr(TrialSimulator, "_checked_energy", counting)
+        simulator = TrialSimulator(ScenarioConfig(**TINY), 0)
+        simulator.clean_energy_attacked
+        simulator.rho
+        assert len(energies) == 2
+        assert energies[1] is simulator.attacker_channel
+
 
 class TestArmsShareDraws:
     """Common random numbers: both arms of a subframe see the same probes
@@ -922,9 +969,7 @@ class TestSnapshotBasis:
         n = cfg.sequence_length
         total = np.zeros((n, cfg.num_antennas), dtype=np.complex128)
         for k, taps in zip(users, channels):
-            pilot = np.fft.fft(
-                np.asarray(pool.sequence_for_user(k), dtype=np.complex128)
-            )
+            pilot = np.fft.fft(pool[k])
             padded = np.zeros((n, cfg.num_antennas), dtype=np.complex128)
             padded[: taps.shape[0]] = taps
             spectrum = pilot[:, None] * np.fft.fft(padded, axis=0)
@@ -951,6 +996,26 @@ class TestSnapshotBasis:
             np.testing.assert_allclose(
                 simulator.snapshot_attacked, quiet + attack, rtol=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "cfg", [ScenarioConfig(), ScenarioConfig(**TINY)],
+        ids=["default", "tiny"],
+    )
+    def test_basis_matches_the_row_by_row_build(self, cfg):
+        # The basis as built from each user's cyclic shift in turn.
+        n, k_users, t = cfg.sequence_length, cfg.num_users, cfg.num_taps
+        root = generate_zc(n, 1)
+        rows = np.array(
+            [cyclic_shift(root, k * cfg.shift_size) for k in range(k_users)],
+            dtype=np.complex128,
+        )
+        pilots = np.fft.fft(rows, axis=1)
+        delays = np.fft.fft(np.eye(n, t), axis=0)
+        old = (pilots.T[:, :, None] * delays[:, None, :]).reshape(n, -1)
+        old /= np.sqrt(n)
+        basis = experiments._pilot_tap_basis(n, cfg.shift_size, k_users, t)
+        assert same_bits(basis, old)
+        assert not basis.flags.writeable
 
 
 class TestSnapshotNoiseMatchesOldExpression:

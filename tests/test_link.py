@@ -52,14 +52,14 @@ class TestTransmitReceive:
     def test_identity_channel_returns_scaled_pilot(self):
         pool = one_user_pool()
         y = receive(pool, [2.0 * impulse_channel(0)])
-        expected = 2.0 * pool.sequences[0]
+        expected = 2.0 * pool[0]
         for m in range(2):
             np.testing.assert_allclose(y[0, m], expected, atol=1e-12)
 
     def test_one_tap_delay_is_circular_shift(self):
         pool = one_user_pool()
         y = receive(pool, [impulse_channel(1)])
-        expected = cyclic_shift(pool.sequences[0], -1)
+        expected = cyclic_shift(pool[0], -1)
         np.testing.assert_allclose(y[0, 0], expected, atol=1e-12)
 
     def test_attack_with_identical_channel_doubles_receive(self):
@@ -85,13 +85,22 @@ class TestTransmitReceive:
                     n_samples=4000, rng=11)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.5, rel=0.03)
 
-    def test_delay_spread_must_stay_below_shift_size(self):
-        pool = one_user_pool(shift_size=2)
-        with pytest.raises(ConfigurationError):
-            receive(pool, [impulse_channel(0, num_taps=3)])
-        with pytest.raises(ConfigurationError):
-            receive(pool, [impulse_channel(0, num_taps=1)],
-                    attacker=impulse_channel(0, num_taps=3))
+    def test_pilots_interfering_within_the_delay_window_rejected(self):
+        # Two pilots 3 samples apart correlate at lag 3: a delay spread of
+        # 3 taps keeps the victim's estimate exact, one of 4 would not.
+        pool = build_pool(generate_zc(N, 1), shift_size=3, num_users=2)
+        rng = np.random.default_rng(5)
+        channels = [random_channel(rng, num_taps=3) for _ in range(2)]
+        est = simulate_subframe(pool, channels, None, 0.0, 1, 0)
+        np.testing.assert_allclose(
+            est.tap[0], vectorize_taps(channels[0]), atol=1e-12
+        )
+        short = impulse_channel(0, num_taps=1)
+        long = impulse_channel(0, num_taps=4)
+        with pytest.raises(ConfigurationError, match="correlate"):
+            receive(pool, [long, short])
+        with pytest.raises(ConfigurationError, match="correlate"):
+            receive(pool, [short, short], attacker=long)
 
     def test_channel_count_must_match_pool_size(self):
         h = impulse_channel(0)
@@ -198,7 +207,7 @@ class TestLsEstimate:
         pool = one_user_pool()
         y = np.zeros((1, 2, N), dtype=complex)
         with pytest.raises(ConfigurationError):
-            ls_estimate(y, pool.sequences[0], num_taps=0)
+            ls_estimate(y, pool[0], num_taps=0)
 
 
 class TestObserve:

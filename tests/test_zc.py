@@ -152,13 +152,12 @@ class TestCyclicShift:
 class TestPool:
     def test_single_root_shift_progression(self):
         root = generate_zc(12, 1)
-        pool = build_pool(root, shift_size=4, num_users=3)
-        assert pool.size == 3
-        assert pool.length == 12
-        assert pool.shift_size == 4
+        pilots = build_pool(root, shift_size=4, num_users=3)
+        assert pilots.shape == (3, 12)
+        assert pilots.dtype == np.complex128
         for k in range(3):
             np.testing.assert_array_equal(
-                pool.sequences[k], cyclic_shift(root, 4 * k)
+                pilots[k], cyclic_shift(root, 4 * k)
             )
 
     def test_capacity_error_when_shifts_do_not_fit(self):
@@ -166,31 +165,25 @@ class TestPool:
             build_pool(generate_zc(12, 1), shift_size=5, num_users=3)
 
     def test_assignment_identity_and_lookup(self):
-        pool = build_pool(generate_zc(13, 1), shift_size=4, num_users=2)
-        for k in range(2):
-            np.testing.assert_array_equal(
-                pool.sequence_for_user(k), pool.sequences[k]
-            )
-
-    def test_more_users_than_pool_rejected(self):
-        pool = build_pool(generate_zc(13, 1), shift_size=4, num_users=3)
-        for user in (-1, 3):
-            with pytest.raises(ConfigurationError):
-                pool.sequence_for_user(user)
+        # User k's pilot is row k, and no caller can change it in place.
+        pilots = build_pool(generate_zc(13, 1), shift_size=4, num_users=2)
+        assert not pilots.flags.writeable
+        with pytest.raises(ValueError):
+            pilots[1, 0] = 0.0
+        with pytest.raises(ValueError):
+            pilots[0] *= 2.0
 
     def test_same_root_entries_orthogonal_over_delay_window(self):
         # Entries separated by shift_size stay orthogonal at every lag
         # shorter than shift_size (prime length), which is what makes the
         # pool usable for multipath estimation with delay spread < shift.
         tau = 3
-        pool = build_pool(generate_zc(13, 1), shift_size=4, num_users=3)
-        for i in range(pool.size):
-            for j in range(pool.size):
+        pilots = build_pool(generate_zc(13, 1), shift_size=4, num_users=3)
+        for i in range(len(pilots)):
+            for j in range(len(pilots)):
                 if i == j:
                     continue
-                corr = brute_force_correlation(
-                    pool.sequences[i], pool.sequences[j]
-                )
+                corr = brute_force_correlation(pilots[i], pilots[j])
                 assert np.max(np.abs(corr[:tau])) < 1e-9
 
     @given(
@@ -205,8 +198,9 @@ class TestPool:
         capacity = n // shift_size
         if capacity == 0:
             return
-        pool = build_pool(root, shift_size, capacity)
-        for k, seq in enumerate(pool.sequences):
+        pilots = build_pool(root, shift_size, capacity)
+        assert pilots.shape == (capacity, n)
+        for k, seq in enumerate(pilots):
             assert np.linalg.norm(seq) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_array_equal(
                 seq, cyclic_shift(root, k * shift_size)
