@@ -12,11 +12,20 @@ Draws are normalized small-scale profiles with no distance in them: the
 expected squared Frobenius norm of the tap matrix is ``M * sum(cluster
 powers) = M``, and an actor enters a draw only through its line-of-sight
 azimuth.
+
+``draw_channels`` draws any number of sources in one vectorised pass, each
+from its own generator, so a source's channel is bit for bit the one
+``draw_channel`` gives it alone.  A ray's response across the array is
+computed as the powers of one phasor: one complex exponential per ray
+instead of one per antenna.  ``steering_vector`` computes that response
+element by element; no draw calls it, and it is the oracle the tests hold
+the phasor powers to.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +41,7 @@ __all__ = [
     "default_cluster_table",
     "steering_vector",
     "draw_channel",
+    "draw_channels",
     "draw_azimuths",
     "beamspace",
     "vectorize_taps",
@@ -202,7 +212,8 @@ def steering_vector(
     """Uniform-linear-array response to a plane wave from ``azimuth_deg``.
 
     Element ``m`` has phase ``2*pi*spacing*m*sin(azimuth)``; broadside (0
-    degrees) gives the all-ones vector.
+    degrees) gives the all-ones vector.  One exponential per element: the
+    test oracle of the phasor powers the channel draws use.
     """
     m = np.arange(num_antennas)
     phase = 2.0 * np.pi * spacing_wavelengths * m * math.sin(math.radians(azimuth_deg))
@@ -234,6 +245,154 @@ def complex_normal(shape, scale: float, rng) -> np.ndarray:
     return out
 
 
+def _steering_powers(
+    sines: np.ndarray, num_antennas: int, spacing_wavelengths: float, gains
+) -> np.ndarray:
+    """``gains * exp(2j*pi*spacing*m*sines)`` for ``m = 0..M-1``, with the
+    antenna index on a new leading axis: shape ``(M, *sines.shape)``.
+
+    A ray's response across the array is the powers of one phasor
+    ``z = exp(2j*pi*spacing*sine)``, so each ray costs one complex
+    exponential instead of ``M``.  The powers are built by doubling: rows
+    ``n..2n-1`` are rows ``0..n-1`` times ``z**n``.  The rounding error of
+    row ``m`` grows about linearly in ``m``; ``steering_vector`` is the
+    oracle the tests hold it to.
+    """
+    phasor = np.exp(2j * np.pi * spacing_wavelengths * sines)
+    rows = np.empty((num_antennas, *phasor.shape), dtype=np.complex128)
+    rows[0] = gains
+    filled = 1
+    while filled < num_antennas:
+        count = min(filled, num_antennas - filled)
+        np.multiply(rows[:count], phasor, out=rows[filled:filled + count])
+        phasor = phasor * phasor
+        filled += count
+    return rows
+
+
+def _cluster_taps(
+    table: ClusterTable, num_taps: int, tap_duration_ns: float
+) -> np.ndarray:
+    """The delay tap nearest each cluster's delay; a cluster beyond the
+    ``num_taps``-tap window raises :class:`ClusterTableError`."""
+    taps = np.rint(table.delays_ns / tap_duration_ns).astype(int)
+    for c, tap_index in enumerate(taps):
+        if tap_index >= num_taps:
+            raise ClusterTableError(
+                f"cluster {c} at {table.delays_ns[c]} ns maps to tap "
+                f"{tap_index}, beyond the {num_taps}-tap window "
+                f"({tap_duration_ns} ns per tap)"
+            )
+    return taps
+
+
+def draw_channels(
+    scenario: GeometryScenario,
+    table: ClusterTable,
+    sources: Sequence[int | str],
+    num_taps: int,
+    tap_duration_ns: float,
+    rngs: Sequence,
+) -> np.ndarray:
+    """Draw the ``(S, num_taps, M)`` tap matrices of ``S`` channels, one
+    per entry of ``sources``, source ``i`` from generator ``rngs[i]``.
+
+    Row ``t`` of a matrix is the response across antennas at delay tap
+    ``t``.  Each cluster maps to the tap nearest its delay and contributes
+    a bundle of ``RAYS_PER_CLUSTER`` equal-power rays with independent
+    uniform phases and Gaussian azimuth offsets (standard deviation = the
+    cluster's spread) around the cluster azimuth.  With a Ricean factor
+    configured, the first cluster instead sends the fraction ``K/(K+1)`` of
+    its power on a single random-phase ray at the exact cluster azimuth.
+    Expected total energy is ``M`` (per-antenna unit average gain);
+    per-draw randomness enters only through ray phases and angle offsets.
+
+    Each source draws from its own generator, in this order: the dominant
+    ray's phase, then for each cluster its angle offsets and its ray
+    phases, so a source's channel does not depend on the other sources of
+    the call.  Then every ray of every source, the dominant ones too, goes
+    through one pass of ``_steering_powers``, and each tap sums its
+    clusters' rays.
+
+    Parameters
+    ----------
+    sources : sequence of int or "attacker"
+        Source ids as :meth:`GeometryScenario.azimuth_of` reads them.
+    rngs : sequence of (int, SeedSequence, or numpy.random.Generator)
+        Seed material for reproducible draws, one per source.
+    """
+    if num_taps < 1:
+        raise ConfigurationError(f"num_taps must be positive, got {num_taps}")
+    if tap_duration_ns <= 0:
+        raise ConfigurationError("tap duration must be positive")
+    azimuths = np.array([scenario.azimuth_of(s) for s in sources], dtype=float)
+    if len(rngs) != len(azimuths):
+        raise ConfigurationError(
+            f"need one generator per source, got {len(rngs)} for "
+            f"{len(azimuths)} sources"
+        )
+    cluster_taps = _cluster_taps(table, num_taps, tap_duration_ns)
+
+    dominant = table.ricean_k_db is not None
+    n_sources = len(azimuths)
+    n_rays = table.num_clusters * RAYS_PER_CLUSTER
+    offsets = np.empty((n_sources, table.num_clusters, RAYS_PER_CLUSTER))
+    phases = np.empty_like(offsets)
+    dominant_phases = np.empty(n_sources)
+    for s, rng in enumerate(rngs):
+        gen = as_generator(rng)
+        if dominant:
+            dominant_phases[s] = gen.random()
+        for c in range(table.num_clusters):
+            gen.standard_normal(out=offsets[s, c])
+            gen.random(out=phases[s, c])
+    # normal(0, spread) and uniform(0, 2 pi) give these draws scaled, from
+    # the same stream positions; scaling once skips their per-call
+    # location-scale step.
+    offsets *= table.spreads_deg[:, None]
+    phases *= 2.0 * np.pi
+
+    diffuse_powers = table.powers.copy()
+    if dominant:
+        k_lin = 10.0 ** (table.ricean_k_db / 10.0)
+        diffuse_powers[0] = table.powers[0] / (k_lin + 1.0)
+    # Every source's rays, (S, rays): each cluster's bundle in delay
+    # order, after the dominant ray, so each tap's rays are contiguous.
+    cluster_azimuths = azimuths[:, None] + table.azimuths_deg
+    ray_azimuths = (cluster_azimuths[:, :, None] + offsets).reshape(
+        n_sources, n_rays
+    )
+    amplitudes = np.sqrt(diffuse_powers / RAYS_PER_CLUSTER)
+    gains = (amplitudes[:, None] * np.exp(1j * phases)).reshape(
+        n_sources, n_rays
+    )
+    ray_taps = np.repeat(cluster_taps, RAYS_PER_CLUSTER)
+    if dominant:
+        dominant_power = table.powers[0] * k_lin / (k_lin + 1.0)
+        dominant_gains = math.sqrt(dominant_power) * np.exp(
+            1j * (2.0 * np.pi * dominant_phases)
+        )
+        ray_azimuths = np.hstack([cluster_azimuths[:, :1], ray_azimuths])
+        gains = np.hstack([dominant_gains[:, None], gains])
+        ray_taps = np.concatenate([cluster_taps[:1], ray_taps])
+
+    rows = _steering_powers(
+        np.sin(np.radians(ray_azimuths.T)), scenario.num_antennas,
+        scenario.element_spacing_wavelengths, gains.T,
+    )  # (M, rays, S)
+    # reduceat adds a tap's rays one after another whatever S is, so a
+    # source's row does not depend on the others; a plain sum would switch
+    # to pairwise order when S is 1.
+    taps, first_rays = np.unique(ray_taps, return_index=True)
+    channels = np.zeros(
+        (n_sources, num_taps, scenario.num_antennas), dtype=np.complex128
+    )
+    channels[:, taps] = np.add.reduceat(rows, first_rays, axis=1).transpose(
+        2, 1, 0
+    )
+    return channels
+
+
 def draw_channel(
     scenario: GeometryScenario,
     table: ClusterTable,
@@ -242,67 +401,17 @@ def draw_channel(
     tap_duration_ns: float,
     rng,
 ) -> np.ndarray:
-    """Draw the ``(num_taps, M)`` tap matrix of one channel of ``source``.
-
-    Row ``t`` is the response across antennas at delay tap ``t``.
-
-    Each cluster maps to the tap nearest its delay and contributes a bundle
-    of ``RAYS_PER_CLUSTER`` equal-power rays with independent uniform phases
-    and Gaussian azimuth offsets (standard deviation = the cluster's spread)
-    around the cluster azimuth.  With a Ricean factor configured, the first
-    cluster instead sends the fraction ``K/(K+1)`` of its power on a single
-    random-phase ray at the exact cluster azimuth.  Expected total energy is
-    ``M`` (per-antenna unit average gain); per-draw randomness enters only
-    through ray phases and angle offsets.
+    """Draw the ``(num_taps, M)`` tap matrix of one channel of ``source``:
+    ``draw_channels`` of the one source with the one generator ``rng``.
 
     Parameters
     ----------
     rng : int, SeedSequence, or numpy.random.Generator
         Seed material for reproducible draws.
     """
-    if num_taps < 1:
-        raise ConfigurationError(f"num_taps must be positive, got {num_taps}")
-    if tap_duration_ns <= 0:
-        raise ConfigurationError("tap duration must be positive")
-    gen = as_generator(rng)
-    azimuth = scenario.azimuth_of(source)
-    m_ant = scenario.num_antennas
-    spacing = scenario.element_spacing_wavelengths
-
-    taps = np.zeros((num_taps, m_ant), dtype=np.complex128)
-    cluster_azimuths = azimuth + table.azimuths_deg
-
-    for c in range(table.num_clusters):
-        tap_index = int(round(table.delays_ns[c] / tap_duration_ns))
-        if tap_index >= num_taps:
-            raise ClusterTableError(
-                f"cluster {c} at {table.delays_ns[c]} ns maps to tap "
-                f"{tap_index}, beyond the {num_taps}-tap window "
-                f"({tap_duration_ns} ns per tap)"
-            )
-        power = float(table.powers[c])
-        diffuse_power = power
-        if c == 0 and table.ricean_k_db is not None:
-            k_lin = 10.0 ** (table.ricean_k_db / 10.0)
-            dominant_power = power * k_lin / (k_lin + 1.0)
-            diffuse_power = power / (k_lin + 1.0)
-            phase = gen.uniform(0.0, 2.0 * np.pi)
-            taps[tap_index] += (
-                math.sqrt(dominant_power)
-                * np.exp(1j * phase)
-                * steering_vector(m_ant, cluster_azimuths[c], spacing)
-            )
-        ray_amp = math.sqrt(diffuse_power / RAYS_PER_CLUSTER)
-        offsets = gen.normal(0.0, table.spreads_deg[c], size=RAYS_PER_CLUSTER)
-        phases = gen.uniform(0.0, 2.0 * np.pi, size=RAYS_PER_CLUSTER)
-        sines = np.sin(np.radians(cluster_azimuths[c] + offsets))
-        steering = np.exp(
-            2j * np.pi * spacing * np.outer(sines, np.arange(m_ant))
-        )
-        gains = ray_amp * np.exp(1j * phases)
-        taps[tap_index] += gains @ steering
-
-    return taps
+    return draw_channels(
+        scenario, table, [source], num_taps, tap_duration_ns, [rng]
+    )[0]
 
 
 def draw_azimuths(count: int, rng) -> list[float]:

@@ -33,9 +33,10 @@ above.
 Each input is built once and only when needed.  The cluster table and the
 ``(N, K * T)`` pilot-tap basis are kept per process, keyed on the config
 fields they depend on.  A ``TrialSimulator`` draws only the victim's
-channel on construction; the attacker's channel, the other users' channels,
-the clean energies and the clean snapshot spectra are built on first
-access, and each subframe's probes, tap noise, energy-sketch draws and
+channel on construction; the attacker's channel, the other users' channels
+(one ``draw_channels`` call, kept with the victim's as one ``(K, T, M)``
+array), the clean energies and the clean snapshot spectra are built on
+first access, and each subframe's probes, tap noise, energy-sketch draws and
 snapshot noise are drawn once, for both arms.  No conjugated copy of the
 probes is made: a probe response conjugates the vector and the product
 instead, which gives the same bits up to the sign of an exact zero.
@@ -81,7 +82,7 @@ from .channel import (
     complex_normal,
     default_cluster_table,
     draw_azimuths,
-    draw_channel,
+    draw_channels,
     load_cluster_table,
     vectorize_taps,
 )
@@ -224,9 +225,9 @@ def _pilot_tap_basis(
 
     Column ``k * T + t`` is ``P_k[n] * exp(-2 pi i n t / N) / sqrt(N)``:
     user ``k``'s pilot spectrum times the spectrum of a unit tap at delay
-    ``t``.  So ``basis @ vstack(channels)`` is the ``(N, M)`` unitary-FFT
-    receive of every pilot through its channel, the frequency-domain image
-    of the circular convolutions.
+    ``t``.  So ``basis @ channels.reshape(K * T, M)`` is the ``(N, M)``
+    unitary-FFT receive of every pilot through its channel, the
+    frequency-domain image of the circular convolutions.
     """
     pilots = np.fft.fft(
         build_pool(generate_zc(n, 1), shift_size, num_users), axis=1
@@ -330,9 +331,11 @@ class TrialSimulator:
       carries energy; this is all the quiet extractions read.
     * On first access: the attacker's channel, ``rho`` (which first checks
       that channel's energy) and ``psi_attacker``, for the attacked
-      extraction; ``channels`` and the clean energies, for the energy
-      detector; the clean snapshot spectra, for the subspace detector: the
-      quiet one is one product of the basis with the stacked channels, and
+      extraction; ``channels``, the ``(K, T, M)`` array of every user's
+      taps whose other users are drawn in one ``draw_channels`` call, and
+      the clean energies, for the energy detector; the clean snapshot
+      spectra, for the subspace detector: the quiet one is one product of
+      the basis with ``channels`` viewed as ``(K * T, M)``, and
       the attacked one adds ``rho`` times the victim's block of the basis
       applied to the attacker's channel.
     * Per subframe, on first use: the probes, the tap noise, the energy
@@ -354,22 +357,28 @@ class TrialSimulator:
             user_azimuths_deg=tuple(azimuths[: cfg.num_users]),
             attacker_azimuth_deg=azimuths[cfg.num_users],
         )
-        self._victim_channel = self._draw_channel(
-            VICTIM, _STREAM_USER_CHANNEL + VICTIM
-        )
+        self._victim_channel = self._draw_channels([VICTIM])[0]
         self._victim_energy = self._checked_energy(self._victim_channel)
         # Clean tap-domain fingerprint coordinates (beamspace, tap-major).
         self.psi_victim = vectorize_taps(beamspace(self._victim_channel))
 
-    def _draw_channel(self, source: int | str, stream: int) -> np.ndarray:
+    def _draw_channels(self, sources: list) -> np.ndarray:
+        """The ``(len(sources), T, M)`` channels of ``sources``, each from
+        its own seed stream."""
         cfg = self.cfg
-        return draw_channel(
+        streams = [
+            _STREAM_ATTACKER_CHANNEL if source == "attacker"
+            else _STREAM_USER_CHANNEL + source
+            for source in sources
+        ]
+        return draw_channels(
             self.geometry,
             _cluster_table(cfg.cluster_table),
-            source,
+            sources,
             cfg.num_taps,
             cfg.tap_duration_ns,
-            trial_rng(cfg.master_seed, self.trial_index, stream),
+            [trial_rng(cfg.master_seed, self.trial_index, stream)
+             for stream in streams],
         )
 
     def _checked_energy(self, taps: np.ndarray) -> float:
@@ -381,17 +390,20 @@ class TrialSimulator:
         return energy
 
     @cached_property
-    def channels(self) -> list:
-        """Every user's channel, by user index; the victim's is shared."""
-        return [
-            self._victim_channel if k == VICTIM
-            else self._draw_channel(k, _STREAM_USER_CHANNEL + k)
-            for k in range(self.cfg.num_users)
-        ]
+    def channels(self) -> np.ndarray:
+        """Every user's channel as one read-only ``(K, T, M)`` array, by
+        user index: the victim's as drawn on construction, and the other
+        users' from one ``draw_channels`` call."""
+        others = [k for k in range(self.cfg.num_users) if k != VICTIM]
+        channels = np.insert(
+            self._draw_channels(others), VICTIM, self._victim_channel, axis=0
+        )
+        channels.setflags(write=False)
+        return channels
 
     @cached_property
     def attacker_channel(self) -> np.ndarray:
-        return self._draw_channel("attacker", _STREAM_ATTACKER_CHANNEL)
+        return self._draw_channels(["attacker"])[0]
 
     @cached_property
     def _attacker_energy(self) -> float:
@@ -412,9 +424,7 @@ class TrialSimulator:
 
     @cached_property
     def clean_energy_quiet(self) -> float:
-        return float(
-            sum(np.sum(np.abs(taps) ** 2) for taps in self.channels)
-        )
+        return float(np.sum(np.abs(self.channels) ** 2))
 
     @cached_property
     def clean_energy_attacked(self) -> float:
@@ -438,7 +448,7 @@ class TrialSimulator:
 
     @cached_property
     def snapshot_quiet(self) -> np.ndarray:
-        return self._basis @ np.vstack(self.channels)
+        return self._basis @ self.channels.reshape(-1, self.cfg.num_antennas)
 
     @cached_property
     def snapshot_attacked(self) -> np.ndarray:

@@ -79,8 +79,9 @@ class ScenarioConfig:
     num_antennas, num_users, num_taps, sequence_length, shift_size
         Array size M, active user count K, channel delay-spread length in
         taps, reference-sequence length N, and the cyclic-shift separation
-        of the pilot pool (must exceed the delay spread so same-root pilots
-        stay orthogonal over the delay window, and fit K times into N).
+        of the pilot pool (at least the delay spread, so that same-root
+        pilots stay orthogonal over the delay window, and K shifts must fit
+        into N).
     rb_count
         Occupied resource blocks; ``SAMPLES_PER_RB`` times this is the
         per-subframe sample budget L.
@@ -151,9 +152,9 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be at least 1")
         if self.sequence_length < 2:
             raise ConfigurationError("sequence length must be at least 2")
-        if self.shift_size <= self.num_taps:
+        if self.shift_size < self.num_taps:
             raise ConfigurationError(
-                f"shift size {self.shift_size} must exceed the delay "
+                f"shift size {self.shift_size} must be at least the delay "
                 f"spread {self.num_taps} to keep same-root pilots "
                 "orthogonal over the delay window"
             )

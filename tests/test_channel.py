@@ -1,5 +1,10 @@
 """Clustered-channel oracles: steering geometry, energy normalization,
-uniform azimuth placement, and beam-domain sparsity of draws."""
+uniform azimuth placement, and beam-domain sparsity of draws.
+
+``steering_vector`` is the oracle of the phasor-power steering the draws
+use, and a ray-by-ray sum of its responses is the oracle of a whole draw."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spoofdet.channel import (
+    RAYS_PER_CLUSTER,
     ClusterTable,
     GeometryScenario,
+    _steering_powers,
     beamspace,
     default_cluster_table,
     draw_azimuths,
     draw_channel,
+    draw_channels,
     load_cluster_table,
     steering_vector,
     vectorize_taps,
@@ -143,6 +151,20 @@ class TestSteering:
         v = steering_vector(16, 37.0)
         np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("num_antennas", [8, 64, 256])
+    def test_phasor_powers_match_the_steering_vector(self, num_antennas):
+        # Row m is the m-th power of one phasor per ray, so its rounding
+        # error grows with m; M * 1e-15 bounds it over the whole array.
+        azimuths = np.linspace(-180.0, 180.0, 1441)
+        rows = _steering_powers(
+            np.sin(np.radians(azimuths)), num_antennas, 0.5, 1.0
+        )
+        assert rows.shape == (num_antennas, azimuths.size)
+        expected = np.array([steering_vector(num_antennas, a) for a in azimuths])
+        np.testing.assert_allclose(
+            rows.T, expected, rtol=0, atol=num_antennas * 1e-15
+        )
+
 
 class TestDrawChannel:
     def test_zero_spread_broadside_proportional_to_ones(self):
@@ -224,6 +246,124 @@ class TestDrawChannel:
         a = draw_channel(sc, table, 0, 4, 240.0, rng=42)
         b = draw_channel(sc, table, 0, 4, 240.0, rng=42)
         np.testing.assert_array_equal(a, b)
+
+
+def reference_channel(scenario, table, source, num_taps, tap_duration_ns, gen):
+    """A draw as the sum over rays of ``steering_vector`` responses, each
+    ray drawn from ``gen`` in the documented order: the dominant ray's
+    phase, then each cluster's angle offsets and ray phases."""
+    azimuth = scenario.azimuth_of(source)
+    m_ant = scenario.num_antennas
+    spacing = scenario.element_spacing_wavelengths
+    taps = np.zeros((num_taps, m_ant), dtype=complex)
+    diffuse = table.powers.copy()
+    for c in range(table.num_clusters):
+        tap = round(table.delays_ns[c] / tap_duration_ns)
+        cluster_azimuth = azimuth + table.azimuths_deg[c]
+        if c == 0 and table.ricean_k_db is not None:
+            k_lin = 10.0 ** (table.ricean_k_db / 10.0)
+            phase = gen.uniform(0.0, 2.0 * np.pi)
+            taps[tap] += (
+                math.sqrt(table.powers[0] * k_lin / (k_lin + 1.0))
+                * np.exp(1j * phase)
+                * steering_vector(m_ant, cluster_azimuth, spacing)
+            )
+            diffuse[0] = table.powers[0] / (k_lin + 1.0)
+        offsets = gen.normal(0.0, table.spreads_deg[c], size=RAYS_PER_CLUSTER)
+        phases = gen.uniform(0.0, 2.0 * np.pi, size=RAYS_PER_CLUSTER)
+        amplitude = math.sqrt(diffuse[c] / RAYS_PER_CLUSTER)
+        for offset, phase in zip(offsets, phases):
+            taps[tap] += amplitude * np.exp(1j * phase) * steering_vector(
+                m_ant, cluster_azimuth + offset, spacing
+            )
+    return taps
+
+
+class TestDrawChannels:
+    """``draw_channels`` draws each source from its own generator, so row
+    ``i`` is ``draw_channel`` of source ``i``, whatever the other sources."""
+
+    SCENARIO = GeometryScenario(
+        num_antennas=16,
+        element_spacing_wavelengths=0.5,
+        user_azimuths_deg=(10.0, 75.0, 190.0, 300.0),
+        attacker_azimuth_deg=130.0,
+    )
+    SOURCES = [0, 1, 2, 3, "attacker"]
+
+    @given(order=st.permutations(SOURCES), seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_are_the_one_source_draws(self, order, seed):
+        table = default_cluster_table()
+        seeds = {source: [seed, i] for i, source in enumerate(self.SOURCES)}
+        channels = draw_channels(
+            self.SCENARIO, table, order, 4, 240.0,
+            [np.random.default_rng(seeds[source]) for source in order],
+        )
+        assert channels.shape == (len(order), 4, 16)
+        for row, source in zip(channels, order):
+            one = draw_channel(
+                self.SCENARIO, table, source, 4, 240.0,
+                np.random.default_rng(seeds[source]),
+            )
+            assert row.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("table", [
+        default_cluster_table(), single_cluster_table(spread=2.0),
+    ], ids=["default", "diffuse"])
+    @pytest.mark.parametrize("source", [0, 2, "attacker"])
+    def test_matches_the_ray_by_ray_sum(self, table, source):
+        # Each ray's row is within M * 1e-15 of its steering vector, and the
+        # ray gains' magnitudes sum to at most sqrt(rays) <= 9, as the
+        # cluster powers sum to one.
+        gen = np.random.default_rng(41)
+        reference = np.random.default_rng(41)
+        for _ in range(20):
+            taps = draw_channels(
+                self.SCENARIO, table, [source], 4, 240.0, [gen]
+            )[0]
+            expected = reference_channel(
+                self.SCENARIO, table, source, 4, 240.0, reference
+            )
+            np.testing.assert_allclose(
+                taps, expected, rtol=0, atol=10 * 16 * 1e-15
+            )
+        # Each draw leaves its generator where the ray-by-ray draw does.
+        assert gen.random() == reference.random()
+
+    def test_no_sources_draw_nothing(self):
+        channels = draw_channels(
+            self.SCENARIO, default_cluster_table(), [], 4, 240.0, []
+        )
+        assert channels.shape == (0, 4, 16)
+
+    @pytest.mark.parametrize("source, num_taps, tap_duration_ns, error, text", [
+        (0, 0, 240.0, ConfigurationError, "num_taps must be positive, got 0"),
+        (0, 4, 0.0, ConfigurationError, "tap duration must be positive"),
+        (7, 4, 240.0, ConfigurationError, "unknown source id 7"),
+        ("attacker", 1, 240.0, ClusterTableError,
+         "cluster 2 at 245.0 ns maps to tap 1, beyond the 1-tap window "
+         "(240.0 ns per tap)"),
+    ], ids=["no-taps", "no-tap-duration", "unknown-source", "beyond-window"])
+    def test_errors(self, source, num_taps, tap_duration_ns, error, text):
+        # One text from the one-source form and from a batch holding it.
+        table = default_cluster_table()
+        with pytest.raises(error) as one:
+            draw_channel(
+                self.SCENARIO, table, source, num_taps, tap_duration_ns, 0
+            )
+        with pytest.raises(error) as batch:
+            draw_channels(
+                self.SCENARIO, table, [1, source, "attacker"], num_taps,
+                tap_duration_ns, [0, 0, 0],
+            )
+        assert str(one.value) == str(batch.value) == text
+
+    def test_one_generator_per_source(self):
+        with pytest.raises(ConfigurationError, match="one generator per"):
+            draw_channels(
+                self.SCENARIO, default_cluster_table(), [0, 1], 4, 240.0, [0]
+            )
 
 
 class TestBeamspaceSparsity:

@@ -40,7 +40,7 @@ import pytest
 from conftest import reference_extract, same_bits
 from spoofdet import experiments, extractor
 from spoofdet.baselines import ed_statistic, sd_statistic
-from spoofdet.channel import complex_normal, draw_channel
+from spoofdet.channel import complex_normal, draw_channels
 from spoofdet.detector import run_stream, similarity
 from spoofdet.errors import (
     ConfigurationError,
@@ -383,14 +383,14 @@ GOLDEN_TINY = {
     3: (("0x1.0000000000000p+0", "0x1.2fb327a25c30fp+5", 3),
         ("0x1.0000000000000p+0", "0x1.5da71da14893cp+5", 3)),
     4: (("0x0.0p+0", "0x1.5e52c1a219a13p+5", 2),
-        ("0x0.0p+0", "0x1.ce38b2b4bd464p+5", 2)),
+        ("0x0.0p+0", "0x1.ce38b2b4bd463p+5", 2)),
     5: ZERO_VECTOR,
-    6: (("0x0.0p+0", "0x1.7d58652ef8600p+5", 2),
-        ("0x0.0p+0", "0x1.e02b83f65d65dp+5", 2)),
+    6: (("0x0.0p+0", "0x1.7d58652ef8604p+5", 2),
+        ("0x0.0p+0", "0x1.e02b83f65d661p+5", 2)),
     7: ZERO_VECTOR,
 }
 GOLDEN_TINY_TRIALS_CSV_SHA256 = (
-    "4d799663972f1b1e1fa3d12681b00bbe38026d8b73ef3df7a07d964d4f13e406"
+    "d2f332c454812f1541108ad4943ffffdb700b7932b1a7a55cbee2f6cda04fa84"
 )
 
 
@@ -403,20 +403,20 @@ GOLDEN_PAPER_CELL = {
     0: ZERO_VECTOR,
     1: ZERO_VECTOR,
     2: ZERO_VECTOR,
-    3: (("0x1.0000000000000p+0", "0x1.1573b12da5bcbp+10", 13),
-        ("0x1.db40f9e913694p-1", "0x1.2673af3ed3938p+10", 13)),
+    3: (("0x1.0000000000000p+0", "0x1.1573b12da5bcdp+10", 13),
+        ("0x1.db40f9e913694p-1", "0x1.2673af3ed393bp+10", 13)),
     4: ZERO_VECTOR,
-    5: (("0x1.d9a5dbdfc196dp-1", "0x1.2a77284bcffe5p+10", 15),
-        ("0x0.0p+0", "0x1.36c2032a781cbp+10", 16)),
-    6: (("0x1.02e813e93148bp-1", "0x1.2846980756acfp+10", 16),
-        ("0x0.0p+0", "0x1.35dea7d6032c9p+10", 16)),
+    5: (("0x1.d9a5dbdfc1964p-1", "0x1.2a77284bcffebp+10", 15),
+        ("0x0.0p+0", "0x1.36c2032a781d1p+10", 16)),
+    6: (("0x1.02e813e931439p-1", "0x1.2846980756acdp+10", 16),
+        ("0x0.0p+0", "0x1.35dea7d6032c7p+10", 16)),
     7: ZERO_VECTOR,
-    8: (("0x1.0000000000000p+0", "0x1.22a97656e486fp+10", 14),
-        ("0x1.8e189f56bf7ffp-1", "0x1.36c862b10ab01p+10", 14)),
+    8: (("0x1.0000000000000p+0", "0x1.22a97656e486bp+10", 14),
+        ("0x1.8e189f56bf800p-1", "0x1.36c862b10aafdp+10", 14)),
     9: ZERO_VECTOR,
     10: ZERO_VECTOR,
-    11: (("0x1.8a4f7cea5fd26p-1", "0x1.0d20ca2b75cd7p+10", 14),
-         ("0x1.1774f4379cf23p-1", "0x1.1da9f35f159e5p+10", 14)),
+    11: (("0x1.8a4f7cea5fd24p-1", "0x1.0d20ca2b75cd9p+10", 14),
+         ("0x1.1774f4379cf22p-1", "0x1.1da9f35f159e9p+10", 14)),
 }
 
 
@@ -636,7 +636,24 @@ class TestShortcutsMatchLinkChain:
     @pytest.mark.parametrize("trial", [0, 1, 2])
     @pytest.mark.parametrize("attacked", [False, True])
     def test_sensing_batch_and_snapshot(self, trial, attacked):
-        simulator = TrialSimulator(self.CFG, trial)
+        self.assert_matches_chain(TrialSimulator(self.CFG, trial), attacked)
+
+    @pytest.mark.parametrize("num_taps, tap_duration_ns", [
+        (3, 400.0), (4, 240.0), (5, 240.0),
+    ])
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_shift_equal_to_the_delay_spread(
+        self, num_taps, tap_duration_ns, attacked
+    ):
+        # Pilots exactly one delay spread apart stay orthogonal over the
+        # delay window, so the shortcuts hold at that boundary too.
+        cfg = replace(
+            self.CFG, num_taps=num_taps, shift_size=num_taps,
+            tap_duration_ns=tap_duration_ns,
+        )
+        self.assert_matches_chain(TrialSimulator(cfg, 0), attacked)
+
+    def assert_matches_chain(self, simulator, attacked):
         y_fd, estimate = self.chain_estimate(simulator, attacked)
 
         shortcut = simulator.sensing_batch(1, attacked)
@@ -710,8 +727,6 @@ def observed(simulator, name, *args):
         return f"ExtractionError: {exc}"
     if isinstance(value, float):
         return (value,)
-    if isinstance(value, list):  # the users' tap arrays
-        return tuple(value)
     if isinstance(value, SensingBatch):
         return (value.probes, value.samples)
     if isinstance(value, np.ndarray):
@@ -804,23 +819,23 @@ class TestDrawsOnlyWhatIsRead:
     other users' for the energy and subspace statistics."""
 
     @pytest.fixture
-    def sources(self, monkeypatch):
-        """The source of every ``draw_channel`` call the harness makes."""
+    def calls(self, monkeypatch):
+        """The sources of each ``draw_channels`` call the harness makes."""
         seen = []
 
-        def counting(scenario, table, source, *args):
-            seen.append(source)
-            return draw_channel(scenario, table, source, *args)
+        def counting(scenario, table, sources, *args):
+            seen.append(list(sources))
+            return draw_channels(scenario, table, sources, *args)
 
-        monkeypatch.setattr(experiments, "draw_channel", counting)
+        monkeypatch.setattr(experiments, "draw_channels", counting)
         return seen
 
-    def test_reference_failure_draws_the_victim_only(self, sources):
+    def test_reference_failure_draws_the_victim_only(self, calls):
         # With one resource block (L = 12) every tiny-cell extraction fails.
         cfg = ScenarioConfig(**{**TINY, "rb_count": 1})
         record = run_single_trial(cfg, 0)
         assert record.failed and "ExtractionError" in record.error
-        assert sources == [0]
+        assert calls == [[0]]
 
     def test_reference_failure_builds_one_batch(self, monkeypatch):
         # The victim's channel is drawn on construction, so the channel
@@ -845,24 +860,23 @@ class TestDrawsOnlyWhatIsRead:
             )
         assert built == [(1, False)]
 
-    def test_completed_trial_draws_each_channel_once(self, sources):
+    def test_completed_trial_draws_each_channel_once(self, calls):
         cfg = ScenarioConfig()  # trial 1 of the default cell completes
         assert not run_single_trial(cfg, 1).failed
-        assert Counter(sources) == Counter(
-            [*range(cfg.num_users), "attacker"]
-        )
+        # Each channel once; the other users' in one draw, for the baselines.
+        assert calls == [[0], ["attacker"], list(range(1, cfg.num_users))]
 
-    def test_streams_draw_the_channels_they_extract_from(self, sources):
+    def test_streams_draw_the_channels_they_extract_from(self, calls):
         cfg = ScenarioConfig(**TINY)
         calibrate(cfg, n_streams=1, subframes_per_stream=3)
-        assert sources == [0]
-        sources.clear()
+        assert calls == [[0]]
+        calls.clear()
         run_detection_delay(cfg, attack_start=2, n_subframes=3, n_streams=1)
-        assert sources == [0, "attacker"]
+        assert calls == [[0], ["attacker"]]
 
     def test_zero_energy_attacker_fails_on_reading_rho(self, monkeypatch):
         monkeypatch.setattr(
-            experiments, "draw_channel", silent_attacker_draws([])
+            experiments, "draw_channels", silent_attacker_draws([])
         )
         cfg = ScenarioConfig(**TINY)
         message = "trial 0: drew a zero-energy channel"
@@ -1250,11 +1264,11 @@ class TestStreamGolden:
     def test_calibrate(self):
         result = calibrate(self.CFG, 20, 6)
         assert [v.hex() for v in result.similarities] == [
-            "0x1.b62db0d2569a7p-1", "0x1.d6bcdf62fb19bp-1",
-            "0x1.97624f9cf6848p-1", "0x1.dfd4c75415dabp-1",
-            "0x1.ee71164d755d7p-1", "0x1.e23ef7d1f5939p-1",
-            "0x1.795609f3c0d0ep-1", "0x1.e68378de22d5ap-1",
-            "0x1.92ccd13f6c74ep-1", "0x1.e12d2f1a26ea8p-1",
+            "0x1.b62db0d2569a5p-1", "0x1.d6bcdf62fb19ep-1",
+            "0x1.97624f9cf6858p-1", "0x1.dfd4c75415db1p-1",
+            "0x1.ee71164d755d1p-1", "0x1.e23ef7d1f5939p-1",
+            "0x1.795609f3c0d16p-1", "0x1.e68378de22d5bp-1",
+            "0x1.92ccd13f6c750p-1", "0x1.e12d2f1a26eabp-1",
         ]
         assert result.failed_streams == 18
 
@@ -1265,15 +1279,14 @@ class TestStreamGolden:
 
 
 def silent_attacker_draws(sources):
-    """A ``draw_channel`` that gives the attacker a zero-energy channel and
+    """A ``draw_channels`` that gives the attacker a zero-energy channel and
     appends every source it draws to ``sources``."""
 
-    def draw(scenario, table, source, *args):
-        sources.append(source)
-        channel = draw_channel(scenario, table, source, *args)
-        if source == "attacker":
-            channel = np.zeros_like(channel)
-        return channel
+    def draw(scenario, table, drawn, *args):
+        sources.extend(drawn)
+        channels = draw_channels(scenario, table, drawn, *args)
+        channels[[source == "attacker" for source in drawn]] = 0.0
+        return channels
 
     return draw
 
@@ -1355,7 +1368,7 @@ class TestEarlyStop:
     ):
         sources = []
         monkeypatch.setattr(
-            experiments, "draw_channel", silent_attacker_draws(sources)
+            experiments, "draw_channels", silent_attacker_draws(sources)
         )
         cfg = ScenarioConfig(**TINY)
         # Trial 2's quiet descent reaches zero in its first iteration, so
@@ -1662,7 +1675,7 @@ class TestOtherEntryPoints:
         {"rb_count": [8], "snr_db": [10.0, 10]},
         {"rb_count": [8, 8.0], "jsr_db": [0.0]},
         {"snr_db": [5.0], "snr": [5.0]},
-        {"shift_size": [5, 4]},
+        {"shift_size": [5, 3]},
         {"cluster_table": ["profiles/clustered.yaml"]},
     ], ids=[
         "fractional-block-count", "quoted-snr", "5-and-5.0",

@@ -1,6 +1,7 @@
 """Package hygiene: every exported name of every module exists, no module
-imports another's private name, and the harness does not load the ``link``
-test oracle."""
+imports another's private name, and importing the harness loads neither the
+``link`` test oracle nor the process-pool modules, which only a run with
+more than one worker needs."""
 
 import ast
 import importlib
@@ -48,15 +49,28 @@ def test_no_module_imports_a_private_name():
     assert imported == []
 
 
-def test_harness_does_not_load_link_oracle():
-    # A fresh interpreter, so no earlier test has imported the oracle.
+def loaded_by_harness_import(names):
+    """Which of ``names`` a fresh interpreter holds after importing the
+    harness, so no earlier test's imports count."""
     script = (
         f"import sys; sys.path.insert(0, {SRC!r})\n"
         "import spoofdet.experiments\n"
-        "assert 'spoofdet.link' not in sys.modules, 'link loaded'\n"
+        f"print(' '.join(n for n in {names!r} if n in sys.modules))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_harness_does_not_load_link_oracle():
+    assert loaded_by_harness_import(["spoofdet.link"]) == []
+
+
+def test_harness_does_not_load_the_process_pool():
+    # A serial run never starts a pool, so it does not pay for importing one.
+    assert loaded_by_harness_import(
+        ["multiprocessing", "concurrent.futures"]
+    ) == []
