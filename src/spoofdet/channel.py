@@ -326,15 +326,15 @@ def draw_channels(
     if tap_duration_ns <= 0:
         raise ConfigurationError("tap duration must be positive")
     azimuths = np.array([scenario.azimuth_of(s) for s in sources], dtype=float)
-    if len(rngs) != len(azimuths):
+    n_sources = len(azimuths)
+    if len(rngs) != n_sources:
         raise ConfigurationError(
             f"need one generator per source, got {len(rngs)} for "
-            f"{len(azimuths)} sources"
+            f"{n_sources} sources"
         )
     cluster_taps = _cluster_taps(table, num_taps, tap_duration_ns)
 
     dominant = table.ricean_k_db is not None
-    n_sources = len(azimuths)
     n_rays = table.num_clusters * RAYS_PER_CLUSTER
     offsets = np.empty((n_sources, table.num_clusters, RAYS_PER_CLUSTER))
     phases = np.empty_like(offsets)
