@@ -9,9 +9,12 @@ samples: it minimizes the mean squared residual
     mean_l [ s(l) - |<h(l), phi>|^2 - (mean(s) - ||phi||^2) ]^2
 
 over ``phi`` by hard-thresholded gradient descent, started from a spectral
-initializer restricted to a pre-selected coordinate subset (its covariance
+initializer restricted to a pre-selected coordinate subset.  Its covariance
 is a sum of ``L`` rank-one terms, so a subset wider than ``L`` is solved as
-an ``L x L`` eigenproblem).  The descent stops once its support and loss
+an ``L x L`` problem: the triangular factor R of the subset's probes (no
+orthogonal factor is formed), the eigenvalues of the small matrix, one
+inverse-iteration solve for the lead direction, and a map back through the
+probes themselves.  The descent stops once its support and loss
 have settled: after five accepted iterations in a row that each keep the
 support and lower the loss by at most ``tolerance`` times the loss before
 them, or reach a loss at the rounding level of the squared samples,
@@ -210,10 +213,8 @@ def _responses(batch: SensingBatch, phi: np.ndarray) -> np.ndarray:
     same layout with only the signs of operands flipped, and
     round-to-nearest is symmetric in sign.  The one exception is an exact
     zero, which may come out as ``-0.0`` where the copy gives ``+0.0`` (at
-    the zero vector, and in the imaginary part of the first probe's
-    response to a spectral start solved through its QR factorization); the
-    sign of a zero changes neither ``|zeta|`` nor any sum the gradient
-    forms from ``zeta``.
+    the zero vector); the sign of a zero changes neither ``|zeta|`` nor any
+    sum the gradient forms from ``zeta``.
     """
     zeta = batch.probes @ phi.conj()
     return np.conjugate(zeta, out=zeta)
@@ -367,11 +368,17 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
 
     The covariance ``z = A diag(w) A^H / L`` (``A`` the ``s x L`` support
     probes, transposed; ``w`` the centered samples) has rank at most ``L``.
-    So for ``s <= L`` the ``s x s`` matrix ``z`` is solved, and for a wider
-    support the ``L x L`` matrix ``T = R diag(w) R^H / L`` of the reduced
-    factorization ``A = Q R``: ``z = Q T Q^H``, so the nonzero eigenpairs of
-    ``z`` are those of ``T`` carried through ``Q``.  The non-finite and the
-    all-zero checks read the matrix that is solved.
+    So for ``s <= L`` the ``s x s`` matrix ``z`` is solved with ``eigh``.
+    For a wider support only the ``L x L`` factor ``R`` of the reduced
+    factorization ``A = Q R`` is computed, and ``T = R diag(w) R^H / L``
+    is solved: ``z = Q T Q^H``, so the nonzero eigenpairs of ``z`` are
+    those of ``T`` carried through ``Q``.  The eigenvalues of ``T`` give
+    its lead ``mu``, and one solve of ``(T - mu (1 + 1e-12) I) u = 1``
+    gives its eigenvector ``u`` (the relative nudge keeps an exactly
+    diagonal ``T`` solvable).  Because ``A^H Q = R^H``, the lead direction
+    ``Q u`` of ``z`` is ``A (w * R^H u) / (L mu)``, which is formed and
+    normalized without ``Q``.  The non-finite and the all-zero checks read
+    the matrix that is solved.
 
     Returns ``(phi, degenerate)``, where ``degenerate`` says whether the
     fallback was taken.
@@ -397,12 +404,12 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
     if (ordered[1:] == ordered[:-1]).any():
         raise ConfigurationError(f"support {support} repeats a coordinate")
 
+    n_samples = batch.n_samples
     factor = batch.probes[:, index].T  # A
     weights = batch.samples - batch.sample_mean
-    basis = None
-    if index.size > batch.n_samples:
-        basis, factor = np.linalg.qr(factor)  # Q and R
-    matrix = (factor * weights) @ factor.conj().T / batch.n_samples
+    wide = index.size > n_samples
+    solved = np.linalg.qr(factor, mode="r") if wide else factor  # R or A
+    matrix = (solved * weights) @ solved.conj().T / n_samples
     if not np.all(np.isfinite(matrix)):
         raise InitializationError("centered probe covariance is not finite")
 
@@ -415,11 +422,16 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
         stat = support_statistic(batch)[index]
         v_sub = np.zeros(index.size, dtype=np.complex128)
         v_sub[int(np.argmax(stat))] = 1.0
+    elif wide:
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        lead = eigenvalues[int(np.argmax(np.abs(eigenvalues)))]
+        shifted = matrix - lead * (1.0 + 1e-12) * np.eye(n_samples)
+        u = np.linalg.solve(shifted, np.ones(n_samples))
+        v_sub = factor @ (weights * (solved.conj().T @ u))
+        v_sub /= _norm(v_sub)
     else:
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
         v_sub = eigenvectors[:, int(np.argmax(np.abs(eigenvalues)))]
-        if basis is not None:
-            v_sub = basis @ v_sub
 
     v = np.zeros(batch.dimension, dtype=np.complex128)
     v[index] = v_sub

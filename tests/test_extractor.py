@@ -8,10 +8,10 @@ of the descent loop built from the public per-point functions, the
 expressions the per-point quantities and the probe draws were first
 written with, matched to the bit, spies on the point evaluations (of a
 descent started at the exact zero vector, and of descents whose accepted
-iterations are replayed against the settle rule), and a test-only copy of
-the spectral start that always solves the full support-by-support
-covariance, and the product with a conjugated copy of the probes for the
-probe responses.
+iterations are replayed against the settle rule) and on the spectral
+start's linear-algebra calls, and a test-only copy of the spectral start
+that always solves the full support-by-support covariance, and the product
+with a conjugated copy of the probes for the probe responses.
 """
 
 import math
@@ -105,6 +105,44 @@ def direction_energy(batch, phi):
     responses = np.abs(batch.probes.conj() @ v) ** 2
     psi = float(np.mean(batch.samples * responses)) - batch.sample_mean
     return abs(psi) / 2
+
+
+def assert_matches_full_start(batch, support):
+    """A wide start keeps to its support and gives the direction and the
+    energy of the full ``s x s`` solve."""
+    assert len(support) > batch.n_samples
+    phi0, degenerate = spectral_init(batch, support)
+    assert not degenerate
+    assert set(np.flatnonzero(phi0)) <= set(support)
+    lead, _ = full_spectral_init(batch, support)
+    assert cosine(phi0, lead) >= 1.0 - 1e-10
+    assert np.linalg.norm(phi0) ** 2 == pytest.approx(
+        direction_energy(batch, phi0), rel=1e-10
+    )
+    return phi0, lead
+
+
+def wide_edge_batch(case):
+    """(batch, support) of a wide start at an edge of the solve."""
+    gen = np.random.default_rng(17)
+    if case == "diagonal":
+        # Each probe has one nonzero support coordinate, a different one
+        # each: the support columns are orthogonal, so R and T are exactly
+        # diagonal and the lead eigenvalue is a diagonal entry to the bit.
+        probes = draw_gaussian_probes(3, 6, gen)
+        probes[:, [0, 1, 2, 5]] = 0.0
+        probes[[0, 1, 2], [0, 1, 2]] = [1.5, 1.0 - 0.5j, 0.8j]
+        samples = np.array([2.0, 0.3, 0.9])
+        return SensingBatch(probes=probes, samples=samples), (0, 1, 2, 5)
+    if case == "rank-deficient":
+        # Repeated probe rows: A has repeated columns and R a zero pivot.
+        probes = draw_gaussian_probes(8, 16, gen)[[0, 1, 2, 0, 3, 1, 4, 0]]
+        samples = np.abs(gen.normal(size=8)) + 0.1
+        support = tuple(sorted(gen.choice(16, 11, replace=False).tolist()))
+        return SensingBatch(probes=probes, samples=samples), support
+    # One coordinate wider than the batch, the narrowest wide support.
+    batch = random_batch(12, 7, 31)
+    return batch, (0, 2, 3, 5, 8, 10, 11, 4)
 
 
 @pytest.fixture(scope="module")
@@ -464,30 +502,46 @@ class TestSpectralInit:
         )
         width = batch.n_samples + 3 + 7 * seed
         picked = np.random.default_rng(seed).choice(64, width, replace=False)
-        support = tuple(sorted(picked.tolist()))
-        assert len(support) > batch.n_samples
-        phi0, degenerate = spectral_init(batch, support)
-        assert not degenerate
-        assert set(np.flatnonzero(phi0)) <= set(support)
-        lead, _ = full_spectral_init(batch, support)
-        assert cosine(phi0, lead) >= 1.0 - 1e-10
-        assert np.linalg.norm(phi0) ** 2 == pytest.approx(
-            direction_energy(batch, phi0), rel=1e-10
-        )
+        assert_matches_full_start(batch, tuple(sorted(picked.tolist())))
 
     def test_wide_simulator_supports_match_full_eigenproblem(
         self, l48_reference_batches
     ):
         for batch in l48_reference_batches:
-            support = select_support(batch)
-            assert len(support) > batch.n_samples
-            phi0, degenerate = spectral_init(batch, support)
-            assert not degenerate
-            lead, _ = full_spectral_init(batch, support)
-            assert cosine(phi0, lead) >= 1.0 - 1e-10
-            assert np.linalg.norm(phi0) ** 2 == pytest.approx(
-                direction_energy(batch, phi0), rel=1e-10
-            )
+            assert_matches_full_start(batch, select_support(batch))
+
+    @pytest.mark.parametrize(
+        "case", ["diagonal", "rank-deficient", "one-wider"]
+    )
+    def test_wide_edge_cases_match_full_eigenproblem(self, case):
+        batch, support = wide_edge_batch(case)
+        phi0, lead = assert_matches_full_start(batch, support)
+        assert np.linalg.norm(phi0) == pytest.approx(
+            np.linalg.norm(lead), rel=1e-10
+        )
+
+    def test_wide_start_runs_no_full_decomposition(self, monkeypatch):
+        # The wide start needs R and the eigenvalues of T, and neither Q
+        # nor the eigenvectors; the narrow start still solves with eigh.
+        full = []
+        eigh, qr = np.linalg.eigh, np.linalg.qr
+
+        def spy_eigh(*args, **kwargs):
+            full.append("eigh")
+            return eigh(*args, **kwargs)
+
+        def spy_qr(a, mode="reduced"):
+            if mode != "r":
+                full.append(f"qr {mode}")
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        batch = random_batch(12, 7, 31)
+        spectral_init(batch, (0, 2, 3, 5, 8, 10, 11, 4))
+        assert full == []
+        spectral_init(batch, (0, 2, 3, 5, 8, 10, 11))
+        assert full == ["eigh"]
 
     def test_support_as_wide_as_the_batch_keeps_the_full_solve(self):
         # s == L still solves the s x s covariance, to the bit.
@@ -969,8 +1023,7 @@ class TestResponsesMatchTheConjugatedProbes:
     probes; its bits must be those of ``probes.conj() @ phi``, except that
     an exactly zero part may have the other sign (adding ``0.0`` makes
     every zero ``+0.0`` and changes nothing else).  Such zeros occur at the
-    zero vector, and in the first probe's response to a spectral start
-    solved through the QR factorization, whose imaginary part is 0."""
+    zero vector."""
 
     @pytest.mark.parametrize("rb_count", [16, 4], ids=["L192", "L48"])
     def test_simulator_batches(self, rb_count):
