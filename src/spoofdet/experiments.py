@@ -90,6 +90,7 @@ from .detector import StreamResult, run_stream
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
+    ShapeError,
     SpoofdetError,
 )
 from .extractor import (
@@ -97,8 +98,7 @@ from .extractor import (
     draw_gaussian_probes,
     extract_all,
 )
-from .scenario import ScenarioConfig
-from .zc import build_pool, generate_zc
+from .scenario import ScenarioConfig, pilot_pool
 
 
 class Detector(NamedTuple):
@@ -180,8 +180,7 @@ class TrialRecord:
 @dataclass(frozen=True)
 class RocCurve:
     """Threshold-swept operating points of one detector, with the AUC and
-    its DeLong standard error (NaN with fewer than two trials of a
-    class)."""
+    its paired DeLong standard error (NaN with fewer than two trials)."""
 
     detector: str
     points: tuple  # (p_fa, p_d, threshold) triples, p_fa ascending
@@ -221,7 +220,7 @@ def _pilot_tap_basis(
     n: int, shift_size: int, num_users: int, num_taps: int
 ) -> np.ndarray:
     """Read-only ``(N, K * T)`` map from the users' stacked taps to the
-    clean receive spectrum of ``ScenarioConfig.build_pool``'s pilots.
+    clean receive spectrum of the pilots of :func:`scenario.pilot_pool`.
 
     Column ``k * T + t`` is ``P_k[n] * exp(-2 pi i n t / N) / sqrt(N)``:
     user ``k``'s pilot spectrum times the spectrum of a unit tap at delay
@@ -229,9 +228,7 @@ def _pilot_tap_basis(
     unitary-FFT receive of every pilot through its channel, the
     frequency-domain image of the circular convolutions.
     """
-    pilots = np.fft.fft(
-        build_pool(generate_zc(n, 1), shift_size, num_users), axis=1
-    )  # (K, N)
+    pilots = np.fft.fft(pilot_pool(n, shift_size, num_users), axis=1)  # (K, N)
     delays = np.fft.fft(np.eye(n, num_taps), axis=0)  # (N, T)
     basis = (pilots.T[:, :, None] * delays[:, None, :]).reshape(n, -1)
     basis /= np.sqrt(n)
@@ -706,33 +703,33 @@ def auc_rank(attack_scores, normal_scores, orientation: float = 1.0) -> float:
 
 
 def _delong(tables) -> tuple:
-    """AUCs and DeLong covariance of rank tables taken on the same trials."""
-    v_attack = np.array([table.v_attack for table in tables])
-    v_normal = np.array([table.v_normal for table in tables])
-    aucs = np.array([table.auc for table in tables])
-    m, n = v_attack.shape[1], v_normal.shape[1]
-    if m < 2 or n < 2:
+    """AUCs and paired DeLong covariance of rank tables taken on the same
+    trials, each trial giving one score of each class."""
+    if any(t.v_attack.size != t.v_normal.size for t in tables):
+        raise ShapeError("a paired covariance needs one score of each "
+                         "class per trial")
+    aucs = np.array([t.auc for t in tables])
+    placements = np.array([t.v_attack + t.v_normal for t in tables])
+    n = placements.shape[1]
+    if n < 2:
         return aucs, np.full((len(aucs), len(aucs)), np.nan)
-    covariance = (
-        np.atleast_2d(np.cov(v_attack)) / m
-        + np.atleast_2d(np.cov(v_normal)) / n
-    )
-    return aucs, covariance
+    return aucs, np.atleast_2d(np.cov(placements)) / n
 
 
 def auc_covariance(score_sets) -> tuple:
-    """AUCs and their DeLong covariance matrix (DeLong et al., Biometrics
-    1988) for score sets taken on the same trials.
+    """AUCs and their paired DeLong covariance matrix for score sets
+    taken on the same trials.
 
     ``score_sets`` holds ``(attack_scores, normal_scores, orientation)``
-    triples whose scores list the same trials in the same order, for
-    example several detectors of one run.  Returns ``(aucs, covariance)``:
-    the :func:`auc_rank` values, and the square matrix ``covariance =
-    S_attack / m + S_normal / n`` with ``S`` the sample covariances
-    (``ddof=1``) of the placement values over the ``m`` attack and ``n``
-    quiet trials, counted from midranks as in Sun & Xu (IEEE Signal
-    Process. Lett. 2014), NaN ranked as in :func:`auc_rank`.  With fewer
-    than two trials of a class the covariance is NaN.
+    triples whose two classes list the same ``n`` trials in the same
+    order.  Returns ``(aucs, covariance)``: the :func:`auc_rank` values,
+    and ``covariance = np.cov(v_attack + v_normal) / n`` over the trials'
+    placement values (midranks as in Sun & Xu, IEEE Signal Process. Lett.
+    2014; NaN ranked as in :func:`auc_rank`).  A trial scores both arms
+    on common random numbers, so it is one cluster of one unit of each
+    class (Obuchowski, Biometrics 1997), not two independent samples.
+    With fewer than two trials the covariance is NaN; classes of unequal
+    length raise ``ShapeError``.
     """
     return _delong([_rank_table(*scores) for scores in score_sets])
 
@@ -742,7 +739,7 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
 
     One rank table gives the points, sorted by ``(p_fa, p_d)`` from
     ``(0, 0)`` to ``(1, 1)``, their trapezoid area as the AUC, and its
-    DeLong standard error (DeLong et al. 1988; Sun & Xu 2014).  A NaN
+    paired DeLong standard error (see :func:`auc_covariance`).  A NaN
     statistic ranks above every number, as in :func:`auc_rank`.
     """
     attack, normal = detector_scores(records, detector)

@@ -9,12 +9,12 @@ samples: it minimizes the mean squared residual
     mean_l [ s(l) - |<h(l), phi>|^2 - (mean(s) - ||phi||^2) ]^2
 
 over ``phi`` by hard-thresholded gradient descent, started from a spectral
-initializer restricted to a pre-selected coordinate subset.  Its covariance
-is a sum of ``L`` rank-one terms, so a subset wider than ``L`` is solved as
-an ``L x L`` problem: the triangular factor R of the subset's probes (no
-orthogonal factor is formed), the eigenvalues of the small matrix, one
-inverse-iteration solve for the lead direction, and a map back through the
-probes themselves.  The descent stops once its support and loss
+initializer restricted to a pre-selected coordinate subset.  Every start is
+one solve: the eigenvalues of a small matrix (the subset's covariance, or
+for a subset wider than ``L`` its ``L x L`` image through the triangular
+factor R of the subset's probes), one inverse-iteration solve for the lead
+direction, a map back through the probes, and a rotation that fixes its
+phase.  The descent stops once its support and loss
 have settled: after five accepted iterations in a row that each keep the
 support and lower the loss by at most ``tolerance`` times the loss before
 them, or reach a loss at the rounding level of the squared samples,
@@ -359,26 +359,25 @@ def select_support(batch: SensingBatch) -> tuple:
 def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
     """Spectral initializer restricted to the selected coordinates.
 
-    Builds the mean-centered weighted probe covariance on the support,
-    takes the eigenvector of largest-magnitude eigenvalue, and scales it by
+    Takes the lead direction (largest-magnitude eigenvalue) of the
+    mean-centered weighted probe covariance on the support and scales it by
     ``sqrt(|psi| / 2)`` where ``psi`` is the weighted quadratic response of
     that direction minus the sample mean.  If the centered covariance is
     identically zero (all samples equal), the direction falls back to the
     basis vector of the largest-screening-statistic support coordinate.
 
     The covariance ``z = A diag(w) A^H / L`` (``A`` the ``s x L`` support
-    probes, transposed; ``w`` the centered samples) has rank at most ``L``.
-    So for ``s <= L`` the ``s x s`` matrix ``z`` is solved with ``eigh``.
-    For a wider support only the ``L x L`` factor ``R`` of the reduced
-    factorization ``A = Q R`` is computed, and ``T = R diag(w) R^H / L``
-    is solved: ``z = Q T Q^H``, so the nonzero eigenpairs of ``z`` are
-    those of ``T`` carried through ``Q``.  The eigenvalues of ``T`` give
-    its lead ``mu``, and one solve of ``(T - mu (1 + 1e-12) I) u = 1``
-    gives its eigenvector ``u`` (the relative nudge keeps an exactly
-    diagonal ``T`` solvable).  Because ``A^H Q = R^H``, the lead direction
-    ``Q u`` of ``z`` is ``A (w * R^H u) / (L mu)``, which is formed and
-    normalized without ``Q``.  The non-finite and the all-zero checks read
-    the matrix that is solved.
+    probes, transposed; ``w`` the centered samples) has rank at most ``L``,
+    so it is solved through ``S``: ``A`` itself when ``s <= L``, else the
+    ``L x L`` factor ``R`` of ``A = Q R`` (``Q`` is never formed).  The
+    eigenvalues of ``T = S diag(w) S^H / L`` give its lead ``mu``, one
+    solve of ``(T - mu (1 + 1e-12) I) u = 1`` its eigenvector ``u`` (the
+    nudge keeps an exactly diagonal ``T`` solvable), and as ``A^H Q = S^H``
+    (``Q = I`` when ``S = A``) the lead direction ``Q u`` of ``z`` is
+    ``A (w * S^H u) / (L mu)``.  That is normalized and rotated to make its
+    largest-magnitude entry real and positive: the loss ignores this phase,
+    but the descent's rounding, and so exact similarity ties, do not.  The
+    non-finite and the all-zero checks read ``T``.
 
     Returns ``(phi, degenerate)``, where ``degenerate`` says whether the
     fallback was taken.
@@ -407,8 +406,7 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
     n_samples = batch.n_samples
     factor = batch.probes[:, index].T  # A
     weights = batch.samples - batch.sample_mean
-    wide = index.size > n_samples
-    solved = np.linalg.qr(factor, mode="r") if wide else factor  # R or A
+    solved = np.linalg.qr(factor, "r") if index.size > n_samples else factor
     matrix = (solved * weights) @ solved.conj().T / n_samples
     if not np.all(np.isfinite(matrix)):
         raise InitializationError("centered probe covariance is not finite")
@@ -422,16 +420,15 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
         stat = support_statistic(batch)[index]
         v_sub = np.zeros(index.size, dtype=np.complex128)
         v_sub[int(np.argmax(stat))] = 1.0
-    elif wide:
+    else:
         eigenvalues = np.linalg.eigvalsh(matrix)
         lead = eigenvalues[int(np.argmax(np.abs(eigenvalues)))]
-        shifted = matrix - lead * (1.0 + 1e-12) * np.eye(n_samples)
-        u = np.linalg.solve(shifted, np.ones(n_samples))
+        shifted = matrix - lead * (1.0 + 1e-12) * np.eye(len(matrix))
+        u = np.linalg.solve(shifted, np.ones(len(matrix)))
         v_sub = factor @ (weights * (solved.conj().T @ u))
         v_sub /= _norm(v_sub)
-    else:
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-        v_sub = eigenvectors[:, int(np.argmax(np.abs(eigenvalues)))]
+        peak = v_sub[int(np.argmax(np.abs(v_sub)))]
+        v_sub *= peak.conjugate() / abs(peak)
 
     v = np.zeros(batch.dimension, dtype=np.complex128)
     v[index] = v_sub

@@ -65,6 +65,13 @@ _LAYOUT = {
 }
 
 
+def pilot_pool(length: int, shift_size: int, num_users: int) -> np.ndarray:
+    """Read-only ``(num_users, length)`` array of the users' pilots: the
+    cyclic shifts, ``shift_size`` apart, of Zadoff-Chu root 1, the one root
+    every scenario uses."""
+    return build_pool(generate_zc(length, 1), shift_size, num_users)
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel power ratio to linear units."""
     return float(10.0 ** (value_db / 10.0))
@@ -224,11 +231,9 @@ class ScenarioConfig:
         return self.estimate_noise_variance / self.sequence_length
 
     def build_pool(self) -> np.ndarray:
-        """Read-only ``(num_users, sequence_length)`` array of the users'
-        pilots: one root's cyclic shifts, ``shift_size`` apart."""
-        return build_pool(
-            generate_zc(self.sequence_length, 1), self.shift_size,
-            self.num_users,
+        """The users' pilots: :func:`pilot_pool` of this config."""
+        return pilot_pool(
+            self.sequence_length, self.shift_size, self.num_users
         )
 
     def subspace_config(self) -> SdConfig:

@@ -96,7 +96,7 @@ def build_pool(
         Root sequence, as returned by :func:`generate_zc`.
     shift_size : int
         Cyclic-shift separation between users; must be positive.  Choose it
-        strictly greater than the channel delay-spread length so that the
+        at least the channel delay-spread length (in taps) so that the
         users' pilots stay orthogonal over the delay window.
     num_users : int
         Number of users, each given one row.

@@ -2,7 +2,8 @@
 the closed-form observation builders, and the multi-subframe entry points.
 
 Oracles: direct pair counting for the Mann-Whitney AUC, and for its
-DeLong placements and covariance, with a bootstrap for the standard
+DeLong placements and paired covariance, with a bootstrap over whole
+trials and the spread of tiny-cell AUCs over seeds for the standard
 errors; reruns of a tiny cell (serial and pooled) for byte-stable result
 files, and its records and those of twelve paper-cell trials pinned to the
 bit; the full transmit/receive chain of ``link.py`` for the
@@ -46,6 +47,7 @@ from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
     InsufficientDataError,
+    ShapeError,
     SpoofdetError,
 )
 from spoofdet.experiments import (
@@ -129,40 +131,53 @@ def pair_kernel(attack, normal, orientation):
 
 
 def brute_force_delong(score_sets):
-    """AUCs and DeLong covariance by explicit pair counting and sums."""
+    """AUCs and paired DeLong covariance by explicit pair counting and
+    sums: trial ``t``'s attack score and its quiet score form one cluster,
+    whose value is the sum of their two placements."""
     kernels = [pair_kernel(*scores) for scores in score_sets]
-    m, n = kernels[0].shape
-    aucs = [float(k.sum()) / (m * n) for k in kernels]
-    rows = [k.mean(axis=1) for k in kernels]
-    columns = [k.mean(axis=0) for k in kernels]
+    n = len(kernels[0])
+    aucs = [float(k.sum()) / (n * n) for k in kernels]
+    clusters = [
+        [k[t, :].mean() + k[:, t].mean() for t in range(n)] for k in kernels
+    ]
     size = len(kernels)
     covariance = np.zeros((size, size))
     for i in range(size):
         for j in range(size):
-            s_attack = sum(
-                (rows[i][r] - aucs[i]) * (rows[j][r] - aucs[j])
-                for r in range(m)
-            ) / (m - 1)
-            s_normal = sum(
-                (columns[i][c] - aucs[i]) * (columns[j][c] - aucs[j])
-                for c in range(n)
-            ) / (n - 1)
-            covariance[i, j] = s_attack / m + s_normal / n
+            covariance[i, j] = sum(
+                (clusters[i][t] - 2 * aucs[i]) * (clusters[j][t] - 2 * aucs[j])
+                for t in range(n)
+            ) / ((n - 1) * n)
     return np.array(aucs), covariance
 
 
-def three_score_sets(gen, m, n):
-    """Scores of three detectors on the same m attack and n quiet trials:
-    a similarity-like score in [0, 1] with exact ties at 1, a continuous
-    energy, and integer subspace dimensions with many ties."""
-    shift = gen.normal(size=m)
+def two_sample_se(attack, normal, orientation):
+    """The two-sample DeLong standard error, which treats the attack and
+    the quiet scores as independent samples."""
+    kernel = pair_kernel(attack, normal, orientation)
+    m, n = kernel.shape
+    return math.sqrt(kernel.mean(axis=1).var(ddof=1) / m
+                     + kernel.mean(axis=0).var(ddof=1) / n)
+
+
+def three_score_sets(gen, n):
+    """Scores of three detectors on the same n trials, an attacked and a
+    quiet score each: a similarity-like score in [0, 1] with exact ties at
+    1, a continuous energy, and integer subspace dimensions with many ties.
+    As with common random numbers, a per-trial term enters both arms of
+    the energy and of the subspace dimension; another shifts the attacked
+    similarity and energy."""
+    shift = gen.normal(size=n)
+    common = gen.normal(size=n)
+    level = gen.integers(0, 3, size=n)
     similarity = (
-        np.minimum(1.0, gen.uniform(0.5, 1.3, size=m) - 0.2 * shift),
+        np.minimum(1.0, gen.uniform(0.5, 1.3, size=n) - 0.2 * shift),
         np.minimum(1.0, gen.uniform(0.7, 1.4, size=n)),
     )
-    energy = (gen.normal(0.5, 1.0, size=m) + 0.5 * shift,
-              gen.normal(0.0, 1.0, size=n))
-    subspace = (gen.integers(2, 6, size=m), gen.integers(1, 5, size=n))
+    energy = (gen.normal(0.5, 1.0, size=n) + 0.5 * shift + common,
+              gen.normal(0.0, 1.0, size=n) + common)
+    subspace = (gen.integers(2, 6, size=n) + level,
+                gen.integers(1, 5, size=n) + level)
     return [
         (*similarity, -1.0), (*energy, 1.0), (*subspace, 1.0)
     ]
@@ -188,14 +203,18 @@ class TestAucUncertainty:
                 auc = auc_rank(attack, normal, orientation)
                 for values in (v_attack, v_normal):
                     assert values.mean() == pytest.approx(auc, abs=1e-12)
-                # The covariance's AUC is the rank AUC to the last bit.
-                aucs, _ = auc_covariance([(attack, normal, orientation)])
-                assert aucs[0] == auc
+                # The covariance's AUC is the rank AUC to the last bit, on
+                # classes cut to the same number of trials.
+                k = min(attack.size, normal.size)
+                aucs, _ = auc_covariance([(attack[:k], normal[:k],
+                                           orientation)])
+                assert aucs[0] == auc_rank(attack[:k], normal[:k],
+                                           orientation)
 
     def test_covariance_matches_brute_force(self):
         gen = np.random.default_rng(12)
-        for m, n in ((2, 2), (7, 3), (25, 31)):
-            sets = three_score_sets(gen, m, n)
+        for n in (2, 7, 31):
+            sets = three_score_sets(gen, n)
             aucs, covariance = auc_covariance(sets)
             expected_aucs, expected = brute_force_delong(sets)
             assert np.allclose(aucs, expected_aucs, atol=1e-12)
@@ -207,18 +226,18 @@ class TestAucUncertainty:
                 assert alone[0, 0] == pytest.approx(covariance[k, k])
 
     def test_standard_errors_match_a_bootstrap(self):
-        # Resampling trials within each class, jointly for the detectors,
-        # estimates the same standard errors, also of a paired gap.
+        # Resampling whole trials, both arms together and jointly for the
+        # detectors, estimates the same standard errors, also of a paired
+        # gap.
         gen = np.random.default_rng(13)
-        m, n = 80, 90
-        sets = three_score_sets(gen, m, n)
+        n = 90
+        sets = three_score_sets(gen, n)
         aucs, covariance = auc_covariance(sets)
         draws = []
         for _ in range(500):
-            rows = gen.integers(0, m, size=m)
-            columns = gen.integers(0, n, size=n)
+            trials = gen.integers(0, n, size=n)
             draws.append([
-                auc_rank(attack[rows], normal[columns], orientation)
+                auc_rank(attack[trials], normal[trials], orientation)
                 for attack, normal, orientation in sets
             ])
         draws = np.array(draws)
@@ -237,11 +256,46 @@ class TestAucUncertainty:
         assert covariance[0, 1] > 0
 
     def test_fewer_than_two_of_a_class_has_no_variance(self):
-        aucs, covariance = auc_covariance([([1.0], [0.0, 2.0], 1.0)])
-        assert aucs[0] == 0.5
+        aucs, covariance = auc_covariance([([1.0], [0.0], 1.0)])
+        assert aucs[0] == 1.0
         assert np.isnan(covariance).all()
         with pytest.raises(InsufficientDataError):
             experiments._rank_table([], [1.0], 1.0)
+
+    def test_classes_of_unequal_length_are_rejected(self):
+        aligned = ([1.0, 2.0], [0.0, 3.0], 1.0)
+        for sets in (
+            [([1.0], [0.0, 2.0], 1.0)],
+            [aligned, ([1.0, 2.0, 4.0], [0.0, 3.0], -1.0)],
+        ):
+            with pytest.raises(ShapeError, match="one score of each class"):
+                auc_covariance(sets)
+
+    def test_standard_errors_match_the_spread_over_seeds(self):
+        # Over k tiny-cell runs, the mean standard error of each AUC
+        # matches the SD of the k AUCs within twice that SD's relative
+        # sampling error, 1 / sqrt(2 (k - 1)).  The two-sample form, which
+        # ignores that both arms of a trial share its draws, lies outside
+        # that band for every detector.
+        k = 90
+        band = 2.0 / math.sqrt(2 * (k - 1))
+        seen = {name: ([], [], []) for name in DETECTOR_NAMES}
+        for seed in range(k):
+            records = run_trials(
+                ScenarioConfig(**{**TINY, "master_seed": seed})
+            )
+            for name, (aucs, ses, two_sample) in seen.items():
+                curve = roc_from_outcomes(records, name)
+                orientation = -1.0 if name == "sparsity" else 1.0
+                aucs.append(curve.auc)
+                ses.append(curve.auc_se)
+                two_sample.append(two_sample_se(
+                    *detector_scores(records, name), orientation
+                ))
+        for name, (aucs, ses, two_sample) in seen.items():
+            spread = np.std(aucs, ddof=1)
+            assert abs(np.mean(ses) / spread - 1.0) <= band, name
+            assert np.mean(two_sample) / spread - 1.0 > band, name
 
     def test_roc_curve_carries_the_standard_error(self):
         gen = np.random.default_rng(14)
@@ -404,19 +458,19 @@ GOLDEN_PAPER_CELL = {
     1: ZERO_VECTOR,
     2: ZERO_VECTOR,
     3: (("0x1.0000000000000p+0", "0x1.1573b12da5bcdp+10", 13),
-        ("0x1.db40f9e913694p-1", "0x1.2673af3ed393bp+10", 13)),
+        ("0x1.db40f9e913ca6p-1", "0x1.2673af3ed393bp+10", 13)),
     4: ZERO_VECTOR,
-    5: (("0x1.d9a5dbdfc1964p-1", "0x1.2a77284bcffebp+10", 15),
+    5: (("0x1.d9a5dbdfba20cp-1", "0x1.2a77284bcffebp+10", 15),
         ("0x0.0p+0", "0x1.36c2032a781d1p+10", 16)),
-    6: (("0x1.02e813e931439p-1", "0x1.2846980756acdp+10", 16),
+    6: (("0x1.02e813e93676dp-1", "0x1.2846980756acdp+10", 16),
         ("0x0.0p+0", "0x1.35dea7d6032c7p+10", 16)),
     7: ZERO_VECTOR,
     8: (("0x1.0000000000000p+0", "0x1.22a97656e486bp+10", 14),
-        ("0x1.8e189f56bf800p-1", "0x1.36c862b10aafdp+10", 14)),
+        ("0x1.8e189f56bf8cdp-1", "0x1.36c862b10aafdp+10", 14)),
     9: ZERO_VECTOR,
     10: ZERO_VECTOR,
-    11: (("0x1.8a4f7cea5fd24p-1", "0x1.0d20ca2b75cd9p+10", 14),
-         ("0x1.1774f4379cf22p-1", "0x1.1da9f35f159e9p+10", 14)),
+    11: (("0x1.8a4f7cea5fcecp-1", "0x1.0d20ca2b75cd9p+10", 14),
+         ("0x1.1774f4379ccdcp-1", "0x1.1da9f35f159e9p+10", 14)),
 }
 
 
@@ -487,9 +541,13 @@ class TestRunScenario:
             assert summary["auc_ci95"][name] == list(curve.auc_ci95)
             low, high = summary["auc_ci95"][name]
             assert 0.0 <= low <= summary["auc"][name] <= high <= 1.0
-        # The subspace dimensions differ within each arm, so that AUC has
-        # a positive standard error.
-        assert summary["auc_se"]["subspace"] > 0
+        # The energies differ from trial to trial, so that AUC has a
+        # positive standard error.  Every completed trial has the same
+        # subspace dimension in both arms, so resampling whole trials
+        # leaves that AUC at 1/2: its paired standard error is 0.
+        assert summary["auc_se"]["energy"] > 0
+        assert summary["auc"]["subspace"] == 0.5
+        assert summary["auc_se"]["subspace"] == 0.0
 
     def test_undefined_standard_error_is_null(self, tmp_path):
         # One completed trial: no variance across trials exists.
@@ -1264,11 +1322,11 @@ class TestStreamGolden:
     def test_calibrate(self):
         result = calibrate(self.CFG, 20, 6)
         assert [v.hex() for v in result.similarities] == [
-            "0x1.b62db0d2569a5p-1", "0x1.d6bcdf62fb19ep-1",
-            "0x1.97624f9cf6858p-1", "0x1.dfd4c75415db1p-1",
-            "0x1.ee71164d755d1p-1", "0x1.e23ef7d1f5939p-1",
-            "0x1.795609f3c0d16p-1", "0x1.e68378de22d5bp-1",
-            "0x1.92ccd13f6c750p-1", "0x1.e12d2f1a26eabp-1",
+            "0x1.b62db0d256d42p-1", "0x1.d6bcdf62fb52ap-1",
+            "0x1.97624f9cf7331p-1", "0x1.dfd4c754161a4p-1",
+            "0x1.ee71164d755c9p-1", "0x1.e23ef7d1f5914p-1",
+            "0x1.795609f3c1129p-1", "0x1.e68378de22e05p-1",
+            "0x1.92ccd13f6c7b1p-1", "0x1.e12d2f1a26f27p-1",
         ]
         assert result.failed_streams == 18
 

@@ -10,8 +10,8 @@ written with, matched to the bit, spies on the point evaluations (of a
 descent started at the exact zero vector, and of descents whose accepted
 iterations are replayed against the settle rule) and on the spectral
 start's linear-algebra calls, and a test-only copy of the spectral start
-that always solves the full support-by-support covariance, and the product
-with a conjugated copy of the probes for the probe responses.
+that solves the full support-by-support covariance with ``eigh``, and the
+product with a conjugated copy of the probes for the probe responses.
 """
 
 import math
@@ -108,9 +108,8 @@ def direction_energy(batch, phi):
 
 
 def assert_matches_full_start(batch, support):
-    """A wide start keeps to its support and gives the direction and the
-    energy of the full ``s x s`` solve."""
-    assert len(support) > batch.n_samples
+    """A start keeps to its support and gives the direction and the energy
+    of the full ``s x s`` solve with ``eigh``."""
     phi0, degenerate = spectral_init(batch, support)
     assert not degenerate
     assert set(np.flatnonzero(phi0)) <= set(support)
@@ -122,9 +121,20 @@ def assert_matches_full_start(batch, support):
     return phi0, lead
 
 
-def wide_edge_batch(case):
-    """(batch, support) of a wide start at an edge of the solve."""
+def edge_batch(case):
+    """(batch, support) of a start at an edge of the solve."""
     gen = np.random.default_rng(17)
+    if case == "singleton":
+        return random_batch(9, 6, 41), (4,)
+    if case == "narrow-diagonal":
+        # Each of the first three probes has one nonzero support
+        # coordinate, a different one each, and the other two none: the
+        # support covariance itself is exactly diagonal, with s < L.
+        probes = draw_gaussian_probes(5, 6, gen)
+        probes[:, [0, 2, 4]] = 0.0
+        probes[[0, 1, 2], [0, 2, 4]] = [0.7j, 1.2 + 0.4j, -0.9]
+        samples = np.array([0.4, 2.5, 0.8, 1.1, 0.6])
+        return SensingBatch(probes=probes, samples=samples), (0, 2, 4)
     if case == "diagonal":
         # Each probe has one nonzero support coordinate, a different one
         # each: the support columns are orthogonal, so R and T are exactly
@@ -508,50 +518,87 @@ class TestSpectralInit:
         self, l48_reference_batches
     ):
         for batch in l48_reference_batches:
-            assert_matches_full_start(batch, select_support(batch))
+            support = select_support(batch)
+            assert len(support) > batch.n_samples
+            assert_matches_full_start(batch, support)
 
     @pytest.mark.parametrize(
-        "case", ["diagonal", "rank-deficient", "one-wider"]
+        "case",
+        ["diagonal", "rank-deficient", "one-wider", "singleton",
+         "narrow-diagonal"],
     )
     def test_wide_edge_cases_match_full_eigenproblem(self, case):
-        batch, support = wide_edge_batch(case)
+        # The first three are wide (s > L), the last two narrow.
+        batch, support = edge_batch(case)
         phi0, lead = assert_matches_full_start(batch, support)
         assert np.linalg.norm(phi0) == pytest.approx(
             np.linalg.norm(lead), rel=1e-10
         )
 
-    def test_wide_start_runs_no_full_decomposition(self, monkeypatch):
-        # The wide start needs R and the eigenvalues of T, and neither Q
-        # nor the eigenvectors; the narrow start still solves with eigh.
-        full = []
-        eigh, qr = np.linalg.eigh, np.linalg.qr
+    def test_no_start_runs_a_full_decomposition(self, monkeypatch):
+        # Narrow (s < L), as wide as the batch (s == L) and wide (s > L),
+        # every start runs eigvalsh and one solve; none forms eigenvectors
+        # or an orthogonal factor Q.
+        calls = []
+        linalg = {
+            name: getattr(np.linalg, name)
+            for name in ("eigh", "eigvalsh", "solve", "qr")
+        }
 
-        def spy_eigh(*args, **kwargs):
-            full.append("eigh")
-            return eigh(*args, **kwargs)
+        def spy(name):
+            def call(*args, **kwargs):
+                if name == "qr":
+                    mode = args[1] if len(args) > 1 else kwargs.get(
+                        "mode", "reduced"
+                    )
+                    calls.append(f"qr {mode}")
+                else:
+                    calls.append(name)
+                return linalg[name](*args, **kwargs)
+            return call
 
-        def spy_qr(a, mode="reduced"):
-            if mode != "r":
-                full.append(f"qr {mode}")
-            return qr(a, mode=mode)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-        monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        for name in linalg:
+            monkeypatch.setattr(np.linalg, name, spy(name))
         batch = random_batch(12, 7, 31)
-        spectral_init(batch, (0, 2, 3, 5, 8, 10, 11, 4))
-        assert full == []
-        spectral_init(batch, (0, 2, 3, 5, 8, 10, 11))
-        assert full == ["eigh"]
+        for support, expected in (
+            ((0, 2, 3), ["eigvalsh", "solve"]),
+            ((0, 2, 3, 5, 8, 10, 11), ["eigvalsh", "solve"]),
+            ((0, 2, 3, 5, 8, 10, 11, 4), ["qr r", "eigvalsh", "solve"]),
+        ):
+            calls.clear()
+            spectral_init(batch, support)
+            assert calls == expected
 
-    def test_support_as_wide_as_the_batch_keeps_the_full_solve(self):
-        # s == L still solves the s x s covariance, to the bit.
+    def test_support_as_wide_as_the_batch_matches_full_eigenproblem(self):
+        # s == L solves the s x s covariance itself, as a narrow start does.
         batch = random_batch(12, 7, 31)
         support = (0, 2, 3, 5, 8, 10, 11)
         assert len(support) == batch.n_samples
-        phi0, degenerate = spectral_init(batch, support)
-        expected, expected_degenerate = full_spectral_init(batch, support)
-        assert degenerate == expected_degenerate
-        assert same_bits(phi0, expected)
+        assert_matches_full_start(batch, support)
+
+    def test_largest_entry_of_every_start_is_real_and_positive(
+        self, l48_reference_batches
+    ):
+        # The code, not the eigensolver, fixes the start's global phase.
+        starts = [
+            (batch, select_support(batch))
+            for batch in l48_reference_batches[:10]
+        ] + [
+            (planted_batch(16, 400, [3, 9], [1.0, 0.7], seed)[0], (3, 9, 11))
+            for seed in range(10)
+        ] + [
+            (random_batch(40, 12, seed), tuple(range(0, 40, 3)))
+            for seed in range(10)
+        ] + [
+            edge_batch(case)
+            for case in ("diagonal", "rank-deficient", "one-wider",
+                         "singleton", "narrow-diagonal")
+        ]
+        for batch, support in starts:
+            phi0, _ = spectral_init(batch, support)
+            peak = phi0[int(np.argmax(np.abs(phi0)))]
+            assert peak.real > 0
+            assert abs(peak.imag) <= 2 * np.finfo(float).eps * peak.real
 
 
 class TestExtract:
