@@ -9,8 +9,9 @@ Two canonical benchmarks:
 
 * Subspace-dimension detector (SD): counts significant eigenvalues of the
   sample covariance over a window of antenna-space snapshot rows of the
-  received signal (the summed receive of every user, plus the attacker's
-  when present) and alarms when the count exceeds the expected dimension.
+  received signal, one per subcarrier (the summed receive of every user,
+  plus the attacker's when present), and alarms when the count exceeds
+  the expected dimension.
   A second transmitter adds an independent direction; heavy noise buries
   its eigenvalue under the noise floor.
 
@@ -53,22 +54,14 @@ class SdConfig:
         An eigenvalue is significant when it exceeds this multiple of the
         median eigenvalue of the window.  The count also never takes an
         eigenvalue at or below ``RELATIVE_FLOOR`` times the leading one.
-    samples_per_subframe : int
-        How many repeats of the subframe's snapshot rows the harness
-        collects into the covariance window.
     """
 
     noise_floor_multiple: float = 3.0
-    samples_per_subframe: int = 5
 
     def __post_init__(self) -> None:
         check_numeric_fields(self)
         if self.noise_floor_multiple <= 0:
             raise ConfigurationError("noise-floor multiple must be positive")
-        if self.samples_per_subframe < 1:
-            raise ConfigurationError(
-                "samples per subframe must be at least 1"
-            )
 
 
 def ed_statistic(samples: np.ndarray) -> float:

@@ -41,7 +41,9 @@ def similarity(fingerprint_a, fingerprint_b) -> float:
     """Normalized Hermitian inner-product magnitude, clamped to [0, 1].
 
     Invariant under independent nonzero complex scaling of either argument
-    and symmetric in its arguments.
+    and symmetric in its arguments.  Two fingerprints whose one nonzero is
+    the same coordinate are collinear and score exactly 1.0, not whatever
+    the rounding of the general expression gives.
     """
     a = _values(fingerprint_a)
     b = _values(fingerprint_b)
@@ -51,6 +53,9 @@ def similarity(fingerprint_a, fingerprint_b) -> float:
         raise DegenerateFingerprintError(
             "cannot compare a zero-norm fingerprint"
         )
+    support = np.flatnonzero(a)
+    if support.size == 1 and np.array_equal(support, np.flatnonzero(b)):
+        return 1.0
     value = float(abs(np.vdot(a, b))) / (norm_a * norm_b)
     return min(max(value, 0.0), 1.0)
 

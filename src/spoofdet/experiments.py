@@ -21,7 +21,7 @@ instead of materialising the full ``(L, M, N)`` receive tensor:
 * Subspace windows: the clean subcarrier-by-antenna receive matrix is one
   product of a pilot-tap basis (the FFT of each row of the pilot array
   times the spectrum of each delay tap) with the users' stacked taps, and
-  white receive noise is added to each pilot sample's copy of it.
+  white receive noise is added to it, one row per subcarrier.
 
 These shortcuts are derived from the full transmit/receive chain in
 ``link.py``.  ``tests/test_experiments.py::TestShortcutsMatchLinkChain``
@@ -180,7 +180,8 @@ class TrialRecord:
 @dataclass(frozen=True)
 class RocCurve:
     """Threshold-swept operating points of one detector, with the AUC and
-    its paired DeLong standard error (NaN with fewer than two trials)."""
+    its paired DeLong standard error (NaN with fewer than two trials, or
+    when every trial's placements sum to the same value)."""
 
     detector: str
     points: tuple  # (p_fa, p_d, threshold) triples, p_fa ascending
@@ -294,14 +295,11 @@ class _SubframeDraws:
 
     @cached_property
     def snapshot_noise(self) -> np.ndarray:
-        """White receive noise of the snapshot rows."""
+        """White receive noise of the snapshot rows, one per subcarrier."""
         cfg = self.cfg
-        shape = (
-            cfg.subspace_config().samples_per_subframe * cfg.sequence_length,
-            cfg.num_antennas,
-        )
         noise = complex_normal(
-            shape, np.sqrt(cfg.receive_noise_variance / 2.0),
+            (cfg.sequence_length, cfg.num_antennas),
+            np.sqrt(cfg.receive_noise_variance / 2.0),
             self._rng(_STREAM_SNAPSHOT_NOISE),
         )
         noise.setflags(write=False)
@@ -500,12 +498,11 @@ class TrialSimulator:
     def snapshot_window(self, subframe: int, attacked: bool) -> np.ndarray:
         """Antenna-space snapshot rows for the subspace detector.
 
-        One row per (pilot sample, subcarrier) pair: the clean antenna
-        vector of that subcarrier plus white receive noise.
+        One row per subcarrier: the clean antenna vector of that
+        subcarrier plus white receive noise.
         """
         clean = self.snapshot_attacked if attacked else self.snapshot_quiet
-        noise = self._subframe_draws(subframe).snapshot_noise
-        return (clean + noise.reshape(-1, *clean.shape)).reshape(noise.shape)
+        return clean + self._subframe_draws(subframe).snapshot_noise
 
     def arm_observables(
         self, result: StreamResult, subframe: int, attacked: bool
@@ -740,7 +737,10 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
     One rank table gives the points, sorted by ``(p_fa, p_d)`` from
     ``(0, 0)`` to ``(1, 1)``, their trapezoid area as the AUC, and its
     paired DeLong standard error (see :func:`auc_covariance`).  A NaN
-    statistic ranks above every number, as in :func:`auc_rank`.
+    statistic ranks above every number, as in :func:`auc_rank`.  When the
+    trials' placements do not vary (every trial tied, or the classes
+    perfectly separated) the spread over trials gives no interval, so the
+    standard error is NaN rather than 0.
     """
     attack, normal = detector_scores(records, detector)
     if attack.size == 0 or normal.size == 0:
@@ -748,14 +748,14 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
             f"ROC for {detector!r} needs completed trials of both classes"
         )
     table = _rank_table(attack, normal, _detector(detector).orientation)
-    _, covariance = _delong([table])
+    variance = _delong([table])[1][0, 0]
     return RocCurve(
         detector=detector,
         points=table.points,
         auc=table.auc,
         n_attack=attack.size,
         n_normal=normal.size,
-        auc_se=float(np.sqrt(covariance[0, 0])),
+        auc_se=math.sqrt(variance) if variance > 0 else math.nan,
     )
 
 

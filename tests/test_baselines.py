@@ -157,6 +157,4 @@ class TestSubspaceDimension:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SdConfig(noise_floor_multiple=0.0)
-        with pytest.raises(ConfigurationError):
-            SdConfig(samples_per_subframe=0)
         assert SdConfig().noise_floor_multiple == 3.0

@@ -56,6 +56,18 @@ class TestSimilarity:
         b = make_fp(3.0 * np.exp(1j * np.pi / 7) * a.values)
         assert similarity(a, b) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("entry_a, entry_b", [
+        (1 + 1j, 1 + 1j), (0.1 + 0.2j, 0.3 - 0.7j), (0.1 + 0.7j, -0.3 + 0.2j),
+    ])
+    def test_same_single_coordinate_is_exactly_one(self, entry_a, entry_b):
+        # Two fingerprints on one and the same coordinate are collinear.
+        # The inner product over the norms rounds each of these pairs to
+        # 1 minus one or two ulps, which would break a tie at 1.0.
+        a = make_fp(np.where(np.arange(6) == 4, entry_a, 0))
+        b = make_fp(np.where(np.arange(6) == 4, entry_b, 0))
+        assert similarity(a, b) == similarity(b, a) == 1.0
+        assert similarity(a, make_fp(np.roll(b.values, 1))) == 0.0
+
     def test_symmetry_exact(self):
         a = random_fp(10, 2)
         b = random_fp(10, 3)

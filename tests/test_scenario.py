@@ -29,7 +29,7 @@ CUSTOM = ScenarioConfig(
     cluster_table="profile.yaml",
     extractor=ExtractorConfig(max_iterations=50, threshold_scale=5.0),
     similarity_threshold=0.8,
-    subspace=SdConfig(noise_floor_multiple=2.0, samples_per_subframe=3),
+    subspace=SdConfig(noise_floor_multiple=2.0),
     trials=12,
     master_seed=99,
     output_dir="elsewhere",
@@ -66,7 +66,6 @@ detector:
   similarity_threshold: 0.92
 subspace:
   noise_floor_multiple: 3.0
-  samples_per_subframe: 5
 experiment:
   trials: 500
   master_seed: 2026
@@ -101,7 +100,6 @@ detector:
   similarity_threshold: 0.8
 subspace:
   noise_floor_multiple: 2.0
-  samples_per_subframe: 3
 experiment:
   trials: 12
   master_seed: 99
@@ -147,6 +145,7 @@ class TestUnknownKeys:
             {"radio": {"link_gain": 5.0}},
             {"pilot": {"samples_per_rb": 12}},
             {"subspace": {"relative_floor": 1e-9}},
+            {"subspace": {"samples_per_subframe": 5}},
         ],
     )
     def test_rejected(self, raw):
@@ -166,7 +165,7 @@ class TestWrongTypes:
             {"extractor": {"max_iterations": "9"}},
             {"radio": {"snr_db": "5"}},
             {"array": {"num_antennas": 8.5}},
-            {"subspace": {"samples_per_subframe": 2.5}},
+            {"subspace": {"noise_floor_multiple": "2"}},
             {"experiment": {"workers": True}},
             {"channel": {"tap_duration_ns": float("nan")}},
             {"radio": {"jsr_db": float("inf")}},
@@ -251,8 +250,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "509b14d3f230f47b"),
-        (CUSTOM, CUSTOM_YAML, "4fb36c240c7c25a3"),
+        (ScenarioConfig(), DEFAULT_YAML, "4e27c7bdef72b306"),
+        (CUSTOM, CUSTOM_YAML, "5c526091980bebc3"),
     ]
 
     @pytest.mark.parametrize("cfg, text, digest", CASES,
