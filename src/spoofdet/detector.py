@@ -31,12 +31,6 @@ __all__ = ["DEFAULT_THRESHOLD", "StreamResult", "similarity", "run_stream"]
 DEFAULT_THRESHOLD = 0.92
 
 
-def _values(fingerprint) -> np.ndarray:
-    if isinstance(fingerprint, SparsityFingerprint):
-        return fingerprint.values
-    return np.asarray(fingerprint)
-
-
 def similarity(fingerprint_a, fingerprint_b) -> float:
     """Normalized Hermitian inner-product magnitude, clamped to [0, 1].
 
@@ -45,8 +39,8 @@ def similarity(fingerprint_a, fingerprint_b) -> float:
     the same coordinate are collinear and score exactly 1.0, not whatever
     the rounding of the general expression gives.
     """
-    a = _values(fingerprint_a)
-    b = _values(fingerprint_b)
+    a = fingerprint_a.values
+    b = fingerprint_b.values
     norm_a = float(np.linalg.norm(a))
     norm_b = float(np.linalg.norm(b))
     if norm_a == 0.0 or norm_b == 0.0:
@@ -98,7 +92,7 @@ def run_stream(
             f"similarity threshold must lie in [0, 1], got {threshold}"
         )
     reference = fingerprints[0]
-    if np.linalg.norm(_values(reference)) == 0.0:
+    if np.linalg.norm(reference.values) == 0.0:
         raise DegenerateFingerprintError("reference fingerprint has zero norm")
     similarities = []
     for fingerprint in fingerprints[1:]:

@@ -49,8 +49,9 @@ started, and a descent whose first iterate is zero ends the schedule
 there; each arm's fingerprints are then folded by ``detector.run_stream``.
 A paired trial is two subframes with a quiet and an attacked arm from
 onset 2, and only a trial whose three extractions succeed builds its
-baseline inputs; a stream is one arm.  ``DETECTORS`` names each detector's
-statistic, ``trials.csv`` columns and ROC orientation.
+baseline inputs; a stream is one arm.  Both run in a process pool when
+``cfg.workers > 1``, which needs a ``__main__`` guard.  ``DETECTORS`` names
+each detector's statistic, ``trials.csv`` columns and ROC orientation.
 
 ``run_scenario`` runs one cell and writes its files; ``run_sweep`` runs
 one cell per combination of the ``ScenarioConfig`` values it is given.
@@ -206,7 +207,7 @@ _Z95 = 1.959963984540054
 
 # The inputs every trial of a run shares are cached per process on the
 # config fields they depend on.  Filled on first use, so importing this
-# module stays cheap; each worker process of ``run_trials`` fills its own.
+# module stays cheap; each pool worker process fills its own.
 
 
 @cache
@@ -606,6 +607,17 @@ def _worker_pool(workers: int):
                 os.environ[name] = value
 
 
+def _map_indices(task, count: int, workers: int) -> list:
+    """``[task(i) for i in range(count)]``, in ``_worker_pool`` when
+    ``workers > 1``; its workers import the caller's main module, which
+    must keep its work under ``__name__ == "__main__"``."""
+    if workers <= 1:
+        return [task(i) for i in range(count)]
+    with _worker_pool(workers) as pool:
+        chunksize = max(1, count // (4 * workers))
+        return list(pool.map(task, range(count), chunksize=chunksize))
+
+
 def run_trials(cfg: ScenarioConfig) -> list:
     """All trials of one scenario, ordered by trial index.
 
@@ -614,14 +626,7 @@ def run_trials(cfg: ScenarioConfig) -> list:
     ``(master seed, trial index)`` alone.  Its workers import the caller's
     main module, which must keep its work under ``__name__ == "__main__"``.
     """
-    indices = range(cfg.trials)
-    if cfg.workers <= 1:
-        return [run_single_trial(cfg, i) for i in indices]
-    with _worker_pool(cfg.workers) as pool:
-        return list(pool.map(
-            partial(run_single_trial, cfg), indices,
-            chunksize=max(1, cfg.trials // (4 * cfg.workers)),
-        ))
+    return _map_indices(partial(run_single_trial, cfg), cfg.trials, cfg.workers)
 
 
 # ----------------------------------------------------------------- ROC math
@@ -762,6 +767,14 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
 # ------------------------------------------------------------ multi-subframe
 
 
+def _stream_outcome(cfg: ScenarioConfig, n_subframes: int, onset: int, stream: int):
+    """One stream's ``run_stream`` result, or its failure's text."""
+    try:
+        return _arm_streams(cfg, stream, n_subframes, onset, (True,))[1][0]
+    except SpoofdetError as exc:
+        return f"stream {stream}: {type(exc).__name__}: {exc}"
+
+
 def _stream_states(
     cfg: ScenarioConfig,
     n_streams: int,
@@ -777,23 +790,15 @@ def _stream_states(
     """
     # Without an attack the onset lies past the stream's end.
     onset = n_subframes + 1 if attack_start is None else attack_start
-    results = []
-    errors = []
-    for stream in range(n_streams):
-        try:
-            _, (result,) = _arm_streams(
-                cfg, stream, n_subframes, onset, (True,)
-            )
-        except SpoofdetError as exc:
-            errors.append(f"stream {stream}: {type(exc).__name__}: {exc}")
-            continue
-        results.append(result)
+    outcomes = _map_indices(partial(_stream_outcome, cfg, n_subframes, onset),
+                            n_streams, cfg.workers)
+    results = [o for o in outcomes if isinstance(o, StreamResult)]
     if not results:
         raise InsufficientDataError(
             f"every one of the {n_streams} streams failed; first error: "
-            + errors[0]
+            + outcomes[0]
         )
-    return results, len(errors)
+    return results, n_streams - len(results)
 
 
 @dataclass(frozen=True)
@@ -819,7 +824,8 @@ def calibrate(
     Runs ``n_streams`` independent deployments for ``subframes_per_stream``
     subframes each without any attack, records every sequential similarity,
     and suggests the requested lower quantile as the threshold.  Streams
-    that fail are skipped and counted in ``failed_streams``.
+    that fail are skipped and counted in ``failed_streams``; ``cfg.workers``
+    and the ``__main__`` guard apply as in :func:`run_trials`.
     """
     if n_streams < 1 or subframes_per_stream < 2:
         raise ConfigurationError(
@@ -877,7 +883,8 @@ def run_detection_delay(
     """Measure when the sequential detector first alarms after attack onset.
 
     Streams that fail are skipped and counted in ``failed_streams``; the
-    alarm figures cover the completed streams.
+    alarm figures cover the completed streams.  ``cfg.workers`` and the
+    ``__main__`` guard apply as in :func:`run_trials`.
     """
     if attack_start < 2:
         raise ConfigurationError(

@@ -173,8 +173,6 @@ def ls_estimate(
     first ``num_taps`` taps, scaled to undo the stacking gain.
     """
     y_fd = np.asarray(y_fd, dtype=np.complex128)
-    if y_fd.ndim == 2:
-        y_fd = y_fd[None, :, :]
     pilot = np.asarray(pilot, dtype=np.complex128)
     n = pilot.shape[-1]
     if y_fd.ndim != 3 or pilot.ndim != 1 or y_fd.shape[-1] != n:

@@ -107,7 +107,8 @@ class ScenarioConfig:
     subspace
         Subspace-detector settings.
     trials, master_seed, output_dir, workers
-        Monte Carlo budget, root seed, result directory, and worker count.
+        Monte Carlo budget, root seed, result directory, and the process
+        count of trials and streams (above 1 needs a ``__main__`` guard).
     """
 
     num_antennas: int = 64

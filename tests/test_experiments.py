@@ -4,9 +4,10 @@ the closed-form observation builders, and the multi-subframe entry points.
 Oracles: direct pair counting for the Mann-Whitney AUC, and for its
 DeLong placements and paired covariance, with a bootstrap over whole
 trials and the spread of tiny-cell AUCs over seeds for the standard
-errors; reruns of a tiny cell (serial and pooled) for byte-stable result
-files, and its records and those of twelve paper-cell trials pinned to the
-bit; the full transmit/receive chain of ``link.py`` for the
+errors; reruns of a tiny cell (serial and pooled, with a spy on
+``_worker_pool`` that the pool ran) for byte-stable result files and
+stream results, and its records and those of twelve paper-cell trials
+pinned to the bit; the full transmit/receive chain of ``link.py`` for the
 noise-free sensing batches and subspace snapshots that ``TrialSimulator``
 builds in closed form, and the snapshots written per user with FFTs for
 the one-product snapshots; the stated laws of the three noise shortcuts, by
@@ -34,6 +35,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -622,6 +624,35 @@ class TestWorkerPool:
         assert seen == ["1"] * len(names)
         assert os.environ[names[0]] == "4"
         assert not any(name in os.environ for name in names[1:])
+
+    def test_streams_run_in_the_pool(self, monkeypatch):
+        # Two workers give the serial results and the serial every-stream
+        # failure, and the streams did go through the pool.
+        entered = []
+        pool = experiments._worker_pool
+
+        def spy(workers):
+            entered.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(experiments, "_worker_pool", spy)
+        runs = {}
+        for workers in (1, 2):
+            cfg = ScenarioConfig(**TINY, workers=workers)
+            # At L = 48 every paper-cell extraction fails.
+            failing = ScenarioConfig(rb_count=4, workers=workers)
+            texts = []
+            for call in (partial(calibrate, failing, 6, 3),
+                         partial(run_detection_delay, failing, 2, 3, 6)):
+                with pytest.raises(InsufficientDataError) as raised:
+                    call()
+                texts.append(str(raised.value))
+            runs[workers] = (repr(calibrate(cfg, 6, 4)),
+                             repr(run_detection_delay(cfg, 3, 4, 6)), texts)
+        assert entered == [2] * 4
+        assert runs[2] == runs[1]
+        assert all(text.startswith("every one of the 6 streams failed")
+                   for text in runs[1][2])
 
 
 class TestBadClusterTable:
@@ -1808,6 +1839,25 @@ class TestOtherEntryPoints:
         assert delay.first_alarms == run_detection_delay(
             cfg, attack_start=4, n_subframes=6, n_streams=2
         ).first_alarms
+
+    @pytest.mark.parametrize("call, message", [
+        (partial(calibrate, n_streams=0), "at least one stream of"),
+        (partial(calibrate, n_streams=2, subframes_per_stream=1),
+         "at least two subframes"),
+        (partial(calibrate, n_streams=2, quantile=0.0), "quantile must lie"),
+        (partial(calibrate, n_streams=2, quantile=1.0), "quantile must lie"),
+        (partial(run_detection_delay, attack_start=1, n_streams=2),
+         "subframe 2 or later"),
+        (partial(run_detection_delay, attack_start=4, n_subframes=3,
+                 n_streams=2), "extend at least to the attack-start"),
+        (partial(run_detection_delay, n_streams=0), "at least one stream"),
+    ], ids=["no-stream", "one-subframe", "quantile-0", "quantile-1",
+            "attack-at-1", "onset-past-the-end", "no-delay-stream"])
+    def test_entry_points_reject_bad_arguments(self, call, message):
+        # Two tiny-cell streams, so that without its check a case runs
+        # quickly to a result or to another error.
+        with pytest.raises(ConfigurationError, match=message):
+            call(ScenarioConfig(**TINY))
 
     def test_every_stream_failing_is_insufficient_data(self):
         # With one resource block (L = 12) every tiny-cell extraction fails.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spoofdet.channel import vectorize_taps
-from spoofdet.errors import ConfigurationError
+from spoofdet.errors import ConfigurationError, ShapeError
 from spoofdet.link import (
     frequency_reference,
     ls_estimate,
@@ -208,6 +208,12 @@ class TestLsEstimate:
         y = np.zeros((1, 2, N), dtype=complex)
         with pytest.raises(ConfigurationError):
             ls_estimate(y, pool[0], num_taps=0)
+
+    def test_receive_without_a_sample_axis_rejected(self):
+        # A receive is (L, M, N): one (M, N) subframe is not promoted.
+        pool = one_user_pool()
+        with pytest.raises(ShapeError):
+            ls_estimate(np.zeros((2, N), dtype=complex), pool[0], TAU)
 
 
 class TestObserve:
