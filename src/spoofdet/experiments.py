@@ -30,16 +30,9 @@ against that chain, and ``TestNoiseShortcutMoments`` checks the moments of
 the tap noise, the energy sketch and the snapshot noise against the laws
 above.
 
-Each input is built once and only when needed.  The cluster table and the
-``(N, K * T)`` pilot-tap basis are kept per process, keyed on the config
-fields they depend on.  A ``TrialSimulator`` draws only the victim's
-channel on construction; the attacker's channel, the other users' channels
-(one ``draw_channels`` call, kept with the victim's as one ``(K, T, M)``
-array), the clean energies and the clean snapshot spectra are built on
-first access, and each subframe's probes, tap noise, energy-sketch draws and
-snapshot noise are drawn once, for both arms.  No conjugated copy of the
-probes is made: a probe response conjugates the vector and the product
-instead, which gives the same bits up to the sign of an exact zero.
+Each input is built once and only when needed: the cluster table and the
+``(N, K * T)`` pilot-tap basis once per process, keyed on the config
+fields they depend on, and the rest as ``TrialSimulator`` sets out.
 
 Trials and streams take one path, ``_arm_streams``: the quiet subframes
 ``1..onset-1``, shared by every arm, then each later subframe for every
@@ -49,12 +42,12 @@ started, and a descent whose first iterate is zero ends the schedule
 there; each arm's fingerprints are then folded by ``detector.run_stream``.
 A paired trial is two subframes with a quiet and an attacked arm from
 onset 2, and only a trial whose three extractions succeed builds its
-baseline inputs; a stream is one arm.  Both run in a process pool when
-``cfg.workers > 1``, which needs a ``__main__`` guard.  ``DETECTORS`` names
-each detector's statistic, ``trials.csv`` columns and ROC orientation.
+baseline inputs; a stream is one arm.  ``DETECTORS`` names each detector's
+statistic, ``trials.csv`` columns and ROC orientation.
 
 ``run_scenario`` runs one cell and writes its files; ``run_sweep`` runs
 one cell per combination of the ``ScenarioConfig`` values it is given.
+With ``cfg.workers > 1`` each entry point runs on one process pool per call.
 """
 
 from __future__ import annotations
@@ -99,7 +92,7 @@ from .extractor import (
     draw_gaussian_probes,
     extract_all,
 )
-from .scenario import ScenarioConfig, pilot_pool
+from .scenario import RUN_FIELDS, ScenarioConfig, pilot_pool
 
 
 class Detector(NamedTuple):
@@ -461,15 +454,11 @@ class TrialSimulator:
             self._draws = _SubframeDraws(self.cfg, self.trial_index, subframe)
         return self._draws
 
-    def _clean_fingerprint_vector(self, attacked: bool) -> np.ndarray:
-        if attacked:
-            return self.psi_victim + self.psi_attacker
-        return self.psi_victim
-
     def sensing_batch(self, subframe: int, attacked: bool) -> SensingBatch:
         """Probe-energy samples of one subframe's channel estimates."""
         draws = self._subframe_draws(subframe)
-        psi = self._clean_fingerprint_vector(attacked)
+        psi = (self.psi_victim + self.psi_attacker if attacked
+               else self.psi_victim)
         # No conjugated copy of the probes: conj(probes @ conj(psi)) equals
         # probes.conj() @ psi to the bit, up to the sign of an exact zero.
         response = draws.probes @ psi.conj()
@@ -579,54 +568,52 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 @contextmanager
-def _worker_pool(workers: int):
-    """A process pool whose workers each run BLAS on one thread.
+def _index_map(workers: int):
+    """Yields ``map_indices(task, count)``, which returns ``[task(i) for i
+    in range(count)]``; with ``workers > 1`` every map in the block runs on
+    one spawned process pool, four chunks per worker.
 
     BLAS reads its thread count when numpy loads, which a worker does as it
     starts, importing the caller's main module.  So the workers are spawned
     while the BLAS thread variables read 1, and the caller's values are
     restored once the pool has shut down.
     """
+    if workers <= 1:
+        yield lambda task, count: [task(i) for i in range(count)]
+        return
     # Imported here, so that a serial run and every import of this module
     # skip loading the pool machinery (13-15 ms).
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    saved = {k: v for k, v in os.environ.items() if k in _BLAS_THREAD_VARIABLES}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
     try:
         with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
-            yield pool
+            yield lambda task, count: list(pool.map(
+                task, range(count), chunksize=max(1, count // (4 * workers))
+            ))
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-def _map_indices(task, count: int, workers: int) -> list:
-    """``[task(i) for i in range(count)]``, in ``_worker_pool`` when
-    ``workers > 1``; its workers import the caller's main module, which
-    must keep its work under ``__name__ == "__main__"``."""
-    if workers <= 1:
-        return [task(i) for i in range(count)]
-    with _worker_pool(workers) as pool:
-        chunksize = max(1, count // (4 * workers))
-        return list(pool.map(task, range(count), chunksize=chunksize))
+        for name in _BLAS_THREAD_VARIABLES:
+            os.environ.pop(name, None)
+        os.environ.update(saved)
 
 
 def run_trials(cfg: ScenarioConfig) -> list:
     """All trials of one scenario, ordered by trial index.
 
-    With ``cfg.workers > 1`` trials run in ``_worker_pool``; results are
-    identical to the serial run because every trial is seeded from
-    ``(master seed, trial index)`` alone.  Its workers import the caller's
-    main module, which must keep its work under ``__name__ == "__main__"``.
+    With ``cfg.workers > 1`` trials run in a process pool whose workers run
+    BLAS on one thread; results are identical to the serial run because
+    every trial is seeded from ``(master seed, trial index)`` alone.  The
+    workers import the caller's main module, which must keep its work under
+    ``__name__ == "__main__"``.  A serial run keeps BLAS's default thread
+    count, though ``OPENBLAS_NUM_THREADS=1`` ran small cells faster (L=48
+    on 2 vCPU: 562 against 438 trials/s).
     """
-    return _map_indices(partial(run_single_trial, cfg), cfg.trials, cfg.workers)
+    with _index_map(cfg.workers) as map_indices:
+        return map_indices(partial(run_single_trial, cfg), cfg.trials)
 
 
 # ----------------------------------------------------------------- ROC math
@@ -790,8 +777,10 @@ def _stream_states(
     """
     # Without an attack the onset lies past the stream's end.
     onset = n_subframes + 1 if attack_start is None else attack_start
-    outcomes = _map_indices(partial(_stream_outcome, cfg, n_subframes, onset),
-                            n_streams, cfg.workers)
+    with _index_map(cfg.workers) as map_indices:
+        outcomes = map_indices(
+            partial(_stream_outcome, cfg, n_subframes, onset), n_streams
+        )
     results = [o for o in outcomes if isinstance(o, StreamResult)]
     if not results:
         raise InsufficientDataError(
@@ -825,7 +814,7 @@ def calibrate(
     subframes each without any attack, records every sequential similarity,
     and suggests the requested lower quantile as the threshold.  Streams
     that fail are skipped and counted in ``failed_streams``; ``cfg.workers``
-    and the ``__main__`` guard apply as in :func:`run_trials`.
+    applies as in :func:`run_trials`.
     """
     if n_streams < 1 or subframes_per_stream < 2:
         raise ConfigurationError(
@@ -883,8 +872,8 @@ def run_detection_delay(
     """Measure when the sequential detector first alarms after attack onset.
 
     Streams that fail are skipped and counted in ``failed_streams``; the
-    alarm figures cover the completed streams.  ``cfg.workers`` and the
-    ``__main__`` guard apply as in :func:`run_trials`.
+    alarm figures cover the completed streams.  ``cfg.workers`` applies as
+    in :func:`run_trials`.
     """
     if attack_start < 2:
         raise ConfigurationError(
@@ -1007,16 +996,21 @@ def emit_results(
     return summary
 
 
-def _run_cell(cfg: ScenarioConfig, out_dir) -> dict:
-    """Trials, ROC per detector (none if every trial failed), files; returns
-    the summary."""
-    started = time.perf_counter()
-    records = run_trials(cfg)
-    curves = [] if all(record.failed for record in records) else [
-        roc_from_outcomes(records, name) for name in DETECTOR_NAMES
-    ]
-    wall = time.perf_counter() - started
-    return emit_results(curves, records, out_dir, cfg, wall_time_s=wall)
+def _run_cells(cells, workers: int) -> list:
+    """Run each ``(config, directory)`` cell in turn in one ``_index_map``:
+    its trials, ROCs (none if every trial failed) and files; returns the
+    cells' summaries."""
+    summaries = []
+    with _index_map(workers) as map_indices:
+        for cfg, out_dir in cells:
+            started = time.perf_counter()
+            records = map_indices(partial(run_single_trial, cfg), cfg.trials)
+            curves = [] if all(record.failed for record in records) else [
+                roc_from_outcomes(records, name) for name in DETECTOR_NAMES
+            ]
+            wall = time.perf_counter() - started
+            summaries.append(emit_results(curves, records, out_dir, cfg, wall))
+    return summaries
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
@@ -1025,7 +1019,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     If every trial fails, the per-trial log and the summary are still
     written, and then ``InsufficientDataError`` carries the summary's error.
     """
-    summary = _run_cell(cfg, cfg.output_dir if out_dir is None else out_dir)
+    out_dir = cfg.output_dir if out_dir is None else out_dir
+    [summary] = _run_cells([(cfg, out_dir)], cfg.workers)
     if "error" in summary:
         raise InsufficientDataError(summary["error"])
     return summary
@@ -1039,8 +1034,9 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
     cell's tag, which names its subdirectory, is ``name=value`` per axis
     joined by commas, each value as the cell's built config holds it
     (``rb_count=4,jsr_db=-10.0``).  Every cell config is built before any
-    cell runs, so an unknown name, a value the config rejects, a repeated
-    tag (``5`` and ``5.0``) or a tag with a path separator raises
+    cell runs, so an unknown name or one of the ``RUN_FIELDS`` (no cell's
+    results depend on them), a value the config rejects, a repeated tag
+    (``5`` and ``5.0``) or a tag with a path separator raises
     ``ConfigurationError`` before anything is written.  A cell whose every
     trial fails writes its per-trial log and its summary, with null AUCs
     and the error, and the sweep goes on.  ``sweep.json`` holds the axes
@@ -1048,33 +1044,33 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
     each detector's AUC and standard error, and the error (null for a cell
     with completed trials), all read from the cell's summary.
     """
-    unknown = sorted(set(axes) - {spec.name for spec in fields(cfg)})
+    unknown = sorted(set(axes) - ({f.name for f in fields(cfg)} - RUN_FIELDS))
     if unknown:
         raise ConfigurationError(f"not ScenarioConfig fields: {unknown}")
     root = Path(cfg.output_dir if out_dir is None else out_dir)
-    cell_cfgs = {}
+    cells = {}
     for values in itertools.product(*axes.values()):
         cell_cfg = replace(cfg, **dict(zip(axes, values)))
         tag = ",".join(f"{name}={getattr(cell_cfg, name)}" for name in axes)
-        if tag in cell_cfgs or Path(tag).name != tag:
+        if tag in cells or Path(tag).name != tag:
             raise ConfigurationError(f"cell directory {tag!r} is repeated "
                                      "or not a plain name")
-        cell_cfgs[tag] = cell_cfg
+        cells[tag] = cell_cfg, root / tag
+    built = cells.values()
+    summaries = _run_cells(built, cfg.workers)
     keys = ("failed_trials", "failures_by_type", "auc", "auc_se", "error")
-    cells = {}
-    for tag, cell_cfg in cell_cfgs.items():
-        summary = _run_cell(cell_cfg, root / tag)
-        cells[tag] = {key: summary.get(key) for key in keys}
-    built = cell_cfgs.values()
     sweep = {
         "schema_version": SCHEMA_VERSION,
         "master_seed": cfg.master_seed,
         "trials_per_cell": cfg.trials,
         "axes": {
-            name: list(dict.fromkeys(getattr(c, name) for c in built))
+            name: list(dict.fromkeys(getattr(c, name) for c, _ in built))
             for name in axes
         },
-        "cells": cells,
+        "cells": {
+            tag: {key: summary.get(key) for key in keys}
+            for tag, summary in zip(cells, summaries)
+        },
     }
     root.mkdir(parents=True, exist_ok=True)
     # A nested config (``extractor``, ``subspace``) is written as its repr.

@@ -64,6 +64,9 @@ _LAYOUT = {
     "experiment": ("trials", "master_seed", "output_dir", "workers"),
 }
 
+# The fields that decide where and how the trials run, not what they make.
+RUN_FIELDS = frozenset({"output_dir", "workers"})
+
 
 def pilot_pool(length: int, shift_size: int, num_users: int) -> np.ndarray:
     """Read-only ``(num_users, length)`` array of the users' pilots: the
@@ -108,7 +111,10 @@ class ScenarioConfig:
         Subspace-detector settings.
     trials, master_seed, output_dir, workers
         Monte Carlo budget, root seed, result directory, and the process
-        count of trials and streams (above 1 needs a ``__main__`` guard).
+        count of a run: above 1, a pool of workers with one BLAS thread each
+        (needs a ``__main__`` guard); at 1, BLAS's default thread count,
+        though ``OPENBLAS_NUM_THREADS=1`` ran small cells faster (L=48 on 2
+        vCPU: 562 against 438 trials/s).
     """
 
     num_antennas: int = 64
@@ -238,7 +244,8 @@ class ScenarioConfig:
         )
 
     def subspace_config(self) -> SdConfig:
-        """Subspace-detector settings."""
+        """``self.subspace``.  Its one caller is ``bench/replay.py``, and it
+        goes when that replay is retired (ROADMAP.md)."""
         return self.subspace
 
     # ------------------------------------------------------------ serialization
@@ -254,14 +261,11 @@ class ScenarioConfig:
         }
 
     def config_hash(self) -> str:
-        """Stable short hash of every field that can change a trial.
-
-        ``output_dir`` and ``workers`` are left out: they decide where and
-        how the trials run, not what they produce.
-        """
+        """Stable short hash of every field that can change a trial: all
+        but the ``RUN_FIELDS``."""
         raw = self.to_dict()
-        experiment = raw["experiment"]
-        del experiment["output_dir"], experiment["workers"]
+        for name in RUN_FIELDS:
+            del raw["experiment"][name]
         payload = json.dumps(raw, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

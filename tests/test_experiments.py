@@ -5,14 +5,14 @@ Oracles: direct pair counting for the Mann-Whitney AUC, and for its
 DeLong placements and paired covariance, with a bootstrap over whole
 trials and the spread of tiny-cell AUCs over seeds for the standard
 errors; reruns of a tiny cell (serial and pooled, with a spy on
-``_worker_pool`` that the pool ran) for byte-stable result files and
-stream results, and its records and those of twelve paper-cell trials
-pinned to the bit; the full transmit/receive chain of ``link.py`` for the
+``ProcessPoolExecutor`` counting the pools each call starts and the maps
+each pool runs) for byte-stable result files and stream results, and its
+records and those of twelve paper-cell trials pinned to the bit; the full transmit/receive chain of ``link.py`` for the
 noise-free sensing batches and subspace snapshots that ``TrialSimulator``
 builds in closed form, and the snapshots written per user with FFTs for
 the one-product snapshots; the stated laws of the three noise shortcuts, by
 their moments; a fresh simulator per call for the builders' results
-in any call order; counting spies on ``draw_channel`` and
+in any call order; counting spies on ``draw_channels`` and
 ``TrialSimulator.sensing_batch`` for which channels and batches a trial
 builds, and on ``trial_rng`` for which seed streams it draws from; the
 complex-noise expression the snapshot noise was first written
@@ -26,6 +26,7 @@ subframes a stream draws; and ``run_scenario`` of each cell's config for
 what ``run_sweep`` writes.
 """
 
+import concurrent.futures
 import csv
 import hashlib
 import itertools
@@ -611,36 +612,54 @@ class TestRunScenario:
         )
 
 
+def blas_thread_variable(index):
+    """``_BLAS_THREAD_VARIABLES[index]`` as the process running this sees
+    it: a module-level function, so a pool worker can run it."""
+    return os.getenv(experiments._BLAS_THREAD_VARIABLES[index])
+
+
 class TestWorkerPool:
-    def test_workers_run_blas_on_one_thread(self, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Per process pool started, its worker count and the maps it ran."""
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                super().__init__(workers, **kwargs)
+                self.record = [workers, 0]
+                started.append(self.record)
+
+            def map(self, *args, **kwargs):
+                self.record[1] += 1
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        return started
+
+    def test_workers_run_blas_on_one_thread(self, monkeypatch, pools):
         # Set in each worker from its start, whatever the caller has set;
         # the caller's environment is as it was once the pool is gone.
         names = experiments._BLAS_THREAD_VARIABLES
         monkeypatch.setenv(names[0], "4")
         for name in names[1:]:
             monkeypatch.delenv(name, raising=False)
-        with experiments._worker_pool(2) as pool:
-            seen = list(pool.map(os.getenv, names, timeout=120))
+        with experiments._index_map(2) as map_indices:
+            seen = map_indices(blas_thread_variable, len(names))
         assert seen == ["1"] * len(names)
+        assert pools == [[2, 1]]
         assert os.environ[names[0]] == "4"
         assert not any(name in os.environ for name in names[1:])
 
-    def test_streams_run_in_the_pool(self, monkeypatch):
+    def test_streams_run_in_the_pool(self, pools):
         # Two workers give the serial results and the serial every-stream
-        # failure, and the streams did go through the pool.
-        entered = []
-        pool = experiments._worker_pool
-
-        def spy(workers):
-            entered.append(workers)
-            return pool(workers)
-
-        monkeypatch.setattr(experiments, "_worker_pool", spy)
+        # failure, and each call ran its streams on one pool.
         runs = {}
         for workers in (1, 2):
             cfg = ScenarioConfig(**TINY, workers=workers)
-            # At L = 48 every paper-cell extraction fails.
-            failing = ScenarioConfig(rb_count=4, workers=workers)
+            # At 1 ns per tap the shipped table's 35 ns cluster maps to tap
+            # 35 of 4, so every stream fails at its first channel draw.
+            failing = replace(cfg, tap_duration_ns=1.0)
             texts = []
             for call in (partial(calibrate, failing, 6, 3),
                          partial(run_detection_delay, failing, 2, 3, 6)):
@@ -649,10 +668,29 @@ class TestWorkerPool:
                 texts.append(str(raised.value))
             runs[workers] = (repr(calibrate(cfg, 6, 4)),
                              repr(run_detection_delay(cfg, 3, 4, 6)), texts)
-        assert entered == [2] * 4
+        assert pools == [[2, 1]] * 4
         assert runs[2] == runs[1]
-        assert all(text.startswith("every one of the 6 streams failed")
-                   for text in runs[1][2])
+        assert all(text.startswith(
+            "every one of the 6 streams failed; first error: stream 0: "
+            "ClusterTableError: cluster 1 at 35.0 ns maps to tap 35"
+        ) for text in runs[1][2])
+
+    def test_cells_run_on_one_pool(self, pools, tmp_path):
+        # A four-cell sweep runs its cells' trials on one pool, and a
+        # scenario on another, and both write the files of the serial run.
+        axes = {"snr_db": [0, 5], "jsr_db": [-5, 0]}
+        for workers in (1, 2):
+            cfg = ScenarioConfig(**TINY, workers=workers)
+            run_sweep(cfg, axes, tmp_path / f"sweep-{workers}")
+            run_scenario(cfg, tmp_path / f"sweep-{workers}" / "scenario")
+        assert pools == [[2, 4], [2, 1]]
+        serial = sorted((tmp_path / "sweep-1").rglob("*.csv"))
+        assert len(serial) == 5 * (1 + len(DETECTOR_NAMES))
+        for path in serial:
+            pooled = tmp_path / "sweep-2" / path.relative_to(
+                tmp_path / "sweep-1"
+            )
+            assert pooled.read_bytes() == path.read_bytes()
 
 
 class TestBadClusterTable:
@@ -1190,7 +1228,7 @@ def sequential_trial(cfg, index):
                 energy=ed_statistic(simulator.energy_observation(2, attacked)),
                 subspace_dimension=sd_statistic(
                     simulator.snapshot_window(2, attacked),
-                    cfg.subspace_config(),
+                    cfg.subspace,
                 ),
             )
             for test, attacked in zip(tests, (False, True))
@@ -1710,12 +1748,13 @@ class TestOtherEntryPoints:
     def test_run_sweep_keeps_going_past_a_cell_where_every_trial_fails(
         self, tmp_path
     ):
-        # At rb_count=4 (L=48) every trial of the paper cell fails.
+        # At 1 ns per tap the shipped table's 35 ns cluster maps to tap 35
+        # of 4, so every trial fails at its first channel draw.
         cfg = ScenarioConfig(trials=10, master_seed=7)
-        grid = run_sweep(cfg, {"rb_count": [16, 4]}, tmp_path)
+        grid = run_sweep(cfg, {"tap_duration_ns": [240.0, 1.0]}, tmp_path)
         assert json.loads((tmp_path / "sweep.json").read_text()) == grid
-        complete = grid["cells"]["rb_count=16"]
-        failed = grid["cells"]["rb_count=4"]
+        complete = grid["cells"]["tap_duration_ns=240.0"]
+        failed = grid["cells"]["tap_duration_ns=1.0"]
         assert complete["failed_trials"] < cfg.trials
         assert complete["error"] is None
         assert complete["failures_by_type"] == {
@@ -1724,7 +1763,7 @@ class TestOtherEntryPoints:
         assert set(complete["auc"]) == set(DETECTOR_NAMES)
         # The failed cell writes its per-trial log and its summary, with
         # null AUCs; its sweep entry is read from that summary.
-        cell = tmp_path / "rb_count=4"
+        cell = tmp_path / "tap_duration_ns=1.0"
         assert sorted(p.name for p in cell.iterdir()) == [
             "summary.json", "trials.csv"
         ]
@@ -1739,14 +1778,15 @@ class TestOtherEntryPoints:
         assert all(row["error"] for row in rows)
         assert failed == {
             "failed_trials": cfg.trials,
-            "failures_by_type": {"ExtractionError": cfg.trials},
+            "failures_by_type": {"ClusterTableError": cfg.trials},
             "auc": None,
             "auc_se": None,
             "error": summary["error"],
         }
         # Run alone, the cell writes the same files and raises that error.
         with pytest.raises(InsufficientDataError) as raised:
-            run_scenario(replace(cfg, rb_count=4), tmp_path / "direct")
+            run_scenario(replace(cfg, tap_duration_ns=1.0),
+                         tmp_path / "direct")
         assert str(raised.value) == failed["error"]
         assert failed["error"] == (
             "every trial failed; nothing to report; first error: "
@@ -1765,15 +1805,20 @@ class TestOtherEntryPoints:
         {"snr_db": [5.0], "snr": [5.0]},
         {"shift_size": [5, 3]},
         {"cluster_table": ["profiles/clustered.yaml"]},
+        {"workers": [1, 2]},
+        {"rb_count": [8], "output_dir": ["a", "b"]},
     ], ids=[
         "fractional-block-count", "quoted-snr", "5-and-5.0",
         "repeat-on-the-last-axis", "repeat-on-the-first-axis",
         "unknown-field", "shift-within-the-delay-spread", "path-separator",
+        "workers", "output-dir",
     ])
     def test_run_sweep_rejects_what_the_config_rejects(self, tmp_path, axes):
         # A value the config rejects, two values naming one cell, a name
-        # that is no config field, or a tag that is not a plain directory
-        # name raises before any cell runs, here after a first good cell.
+        # that is no config field, a field that changes no cell's results
+        # (the whole sweep runs on ``cfg.workers``), or a tag that is not a
+        # plain directory name raises before any cell runs, here after a
+        # first good cell.
         cfg = ScenarioConfig(**TINY)
         with pytest.raises(ConfigurationError):
             run_sweep(cfg, axes, tmp_path / "sweep")
