@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ClusterTableError, ConfigurationError, ShapeError
 
@@ -49,7 +48,26 @@ __all__ = [
     "complex_normal",
 ]
 
-DEFAULT_TABLE_PATH = Path(__file__).parent / "data" / "clustered_los.yaml"
+# The default clustered multipath profile: one dominant line-of-sight
+# cluster plus three weaker non-line-of-sight clusters.  The structure (LOS
+# cluster with a strong Ricean factor, a few weak delayed clusters with small
+# angular spread) follows standardized urban-macro clustered-delay-line
+# profiles; the exact numbers are a documented stand-in, not a transcription
+# of any standards table.  A YAML file passed as ``cluster_table`` holds the
+# same keys.
+_CLUSTERED_LOS = {
+    # Cluster excess delays in nanoseconds, ascending.
+    "delays_ns": [0.0, 35.0, 245.0, 610.0],
+    # Relative cluster powers in dB, normalized to sum to 1 in linear units.
+    "powers_db": [0.0, -13.5, -18.8, -21.0],
+    # Cluster azimuth offsets in degrees, relative to the source's
+    # line-of-sight direction.
+    "azimuths_deg": [0.0, 28.0, -36.0, 54.0],
+    # Per-cluster ray angular spread (standard deviation), degrees.
+    "spreads_deg": [1.0, 3.0, 3.0, 3.0],
+    # Ricean factor of the first cluster in dB (optional).
+    "ricean_k_db": 13.3,
+}
 
 # Equal-power rays that make up each cluster's diffuse part.
 RAYS_PER_CLUSTER = 20
@@ -154,6 +172,8 @@ def load_cluster_table(path: str | Path) -> ClusterTable:
     table raises :class:`ClusterTableError` naming the path, so a trial
     records it as it records any other configuration error.
     """
+    import yaml  # only reading a table file needs it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -166,8 +186,8 @@ def load_cluster_table(path: str | Path) -> ClusterTable:
 
 
 def default_cluster_table() -> ClusterTable:
-    """Return the shipped line-of-sight-dominant cluster profile."""
-    return load_cluster_table(DEFAULT_TABLE_PATH)
+    """Return the built-in line-of-sight-dominant cluster profile."""
+    return ClusterTable.from_dict(_CLUSTERED_LOS)
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,7 @@ _Z95 = 1.959963984540054
 
 @cache
 def _cluster_table(path: str | None) -> ClusterTable:
-    """The cluster table at ``path`` (the packaged one for None), parsed
+    """The cluster table at ``path`` (the built-in default for None), built
     once per process."""
     return default_cluster_table() if path is None else load_cluster_table(path)
 
@@ -609,8 +609,8 @@ def run_trials(cfg: ScenarioConfig) -> list:
     every trial is seeded from ``(master seed, trial index)`` alone.  The
     workers import the caller's main module, which must keep its work under
     ``__name__ == "__main__"``.  A serial run keeps BLAS's default thread
-    count, though ``OPENBLAS_NUM_THREADS=1`` ran small cells faster (L=48
-    on 2 vCPU: 562 against 438 trials/s).
+    count; ``OPENBLAS_NUM_THREADS=1`` was not consistently faster (L=48 and
+    L=192 on 2 vCPU).
     """
     with _index_map(cfg.workers) as map_indices:
         return map_indices(partial(run_single_trial, cfg), cfg.trials)

@@ -38,7 +38,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .baselines import SdConfig
 from .detector import DEFAULT_THRESHOLD
@@ -101,8 +100,10 @@ class ScenarioConfig:
     element_spacing_wavelengths
         Array spacing in carrier wavelengths; must be positive.
     tap_duration_ns, cluster_table
-        Channel sampling and the path of the cluster profile (``None``
-        selects the packaged default profile).
+        Channel sampling and the path of a YAML cluster profile in the
+        layout of ``ClusterTable.from_dict``; ``None`` selects the default
+        profile built into ``channel.py`` (``default_cluster_table``), which
+        reads no file.
     extractor, similarity_threshold
         Fingerprint-extraction settings and the sequential detector's
         similarity threshold (only a subframe judged normal updates its
@@ -113,8 +114,8 @@ class ScenarioConfig:
         Monte Carlo budget, root seed, result directory, and the process
         count of a run: above 1, a pool of workers with one BLAS thread each
         (needs a ``__main__`` guard); at 1, BLAS's default thread count,
-        though ``OPENBLAS_NUM_THREADS=1`` ran small cells faster (L=48 on 2
-        vCPU: 562 against 438 trials/s).
+        which ``OPENBLAS_NUM_THREADS=1`` did not consistently beat (L=48
+        and L=192 on 2 vCPU).
     """
 
     num_antennas: int = 64
@@ -270,6 +271,8 @@ class ScenarioConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def to_yaml(self, path: str | Path) -> None:
+        import yaml  # only reading or writing a YAML file needs it
+
         Path(path).write_text(
             yaml.safe_dump(self.to_dict(), sort_keys=False)
         )
@@ -312,6 +315,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ScenarioConfig":
+        import yaml
+
         try:
             text = Path(path).read_text()
         except OSError as exc:

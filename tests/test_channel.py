@@ -28,6 +28,31 @@ from spoofdet.channel import (
 from spoofdet.errors import ClusterTableError, ConfigurationError
 
 
+# The default profile as the package once shipped it, verbatim.
+CLUSTERED_LOS_YAML = """\
+# Default clustered multipath profile: one dominant line-of-sight cluster
+# plus three weaker non-line-of-sight clusters.  The structure (LOS cluster
+# with a strong Ricean factor, a few weak delayed clusters with small
+# angular spread) follows standardized urban-macro clustered-delay-line
+# profiles; the exact numbers below are a documented stand-in, not a
+# transcription of any standards table.
+#
+# Schema:
+#   delays_ns    — cluster excess delays in nanoseconds, ascending
+#   powers_db    — relative cluster powers in dB (normalized to sum to 1
+#                  in linear units when loaded)
+#   azimuths_deg — cluster azimuth offsets, degrees, relative to the
+#                  source line-of-sight direction
+#   spreads_deg  — per-cluster ray angular spread (std dev), degrees
+#   ricean_k_db  — Ricean factor of the first cluster (optional)
+delays_ns: [0.0, 35.0, 245.0, 610.0]
+powers_db: [0.0, -13.5, -18.8, -21.0]
+azimuths_deg: [0.0, 28.0, -36.0, 54.0]
+spreads_deg: [1.0, 3.0, 3.0, 3.0]
+ricean_k_db: 13.3
+"""
+
+
 def single_cluster_table(azimuth_offset=0.0, spread=0.0, ricean_k_db=None):
     return ClusterTable(
         delays_ns=np.array([0.0]),
@@ -66,6 +91,18 @@ class TestClusterTable:
         assert abs(table.powers.sum() - 1.0) < 1e-9
         assert np.all(np.diff(table.delays_ns) >= 0)
         assert table.ricean_k_db is not None
+
+    def test_default_table_equals_its_former_yaml_file(self, tmp_path):
+        # The default profile was shipped as this YAML file; the table built
+        # in code must hold the same bits, and the YAML reader must still
+        # read the layout.
+        path = tmp_path / "clustered_los.yaml"
+        path.write_text(CLUSTERED_LOS_YAML, encoding="utf-8")
+        loaded, built = load_cluster_table(path), default_cluster_table()
+        for name in ("delays_ns", "powers", "azimuths_deg", "spreads_deg"):
+            assert getattr(loaded, name).tobytes() == \
+                getattr(built, name).tobytes(), name
+        assert loaded.ricean_k_db == built.ricean_k_db == 13.3
 
     def test_empty_table_rejected(self):
         with pytest.raises(ClusterTableError):

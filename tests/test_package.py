@@ -1,7 +1,8 @@
 """Package hygiene: every exported name of every module exists, no module
-imports another's private name, and importing the harness loads neither the
-``link`` test oracle nor the process-pool modules, which only a run with
-more than one worker needs."""
+imports another's private name, and importing the harness and running one
+serial trial loads neither the ``link`` test oracle, nor the process-pool
+modules, which only a run with more than one worker needs, nor ``yaml``,
+which only reading or writing a YAML file needs."""
 
 import ast
 import importlib
@@ -51,10 +52,13 @@ def test_no_module_imports_a_private_name():
 
 def loaded_by_harness_import(names):
     """Which of ``names`` a fresh interpreter holds after importing the
-    harness, so no earlier test's imports count."""
+    harness and running one trial of the default cell, so no earlier test's
+    imports count."""
     script = (
         f"import sys; sys.path.insert(0, {SRC!r})\n"
         "import spoofdet.experiments\n"
+        "from spoofdet.scenario import ScenarioConfig\n"
+        "spoofdet.experiments.run_single_trial(ScenarioConfig(), 0)\n"
         f"print(' '.join(n for n in {names!r} if n in sys.modules))\n"
     )
     result = subprocess.run(
@@ -74,3 +78,9 @@ def test_harness_does_not_load_the_process_pool():
     assert loaded_by_harness_import(
         ["multiprocessing", "concurrent.futures"]
     ) == []
+
+
+def test_a_trial_of_the_default_profile_does_not_load_yaml():
+    # The default cluster profile is built in code, so a run that names no
+    # YAML file never pays for importing the parser.
+    assert loaded_by_harness_import(["yaml"]) == []
