@@ -117,8 +117,6 @@ def sd_statistic(window: np.ndarray, cfg: SdConfig | None = None) -> int:
         cfg = SdConfig()
     eigenvalues = sd_eigenvalues(window)
     leading = float(eigenvalues[0])
-    if leading == 0.0:
-        return 0
     cut = max(
         cfg.noise_floor_multiple * float(np.median(eigenvalues)),
         RELATIVE_FLOOR * leading,

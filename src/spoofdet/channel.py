@@ -44,7 +44,6 @@ __all__ = [
     "draw_azimuths",
     "beamspace",
     "vectorize_taps",
-    "as_generator",
     "complex_normal",
 ]
 
@@ -71,6 +70,10 @@ _CLUSTERED_LOS = {
 
 # Equal-power rays that make up each cluster's diffuse part.
 RAYS_PER_CLUSTER = 20
+
+# Inter-element spacing of every array, in carrier wavelengths: the
+# half-wavelength uniform linear array, whose beams are 2/M rad wide.
+ELEMENT_SPACING_WAVELENGTHS = 0.5
 
 
 @dataclass(frozen=True)
@@ -197,24 +200,20 @@ class GeometryScenario:
     Attributes
     ----------
     num_antennas : int
-        Array size ``M`` (uniform linear array).
-    element_spacing_wavelengths : float
-        Inter-element spacing in carrier wavelengths (0.5 = half wavelength).
+        Array size ``M`` (uniform linear array with element spacing
+        ``ELEMENT_SPACING_WAVELENGTHS``).
     user_azimuths_deg : tuple of float
         One azimuth per served user, in degrees.
     attacker_azimuth_deg : float
     """
 
     num_antennas: int
-    element_spacing_wavelengths: float
     user_azimuths_deg: tuple
     attacker_azimuth_deg: float
 
     def __post_init__(self) -> None:
         if self.num_antennas < 1:
             raise ConfigurationError("need at least one antenna")
-        if self.element_spacing_wavelengths <= 0:
-            raise ConfigurationError("element spacing must be positive")
 
     def azimuth_of(self, source: int | str) -> float:
         """Resolve a source id: a 0-based user index or ``"attacker"``."""
@@ -226,25 +225,20 @@ class GeometryScenario:
         raise ConfigurationError(f"unknown source id {source!r}")
 
 
-def steering_vector(
-    num_antennas: int, azimuth_deg: float, spacing_wavelengths: float = 0.5
-) -> np.ndarray:
+def steering_vector(num_antennas: int, azimuth_deg: float) -> np.ndarray:
     """Uniform-linear-array response to a plane wave from ``azimuth_deg``.
 
-    Element ``m`` has phase ``2*pi*spacing*m*sin(azimuth)``; broadside (0
-    degrees) gives the all-ones vector.  One exponential per element: the
-    test oracle of the phasor powers the channel draws use.
+    Element ``m`` has phase ``2*pi*spacing*m*sin(azimuth)``, with the
+    spacing ``ELEMENT_SPACING_WAVELENGTHS``; broadside (0 degrees) gives
+    the all-ones vector.  One exponential per element: the test oracle of
+    the phasor powers the channel draws use.
     """
     m = np.arange(num_antennas)
-    phase = 2.0 * np.pi * spacing_wavelengths * m * math.sin(math.radians(azimuth_deg))
+    phase = (
+        2.0 * np.pi * ELEMENT_SPACING_WAVELENGTHS * m
+        * math.sin(math.radians(azimuth_deg))
+    )
     return np.exp(1j * phase)
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Use ``seed`` as is if it is a Generator, else seed a new one from it."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def complex_normal(shape, scale: float, rng) -> np.ndarray:
@@ -258,16 +252,14 @@ def complex_normal(shape, scale: float, rng) -> np.ndarray:
     and leaves the generator at the same position, without its
     location-scale step.
     """
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     out = np.empty(shape, dtype=np.complex128)
     np.multiply(gen.standard_normal(size=shape), scale, out=out.real)
     np.multiply(gen.standard_normal(size=shape), scale, out=out.imag)
     return out
 
 
-def _steering_powers(
-    sines: np.ndarray, num_antennas: int, spacing_wavelengths: float, gains
-) -> np.ndarray:
+def _steering_powers(sines: np.ndarray, num_antennas: int, gains) -> np.ndarray:
     """``gains * exp(2j*pi*spacing*m*sines)`` for ``m = 0..M-1``, with the
     antenna index on a new leading axis: shape ``(M, *sines.shape)``.
 
@@ -278,7 +270,7 @@ def _steering_powers(
     row ``m`` grows about linearly in ``m``; ``steering_vector`` is the
     oracle the tests hold it to.
     """
-    phasor = np.exp(2j * np.pi * spacing_wavelengths * sines)
+    phasor = np.exp(2j * np.pi * ELEMENT_SPACING_WAVELENGTHS * sines)
     rows = np.empty((num_antennas, *phasor.shape), dtype=np.complex128)
     rows[0] = gains
     filled = 1
@@ -360,7 +352,7 @@ def draw_channels(
     phases = np.empty_like(offsets)
     dominant_phases = np.empty(n_sources)
     for s, rng in enumerate(rngs):
-        gen = as_generator(rng)
+        gen = np.random.default_rng(rng)
         if dominant:
             dominant_phases[s] = gen.random()
         for c in range(table.num_clusters):
@@ -397,8 +389,7 @@ def draw_channels(
         ray_taps = np.concatenate([cluster_taps[:1], ray_taps])
 
     rows = _steering_powers(
-        np.sin(np.radians(ray_azimuths.T)), scenario.num_antennas,
-        scenario.element_spacing_wavelengths, gains.T,
+        np.sin(np.radians(ray_azimuths.T)), scenario.num_antennas, gains.T
     )  # (M, rays, S)
     # reduceat adds a tap's rays one after another whatever S is, so a
     # source's row does not depend on the others; a plain sum would switch
@@ -443,7 +434,7 @@ def draw_azimuths(count: int, rng) -> list[float]:
     """
     if count < 0:
         raise ConfigurationError(f"count must be non-negative, got {count}")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     return gen.uniform(0.0, 360.0, size=2 * count)[count:].tolist()
 
 

@@ -342,7 +342,6 @@ class TrialSimulator:
         )
         self.geometry = GeometryScenario(
             num_antennas=cfg.num_antennas,
-            element_spacing_wavelengths=cfg.element_spacing_wavelengths,
             user_azimuths_deg=tuple(azimuths[: cfg.num_users]),
             attacker_azimuth_deg=azimuths[cfg.num_users],
         )
@@ -1013,27 +1012,27 @@ def _run_cells(cells, workers: int) -> list:
     return summaries
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
-    """Full single-cell pipeline: trials, ROC per detector, files.
+def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
+    """Full single-cell pipeline: trials, ROC per detector, files in
+    ``out_dir``.
 
     If every trial fails, the per-trial log and the summary are still
     written, and then ``InsufficientDataError`` carries the summary's error.
     """
-    out_dir = cfg.output_dir if out_dir is None else out_dir
     [summary] = _run_cells([(cfg, out_dir)], cfg.workers)
     if "error" in summary:
         raise InsufficientDataError(summary["error"])
     return summary
 
 
-def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
+def run_sweep(cfg: ScenarioConfig, axes, out_dir) -> dict:
     """One ``run_scenario`` per cell of a product of config values.
 
     ``axes`` maps ``ScenarioConfig`` field names, in order, to their values,
     and the cells are their product, the last axis varying fastest.  A
-    cell's tag, which names its subdirectory, is ``name=value`` per axis
-    joined by commas, each value as the cell's built config holds it
-    (``rb_count=4,jsr_db=-10.0``).  Every cell config is built before any
+    cell's tag, which names its subdirectory of ``out_dir``, is
+    ``name=value`` per axis joined by commas, each value as the cell's
+    built config holds it (``rb_count=4,jsr_db=-10.0``).  Every cell config is built before any
     cell runs, so an unknown name or one of the ``RUN_FIELDS`` (no cell's
     results depend on them), a value the config rejects, a repeated tag
     (``5`` and ``5.0``) or a tag with a path separator raises
@@ -1042,12 +1041,15 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir=None) -> dict:
     and the error, and the sweep goes on.  ``sweep.json`` holds the axes
     and, per tag, the failed-trial count, the failures by exception name,
     each detector's AUC and standard error, and the error (null for a cell
-    with completed trials), all read from the cell's summary.
+    with completed trials), all read from the cell's summary.  All cells
+    run in one pool, whose workers start at the first cell's first trials,
+    so at ``workers > 1`` the first cell's ``wall_time_s`` includes
+    spawning the pool.
     """
     unknown = sorted(set(axes) - ({f.name for f in fields(cfg)} - RUN_FIELDS))
     if unknown:
         raise ConfigurationError(f"not ScenarioConfig fields: {unknown}")
-    root = Path(cfg.output_dir if out_dir is None else out_dir)
+    root = Path(out_dir)
     cells = {}
     for values in itertools.product(*axes.values()):
         cell_cfg = replace(cfg, **dict(zip(axes, values)))

@@ -64,6 +64,14 @@ __all__ = [
     "draw_gaussian_probes",
 ]
 
+# Base step of the descent, relative to the sample mean: the effective step
+# is ``BASE_STEP / mean(s)``, so behaviour is invariant to the overall
+# sample scale.  Every iteration starts from this step and halves it
+# whenever a candidate would increase the loss, up to
+# ``ExtractorConfig.max_backtracks`` times; the halving does not carry over
+# to the next iteration.
+BASE_STEP = 0.1
+
 
 @dataclass(frozen=True)
 class ExtractorConfig:
@@ -73,13 +81,6 @@ class ExtractorConfig:
     ----------
     max_iterations : int
         Gradient-descent iteration budget; 0 returns the initializer.
-    step_size : float
-        Base step size, applied relative to the sample mean (the effective
-        step is ``step_size / mean(s)`` so behavior is invariant to the
-        overall sample scale).  Every iteration starts from this base step
-        and halves it whenever a candidate would increase the loss, up to
-        ``max_backtracks`` times; the halving does not carry over to the
-        next iteration.
     threshold_scale : float
         Multiplier on the residual-driven adaptive threshold.
     tolerance : float
@@ -100,7 +101,6 @@ class ExtractorConfig:
     """
 
     max_iterations: int = 200
-    step_size: float = 0.1
     threshold_scale: float = 15.0
     tolerance: float = 1e-3
     max_backtracks: int = 20
@@ -109,8 +109,6 @@ class ExtractorConfig:
         check_numeric_fields(self)
         if self.max_iterations < 0:
             raise ConfigurationError("iteration budget must be non-negative")
-        if self.step_size <= 0:
-            raise ConfigurationError("step size must be positive")
         if self.threshold_scale <= 0:
             raise ConfigurationError("threshold scale must be positive")
         if self.tolerance < 0:
@@ -500,7 +498,7 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
         raise ExtractionError("loss is not finite at the initializer")
 
     mean = batch.sample_mean
-    base_step = cfg.step_size / mean if mean > 0 else cfg.step_size
+    base_step = BASE_STEP / mean if mean > 0 else BASE_STEP
     probes_t = batch.probes.T
     two_over_l = 2.0 / batch.n_samples
     kappa = _kappa(batch)

@@ -52,7 +52,7 @@ ESTIMATE_SIGNAL_LEVEL = 5.0
 # it holds.  The ``extractor`` and ``subspace`` sections hold the fields of
 # the nested config of that name.
 _LAYOUT = {
-    "array": ("num_antennas", "element_spacing_wavelengths"),
+    "array": ("num_antennas",),
     "users": ("num_users",),
     "radio": ("snr_db", "jsr_db"),
     "pilot": ("sequence_length", "shift_size", "rb_count"),
@@ -60,11 +60,11 @@ _LAYOUT = {
     "extractor": ExtractorConfig,
     "detector": ("similarity_threshold",),
     "subspace": SdConfig,
-    "experiment": ("trials", "master_seed", "output_dir", "workers"),
+    "experiment": ("trials", "master_seed", "workers"),
 }
 
 # The fields that decide where and how the trials run, not what they make.
-RUN_FIELDS = frozenset({"output_dir", "workers"})
+RUN_FIELDS = frozenset({"workers"})
 
 
 def pilot_pool(length: int, shift_size: int, num_users: int) -> np.ndarray:
@@ -86,9 +86,10 @@ class ScenarioConfig:
     Attributes
     ----------
     num_antennas, num_users, num_taps, sequence_length, shift_size
-        Array size M, active user count K, channel delay-spread length in
-        taps, reference-sequence length N, and the cyclic-shift separation
-        of the pilot pool (at least the delay spread, so that same-root
+        Array size M (a uniform linear array with half-wavelength spacing,
+        ``channel.ELEMENT_SPACING_WAVELENGTHS``), active user count K,
+        channel delay-spread length in taps, reference-sequence length N,
+        and the cyclic-shift separation of the pilot pool (at least the delay spread, so that same-root
         pilots stay orthogonal over the delay window, and K shifts must fit
         into N).
     rb_count
@@ -97,8 +98,6 @@ class ScenarioConfig:
     snr_db, jsr_db
         Radio operating point: the received signal-to-noise ratio and the
         received jammer-to-signal ratio.
-    element_spacing_wavelengths
-        Array spacing in carrier wavelengths; must be positive.
     tap_duration_ns, cluster_table
         Channel sampling and the path of a YAML cluster profile in the
         layout of ``ClusterTable.from_dict``; ``None`` selects the default
@@ -110,12 +109,13 @@ class ScenarioConfig:
         reference).
     subspace
         Subspace-detector settings.
-    trials, master_seed, output_dir, workers
-        Monte Carlo budget, root seed, result directory, and the process
-        count of a run: above 1, a pool of workers with one BLAS thread each
-        (needs a ``__main__`` guard); at 1, BLAS's default thread count,
-        which ``OPENBLAS_NUM_THREADS=1`` did not consistently beat (L=48
-        and L=192 on 2 vCPU).
+    trials, master_seed, workers
+        Monte Carlo budget, root seed, and the process count of a run:
+        above 1, a pool of workers with one BLAS thread each (needs a
+        ``__main__`` guard); at 1, BLAS's default thread count, which
+        ``OPENBLAS_NUM_THREADS=1`` did not consistently beat (L=48 and
+        L=192 on 2 vCPU).  The result directory is not a setting: it is
+        the ``out_dir`` argument of ``run_scenario`` and ``run_sweep``.
     """
 
     num_antennas: int = 64
@@ -126,7 +126,6 @@ class ScenarioConfig:
     rb_count: int = 16
     snr_db: float = 5.0
     jsr_db: float = 0.0
-    element_spacing_wavelengths: float = 0.5
     tap_duration_ns: float = 240.0
     cluster_table: str | None = None
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
@@ -134,26 +133,23 @@ class ScenarioConfig:
     subspace: SdConfig = field(default_factory=SdConfig)
     trials: int = 500
     master_seed: int = 2026
-    output_dir: str = "results"
     workers: int = 1
 
     def __post_init__(self) -> None:
         check_numeric_fields(self)
-        # Paths are stored as str, so a Path and its string compare, print
-        # and hash alike.
-        for name, optional in (("cluster_table", True), ("output_dir", False)):
-            value = getattr(self, name)
-            if value is None and optional:
-                continue
+        # The cluster table's path is stored as str, so a Path and its
+        # string compare, print and hash alike.
+        table = self.cluster_table
+        if table is not None:
             path = (
-                os.fspath(value) if isinstance(value, (str, os.PathLike))
+                os.fspath(table) if isinstance(table, (str, os.PathLike))
                 else None
             )
             if not isinstance(path, str):
                 raise ConfigurationError(
-                    f"{name} must be a path, got {value!r}"
+                    f"cluster_table must be a path, got {table!r}"
                 )
-            object.__setattr__(self, name, path)
+            object.__setattr__(self, "cluster_table", path)
         for name, kind in (("extractor", ExtractorConfig),
                            ("subspace", SdConfig)):
             value = getattr(self, name)
@@ -174,8 +170,6 @@ class ScenarioConfig:
                 "orthogonal over the delay window"
             )
         self.build_pool()  # raises CapacityError if the users do not fit
-        if self.element_spacing_wavelengths <= 0:
-            raise ConfigurationError("element spacing must be positive")
         for name in ("snr_db", "jsr_db"):
             try:
                 ratio = db_to_linear(getattr(self, name))

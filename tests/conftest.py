@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from spoofdet.errors import ExtractionError
 from spoofdet.extractor import (
+    BASE_STEP,
     ExtractionDiagnostics,
     SensingBatch,
     draw_gaussian_probes,
@@ -132,7 +133,7 @@ def reference_extract(batch, cfg):
     if not np.isfinite(current_loss):
         raise ExtractionError("loss is not finite at the initializer")
     mean = batch.sample_mean
-    base_step = cfg.step_size / mean if mean > 0 else cfg.step_size
+    base_step = BASE_STEP / mean if mean > 0 else BASE_STEP
     loss_floor = np.finfo(float).eps * mean**2
     iterations = 0
     settled = 0

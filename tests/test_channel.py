@@ -66,7 +66,6 @@ def single_cluster_table(azimuth_offset=0.0, spread=0.0, ricean_k_db=None):
 def scenario_with_user_at(azimuth_deg, num_antennas=4):
     return GeometryScenario(
         num_antennas=num_antennas,
-        element_spacing_wavelengths=0.5,
         user_azimuths_deg=(azimuth_deg,),
         attacker_azimuth_deg=azimuth_deg + 90.0,
     )
@@ -193,9 +192,7 @@ class TestSteering:
         # Row m is the m-th power of one phasor per ray, so its rounding
         # error grows with m; M * 1e-15 bounds it over the whole array.
         azimuths = np.linspace(-180.0, 180.0, 1441)
-        rows = _steering_powers(
-            np.sin(np.radians(azimuths)), num_antennas, 0.5, 1.0
-        )
+        rows = _steering_powers(np.sin(np.radians(azimuths)), num_antennas, 1.0)
         assert rows.shape == (num_antennas, azimuths.size)
         expected = np.array([steering_vector(num_antennas, a) for a in azimuths])
         np.testing.assert_allclose(
@@ -241,7 +238,6 @@ class TestDrawChannel:
         table = single_cluster_table(spread=1.0)
         sc = GeometryScenario(
             num_antennas=32,
-            element_spacing_wavelengths=0.5,
             user_azimuths_deg=(0.0, 60.0),
             attacker_azimuth_deg=180.0,
         )
@@ -291,7 +287,6 @@ def reference_channel(scenario, table, source, num_taps, tap_duration_ns, gen):
     phase, then each cluster's angle offsets and ray phases."""
     azimuth = scenario.azimuth_of(source)
     m_ant = scenario.num_antennas
-    spacing = scenario.element_spacing_wavelengths
     taps = np.zeros((num_taps, m_ant), dtype=complex)
     diffuse = table.powers.copy()
     for c in range(table.num_clusters):
@@ -303,7 +298,7 @@ def reference_channel(scenario, table, source, num_taps, tap_duration_ns, gen):
             taps[tap] += (
                 math.sqrt(table.powers[0] * k_lin / (k_lin + 1.0))
                 * np.exp(1j * phase)
-                * steering_vector(m_ant, cluster_azimuth, spacing)
+                * steering_vector(m_ant, cluster_azimuth)
             )
             diffuse[0] = table.powers[0] / (k_lin + 1.0)
         offsets = gen.normal(0.0, table.spreads_deg[c], size=RAYS_PER_CLUSTER)
@@ -311,7 +306,7 @@ def reference_channel(scenario, table, source, num_taps, tap_duration_ns, gen):
         amplitude = math.sqrt(diffuse[c] / RAYS_PER_CLUSTER)
         for offset, phase in zip(offsets, phases):
             taps[tap] += amplitude * np.exp(1j * phase) * steering_vector(
-                m_ant, cluster_azimuth + offset, spacing
+                m_ant, cluster_azimuth + offset
             )
     return taps
 
@@ -322,7 +317,6 @@ class TestDrawChannels:
 
     SCENARIO = GeometryScenario(
         num_antennas=16,
-        element_spacing_wavelengths=0.5,
         user_azimuths_deg=(10.0, 75.0, 190.0, 300.0),
         attacker_azimuth_deg=130.0,
     )
@@ -428,7 +422,6 @@ class TestBeamspaceSparsity:
             az2 = az1 + rng.uniform(20.0, 340.0)
             sc = GeometryScenario(
                 num_antennas=64,
-                element_spacing_wavelengths=0.5,
                 user_azimuths_deg=(az1, az2 % 360.0),
                 attacker_azimuth_deg=0.0,
             )

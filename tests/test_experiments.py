@@ -22,8 +22,10 @@ descent loop, each arm scored with ``similarity``, for the results of the
 start-then-finish schedule; a spy on the descents' point evaluations
 for how far each one ran, with a fresh simulator's batches naming the
 subframe each descent extracted; a spy on ``_SubframeDraws`` for which
-subframes a stream draws; and ``run_scenario`` of each cell's config for
-what ``run_sweep`` writes.
+subframes a stream draws; ``run_scenario`` of each cell's config for
+what ``run_sweep`` writes; and, where a test needs a failed trial or
+stream, a failure made by construction (a NaN sample in one reference
+batch, or taps too short for the cluster profile), not one found by seed.
 """
 
 import concurrent.futures
@@ -947,6 +949,29 @@ class TestBuildersInAnyOrder:
             )
 
 
+def fail_reference(monkeypatch, trial_index):
+    """Give the reference batch (subframe 1, quiet) of ``trial_index`` a NaN
+    sample, which ``spectral_init`` rejects with ``InitializationError``:
+    a failure made by construction, not found by seed.  Every other batch
+    is left as the simulator builds it."""
+    sensing_batch = TrialSimulator.sensing_batch
+
+    def failing(simulator, subframe, attacked):
+        batch = sensing_batch(simulator, subframe, attacked)
+        if (simulator.trial_index, subframe, attacked) != (
+            trial_index, 1, False
+        ):
+            return batch
+        samples = batch.samples.copy()
+        samples[0] = np.nan
+        return SensingBatch(batch.probes, samples)
+
+    monkeypatch.setattr(TrialSimulator, "sensing_batch", failing)
+
+
+NOT_FINITE = "InitializationError: centered probe covariance is not finite"
+
+
 class TestDrawsOnlyWhatIsRead:
     """A trial draws a channel only when a step reads it: the victim's on
     construction, the attacker's for the attacked extraction, and the
@@ -964,16 +989,18 @@ class TestDrawsOnlyWhatIsRead:
         monkeypatch.setattr(experiments, "draw_channels", counting)
         return seen
 
-    def test_reference_failure_draws_the_victim_only(self, calls):
-        # With one resource block (L = 12) every tiny-cell extraction fails.
-        cfg = ScenarioConfig(**{**TINY, "rb_count": 1})
-        record = run_single_trial(cfg, 0)
-        assert record.failed and "ExtractionError" in record.error
+    def test_reference_failure_draws_the_victim_only(
+        self, calls, monkeypatch
+    ):
+        fail_reference(monkeypatch, 0)
+        record = run_single_trial(ScenarioConfig(**TINY), 0)
+        assert record.error == f"trial 0: {NOT_FINITE}"
         assert calls == [[0]]
 
     def test_reference_failure_builds_one_batch(self, monkeypatch):
         # The victim's channel is drawn on construction, so the channel
         # draws cannot see a subframe-2 batch built too early.
+        fail_reference(monkeypatch, 0)
         built = []
         sensing_batch = TrialSimulator.sensing_batch
 
@@ -982,12 +1009,12 @@ class TestDrawsOnlyWhatIsRead:
             return sensing_batch(simulator, subframe, attacked)
 
         monkeypatch.setattr(TrialSimulator, "sensing_batch", counting)
-        cfg = ScenarioConfig(**{**TINY, "rb_count": 1})
-        assert run_single_trial(cfg, 0).failed
+        cfg = ScenarioConfig(**TINY)
+        assert run_single_trial(cfg, 0).error == f"trial 0: {NOT_FINITE}"
         assert built == [(1, False)]
         built.clear()
         with pytest.raises(
-            InsufficientDataError, match="stream 0: ExtractionError"
+            InsufficientDataError, match=f"stream 0: {NOT_FINITE}$"
         ):
             run_detection_delay(
                 cfg, attack_start=2, n_subframes=4, n_streams=1
@@ -1802,20 +1829,20 @@ class TestOtherEntryPoints:
         {"snr_db": [5, 5.0]},
         {"rb_count": [8], "snr_db": [10.0, 10]},
         {"rb_count": [8, 8.0], "jsr_db": [0.0]},
-        {"snr_db": [5.0], "snr": [5.0]},
+        {"snr_db": [5.0], "snr": [5.0], "output_dir": ["a", "b"]},
         {"shift_size": [5, 3]},
         {"cluster_table": ["profiles/clustered.yaml"]},
         {"workers": [1, 2]},
-        {"rb_count": [8], "output_dir": ["a", "b"]},
     ], ids=[
         "fractional-block-count", "quoted-snr", "5-and-5.0",
         "repeat-on-the-last-axis", "repeat-on-the-first-axis",
         "unknown-field", "shift-within-the-delay-spread", "path-separator",
-        "workers", "output-dir",
+        "workers",
     ])
     def test_run_sweep_rejects_what_the_config_rejects(self, tmp_path, axes):
         # A value the config rejects, two values naming one cell, a name
-        # that is no config field, a field that changes no cell's results
+        # that is no config field (a typo, or a deleted field such as
+        # ``output_dir``), a field that changes no cell's results
         # (the whole sweep runs on ``cfg.workers``), or a tag that is not a
         # plain directory name raises before any cell runs, here after a
         # first good cell.
@@ -1869,21 +1896,25 @@ class TestOtherEntryPoints:
             [float("inf") if a is None else a for a in result.first_alarms]
         ))
 
-    def test_failed_stream_is_skipped_and_counted(self):
-        # On the tiny cell, extraction fails in stream 2 (trial index 2).
+    def test_failed_stream_is_skipped_and_counted(self, monkeypatch):
+        # Streams 0 and 1 of the tiny cell complete; once stream 0's
+        # reference is made to fail, only stream 1's results are left.
         cfg = ScenarioConfig(**TINY)
-        result = calibrate(cfg, n_streams=3, subframes_per_stream=3)
-        assert result.failed_streams == 1
-        assert result.similarities == calibrate(
+        similarities = calibrate(
             cfg, n_streams=2, subframes_per_stream=3
         ).similarities
-        delay = run_detection_delay(
-            cfg, attack_start=4, n_subframes=6, n_streams=3
-        )
-        assert delay.failed_streams == 1
-        assert delay.first_alarms == run_detection_delay(
+        first_alarms = run_detection_delay(
             cfg, attack_start=4, n_subframes=6, n_streams=2
         ).first_alarms
+        fail_reference(monkeypatch, 0)
+        result = calibrate(cfg, n_streams=2, subframes_per_stream=3)
+        assert result.failed_streams == 1
+        assert result.similarities == similarities[2:]
+        delay = run_detection_delay(
+            cfg, attack_start=4, n_subframes=6, n_streams=2
+        )
+        assert delay.failed_streams == 1
+        assert delay.first_alarms == first_alarms[1:]
 
     @pytest.mark.parametrize("call, message", [
         (partial(calibrate, n_streams=0), "at least one stream of"),
@@ -1905,11 +1936,13 @@ class TestOtherEntryPoints:
             call(ScenarioConfig(**TINY))
 
     def test_every_stream_failing_is_insufficient_data(self):
-        # With one resource block (L = 12) every tiny-cell extraction fails.
-        cfg = ScenarioConfig(**{**TINY, "rb_count": 1})
-        with pytest.raises(InsufficientDataError):
+        # 1-ns taps put the default profile's second cluster (35 ns) past
+        # the 4-tap window, so every stream fails at its first channel draw.
+        cfg = ScenarioConfig(**{**TINY, "tap_duration_ns": 1.0})
+        first = "first error: stream 0: ClusterTableError: cluster 1 at 35.0 ns"
+        with pytest.raises(InsufficientDataError, match=first):
             calibrate(cfg, n_streams=3, subframes_per_stream=2)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match=first):
             run_detection_delay(
                 cfg, attack_start=2, n_subframes=2, n_streams=3
             )

@@ -1117,7 +1117,6 @@ class TestConfigValidation:
         "kwargs",
         [
             {"max_iterations": -1},
-            {"step_size": 0.0},
             {"threshold_scale": -1.0},
             {"tolerance": -1e-9},
             {"threshold_scale": 0.0},
@@ -1125,6 +1124,7 @@ class TestConfigValidation:
             {"max_iterations": 2.5},
             {"tolerance": float("nan")},
             {"max_backtracks": -1},
+            {"threshold_scale": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -2,7 +2,7 @@
 key checking, the reproducibility hash, and the link-layer noise mapping."""
 
 from dataclasses import replace
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ CUSTOM = ScenarioConfig(
     rb_count=8,
     snr_db=-2.5,
     jsr_db=3.0,
-    element_spacing_wavelengths=0.4,
     tap_duration_ns=200.0,
     cluster_table="profile.yaml",
     extractor=ExtractorConfig(max_iterations=50, threshold_scale=5.0),
@@ -32,7 +31,6 @@ CUSTOM = ScenarioConfig(
     subspace=SdConfig(noise_floor_multiple=2.0),
     trials=12,
     master_seed=99,
-    output_dir="elsewhere",
     workers=2,
 )
 
@@ -42,7 +40,6 @@ CUSTOM = ScenarioConfig(
 DEFAULT_YAML = """\
 array:
   num_antennas: 64
-  element_spacing_wavelengths: 0.5
 users:
   num_users: 16
 radio:
@@ -58,7 +55,6 @@ channel:
   cluster_table: null
 extractor:
   max_iterations: 200
-  step_size: 0.1
   threshold_scale: 15.0
   tolerance: 0.001
   max_backtracks: 20
@@ -69,14 +65,12 @@ subspace:
 experiment:
   trials: 500
   master_seed: 2026
-  output_dir: results
   workers: 1
 """
 
 CUSTOM_YAML = """\
 array:
   num_antennas: 8
-  element_spacing_wavelengths: 0.4
 users:
   num_users: 4
 radio:
@@ -92,7 +86,6 @@ channel:
   cluster_table: profile.yaml
 extractor:
   max_iterations: 50
-  step_size: 0.1
   threshold_scale: 5.0
   tolerance: 0.001
   max_backtracks: 20
@@ -103,7 +96,6 @@ subspace:
 experiment:
   trials: 12
   master_seed: 99
-  output_dir: elsewhere
   workers: 2
 """
 
@@ -146,6 +138,9 @@ class TestUnknownKeys:
             {"pilot": {"samples_per_rb": 12}},
             {"subspace": {"relative_floor": 1e-9}},
             {"subspace": {"samples_per_subframe": 5}},
+            {"array": {"element_spacing_wavelengths": 0.5}},
+            {"extractor": {"step_size": 0.1}},
+            {"experiment": {"output_dir": "results"}},
         ],
     )
     def test_rejected(self, raw):
@@ -169,9 +164,9 @@ class TestWrongTypes:
             {"experiment": {"workers": True}},
             {"channel": {"tap_duration_ns": float("nan")}},
             {"radio": {"jsr_db": float("inf")}},
-            {"extractor": {"step_size": float("nan")}},
+            {"extractor": {"tolerance": float("nan")}},
             {"channel": {"cluster_table": 5}},
-            {"experiment": {"output_dir": 5}},
+            {"channel": {"cluster_table": b"profile.yaml"}},
             # Linear ratios that overflow or reach zero.
             {"radio": {"snr_db": 4000.0}},
             {"radio": {"snr_db": -4000.0}},
@@ -179,15 +174,15 @@ class TestWrongTypes:
             # A positive linear ratio so small that the estimate-noise
             # variance, the signal level over it, is infinite.
             {"radio": {"snr_db": -3200.0}},
-            # Cells whose trials cannot run: a non-positive element
-            # spacing, and more users than the pilot pool holds
-            # (139 // 5 = 27).
-            {"array": {"element_spacing_wavelengths": 0.0}},
-            {"array": {"element_spacing_wavelengths": -1.0}},
+            # Cells whose trials cannot run: a zero tap duration, a shift
+            # within the delay spread, and more users than the pilot pool
+            # holds (139 // 5 = 27).
+            {"channel": {"tap_duration_ns": 0.0}},
+            {"pilot": {"shift_size": 3}},
             {"users": {"num_users": 28}},
             # Integers too large for a float.
             {"radio": {"snr_db": int("1" * 400)}},
-            {"extractor": {"step_size": int("1" * 400)}},
+            {"extractor": {"tolerance": int("1" * 400)}},
         ],
     )
     def test_rejected(self, raw):
@@ -219,21 +214,18 @@ class TestConfigHash:
         assert replace(base, workers=4).config_hash() == (
             base.config_hash()
         )
-        assert replace(base, output_dir="other").config_hash() == (
-            base.config_hash()
-        )
 
     @pytest.mark.parametrize(
         "raw, expected",
         [
             ({"radio": {"snr_db": 5}}, ScenarioConfig()),
-            ({"extractor": {"step_size": 1}},
-             ScenarioConfig(extractor=ExtractorConfig(step_size=1.0))),
+            ({"extractor": {"tolerance": 1}},
+             ScenarioConfig(extractor=ExtractorConfig(tolerance=1.0))),
             ({"array": {"num_antennas": 64.0}}, ScenarioConfig()),
             ({"channel": {"cluster_table": Path("profile.yaml")}},
              ScenarioConfig(cluster_table="profile.yaml")),
-            ({"experiment": {"output_dir": Path("elsewhere")}},
-             ScenarioConfig(output_dir="elsewhere")),
+            ({"channel": {"cluster_table": PurePosixPath("a/profile.yaml")}},
+             ScenarioConfig(cluster_table="a/profile.yaml")),
         ],
     )
     def test_equal_configs_hash_equal(self, raw, expected):
@@ -250,8 +242,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "4e27c7bdef72b306"),
-        (CUSTOM, CUSTOM_YAML, "5c526091980bebc3"),
+        (ScenarioConfig(), DEFAULT_YAML, "4601fca5edd11052"),
+        (CUSTOM, CUSTOM_YAML, "47477bc374baa52c"),
     ]
 
     @pytest.mark.parametrize("cfg, text, digest", CASES,
