@@ -1829,15 +1829,16 @@ class TestOtherEntryPoints:
         {"snr_db": [5, 5.0]},
         {"rb_count": [8], "snr_db": [10.0, 10]},
         {"rb_count": [8, 8.0], "jsr_db": [0.0]},
-        {"snr_db": [5.0], "snr": [5.0], "output_dir": ["a", "b"]},
+        {"snr_db": [5.0], "snr": [5.0]},
         {"shift_size": [5, 3]},
         {"cluster_table": ["profiles/clustered.yaml"]},
         {"workers": [1, 2]},
+        {"rb_count": [8], "output_dir": ["a", "b"]},
     ], ids=[
         "fractional-block-count", "quoted-snr", "5-and-5.0",
         "repeat-on-the-last-axis", "repeat-on-the-first-axis",
         "unknown-field", "shift-within-the-delay-spread", "path-separator",
-        "workers",
+        "workers", "output-dir",
     ])
     def test_run_sweep_rejects_what_the_config_rejects(self, tmp_path, axes):
         # A value the config rejects, two values naming one cell, a name
