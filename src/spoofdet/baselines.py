@@ -21,47 +21,29 @@ the experiment harness to trace ROC curves.
 The covariance spectrum is computed through the window-sized Gram matrix,
 whose eigenvalues are exactly the nonzero covariance eigenvalues, so
 windows far smaller than the snapshot dimension stay cheap and
-well-defined.  The significance cut is the larger of (noise-floor multiple
-x median window eigenvalue) and ``RELATIVE_FLOOR`` (1e-9) times the leading
-eigenvalue, which keeps exact-rank cases stable in floating point.
+well-defined.  The significance cut is the larger of
+``NOISE_FLOOR_MULTIPLE`` (3) times the median window eigenvalue and
+``RELATIVE_FLOOR`` (1e-9) times the leading eigenvalue, which keeps
+exact-rank cases stable in floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, check_numeric_fields
+from .errors import ConfigurationError, ShapeError
 
 __all__ = [
-    "SdConfig",
     "ed_statistic",
     "sd_eigenvalues",
     "sd_statistic",
 ]
 
 RELATIVE_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class SdConfig:
-    """Subspace-dimension settings.
-
-    Attributes
-    ----------
-    noise_floor_multiple : float
-        An eigenvalue is significant when it exceeds this multiple of the
-        median eigenvalue of the window.  The count also never takes an
-        eigenvalue at or below ``RELATIVE_FLOOR`` times the leading one.
-    """
-
-    noise_floor_multiple: float = 3.0
-
-    def __post_init__(self) -> None:
-        check_numeric_fields(self)
-        if self.noise_floor_multiple <= 0:
-            raise ConfigurationError("noise-floor multiple must be positive")
+# An eigenvalue is significant when it exceeds this multiple of the median
+# eigenvalue of the window.  The count also never takes an eigenvalue at or
+# below ``RELATIVE_FLOOR`` times the leading one.
+NOISE_FLOOR_MULTIPLE = 3.0
 
 
 def ed_statistic(samples: np.ndarray) -> float:
@@ -106,19 +88,24 @@ def sd_eigenvalues(window: np.ndarray) -> np.ndarray:
     return np.maximum(eigenvalues[::-1], 0.0)
 
 
-def sd_statistic(window: np.ndarray, cfg: SdConfig | None = None) -> int:
+def sd_statistic(
+    window: np.ndarray, noise_floor_multiple: float = NOISE_FLOOR_MULTIPLE
+) -> int:
     """Estimated signal-subspace dimension of a snapshot window.
 
     Counts eigenvalues above ``max(multiple * median, RELATIVE_FLOOR *
     leading)`` where the median runs over the covariance spectrum
     returned by :func:`sd_eigenvalues` and ``RELATIVE_FLOOR`` is 1e-9.
+    The multiple is a parameter only for ``bench/replay.py``, which passes
+    ``ScenarioConfig.subspace_config()``; the parameter goes when that
+    replay is retired (ROADMAP item 14).
     """
-    if cfg is None:
-        cfg = SdConfig()
+    if not noise_floor_multiple > 0:
+        raise ConfigurationError("noise-floor multiple must be positive")
     eigenvalues = sd_eigenvalues(window)
     leading = float(eigenvalues[0])
     cut = max(
-        cfg.noise_floor_multiple * float(np.median(eigenvalues)),
+        noise_floor_multiple * float(np.median(eigenvalues)),
         RELATIVE_FLOOR * leading,
     )
     return int(np.sum(eigenvalues > cut))

@@ -501,7 +501,7 @@ class TrialSimulator:
         built here."""
         energy = ed_statistic(self.energy_observation(subframe, attacked))
         window = self.snapshot_window(subframe, attacked)
-        dimension = sd_statistic(window, self.cfg.subspace_config())
+        dimension = sd_statistic(window)
         return ArmObservables(result.similarities[-1], energy, dimension)
 
 
@@ -1075,7 +1075,7 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir) -> dict:
         },
     }
     root.mkdir(parents=True, exist_ok=True)
-    # A nested config (``extractor``, ``subspace``) is written as its repr.
+    # The nested ``extractor`` config is written as its repr.
     (root / "sweep.json").write_text(
         json.dumps(sweep, indent=2, default=str) + "\n"
     )

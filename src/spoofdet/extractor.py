@@ -67,10 +67,16 @@ __all__ = [
 # Base step of the descent, relative to the sample mean: the effective step
 # is ``BASE_STEP / mean(s)``, so behaviour is invariant to the overall
 # sample scale.  Every iteration starts from this step and halves it
-# whenever a candidate would increase the loss, up to
-# ``ExtractorConfig.max_backtracks`` times; the halving does not carry over
-# to the next iteration.
+# whenever a candidate would increase the loss, up to ``MAX_BACKTRACKS``
+# times; the halving does not carry over to the next iteration.
 BASE_STEP = 0.1
+# Gradient-descent iteration budget; 0 returns the initializer.
+MAX_ITERATIONS = 200
+# Step halvings allowed per iteration.  When every one of the
+# ``MAX_BACKTRACKS + 1`` candidates would raise the loss (or is not finite),
+# the descent stops at the current iterate and flags
+# ``backtracks_exhausted``.
+MAX_BACKTRACKS = 20
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,6 @@ class ExtractorConfig:
 
     Attributes
     ----------
-    max_iterations : int
-        Gradient-descent iteration budget; 0 returns the initializer.
     threshold_scale : float
         Multiplier on the residual-driven adaptive threshold.
     tolerance : float
@@ -93,28 +97,17 @@ class ExtractorConfig:
         settled iterations in a row end the descent as converged.  At 0
         only iterations that leave the loss exactly where it was, or reach
         that floor, count as settled.
-    max_backtracks : int
-        Step halvings allowed per iteration.  When every one of the
-        ``max_backtracks + 1`` candidates would raise the loss (or is not
-        finite), the descent stops at the current iterate and flags
-        ``backtracks_exhausted``.
     """
 
-    max_iterations: int = 200
     threshold_scale: float = 15.0
     tolerance: float = 1e-3
-    max_backtracks: int = 20
 
     def __post_init__(self) -> None:
         check_numeric_fields(self)
-        if self.max_iterations < 0:
-            raise ConfigurationError("iteration budget must be non-negative")
         if self.threshold_scale <= 0:
             raise ConfigurationError("threshold scale must be positive")
         if self.tolerance < 0:
             raise ConfigurationError("tolerance must be non-negative")
-        if self.max_backtracks < 0:
-            raise ConfigurationError("backtrack budget must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ class ExtractionDiagnostics:
     descent stopped because its support and loss had settled (see
     ``ExtractorConfig.tolerance``); ``backtracks_exhausted`` that no step
     lowered the loss.  A descent with neither flag ran its full
-    ``max_iterations`` budget.  ``initial_support`` is the screened
+    ``MAX_ITERATIONS`` budget.  ``initial_support`` is the screened
     support, ``init_fallback`` says that the screen kept no coordinate and
     the largest-statistic one was used, and ``degenerate_init`` that the
     spectral start took its fallback direction.
@@ -443,7 +436,7 @@ def extract(
     """Full extraction of one batch, as :func:`extract_all` of ``[batch]``:
     support screening, spectral start, thresholded gradient descent with
     monotone backtracking, until the support and loss have settled (see
-    ``ExtractorConfig.tolerance``) or the iteration budget is spent.
+    ``ExtractorConfig.tolerance``) or the ``MAX_ITERATIONS`` budget is spent.
 
     The descent ends at its first iterate that is exactly zero: the zero
     vector is a fixed point of the update (the gradient and the threshold
@@ -511,12 +504,12 @@ def _descend(batch: SensingBatch, cfg: ExtractorConfig):
     converged = False
     backtracks_exhausted = False
 
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         grad = _gradient_at(point, phi, probes_t, two_over_l)
         delta = _threshold_at(point, kappa, cfg)
         step = base_step
         accepted = False
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             candidate = hard_threshold(phi - step * grad, step * delta)
             candidate_point = _evaluate(batch, candidate)
             candidate_loss = candidate_point.loss

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import SdConfig
+from .baselines import NOISE_FLOOR_MULTIPLE
 from .detector import DEFAULT_THRESHOLD
 from .errors import ConfigurationError, check_numeric_fields
 from .extractor import ExtractorConfig
@@ -49,8 +49,8 @@ SAMPLES_PER_RB = 12
 ESTIMATE_SIGNAL_LEVEL = 5.0
 
 # The YAML layout, in file order: each section and the ScenarioConfig fields
-# it holds.  The ``extractor`` and ``subspace`` sections hold the fields of
-# the nested config of that name.
+# it holds.  The ``extractor`` section holds the fields of the nested
+# ``ExtractorConfig``.
 _LAYOUT = {
     "array": ("num_antennas",),
     "users": ("num_users",),
@@ -59,7 +59,6 @@ _LAYOUT = {
     "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
     "extractor": ExtractorConfig,
     "detector": ("similarity_threshold",),
-    "subspace": SdConfig,
     "experiment": ("trials", "master_seed", "workers"),
 }
 
@@ -107,8 +106,6 @@ class ScenarioConfig:
         Fingerprint-extraction settings and the sequential detector's
         similarity threshold (only a subframe judged normal updates its
         reference).
-    subspace
-        Subspace-detector settings.
     trials, master_seed, workers
         Monte Carlo budget, root seed, and the process count of a run:
         above 1, a pool of workers with one BLAS thread each (needs a
@@ -130,7 +127,6 @@ class ScenarioConfig:
     cluster_table: str | None = None
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     similarity_threshold: float = DEFAULT_THRESHOLD
-    subspace: SdConfig = field(default_factory=SdConfig)
     trials: int = 500
     master_seed: int = 2026
     workers: int = 1
@@ -150,13 +146,11 @@ class ScenarioConfig:
                     f"cluster_table must be a path, got {table!r}"
                 )
             object.__setattr__(self, "cluster_table", path)
-        for name, kind in (("extractor", ExtractorConfig),
-                           ("subspace", SdConfig)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ConfigurationError(
-                    f"{name} must be an {kind.__name__}, got {value!r}"
-                )
+        if not isinstance(self.extractor, ExtractorConfig):
+            raise ConfigurationError(
+                "extractor must be an ExtractorConfig, got "
+                f"{self.extractor!r}"
+            )
         for name in ("num_antennas", "num_users", "num_taps", "rb_count",
                      "trials", "workers"):
             if getattr(self, name) < 1:
@@ -238,10 +232,11 @@ class ScenarioConfig:
             self.sequence_length, self.shift_size, self.num_users
         )
 
-    def subspace_config(self) -> SdConfig:
-        """``self.subspace``.  Its one caller is ``bench/replay.py``, and it
-        goes when that replay is retired (ROADMAP.md)."""
-        return self.subspace
+    def subspace_config(self) -> float:
+        """``baselines.NOISE_FLOOR_MULTIPLE``, which ``bench/replay.py``
+        passes to ``sd_statistic``.  It goes when that replay is retired
+        (ROADMAP item 14)."""
+        return NOISE_FLOOR_MULTIPLE
 
     # ------------------------------------------------------------ serialization
 
@@ -312,8 +307,8 @@ class ScenarioConfig:
         import yaml
 
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(
                 f"cannot read configuration file {path}: {exc}"
             ) from exc

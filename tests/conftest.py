@@ -9,6 +9,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from spoofdet import extractor
 from spoofdet.errors import ExtractionError
 from spoofdet.extractor import (
     BASE_STEP,
@@ -123,6 +124,8 @@ def reference_extract(batch, cfg):
     the current iterate and ``loss`` at every backtracking candidate, so it
     shares no carried state with :func:`extract`.  It returns the same
     ``(values, support, diagnostics)`` triple, or raises the same error.
+    The iteration and backtrack budgets are read from the extractor module
+    at each call, as the descent reads them, so a test can patch them.
     """
     support = select_support(batch)
     init_fallback = len(support) == 0
@@ -139,12 +142,12 @@ def reference_extract(batch, cfg):
     settled = 0
     converged = False
     backtracks_exhausted = False
-    for _ in range(cfg.max_iterations):
+    for _ in range(extractor.MAX_ITERATIONS):
         grad = gradient(batch, phi)
         delta = threshold_value(batch, phi, cfg)
         step = base_step
         accepted = False
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(extractor.MAX_BACKTRACKS + 1):
             candidate = hard_threshold(phi - step * grad, step * delta)
             candidate_loss = loss(batch, candidate)
             if np.isfinite(candidate_loss) and candidate_loss <= current_loss:

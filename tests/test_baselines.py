@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spoofdet.baselines import (
-    SdConfig,
+    NOISE_FLOOR_MULTIPLE,
     ed_statistic,
     sd_eigenvalues,
     sd_statistic,
@@ -155,6 +155,11 @@ class TestSubspaceDimension:
         assert 0 <= dimension <= 10
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SdConfig(noise_floor_multiple=0.0)
-        assert SdConfig().noise_floor_multiple == 3.0
+        # Orthogonal rows: the spectrum is 8, 2.5, 1, 1, with median 1.75.
+        rows = np.diag(np.sqrt(4.0 * np.array([8.0, 2.5, 1.0, 1.0])))
+        assert NOISE_FLOOR_MULTIPLE == 3.0
+        assert sd_statistic(rows) == sd_statistic(rows, 3.0) == 1
+        assert sd_statistic(rows, 1.0) == 2
+        for multiple in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                sd_statistic(rows, multiple)

@@ -17,6 +17,7 @@ from spoofdet.detector import (
     run_stream,
     similarity,
 )
+from spoofdet import extractor
 from spoofdet.errors import ConfigurationError, DegenerateFingerprintError
 from spoofdet.extractor import (
     ExtractorConfig,
@@ -272,7 +273,9 @@ class TestStateValidation:
 
 
 class TestMixtureResponse:
-    def test_expected_similarity_decreases_with_attack_strength(self):
+    def test_expected_similarity_decreases_with_attack_strength(
+        self, monkeypatch
+    ):
         # Fixed legitimate and attacker directions on disjoint supports;
         # the extracted fingerprint of the mixture drifts away from the
         # legitimate reference as the attacker's share grows.  The attacker
@@ -287,7 +290,8 @@ class TestMixtureResponse:
         for idx, mag in zip((5, 13), (2.8, 2.4)):
             attacker[idx] = mag * np.exp(2j * np.pi * gen.uniform())
 
-        cfg = ExtractorConfig(threshold_scale=0.5, max_iterations=250)
+        cfg = ExtractorConfig(threshold_scale=0.5)
+        monkeypatch.setattr(extractor, "MAX_ITERATIONS", 250)
         rhos = (0.0, 0.5, 1.0, 2.0)
         mean_similarity = []
         for rho in rhos:

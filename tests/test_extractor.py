@@ -619,10 +619,10 @@ class TestExtract:
                 good += 1
         assert good >= 9
 
-    def test_zero_iterations_returns_initializer(self):
+    def test_zero_iterations_returns_initializer(self, monkeypatch):
         batch, _ = planted_batch(16, 300, (5, 12), [1.1, 0.9], 77)
-        cfg = ExtractorConfig(max_iterations=0)
-        fp = extract(batch, cfg)
+        monkeypatch.setattr(extractor, "MAX_ITERATIONS", 0)
+        fp = extract(batch)
         phi0, _ = spectral_init(batch, select_support(batch))
         assert np.array_equal(fp.values, phi0)
         assert fp.diagnostics.iterations == 0
@@ -634,7 +634,7 @@ class TestExtract:
         assert fp.diagnostics.final_loss <= loss(batch, phi0) + 1e-12
         assert fp.support == tuple(np.flatnonzero(fp.values))
         assert np.linalg.norm(fp.values) > 0
-        assert fp.diagnostics.iterations <= ExtractorConfig().max_iterations
+        assert fp.diagnostics.iterations <= extractor.MAX_ITERATIONS
 
     def test_all_zero_samples_error(self):
         gen = np.random.default_rng(4)
@@ -649,7 +649,7 @@ class TestExtract:
         # the gradient and the threshold are 0, so the only candidate is
         # the iterate itself, at equal loss.  The backtracking test `<=`
         # accepts it and the zero iterate ends the descent: two evaluations
-        # in all.  With `<` all max_backtracks + 1 candidates would be
+        # in all.  With `<` all MAX_BACKTRACKS + 1 candidates would be
         # rejected and the descent would end backtracks_exhausted after
         # seven.
         gen = np.random.default_rng(9)
@@ -667,8 +667,9 @@ class TestExtract:
             return point
 
         monkeypatch.setattr(extractor, "_evaluate", spy)
+        monkeypatch.setattr(extractor, "MAX_BACKTRACKS", 5)
         with pytest.raises(ExtractionError, match="identically zero"):
-            extract(batch, ExtractorConfig(max_backtracks=5))
+            extract(batch)
         assert evaluated == [(False, 0.0), (False, 0.0)]
 
     def test_first_zero_iterate_ends_the_descent(self, monkeypatch):
@@ -691,10 +692,11 @@ class TestExtract:
 
         monkeypatch.setattr(extractor, "_evaluate", spy)
         counts = []
-        for max_iterations in (cfg.max_iterations, 1):
+        for max_iterations in (extractor.MAX_ITERATIONS, 1):
+            monkeypatch.setattr(extractor, "MAX_ITERATIONS", max_iterations)
             evaluated.clear()
             with pytest.raises(ExtractionError) as raised:
-                extract(batch, ExtractorConfig(max_iterations=max_iterations))
+                extract(batch, cfg)
             assert str(raised.value) == str(expected.value) == (
                 "extraction produced an identically zero vector; the "
                 "samples carry no usable energy"
@@ -736,11 +738,12 @@ class TestExtract:
         with pytest.raises(ExtractionError):
             extract(batch)
 
-    def test_oracle_equivalence_smoke(self):
+    def test_oracle_equivalence_smoke(self, monkeypatch):
         # At this tiny scale the adaptive threshold must be mild, so the
         # result carries float-precision dust; supports are compared after
         # discarding entries below 1e-3 of the peak magnitude.
-        cfg = ExtractorConfig(threshold_scale=0.1, max_iterations=400)
+        cfg = ExtractorConfig(threshold_scale=0.1)
+        monkeypatch.setattr(extractor, "MAX_ITERATIONS", 400)
         agree = 0
         for seed in range(10):
             batch, _ = planted_batch(
@@ -833,7 +836,7 @@ class TestSettleRule:
         for diagnostics in completed:
             assert diagnostics.converged
             assert not diagnostics.backtracks_exhausted
-            assert diagnostics.iterations < cfg.max_iterations
+            assert diagnostics.iterations < extractor.MAX_ITERATIONS
 
     def test_stops_at_the_fifth_settled_iteration_in_a_row(
         self, seed7_batches, monkeypatch
@@ -868,7 +871,8 @@ class TestSettleRule:
     def test_zero_tolerance_stops_only_where_the_loss_stands_still(
         self, seed7_batches, monkeypatch
     ):
-        cfg = ExtractorConfig(tolerance=0.0, max_iterations=1000)
+        cfg = ExtractorConfig(tolerance=0.0)
+        monkeypatch.setattr(extractor, "MAX_ITERATIONS", 1000)
         evaluated = spy_on_evaluations(monkeypatch)
         converged = 0
         at_floor = 0
@@ -912,7 +916,7 @@ class TestSettleRule:
         evaluated = spy_on_evaluations(monkeypatch)
         fp = extract(batch, cfg)
         assert fp.diagnostics.converged
-        assert fp.diagnostics.iterations < cfg.max_iterations
+        assert fp.diagnostics.iterations < extractor.MAX_ITERATIONS
         accepted = accepted_points(evaluated)
         floor = loss_floor(batch)
         assert settled_streaks(accepted, cfg.tolerance, floor)[-1] == 5
@@ -952,16 +956,20 @@ def simulator_outcomes(cfg, trials=3):
 
 
 class TestExtractMatchesReferenceLoop:
+    # Each case: a config, and the extractor budgets patched for it.
     @pytest.mark.parametrize(
         "cfg",
         [
-            ExtractorConfig(),
-            ExtractorConfig(threshold_scale=0.1, max_iterations=400),
-            ExtractorConfig(tolerance=0.0, max_iterations=30),
-            ExtractorConfig(max_backtracks=0),
+            (ExtractorConfig(), {}),
+            (ExtractorConfig(threshold_scale=0.1), {"MAX_ITERATIONS": 400}),
+            (ExtractorConfig(tolerance=0.0), {"MAX_ITERATIONS": 30}),
+            (ExtractorConfig(), {"MAX_BACKTRACKS": 0}),
         ],
     )
-    def test_planted_batches(self, cfg):
+    def test_planted_batches(self, cfg, monkeypatch):
+        cfg, budgets = cfg
+        for name, value in budgets.items():
+            monkeypatch.setattr(extractor, name, value)
         for seed in range(6):
             batch, _ = planted_batch(
                 16, 300, (3, 9, 14), [1.2, 1.0, 0.7], seed + 600
@@ -974,6 +982,25 @@ class TestExtractMatchesReferenceLoop:
             probes=draw_gaussian_probes(20, 6, gen), samples=np.zeros(20)
         )
         assert not assert_matches_reference(batch, ExtractorConfig())
+
+    def test_nonfinite_initial_loss_raises_alike(self):
+        # A NaN probe entry in a column the screen drops leaves the solved
+        # matrix finite, so the start succeeds; but the NaN reaches every
+        # probe response, and so the loss at the start.  (Inside the
+        # screen it makes the solved matrix non-finite instead, an
+        # InitializationError.)
+        batch, _ = planted_batch(16, 300, (5, 12), [1.1, 0.9], 77)
+        support = select_support(batch)
+        outside = min(set(range(batch.dimension)) - set(support))
+        probes = batch.probes.copy()
+        probes[0, outside] = np.nan
+        broken = SensingBatch(probes=probes, samples=batch.samples)
+        assert select_support(broken) == support != ()
+        with pytest.raises(ExtractionError) as raised:
+            extract(broken)
+        assert type(raised.value) is ExtractionError
+        assert str(raised.value) == "loss is not finite at the initializer"
+        assert not assert_matches_reference(broken, ExtractorConfig())
 
     def test_simulator_batches(self):
         # Both outcomes occur at the default cell, so both paths are pinned.
@@ -988,7 +1015,9 @@ class TestExtractMatchesReferenceLoop:
         ))
         assert all(wide)
         assert min(len(fp.support) for fp in wide) >= 5
-        assert max(fp.diagnostics.iterations for fp in wide) == 200
+        assert max(fp.diagnostics.iterations for fp in wide) == (
+            extractor.MAX_ITERATIONS
+        )
 
     def test_cached_batch_quantities(self):
         # The sample mean is computed once and kept; the batch keeps no
@@ -1107,23 +1136,22 @@ class TestProbeDrawsMatchOldExpression:
 class TestConfigValidation:
     def test_defaults_valid(self):
         cfg = ExtractorConfig()
-        assert cfg.max_iterations == 200
-        assert cfg.threshold_scale == 15.0
-
-    def test_zero_iterations_allowed(self):
-        assert ExtractorConfig(max_iterations=0).max_iterations == 0
+        assert (cfg.threshold_scale, cfg.tolerance) == (15.0, 1e-3)
+        assert (extractor.MAX_ITERATIONS, extractor.MAX_BACKTRACKS) == (
+            200, 20
+        )
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_iterations": -1},
+            {"threshold_scale": "15"},
             {"threshold_scale": -1.0},
             {"tolerance": -1e-9},
             {"threshold_scale": 0.0},
-            {"max_backtracks": -2},
-            {"max_iterations": 2.5},
+            {"tolerance": True},
+            {"threshold_scale": float("nan")},
             {"tolerance": float("nan")},
-            {"max_backtracks": -1},
+            {"tolerance": float("inf")},
             {"threshold_scale": float("inf")},
         ],
     )

@@ -7,7 +7,6 @@ from pathlib import Path, PurePosixPath
 import numpy as np
 import pytest
 
-from spoofdet.baselines import SdConfig
 from spoofdet.errors import ConfigurationError
 from spoofdet.extractor import ExtractorConfig
 from spoofdet.link import simulate_subframe
@@ -26,9 +25,8 @@ CUSTOM = ScenarioConfig(
     jsr_db=3.0,
     tap_duration_ns=200.0,
     cluster_table="profile.yaml",
-    extractor=ExtractorConfig(max_iterations=50, threshold_scale=5.0),
+    extractor=ExtractorConfig(threshold_scale=5.0, tolerance=0.01),
     similarity_threshold=0.8,
-    subspace=SdConfig(noise_floor_multiple=2.0),
     trials=12,
     master_seed=99,
     workers=2,
@@ -54,14 +52,10 @@ channel:
   tap_duration_ns: 240.0
   cluster_table: null
 extractor:
-  max_iterations: 200
   threshold_scale: 15.0
   tolerance: 0.001
-  max_backtracks: 20
 detector:
   similarity_threshold: 0.92
-subspace:
-  noise_floor_multiple: 3.0
 experiment:
   trials: 500
   master_seed: 2026
@@ -85,14 +79,10 @@ channel:
   tap_duration_ns: 200.0
   cluster_table: profile.yaml
 extractor:
-  max_iterations: 50
   threshold_scale: 5.0
-  tolerance: 0.001
-  max_backtracks: 20
+  tolerance: 0.01
 detector:
   similarity_threshold: 0.8
-subspace:
-  noise_floor_multiple: 2.0
 experiment:
   trials: 12
   master_seed: 99
@@ -115,6 +105,33 @@ class TestRoundTrip:
         path = tmp_path / "empty.yaml"
         path.write_text("")
         assert ScenarioConfig.from_yaml(path) == ScenarioConfig()
+
+
+class TestUnreadableYaml:
+    """A file ``from_yaml`` cannot turn into a config raises
+    ``ConfigurationError``, as ``load_cluster_table`` raises its
+    ``ClusterTableError`` for the same file."""
+
+    CONTENTS = {
+        "missing": None,
+        # A valid file but for its Latin-1 comment.
+        "not-utf8": b"radio: {snr_db: 5.0}  # caf\xe9\n",
+        "invalid-yaml": b"radio: [5.0\n  : :\n",
+    }
+
+    @pytest.mark.parametrize("kind", CONTENTS)
+    def test_says_which_file(self, tmp_path, kind):
+        path = tmp_path / "scenario.yaml"
+        if self.CONTENTS[kind] is not None:
+            path.write_bytes(self.CONTENTS[kind])
+        with pytest.raises(ConfigurationError, match=f"file {path}"):
+            ScenarioConfig.from_yaml(path)
+
+    def test_root_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("- radio\n- 5.0\n")
+        with pytest.raises(ConfigurationError, match="root must be a mapping"):
+            ScenarioConfig.from_yaml(path)
 
 
 class TestUnknownKeys:
@@ -141,6 +158,9 @@ class TestUnknownKeys:
             {"array": {"element_spacing_wavelengths": 0.5}},
             {"extractor": {"step_size": 0.1}},
             {"experiment": {"output_dir": "results"}},
+            {"subspace": {"noise_floor_multiple": 3.0}},
+            {"extractor": {"max_iterations": 200}},
+            {"extractor": {"max_backtracks": 20}},
         ],
     )
     def test_rejected(self, raw):
@@ -157,10 +177,10 @@ class TestWrongTypes:
         "raw",
         [
             {"experiment": {"trials": "5"}},
-            {"extractor": {"max_iterations": "9"}},
+            {"extractor": {"threshold_scale": "9"}},
             {"radio": {"snr_db": "5"}},
             {"array": {"num_antennas": 8.5}},
-            {"subspace": {"noise_floor_multiple": "2"}},
+            {"detector": {"similarity_threshold": "0.9"}},
             {"experiment": {"workers": True}},
             {"channel": {"tap_duration_ns": float("nan")}},
             {"radio": {"jsr_db": float("inf")}},
@@ -198,10 +218,9 @@ class TestNestedConfigTypes:
         "kwargs",
         [
             {"extractor": None},
-            {"subspace": None},
-            {"extractor": {"max_iterations": 5}},
+            {"extractor": {"tolerance": 1e-3}},
         ],
-        ids=["extractor-none", "subspace-none", "extractor-dict"],
+        ids=["extractor-none", "extractor-dict"],
     )
     def test_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -242,8 +261,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "4601fca5edd11052"),
-        (CUSTOM, CUSTOM_YAML, "47477bc374baa52c"),
+        (ScenarioConfig(), DEFAULT_YAML, "d40001dc5e126eb5"),
+        (CUSTOM, CUSTOM_YAML, "4cb2a6928e6c78ad"),
     ]
 
     @pytest.mark.parametrize("cfg, text, digest", CASES,
