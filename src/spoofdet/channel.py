@@ -97,7 +97,8 @@ class ClusterTable:
         deterministic-direction ray at the exact cluster azimuth and the
         remainder is spread over diffuse rays.  ``None`` means fully diffuse.
 
-    The table keeps read-only float copies of the four columns, so one
+    Every entry of the four columns, and ``ricean_k_db`` when set, must be
+    finite.  The table keeps read-only float copies of the columns, so one
     instance can be shared by every trial of a run.
     """
 
@@ -112,8 +113,14 @@ class ClusterTable:
             column = np.array(getattr(self, name), dtype=float)
             if column.ndim != 1:
                 raise ClusterTableError(f"{name} must be a list of numbers")
+            # NaN passes every range check below.
+            if not np.isfinite(column).all():
+                raise ClusterTableError(f"{name} must be finite, got {column}")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        k_db = self.ricean_k_db
+        if k_db is not None and not math.isfinite(k_db):
+            raise ClusterTableError(f"ricean_k_db must be finite, got {k_db}")
         arrays = (self.delays_ns, self.powers, self.azimuths_deg, self.spreads_deg)
         n = len(self.delays_ns)
         if n == 0:
@@ -141,8 +148,9 @@ class ClusterTable:
 
         Recognized keys: ``delays_ns``, ``powers_db`` (relative powers in dB,
         normalized here to sum to one in linear units), ``azimuths_deg``,
-        ``spreads_deg``, and optional ``ricean_k_db``.  A missing key or a
-        value that is not a number raises :class:`ClusterTableError`.
+        ``spreads_deg``, and optional ``ricean_k_db``.  A missing key, a
+        value that is not a number or one that is not finite raises
+        :class:`ClusterTableError`.
         """
         try:
             delays = np.asarray(raw["delays_ns"], dtype=float)

@@ -1028,9 +1028,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
 def run_sweep(cfg: ScenarioConfig, axes, out_dir) -> dict:
     """One ``run_scenario`` per cell of a product of config values.
 
-    ``axes`` maps ``ScenarioConfig`` field names, in order, to their values,
-    and the cells are their product, the last axis varying fastest.  A
-    cell's tag, which names its subdirectory of ``out_dir``, is
+    ``axes`` maps ``ScenarioConfig`` field names (the extractor's
+    ``threshold_scale`` and ``tolerance`` among them), in order, to their
+    values, and the cells are their product, the last axis varying
+    fastest.  A cell's tag, which names its subdirectory of ``out_dir``, is
     ``name=value`` per axis joined by commas, each value as the cell's
     built config holds it (``rb_count=4,jsr_db=-10.0``).  Every cell config is built before any
     cell runs, so an unknown name or one of the ``RUN_FIELDS`` (no cell's
@@ -1075,8 +1076,5 @@ def run_sweep(cfg: ScenarioConfig, axes, out_dir) -> dict:
         },
     }
     root.mkdir(parents=True, exist_ok=True)
-    # The nested ``extractor`` config is written as its repr.
-    (root / "sweep.json").write_text(
-        json.dumps(sweep, indent=2, default=str) + "\n"
-    )
+    (root / "sweep.json").write_text(json.dumps(sweep, indent=2) + "\n")
     return sweep

@@ -9,19 +9,19 @@ samples: it minimizes the mean squared residual
     mean_l [ s(l) - |<h(l), phi>|^2 - (mean(s) - ||phi||^2) ]^2
 
 over ``phi`` by hard-thresholded gradient descent, started from a spectral
-initializer restricted to a pre-selected coordinate subset.  Every start is
-one solve: the eigenvalues of a small matrix (the subset's covariance, or
-for a subset wider than ``L`` its ``L x L`` image through the triangular
-factor R of the subset's probes), one inverse-iteration solve for the lead
-direction, a map back through the probes, and a rotation that fixes its
-phase.  The descent stops once its support and loss
-have settled: after five accepted iterations in a row that each keep the
-support and lower the loss by at most ``tolerance`` times the loss before
-them, or reach a loss at the rounding level of the squared samples,
-``eps * mean(s)**2``.  The recovered support concentrates on the dominant
-beams of the underlying channel, so the normalized vector acts as a
-spatial fingerprint: stable across subframes for one transmitter,
-disrupted when a second transmitter contaminates the estimates.
+initializer restricted to a pre-selected subset of at most ``L``
+coordinates, so that no start is wider than its batch.  Every start is one
+solve: the eigenvalues of the subset's weighted probe covariance, one
+inverse-iteration solve for the lead direction, a map back through the
+probes, and a rotation that fixes its phase.  The descent stops once its
+support and loss have settled: after five accepted iterations in a row
+that each keep the support and lower the loss by at most ``tolerance``
+times the loss before them, or reach a loss at the rounding level of the
+squared samples, ``eps * mean(s)**2``.  The recovered support
+concentrates on the dominant beams of the underlying channel, so the
+normalized vector acts as a spatial fingerprint: stable across subframes
+for one transmitter, disrupted when a second transmitter contaminates the
+estimates.
 
 The loss depends on ``phi`` only through ``|<h, phi>|^2`` and ``||phi||^2``,
 so solutions carry an arbitrary global phase; consumers must compare
@@ -337,14 +337,22 @@ def support_threshold(dimension: int, n_samples: int) -> float:
 
 
 def select_support(batch: SensingBatch) -> tuple:
-    """Coordinates whose screening statistic exceeds the cut.
+    """Coordinates whose screening statistic exceeds the cut, at most ``L``
+    of them, in ascending order.
 
-    May be empty (e.g. for all-zero samples); callers that need a nonempty
-    seed fall back to the largest-statistic coordinate.
+    When more than ``L`` pass, the ``L`` largest statistics are kept (the
+    top-s screen of SPARTA, Wang et al., IEEE TSP 2018, with ``s = L``); of
+    equal statistics the lower coordinate is kept first.  May be empty
+    (e.g. for all-zero samples); callers that need a nonempty seed fall
+    back to the largest-statistic coordinate.
     """
     stat = support_statistic(batch)
     gamma = support_threshold(batch.dimension, batch.n_samples)
-    return tuple(np.flatnonzero(stat > gamma).tolist())
+    passed = np.flatnonzero(stat > gamma)
+    if passed.size > batch.n_samples:
+        top = np.argsort(-stat[passed], kind="stable")[:batch.n_samples]
+        passed = np.sort(passed[top])
+    return tuple(passed.tolist())
 
 
 def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
@@ -357,17 +365,17 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
     identically zero (all samples equal), the direction falls back to the
     basis vector of the largest-screening-statistic support coordinate.
 
-    The covariance ``z = A diag(w) A^H / L`` (``A`` the ``s x L`` support
-    probes, transposed; ``w`` the centered samples) has rank at most ``L``,
-    so it is solved through ``S``: ``A`` itself when ``s <= L``, else the
-    ``L x L`` factor ``R`` of ``A = Q R`` (``Q`` is never formed).  The
-    eigenvalues of ``T = S diag(w) S^H / L`` give its lead ``mu``, one
-    solve of ``(T - mu (1 + 1e-12) I) u = 1`` its eigenvector ``u`` (the
-    nudge keeps an exactly diagonal ``T`` solvable), and as ``A^H Q = S^H``
-    (``Q = I`` when ``S = A``) the lead direction ``Q u`` of ``z`` is
-    ``A (w * S^H u) / (L mu)``.  That is normalized and rotated to make its
-    largest-magnitude entry real and positive: the loss ignores this phase,
-    but the descent's rounding, and so exact similarity ties, do not.  The
+    The covariance is ``T = A diag(w) A^H / L``, with ``A`` the ``s x L``
+    support probes, transposed, and ``w`` the centered samples; a support
+    wider than ``L`` (never one from :func:`select_support`) makes it
+    rank-deficient and is solved alike.  Its eigenvalues give the lead
+    ``mu``, and one solve of ``(T - mu (1 + 1e-12) I) u = 1`` its
+    eigenvector ``u`` (the nudge keeps an exactly diagonal ``T``
+    solvable).  The direction is the map back ``A (w * A^H u) = L T u``,
+    kept rather than ``u`` because the records were made with its
+    rounding.  It is normalized and rotated to make its largest-magnitude
+    entry real and positive: the loss ignores this phase, but the
+    descent's rounding, and so exact similarity ties, do not.  The
     non-finite and the all-zero checks read ``T``.
 
     Returns ``(phi, degenerate)``, where ``degenerate`` says whether the
@@ -376,7 +384,7 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
     Raises
     ------
     InitializationError
-        If the support is empty or the solved matrix is not finite.
+        If the support is empty or ``T`` is not finite.
     ConfigurationError
         If the support holds a non-integer, a repeated or an out-of-range
         coordinate.
@@ -394,11 +402,10 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
     if (ordered[1:] == ordered[:-1]).any():
         raise ConfigurationError(f"support {support} repeats a coordinate")
 
-    n_samples = batch.n_samples
     factor = batch.probes[:, index].T  # A
     weights = batch.samples - batch.sample_mean
-    solved = np.linalg.qr(factor, "r") if index.size > n_samples else factor
-    matrix = (solved * weights) @ solved.conj().T / n_samples
+    adjoint = factor.conj().T  # A^H
+    matrix = (factor * weights) @ adjoint / batch.n_samples
     if not np.all(np.isfinite(matrix)):
         raise InitializationError("centered probe covariance is not finite")
 
@@ -416,7 +423,7 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
         lead = eigenvalues[int(np.argmax(np.abs(eigenvalues)))]
         shifted = matrix - lead * (1.0 + 1e-12) * np.eye(len(matrix))
         u = np.linalg.solve(shifted, np.ones(len(matrix)))
-        v_sub = factor @ (weights * (solved.conj().T @ u))
+        v_sub = factor @ (weights * (adjoint @ u))
         v_sub /= _norm(v_sub)
         peak = v_sub[int(np.argmax(np.abs(v_sub)))]
         v_sub *= peak.conjugate() / abs(peak)

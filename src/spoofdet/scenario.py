@@ -34,7 +34,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +49,14 @@ SAMPLES_PER_RB = 12
 ESTIMATE_SIGNAL_LEVEL = 5.0
 
 # The YAML layout, in file order: each section and the ScenarioConfig fields
-# it holds.  The ``extractor`` section holds the fields of the nested
-# ``ExtractorConfig``.
+# it holds.
 _LAYOUT = {
     "array": ("num_antennas",),
     "users": ("num_users",),
     "radio": ("snr_db", "jsr_db"),
     "pilot": ("sequence_length", "shift_size", "rb_count"),
     "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
-    "extractor": ExtractorConfig,
+    "extractor": ("threshold_scale", "tolerance"),
     "detector": ("similarity_threshold",),
     "experiment": ("trials", "master_seed", "workers"),
 }
@@ -102,10 +101,14 @@ class ScenarioConfig:
         layout of ``ClusterTable.from_dict``; ``None`` selects the default
         profile built into ``channel.py`` (``default_cluster_table``), which
         reads no file.
-    extractor, similarity_threshold
-        Fingerprint-extraction settings and the sequential detector's
-        similarity threshold (only a subframe judged normal updates its
-        reference).
+    threshold_scale, tolerance
+        The fingerprint extractor's two settings, with the defaults and the
+        meaning of ``ExtractorConfig``; the ``extractor`` property bundles
+        them.  They are plain fields so that ``run_sweep`` can take either
+        as an axis.
+    similarity_threshold
+        The sequential detector's similarity threshold (only a subframe
+        judged normal updates its reference).
     trials, master_seed, workers
         Monte Carlo budget, root seed, and the process count of a run:
         above 1, a pool of workers with one BLAS thread each (needs a
@@ -125,7 +128,8 @@ class ScenarioConfig:
     jsr_db: float = 0.0
     tap_duration_ns: float = 240.0
     cluster_table: str | None = None
-    extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
+    threshold_scale: float = ExtractorConfig.threshold_scale
+    tolerance: float = ExtractorConfig.tolerance
     similarity_threshold: float = DEFAULT_THRESHOLD
     trials: int = 500
     master_seed: int = 2026
@@ -146,11 +150,7 @@ class ScenarioConfig:
                     f"cluster_table must be a path, got {table!r}"
                 )
             object.__setattr__(self, "cluster_table", path)
-        if not isinstance(self.extractor, ExtractorConfig):
-            raise ConfigurationError(
-                "extractor must be an ExtractorConfig, got "
-                f"{self.extractor!r}"
-            )
+        self.extractor  # raises what ExtractorConfig rejects
         for name in ("num_antennas", "num_users", "num_taps", "rb_count",
                      "trials", "workers"):
             if getattr(self, name) < 1:
@@ -190,6 +190,11 @@ class ScenarioConfig:
             raise ConfigurationError("master seed must be non-negative")
 
     # ---------------------------------------------------------------- derived
+
+    @property
+    def extractor(self) -> ExtractorConfig:
+        """The extractor's settings, as ``extract`` takes them."""
+        return ExtractorConfig(self.threshold_scale, self.tolerance)
 
     @property
     def n_samples(self) -> int:
@@ -243,10 +248,7 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         """Nested plain-data view mirroring the YAML layout."""
         return {
-            section: (
-                asdict(getattr(self, section)) if isinstance(keys, type)
-                else {key: getattr(self, key) for key in keys}
-            )
+            section: {key: getattr(self, key) for key in keys}
             for section, keys in _LAYOUT.items()
         }
 
@@ -289,17 +291,12 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"section {section!r} must be a mapping"
                 )
-            nested = isinstance(keys, type)
-            valid = {f.name for f in fields(keys)} if nested else set(keys)
-            unknown = set(body) - valid
+            unknown = set(body) - set(keys)
             if unknown:
                 raise ConfigurationError(
                     f"unknown keys in section {section!r}: {sorted(unknown)}"
                 )
-            if nested:
-                kwargs[section] = keys(**body)
-            else:
-                kwargs.update(body)
+            kwargs.update(body)
         return cls(**kwargs)
 
     @classmethod
@@ -320,4 +317,7 @@ class ScenarioConfig:
             ) from exc
         if raw is None:
             raw = {}
-        return cls.from_dict(raw)
+        try:
+            return cls.from_dict(raw)
+        except ConfigurationError as exc:
+            raise type(exc)(f"configuration file {path}: {exc}") from exc

@@ -121,6 +121,56 @@ class TestClusterTable:
                 spreads_deg=np.array([1.0, 1.0]),
             )
 
+    GOOD = {"delays_ns": [0.0, 35.0], "powers": [0.75, 0.25],
+            "azimuths_deg": [0.0, 28.0], "spreads_deg": [1.0, 3.0]}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"powers": [0.5, 0.25, 0.25]}, "columns differ in length"),
+        ({"delays_ns": [-5.0, 35.0]}, "delays must be non-negative"),
+        ({"powers": [1.25, -0.25]}, "powers must be positive"),
+        ({"powers": [0.5, 0.25]}, "powers must sum to 1"),
+        ({"spreads_deg": [1.0, -3.0]}, "spreads must be non-negative"),
+    ], ids=["lengths", "delay", "power", "power-sum", "spread"])
+    def test_out_of_range_column_rejected(self, change, message):
+        with pytest.raises(ClusterTableError, match=message):
+            ClusterTable(**{**self.GOOD, **change})
+
+    @pytest.mark.parametrize("name", [
+        "delays_ns", "powers", "azimuths_deg", "spreads_deg"
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, name, value):
+        # NaN passes every range check, so it is rejected before them.
+        column = list(self.GOOD[name])
+        column[1] = value
+        with pytest.raises(ClusterTableError, match=f"{name} must be finite"):
+            ClusterTable(**{**self.GOOD, name: column})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ricean_factor_rejected(self, value):
+        with pytest.raises(ClusterTableError,
+                           match="ricean_k_db must be finite"):
+            ClusterTable(**self.GOOD, ricean_k_db=value)
+
+    @pytest.mark.parametrize("key", [
+        "delays_ns", "powers_db", "azimuths_deg", "spreads_deg", "ricean_k_db"
+    ])
+    def test_nan_read_from_a_mapping_rejected(self, key):
+        raw = {"delays_ns": [0.0, 35.0], "powers_db": [0.0, -13.5],
+               "azimuths_deg": [0.0, 28.0], "spreads_deg": [1.0, 3.0],
+               "ricean_k_db": 13.3}
+        raw[key] = math.nan if key == "ricean_k_db" else [0.0, math.nan]
+        with pytest.raises(ClusterTableError, match="must be finite"):
+            ClusterTable.from_dict(raw)
+
+    def test_powers_that_sum_to_zero_rejected(self):
+        # -inf dB is zero power in linear units.
+        with pytest.raises(ClusterTableError, match="sum to zero"):
+            ClusterTable.from_dict({
+                "delays_ns": [0.0], "powers_db": [-math.inf],
+                "azimuths_deg": [0.0], "spreads_deg": [1.0],
+            })
+
     def test_missing_key_rejected(self):
         with pytest.raises(ClusterTableError):
             ClusterTable.from_dict({"delays_ns": [0.0]})

@@ -75,6 +75,7 @@ from spoofdet.experiments import (
     trial_rng,
 )
 from spoofdet.extractor import (
+    ExtractorConfig,
     SensingBatch,
     SparsityFingerprint,
     extract,
@@ -705,6 +706,10 @@ class TestBadClusterTable:
         "invalid-yaml": "delays_ns: [0.0\n  : :\n",
         "non-numeric": "delays_ns: [a]\npowers_db: [0]\n"
                        "azimuths_deg: [0]\nspreads_deg: [1]\n",
+        # NaN passes every range check; it would reach the extractor as
+        # "centered probe covariance is not finite".
+        "non-finite": "delays_ns: [0.0, 35.0]\npowers_db: [0.0, -13.5]\n"
+                      "azimuths_deg: [0.0, .nan]\nspreads_deg: [1.0, 3.0]\n",
     }
 
     @staticmethod
@@ -1791,6 +1796,26 @@ class TestOtherEntryPoints:
                 "error": None,
             }
 
+    def test_run_sweep_takes_the_extractor_settings_as_axes(self, tmp_path):
+        # Each is a plain float field: its tags are plain names, and the
+        # sweep's return is plain JSON, as sweep.json holds it.
+        cfg = ScenarioConfig(**{**TINY, "trials": 4})
+        axes = {"threshold_scale": [15], "tolerance": [1e-3, 0.01]}
+        grid = run_sweep(cfg, axes, tmp_path)
+        tags = ["threshold_scale=15.0,tolerance=0.001",
+                "threshold_scale=15.0,tolerance=0.01"]
+        assert list(grid["cells"]) == tags
+        assert json.loads(json.dumps(grid)) == grid == json.loads(
+            (tmp_path / "sweep.json").read_text()
+        )
+        assert grid["axes"] == {"threshold_scale": [15.0],
+                                "tolerance": [0.001, 0.01]}
+        for tag, tolerance in zip(tags, axes["tolerance"]):
+            summary = json.loads((tmp_path / tag / "summary.json").read_text())
+            assert summary["config_hash"] == replace(
+                cfg, tolerance=tolerance
+            ).config_hash()
+
     def test_run_sweep_keeps_going_past_a_cell_where_every_trial_fails(
         self, tmp_path
     ):
@@ -1855,19 +1880,21 @@ class TestOtherEntryPoints:
         {"cluster_table": ["profiles/clustered.yaml"]},
         {"workers": [1, 2]},
         {"rb_count": [8], "output_dir": ["a", "b"]},
+        {"extractor": [ExtractorConfig()]},
+        {"tolerance": [1e-3, -1.0]},
     ], ids=[
         "fractional-block-count", "quoted-snr", "5-and-5.0",
         "repeat-on-the-last-axis", "repeat-on-the-first-axis",
         "unknown-field", "shift-within-the-delay-spread", "path-separator",
-        "workers", "output-dir",
+        "workers", "output-dir", "nested-extractor", "negative-tolerance",
     ])
     def test_run_sweep_rejects_what_the_config_rejects(self, tmp_path, axes):
         # A value the config rejects, two values naming one cell, a name
-        # that is no config field (a typo, or a deleted field such as
-        # ``output_dir``), a field that changes no cell's results
-        # (the whole sweep runs on ``cfg.workers``), or a tag that is not a
-        # plain directory name raises before any cell runs, here after a
-        # first good cell.
+        # that is no config field (a typo, a deleted field such as
+        # ``output_dir``, or the ``extractor`` property), a field that
+        # changes no cell's results (the whole sweep runs on
+        # ``cfg.workers``), or a tag that is not a plain directory name
+        # raises before any cell runs, here after a first good cell.
         cfg = ScenarioConfig(**TINY)
         with pytest.raises(ConfigurationError):
             run_sweep(cfg, axes, tmp_path / "sweep")

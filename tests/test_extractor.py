@@ -137,15 +137,16 @@ def edge_batch(case):
         return SensingBatch(probes=probes, samples=samples), (0, 2, 4)
     if case == "diagonal":
         # Each probe has one nonzero support coordinate, a different one
-        # each: the support columns are orthogonal, so R and T are exactly
-        # diagonal and the lead eigenvalue is a diagonal entry to the bit.
+        # each, and the fourth coordinate none: T is exactly diagonal, with
+        # a zero entry, and the lead eigenvalue is a diagonal entry to the
+        # bit.
         probes = draw_gaussian_probes(3, 6, gen)
         probes[:, [0, 1, 2, 5]] = 0.0
         probes[[0, 1, 2], [0, 1, 2]] = [1.5, 1.0 - 0.5j, 0.8j]
         samples = np.array([2.0, 0.3, 0.9])
         return SensingBatch(probes=probes, samples=samples), (0, 1, 2, 5)
     if case == "rank-deficient":
-        # Repeated probe rows: A has repeated columns and R a zero pivot.
+        # Repeated probe rows: A has repeated columns, so T has rank 5.
         probes = draw_gaussian_probes(8, 16, gen)[[0, 1, 2, 0, 3, 1, 4, 0]]
         samples = np.abs(gen.normal(size=8)) + 0.1
         support = tuple(sorted(gen.choice(16, 11, replace=False).tolist()))
@@ -158,12 +159,20 @@ def edge_batch(case):
 @pytest.fixture(scope="module")
 def l48_reference_batches():
     """Reference batches of 30 ``rb_count=4`` (L=48) trials, whose screens
-    keep more coordinates than there are samples."""
+    pass more coordinates than there are samples."""
     cfg = ScenarioConfig(rb_count=4)
     return [
         TrialSimulator(cfg, trial).sensing_batch(1, False)
         for trial in range(30)
     ]
+
+
+def uncapped_screen(batch):
+    """Every coordinate whose statistic exceeds the cut: the screen before
+    :func:`select_support` keeps at most ``L`` of them."""
+    stat = support_statistic(batch)
+    gamma = support_threshold(batch.dimension, batch.n_samples)
+    return tuple(np.flatnonzero(stat > gamma).tolist())
 
 
 class TestLoss:
@@ -386,6 +395,34 @@ class TestSupportSelection:
         assert match >= 95
         assert subset >= 99
 
+    def test_l48_screens_keep_the_top_l_statistics(
+        self, l48_reference_batches
+    ):
+        # Every L=48 screen passes more than 48 coordinates; the support is
+        # the 48 of them with the largest statistics, in ascending order.
+        for batch in l48_reference_batches:
+            stat = support_statistic(batch)
+            assert len(uncapped_screen(batch)) > batch.n_samples
+            support = select_support(batch)
+            assert len(support) == batch.n_samples
+            assert list(support) == sorted(set(support))
+            assert np.array_equal(
+                np.sort(stat[list(support)]), np.sort(stat)[-batch.n_samples:]
+            )
+
+    def test_cap_keeps_the_lower_of_tied_coordinates(self):
+        # With only the first sample nonzero, coordinate i's statistic is
+        # | |h_i(0)|^2 - 1 | / 3: 1, 2, 2, 3, 0 and 2 here.  Five pass the
+        # cut of 0.63 and three are kept: 3, then two of the three tied at
+        # 2, the lower two.
+        gen = np.random.default_rng(4)
+        probes = draw_gaussian_probes(3, 6, gen)
+        probes[0] = [2.0, math.sqrt(7.0), math.sqrt(7.0), math.sqrt(10.0),
+                     1.0, math.sqrt(7.0)]
+        batch = SensingBatch(probes=probes, samples=np.array([1.0, 0.0, 0.0]))
+        assert uncapped_screen(batch) == (0, 1, 2, 3, 5)
+        assert select_support(batch) == (1, 2, 3)
+
     def test_support_is_a_tuple_of_python_ints(self):
         batch, _ = planted_batch(16, 300, (5, 12), [1.1, 0.9], 78)
         picked = select_support(batch)
@@ -517,8 +554,10 @@ class TestSpectralInit:
     def test_wide_simulator_supports_match_full_eigenproblem(
         self, l48_reference_batches
     ):
+        # The uncapped L=48 screens are wider than their batches; a caller
+        # that starts on one gets the full s x s problem's lead direction.
         for batch in l48_reference_batches:
-            support = select_support(batch)
+            support = uncapped_screen(batch)
             assert len(support) > batch.n_samples
             assert_matches_full_start(batch, support)
 
@@ -538,7 +577,7 @@ class TestSpectralInit:
     def test_no_start_runs_a_full_decomposition(self, monkeypatch):
         # Narrow (s < L), as wide as the batch (s == L) and wide (s > L),
         # every start runs eigvalsh and one solve; none forms eigenvectors
-        # or an orthogonal factor Q.
+        # or factors the probes.
         calls = []
         linalg = {
             name: getattr(np.linalg, name)
@@ -547,27 +586,19 @@ class TestSpectralInit:
 
         def spy(name):
             def call(*args, **kwargs):
-                if name == "qr":
-                    mode = args[1] if len(args) > 1 else kwargs.get(
-                        "mode", "reduced"
-                    )
-                    calls.append(f"qr {mode}")
-                else:
-                    calls.append(name)
+                calls.append(name)
                 return linalg[name](*args, **kwargs)
             return call
 
         for name in linalg:
             monkeypatch.setattr(np.linalg, name, spy(name))
         batch = random_batch(12, 7, 31)
-        for support, expected in (
-            ((0, 2, 3), ["eigvalsh", "solve"]),
-            ((0, 2, 3, 5, 8, 10, 11), ["eigvalsh", "solve"]),
-            ((0, 2, 3, 5, 8, 10, 11, 4), ["qr r", "eigvalsh", "solve"]),
+        for support in (
+            (0, 2, 3), (0, 2, 3, 5, 8, 10, 11), (0, 2, 3, 5, 8, 10, 11, 4)
         ):
             calls.clear()
             spectral_init(batch, support)
-            assert calls == expected
+            assert calls == ["eigvalsh", "solve"]
 
     def test_support_as_wide_as_the_batch_matches_full_eigenproblem(self):
         # s == L solves the s x s covariance itself, as a narrow start does.
@@ -709,7 +740,8 @@ class TestExtract:
         self, l48_reference_batches, monkeypatch
     ):
         # Every L=48 reference extraction fails, so the bench digests
-        # cannot see the start; the full s x s start must fail the same way.
+        # cannot see the start on the capped screen (as wide as the batch);
+        # the full s x s start must fail the same way.
         expected = []
         for batch in l48_reference_batches:
             with pytest.raises(ExtractionError) as raised:
@@ -984,10 +1016,10 @@ class TestExtractMatchesReferenceLoop:
         assert not assert_matches_reference(batch, ExtractorConfig())
 
     def test_nonfinite_initial_loss_raises_alike(self):
-        # A NaN probe entry in a column the screen drops leaves the solved
-        # matrix finite, so the start succeeds; but the NaN reaches every
-        # probe response, and so the loss at the start.  (Inside the
-        # screen it makes the solved matrix non-finite instead, an
+        # A NaN probe entry in a column the screen drops leaves the start's
+        # covariance finite, so the start succeeds; but the NaN reaches
+        # every probe response, and so the loss at the start.  (Inside the
+        # screen it makes the covariance non-finite instead, an
         # InitializationError.)
         batch, _ = planted_batch(16, 300, (5, 12), [1.1, 0.9], 77)
         support = select_support(batch)
@@ -1011,7 +1043,7 @@ class TestExtractMatchesReferenceLoop:
         # A low threshold keeps wide supports; with no loss tolerance their
         # descents run long, up to the iteration budget.
         wide = simulator_outcomes(ScenarioConfig(
-            extractor=ExtractorConfig(threshold_scale=2.0, tolerance=0.0)
+            threshold_scale=2.0, tolerance=0.0
         ))
         assert all(wide)
         assert min(len(fp.support) for fp in wide) >= 5

@@ -1,11 +1,13 @@
 """Tests for the scenario configuration: serialization round trips, strict
 key checking, the reproducibility hash, and the link-layer noise mapping."""
 
+import re
 from dataclasses import replace
 from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
+import yaml
 
 from spoofdet.errors import ConfigurationError
 from spoofdet.extractor import ExtractorConfig
@@ -25,7 +27,8 @@ CUSTOM = ScenarioConfig(
     jsr_db=3.0,
     tap_duration_ns=200.0,
     cluster_table="profile.yaml",
-    extractor=ExtractorConfig(threshold_scale=5.0, tolerance=0.01),
+    threshold_scale=5.0,
+    tolerance=0.01,
     similarity_threshold=0.8,
     trials=12,
     master_seed=99,
@@ -130,8 +133,28 @@ class TestUnreadableYaml:
     def test_root_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text("- radio\n- 5.0\n")
-        with pytest.raises(ConfigurationError, match="root must be a mapping"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+            f"file {path}: configuration root must be a mapping"
+        )):
             ScenarioConfig.from_yaml(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ("radio: [5.0]\n", "section 'radio' must be a mapping"),
+        ("radio: {snr: 5.0}\n", "unknown keys in section 'radio'"),
+        ("radio: {snr_db: '5'}\n", "snr_db must be a number"),
+        ("users: {num_users: 28}\n", "supplies only 27"),
+    ], ids=["section", "key", "value", "capacity"])
+    def test_rejected_contents_name_the_file(self, tmp_path, text, error):
+        # Whatever from_dict rejects in a file is raised with the file's
+        # path and as the same exception type.
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as raised:
+            ScenarioConfig.from_yaml(path)
+        assert str(raised.value).startswith(f"configuration file {path}: ")
+        assert error in str(raised.value)
+        with pytest.raises(type(raised.value)):
+            ScenarioConfig.from_dict(yaml.safe_load(text))
 
 
 class TestUnknownKeys:
@@ -211,20 +234,29 @@ class TestWrongTypes:
 
 
 class TestNestedConfigTypes:
-    # Before, these built and failed late: config_hash raised a bare
-    # TypeError from asdict, and a dict extractor an AttributeError inside
-    # the first trial.
+    # A None or a dict given for one of the extractor's settings, or a
+    # value ExtractorConfig rejects, is rejected when the config is built,
+    # not at config_hash or inside the first trial.
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"extractor": None},
-            {"extractor": {"tolerance": 1e-3}},
+            {"tolerance": None},
+            {"threshold_scale": {"threshold_scale": 15.0}},
+            {"threshold_scale": 0.0},
+            {"tolerance": -1e-3},
         ],
-        ids=["extractor-none", "extractor-dict"],
+        ids=["extractor-none", "extractor-dict", "zero-scale",
+             "negative-tolerance"],
     )
     def test_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(**kwargs)
+
+    def test_extractor_bundles_the_two_settings(self):
+        cfg = ScenarioConfig(threshold_scale=5, tolerance=0)
+        assert cfg.extractor == ExtractorConfig(5.0, 0.0)
+        assert type(cfg.extractor.threshold_scale) is float
+        assert ScenarioConfig().extractor == ExtractorConfig()
 
 
 class TestConfigHash:
@@ -238,8 +270,7 @@ class TestConfigHash:
         "raw, expected",
         [
             ({"radio": {"snr_db": 5}}, ScenarioConfig()),
-            ({"extractor": {"tolerance": 1}},
-             ScenarioConfig(extractor=ExtractorConfig(tolerance=1.0))),
+            ({"extractor": {"tolerance": 1}}, ScenarioConfig(tolerance=1.0)),
             ({"array": {"num_antennas": 64.0}}, ScenarioConfig()),
             ({"channel": {"cluster_table": Path("profile.yaml")}},
              ScenarioConfig(cluster_table="profile.yaml")),
