@@ -92,7 +92,7 @@ from .extractor import (
     draw_gaussian_probes,
     extract_all,
 )
-from .scenario import RUN_FIELDS, ScenarioConfig, pilot_pool
+from .scenario import RUN_FIELDS, VICTIM, ScenarioConfig, pilot_pool
 
 
 class Detector(NamedTuple):
@@ -124,9 +124,6 @@ def _detector(name: str) -> Detector:
         f"unknown detector {name!r}; expected one of {DETECTOR_NAMES}"
     )
 
-
-# The monitored user; users are exchangeable (see ``scenario``).
-VICTIM = 0
 
 # Seed-stream identifiers.  Every random draw in a trial comes from
 # SeedSequence(master, spawn_key=(trial, stream)), so changing one trial

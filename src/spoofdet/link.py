@@ -47,6 +47,7 @@ import numpy as np
 from .channel import beamspace, complex_normal
 from .errors import ConfigurationError, PilotDivisionError, ShapeError
 from .extractor import SensingBatch
+from .scenario import VICTIM
 from .zc import periodic_correlation
 
 __all__ = [
@@ -58,8 +59,6 @@ __all__ = [
     "build_subframe_batch",
     "frequency_reference",
 ]
-
-VICTIM = 0
 
 # Above rounding error for the correlation of two unit-energy pilots.
 _CORRELATED = 1e-9

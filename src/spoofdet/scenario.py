@@ -3,8 +3,8 @@
 A scenario fixes the array and user population, the radio operating point
 (signal-to-noise and jammer-to-signal ratios), the pilot layout, the channel
 profile, per-detector settings, and the Monte Carlo budget.  It can be
-round-tripped through a nested YAML file and hashed for reproducibility
-bookkeeping.
+read from a flat YAML file keyed by its own field names (the layout of
+``to_dict``) and hashed for reproducibility bookkeeping.
 
 Conventions baked in here rather than scattered through the harness:
 
@@ -16,10 +16,10 @@ Conventions baked in here rather than scattered through the harness:
   level: the per-element estimate-noise variance is
   ``ESTIMATE_SIGNAL_LEVEL / snr_linear``, with ``ESTIMATE_SIGNAL_LEVEL =
   5.0`` the estimate's reference signal level per element.
-* User 0 is the monitored user (``experiments.VICTIM``).  Users are
-  exchangeable, so any one of them stands for all: every channel is drawn
-  i.i.d. from its own seed stream, every pilot is a cyclic shift of one
-  root sequence, and the attacker spoofs whichever pilot is watched.
+* User 0, ``VICTIM``, is the monitored user.  Users are exchangeable, so
+  any one of them stands for all: every channel is drawn i.i.d. from its
+  own seed stream, every pilot is a cyclic shift of one root sequence, and
+  the attacker spoofs whichever pilot is watched.
 * Actors have no range.  The channel profile is a normalized small-scale
   one with no distance in it, so each trial places every user and the
   attacker by a uniformly drawn azimuth alone.
@@ -34,7 +34,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +47,7 @@ from .zc import build_pool, generate_zc
 
 SAMPLES_PER_RB = 12
 ESTIMATE_SIGNAL_LEVEL = 5.0
-
-# The YAML layout, in file order: each section and the ScenarioConfig fields
-# it holds.
-_LAYOUT = {
-    "array": ("num_antennas",),
-    "users": ("num_users",),
-    "radio": ("snr_db", "jsr_db"),
-    "pilot": ("sequence_length", "shift_size", "rb_count"),
-    "channel": ("num_taps", "tap_duration_ns", "cluster_table"),
-    "extractor": ("threshold_scale", "tolerance"),
-    "detector": ("similarity_threshold",),
-    "experiment": ("trials", "master_seed", "workers"),
-}
+VICTIM = 0
 
 # The fields that decide where and how the trials run, not what they make.
 RUN_FIELDS = frozenset({"workers"})
@@ -246,62 +234,40 @@ class ScenarioConfig:
     # ------------------------------------------------------------ serialization
 
     def to_dict(self) -> dict:
-        """Nested plain-data view mirroring the YAML layout."""
-        return {
-            section: {key: getattr(self, key) for key in keys}
-            for section, keys in _LAYOUT.items()
-        }
+        """Flat plain-data view, ``{field name: value}`` in declaration
+        order: the layout of a scenario file."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def config_hash(self) -> str:
         """Stable short hash of every field that can change a trial: all
         but the ``RUN_FIELDS``."""
         raw = self.to_dict()
         for name in RUN_FIELDS:
-            del raw["experiment"][name]
+            del raw[name]
         payload = json.dumps(raw, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def to_yaml(self, path: str | Path) -> None:
-        import yaml  # only reading or writing a YAML file needs it
-
-        Path(path).write_text(
-            yaml.safe_dump(self.to_dict(), sort_keys=False)
-        )
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        """Build a config from the nested plain-data layout.
+        """Build a config from the flat layout of ``to_dict``.
 
-        Missing sections or keys fall back to defaults; unknown keys and
-        values of the wrong type are rejected so typos fail loudly.
+        Missing keys fall back to defaults; a key that is not a field and a
+        value of the wrong type are rejected, so typos fail loudly.
         """
         if not isinstance(raw, dict):
             raise ConfigurationError("configuration root must be a mapping")
-        unknown_sections = set(raw) - set(_LAYOUT)
-        if unknown_sections:
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            # A YAML key need not be a string: sorted by repr, a mix of
+            # types still gives a message, not a TypeError.
             raise ConfigurationError(
-                f"unknown configuration sections: {sorted(unknown_sections)}"
+                f"unknown configuration keys: {sorted(unknown, key=repr)}"
             )
-        kwargs: dict = {}
-        for section, keys in _LAYOUT.items():
-            body = raw.get(section)
-            if body is None:
-                body = {}
-            if not isinstance(body, dict):
-                raise ConfigurationError(
-                    f"section {section!r} must be a mapping"
-                )
-            unknown = set(body) - set(keys)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown keys in section {section!r}: {sorted(unknown)}"
-                )
-            kwargs.update(body)
-        return cls(**kwargs)
+        return cls(**raw)
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ScenarioConfig":
-        import yaml
+        import yaml  # only reading a scenario file needs it
 
         try:
             text = Path(path).read_text(encoding="utf-8")

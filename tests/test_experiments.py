@@ -43,6 +43,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import reference_extract, same_bits
 from spoofdet import experiments, extractor
@@ -608,6 +609,20 @@ class TestRunScenario:
         run_scenario(cfg, tmp_path)
         digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes())
         assert digest.hexdigest() == GOLDEN_TINY_TRIALS_CSV_SHA256
+
+    def test_tiny_cell_read_from_a_scenario_file(self, tmp_path):
+        # The YAML input path end to end: the cell written as a flat
+        # scenario file and read back writes the files the config does.
+        cfg = ScenarioConfig(**TINY)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(cfg.to_dict()))
+        run_scenario(cfg, tmp_path / "config")
+        run_scenario(ScenarioConfig.from_yaml(path), tmp_path / "file")
+        files, summary = read_outputs(tmp_path / "config")
+        loaded_files, loaded_summary = read_outputs(tmp_path / "file")
+        assert loaded_files == files
+        del summary["wall_time_s"], loaded_summary["wall_time_s"]
+        assert loaded_summary == summary
 
     def test_paper_cell_matches_golden_records(self):
         records = run_trials(ScenarioConfig(**PAPER_CELL))

@@ -14,7 +14,7 @@ from spoofdet.extractor import ExtractorConfig
 from spoofdet.link import simulate_subframe
 from spoofdet.scenario import ScenarioConfig
 
-# Every section set away from its default, so a field dropped on the way
+# Every field set away from its default, so a field dropped on the way
 # out or in shows up as an inequality.
 CUSTOM = ScenarioConfig(
     num_antennas=8,
@@ -36,61 +36,45 @@ CUSTOM = ScenarioConfig(
 )
 
 
-# What to_yaml writes and what config_hash returns, pinned: a change to the
-# section or key order, or to the set of hashed fields, shows up here.
-DEFAULT_YAML = """\
-array:
-  num_antennas: 64
-users:
-  num_users: 16
-radio:
-  snr_db: 5.0
-  jsr_db: 0.0
-pilot:
-  sequence_length: 139
-  shift_size: 5
-  rb_count: 16
-channel:
-  num_taps: 4
-  tap_duration_ns: 240.0
-  cluster_table: null
-extractor:
-  threshold_scale: 15.0
-  tolerance: 0.001
-detector:
-  similarity_threshold: 0.92
-experiment:
-  trials: 500
-  master_seed: 2026
-  workers: 1
-"""
+# What to_dict returns and what config_hash returns, pinned: a change to the
+# key order, or to the set of hashed fields, shows up here.
+DEFAULT_ITEMS = [
+    ("num_antennas", 64),
+    ("num_users", 16),
+    ("num_taps", 4),
+    ("sequence_length", 139),
+    ("shift_size", 5),
+    ("rb_count", 16),
+    ("snr_db", 5.0),
+    ("jsr_db", 0.0),
+    ("tap_duration_ns", 240.0),
+    ("cluster_table", None),
+    ("threshold_scale", 15.0),
+    ("tolerance", 0.001),
+    ("similarity_threshold", 0.92),
+    ("trials", 500),
+    ("master_seed", 2026),
+    ("workers", 1),
+]
 
-CUSTOM_YAML = """\
-array:
-  num_antennas: 8
-users:
-  num_users: 4
-radio:
-  snr_db: -2.5
-  jsr_db: 3.0
-pilot:
-  sequence_length: 31
-  shift_size: 6
-  rb_count: 8
-channel:
-  num_taps: 3
-  tap_duration_ns: 200.0
-  cluster_table: profile.yaml
-extractor:
-  threshold_scale: 5.0
-  tolerance: 0.01
-detector:
-  similarity_threshold: 0.8
-experiment:
-  trials: 12
-  master_seed: 99
-  workers: 2
-"""
+CUSTOM_ITEMS = [
+    ("num_antennas", 8),
+    ("num_users", 4),
+    ("num_taps", 3),
+    ("sequence_length", 31),
+    ("shift_size", 6),
+    ("rb_count", 8),
+    ("snr_db", -2.5),
+    ("jsr_db", 3.0),
+    ("tap_duration_ns", 200.0),
+    ("cluster_table", "profile.yaml"),
+    ("threshold_scale", 5.0),
+    ("tolerance", 0.01),
+    ("similarity_threshold", 0.8),
+    ("trials", 12),
+    ("master_seed", 99),
+    ("workers", 2),
+]
 
 
 class TestRoundTrip:
@@ -101,7 +85,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("cfg", [ScenarioConfig(), CUSTOM])
     def test_yaml(self, cfg, tmp_path):
         path = tmp_path / "scenario.yaml"
-        cfg.to_yaml(path)
+        path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=False))
         assert ScenarioConfig.from_yaml(path) == cfg
 
     def test_empty_yaml_gives_defaults(self, tmp_path):
@@ -118,8 +102,8 @@ class TestUnreadableYaml:
     CONTENTS = {
         "missing": None,
         # A valid file but for its Latin-1 comment.
-        "not-utf8": b"radio: {snr_db: 5.0}  # caf\xe9\n",
-        "invalid-yaml": b"radio: [5.0\n  : :\n",
+        "not-utf8": b"snr_db: 5.0  # caf\xe9\n",
+        "invalid-yaml": b"snr_db: [5.0\n  : :\n",
     }
 
     @pytest.mark.parametrize("kind", CONTENTS)
@@ -132,18 +116,21 @@ class TestUnreadableYaml:
 
     def test_root_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "scenario.yaml"
-        path.write_text("- radio\n- 5.0\n")
+        path.write_text("- snr_db\n- 5.0\n")
         with pytest.raises(ConfigurationError, match=re.escape(
             f"file {path}: configuration root must be a mapping"
         )):
             ScenarioConfig.from_yaml(path)
 
     @pytest.mark.parametrize("text, error", [
-        ("radio: [5.0]\n", "section 'radio' must be a mapping"),
-        ("radio: {snr: 5.0}\n", "unknown keys in section 'radio'"),
-        ("radio: {snr_db: '5'}\n", "snr_db must be a number"),
-        ("users: {num_users: 28}\n", "supplies only 27"),
-    ], ids=["section", "key", "value", "capacity"])
+        ("snr: 5.0\n", "unknown configuration keys: ['snr']"),
+        ("snr_db: '5'\n", "snr_db must be a number"),
+        ("num_users: 28\n", "supplies only 27"),
+        # A file in the former nested layout.
+        ("radio: {snr_db: 5.0}\n", "unknown configuration keys: ['radio']"),
+        # A key YAML reads as an int beside an unknown string key.
+        ("1: 2\nbogus: 3\n", "unknown configuration keys: ['bogus', 1]"),
+    ], ids=["key", "value", "capacity", "nested", "mixed-key-types"])
     def test_rejected_contents_name_the_file(self, tmp_path, text, error):
         # Whatever from_dict rejects in a file is raised with the file's
         # path and as the same exception type.
@@ -158,74 +145,84 @@ class TestUnreadableYaml:
 
 
 class TestUnknownKeys:
+    # Each retired setting under its field-style name, then each section of
+    # the former nested layout holding a field it held: the error names
+    # every key of the mapping, so no case passes for another key's sake.
     @pytest.mark.parametrize(
         "raw",
         [
-            {"energy": {"threshold": 1.0, "calibration": "sweep"}},
+            {"threshold": 1.0, "calibration": "sweep"},
             {"bogus": {}},
-            {"channel": {"rays_per_cluster": 20}},
-            {"radio": {"snr": 5.0}},
-            {"extractor": {"gradient_mode": "analytic"}},
-            {"extractor": {"probe_family": "gaussian"}},
-            {"subspace": {"baseline_dimension": 16}},
-            {"detector": {"update_policy": "always"}},
-            {"extractor": {"dimension": 24}},
-            {"extractor": {"divergence_factor": 1e6}},
-            {"radio": {"victim_power": 1.0}},
-            {"geometry": {"inner_radius_m": 100.0}},
-            {"users": {"victim_index": 0}},
-            {"radio": {"link_gain": 5.0}},
-            {"pilot": {"samples_per_rb": 12}},
-            {"subspace": {"relative_floor": 1e-9}},
-            {"subspace": {"samples_per_subframe": 5}},
-            {"array": {"element_spacing_wavelengths": 0.5}},
-            {"extractor": {"step_size": 0.1}},
-            {"experiment": {"output_dir": "results"}},
-            {"subspace": {"noise_floor_multiple": 3.0}},
-            {"extractor": {"max_iterations": 200}},
-            {"extractor": {"max_backtracks": 20}},
+            {"rays_per_cluster": 20},
+            {"snr": 5.0},
+            {"gradient_mode": "analytic"},
+            {"probe_family": "gaussian"},
+            {"baseline_dimension": 16},
+            {"update_policy": "always"},
+            {"dimension": 24},
+            {"divergence_factor": 1e6},
+            {"victim_power": 1.0},
+            {"inner_radius_m": 100.0},
+            {"victim_index": 0},
+            {"link_gain": 5.0},
+            {"samples_per_rb": 12},
+            {"relative_floor": 1e-9},
+            {"samples_per_subframe": 5},
+            {"element_spacing_wavelengths": 0.5},
+            {"step_size": 0.1},
+            {"output_dir": "results"},
+            {"noise_floor_multiple": 3.0},
+            {"max_iterations": 200},
+            {"max_backtracks": 20},
+            {"array": {"num_antennas": 64}},
+            {"users": {"num_users": 16}},
+            {"radio": {"snr_db": 5.0}},
+            {"pilot": {"rb_count": 16}},
+            {"channel": {"num_taps": 4}},
+            {"extractor": {"tolerance": 1e-3}},
+            {"detector": {"similarity_threshold": 0.92}},
+            {"experiment": {"trials": 500}},
         ],
     )
     def test_rejected(self, raw):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as raised:
             ScenarioConfig.from_dict(raw)
-
-    def test_section_must_be_mapping(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig.from_dict({"radio": [1, 2]})
+        assert str(raised.value) == (
+            f"unknown configuration keys: {sorted(raw)}"
+        )
 
 
 class TestWrongTypes:
     @pytest.mark.parametrize(
         "raw",
         [
-            {"experiment": {"trials": "5"}},
-            {"extractor": {"threshold_scale": "9"}},
-            {"radio": {"snr_db": "5"}},
-            {"array": {"num_antennas": 8.5}},
-            {"detector": {"similarity_threshold": "0.9"}},
-            {"experiment": {"workers": True}},
-            {"channel": {"tap_duration_ns": float("nan")}},
-            {"radio": {"jsr_db": float("inf")}},
-            {"extractor": {"tolerance": float("nan")}},
-            {"channel": {"cluster_table": 5}},
-            {"channel": {"cluster_table": b"profile.yaml"}},
+            {"trials": "5"},
+            {"threshold_scale": "9"},
+            {"snr_db": "5"},
+            {"num_antennas": 8.5},
+            {"similarity_threshold": "0.9"},
+            {"workers": True},
+            {"tap_duration_ns": float("nan")},
+            {"jsr_db": float("inf")},
+            {"tolerance": float("nan")},
+            {"cluster_table": 5},
+            {"cluster_table": b"profile.yaml"},
             # Linear ratios that overflow or reach zero.
-            {"radio": {"snr_db": 4000.0}},
-            {"radio": {"snr_db": -4000.0}},
-            {"radio": {"jsr_db": 4000.0}},
+            {"snr_db": 4000.0},
+            {"snr_db": -4000.0},
+            {"jsr_db": 4000.0},
             # A positive linear ratio so small that the estimate-noise
             # variance, the signal level over it, is infinite.
-            {"radio": {"snr_db": -3200.0}},
+            {"snr_db": -3200.0},
             # Cells whose trials cannot run: a zero tap duration, a shift
             # within the delay spread, and more users than the pilot pool
             # holds (139 // 5 = 27).
-            {"channel": {"tap_duration_ns": 0.0}},
-            {"pilot": {"shift_size": 3}},
-            {"users": {"num_users": 28}},
+            {"tap_duration_ns": 0.0},
+            {"shift_size": 3},
+            {"num_users": 28},
             # Integers too large for a float.
-            {"radio": {"snr_db": int("1" * 400)}},
-            {"extractor": {"tolerance": int("1" * 400)}},
+            {"snr_db": int("1" * 400)},
+            {"tolerance": int("1" * 400)},
         ],
     )
     def test_rejected(self, raw):
@@ -269,12 +266,12 @@ class TestConfigHash:
     @pytest.mark.parametrize(
         "raw, expected",
         [
-            ({"radio": {"snr_db": 5}}, ScenarioConfig()),
-            ({"extractor": {"tolerance": 1}}, ScenarioConfig(tolerance=1.0)),
-            ({"array": {"num_antennas": 64.0}}, ScenarioConfig()),
-            ({"channel": {"cluster_table": Path("profile.yaml")}},
+            ({"snr_db": 5}, ScenarioConfig()),
+            ({"tolerance": 1}, ScenarioConfig(tolerance=1.0)),
+            ({"num_antennas": 64.0}, ScenarioConfig()),
+            ({"cluster_table": Path("profile.yaml")},
              ScenarioConfig(cluster_table="profile.yaml")),
-            ({"channel": {"cluster_table": PurePosixPath("a/profile.yaml")}},
+            ({"cluster_table": PurePosixPath("a/profile.yaml")},
              ScenarioConfig(cluster_table="a/profile.yaml")),
         ],
     )
@@ -292,20 +289,18 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_YAML, "d40001dc5e126eb5"),
-        (CUSTOM, CUSTOM_YAML, "4cb2a6928e6c78ad"),
+        (ScenarioConfig(), DEFAULT_ITEMS, "a666c753abea8ce2"),
+        (CUSTOM, CUSTOM_ITEMS, "4ed0adbb3abe6dea"),
     ]
 
-    @pytest.mark.parametrize("cfg, text, digest", CASES,
+    @pytest.mark.parametrize("cfg, items, digest", CASES,
                              ids=["default", "custom"])
-    def test_yaml_text(self, cfg, text, digest, tmp_path):
-        path = tmp_path / "scenario.yaml"
-        cfg.to_yaml(path)
-        assert path.read_text() == text
+    def test_to_dict(self, cfg, items, digest):
+        assert list(cfg.to_dict().items()) == items
 
-    @pytest.mark.parametrize("cfg, text, digest", CASES,
+    @pytest.mark.parametrize("cfg, items, digest", CASES,
                              ids=["default", "custom"])
-    def test_config_hash(self, cfg, text, digest):
+    def test_config_hash(self, cfg, items, digest):
         assert cfg.config_hash() == digest
 
 
