@@ -34,16 +34,17 @@ Each input is built once and only when needed: the cluster table and the
 ``(N, K * T)`` pilot-tap basis once per process, keyed on the config
 fields they depend on, and the rest as ``TrialSimulator`` sets out.
 
-Trials and streams take one path, ``_arm_streams``: the quiet subframes
-``1..onset-1``, shared by every arm, then each later subframe for every
-arm in turn go to ``extractor.extract_all`` as a generator of sensing
-batches, so each batch is built only after the descent before it has
-started, and a descent whose first iterate is zero ends the schedule
-there; each arm's fingerprints are then folded by ``detector.run_stream``.
-A paired trial is two subframes with a quiet and an attacked arm from
-onset 2, and only a trial whose three extractions succeed builds its
-baseline inputs; a stream is one arm.  ``DETECTORS`` names each detector's
-statistic, ``trials.csv`` columns and ROC orientation.
+Trials and streams take one path, ``_extract_schedule``: the
+``(subframe, attacked)`` pairs of one deployment go to
+``extractor.extract_all`` as a generator of sensing batches, so each batch
+is built only after the descent before it has started, and a descent whose
+first iterate is zero ends the schedule there.  A paired trial scores each
+arm by the ``detector.similarity`` of its subframe-2 test to the subframe-1
+reference, and only a trial whose three extractions succeed builds its
+baseline inputs; a stream's fingerprints are folded by
+``detector.run_stream`` at the threshold its entry point is given.
+``DETECTORS`` names each detector's statistic, ``trials.csv`` columns and
+ROC orientation.
 
 ``run_scenario`` runs one cell and writes its files; ``run_sweep`` runs
 one cell per combination of the ``ScenarioConfig`` values it is given.
@@ -80,7 +81,7 @@ from .channel import (
     load_cluster_table,
     vectorize_taps,
 )
-from .detector import StreamResult, run_stream
+from .detector import DEFAULT_THRESHOLD, StreamResult, run_stream, similarity
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -301,8 +302,8 @@ class TrialSimulator:
     """One trial's frozen deployment plus its observation builders.
 
     Trials and streams build one simulator per deployment in
-    ``_arm_streams``, which extracts every arm's sensing batches; a trial
-    then reads each arm's statistics through :meth:`arm_observables`.
+    ``_extract_schedule``, which extracts the sensing batches they list; a
+    trial then reads each arm's statistics through :meth:`arm_observables`.
     Every random quantity is regenerated from named seed streams, so
     calling a builder twice — or for both arms — replays identical draws,
     in any call order, and building an input late or not at all changes no
@@ -491,58 +492,42 @@ class TrialSimulator:
         return clean + self._subframe_draws(subframe).snapshot_noise
 
     def arm_observables(
-        self, result: StreamResult, subframe: int, attacked: bool
+        self, similarity: float, subframe: int, attacked: bool
     ) -> ArmObservables:
-        """Statistics of one arm at ``subframe``: the last similarity of
-        the arm's stream ``result``, and the energy and subspace statistics
-        built here."""
+        """Statistics of one arm at ``subframe``: its fingerprint
+        ``similarity`` to the reference, and the energy and subspace
+        statistics built here."""
         energy = ed_statistic(self.energy_observation(subframe, attacked))
         window = self.snapshot_window(subframe, attacked)
         dimension = sd_statistic(window)
-        return ArmObservables(result.similarities[-1], energy, dimension)
+        return ArmObservables(similarity, energy, dimension)
 
 
-def _arm_streams(
-    cfg: ScenarioConfig, trial_index: int, n_subframes: int, onset: int,
-    arms: tuple,
-) -> tuple:
-    """(simulator, one ``run_stream`` result per arm) of one deployment.
-
-    Subframes ``1..onset-1`` are quiet and shared by every arm; from the
-    onset to ``n_subframes`` each entry of ``arms`` says whether that arm
-    is attacked.  The whole schedule, the shared subframes then each later
-    subframe for every arm in turn (so each subframe is drawn once, and an
-    arm's own fingerprints sit ``len(arms)`` apart), goes through one
-    ``extract_all``, whose first error is raised.
-    """
-    simulator = TrialSimulator(cfg, trial_index)
-    schedule = [(s, False) for s in range(1, onset)]
-    schedule += [(s, attacked) for s in range(onset, n_subframes + 1)
-                 for attacked in arms]
+def _extract_schedule(cfg: ScenarioConfig, index: int, schedule) -> tuple:
+    """(simulator, fingerprints) of deployment ``index``: the sensing
+    batch of each ``(subframe, attacked)`` pair of ``schedule``, in order,
+    through one ``extract_all``, whose first error is raised."""
+    simulator = TrialSimulator(cfg, index)
     fingerprints = extract_all(
         (simulator.sensing_batch(*pair) for pair in schedule), cfg.extractor
     )
-    shared, tests = fingerprints[: onset - 1], fingerprints[onset - 1:]
-    results = [
-        run_stream(shared + tests[k::len(arms)], cfg.similarity_threshold)
-        for k in range(len(arms))
-    ]
-    return simulator, results
+    return simulator, fingerprints
 
 
 def run_single_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
     """Run one paired trial; failures become records, not exceptions.
 
-    The trial is the two-subframe stream of a quiet and an attacked arm:
-    the reference from subframe 1, then each arm's test from subframe 2.
-    Those extractions run first, as they are the steps that fail; only a
+    The reference comes from subframe 1 and each arm's test from subframe
+    2, which is drawn once for both, and each arm scores the similarity of
+    its test to the reference.  The extractions run first, as they are the steps that fail; only a
     trial that passes all three builds its energy and subspace statistics,
     whose inputs cannot fail on a config that validates.
     """
     try:
-        simulator, (quiet, attacked) = _arm_streams(
-            cfg, trial_index, 2, 2, (False, True)
+        simulator, (reference, *tests) = _extract_schedule(
+            cfg, trial_index, [(1, False), (2, False), (2, True)]
         )
+        quiet, attacked = (similarity(reference, test) for test in tests)
         return TrialRecord(
             trial_index,
             simulator.arm_observables(quiet, 2, attacked=False),
@@ -750,10 +735,13 @@ def roc_from_outcomes(records, detector: str) -> RocCurve:
 # ------------------------------------------------------------ multi-subframe
 
 
-def _stream_outcome(cfg: ScenarioConfig, n_subframes: int, onset: int, stream: int):
+def _stream_outcome(
+    cfg: ScenarioConfig, schedule: list, threshold: float, stream: int
+):
     """One stream's ``run_stream`` result, or its failure's text."""
     try:
-        return _arm_streams(cfg, stream, n_subframes, onset, (True,))[1][0]
+        _, fingerprints = _extract_schedule(cfg, stream, schedule)
+        return run_stream(fingerprints, threshold)
     except SpoofdetError as exc:
         return f"stream {stream}: {type(exc).__name__}: {exc}"
 
@@ -763,19 +751,25 @@ def _stream_states(
     n_streams: int,
     n_subframes: int,
     attack_start: int | None,
+    threshold: float,
 ) -> tuple:
     """(``run_stream`` results, failed-stream count) over the streams.
 
-    A stream that fails is skipped and counted, as a failed trial is
+    A threshold outside [0, 1] is rejected before any stream runs.  A
+    stream that fails is skipped and counted, as a failed trial is
     recorded, so one bad deployment does not end the run; if every stream
     fails there is nothing to report, and the error names the first
     stream's failure.
     """
-    # Without an attack the onset lies past the stream's end.
-    onset = n_subframes + 1 if attack_start is None else attack_start
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigurationError(
+            f"similarity threshold must lie in [0, 1], got {threshold}"
+        )
+    schedule = [(s, attack_start is not None and s >= attack_start)
+                for s in range(1, n_subframes + 1)]
     with _index_map(cfg.workers) as map_indices:
         outcomes = map_indices(
-            partial(_stream_outcome, cfg, n_subframes, onset), n_streams
+            partial(_stream_outcome, cfg, schedule, threshold), n_streams
         )
     results = [o for o in outcomes if isinstance(o, StreamResult)]
     if not results:
@@ -803,14 +797,16 @@ def calibrate(
     n_streams: int = 20,
     subframes_per_stream: int = 11,
     quantile: float = 0.02,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> CalibrationResult:
     """Collect no-attack similarities and suggest an alarm threshold.
 
     Runs ``n_streams`` independent deployments for ``subframes_per_stream``
-    subframes each without any attack, records every sequential similarity,
-    and suggests the requested lower quantile as the threshold.  Streams
-    that fail are skipped and counted in ``failed_streams``; ``cfg.workers``
-    applies as in :func:`run_trials`.
+    subframes each without any attack, records every sequential similarity
+    under ``threshold``, and suggests the requested lower quantile as the
+    threshold, which :func:`run_detection_delay` takes.  Streams that fail
+    are skipped and counted in ``failed_streams``; ``cfg.workers`` applies
+    as in :func:`run_trials`.
     """
     if n_streams < 1 or subframes_per_stream < 2:
         raise ConfigurationError(
@@ -819,7 +815,7 @@ def calibrate(
     if not 0.0 < quantile < 1.0:
         raise ConfigurationError("quantile must lie strictly inside (0, 1)")
     results, failed = _stream_states(
-        cfg, n_streams, subframes_per_stream, attack_start=None
+        cfg, n_streams, subframes_per_stream, None, threshold
     )
     similarities = np.asarray([
         value for result in results for value in result.similarities
@@ -828,17 +824,17 @@ def calibrate(
         similarities=tuple(float(v) for v in similarities),
         suggested_threshold=float(np.quantile(similarities, quantile)),
         quantile=quantile,
-        fraction_above_threshold=float(
-            np.mean(similarities >= cfg.similarity_threshold)
-        ),
-        threshold=cfg.similarity_threshold,
+        fraction_above_threshold=float(np.mean(similarities >= threshold)),
+        threshold=threshold,
         failed_streams=failed,
     )
 
 
 @dataclass(frozen=True)
 class DelayResult:
-    """First-alarm positions of attack-onset streams."""
+    """First-alarm positions of streams attacked from ``attack_start`` on:
+    each stream's first alarm from position 2 on, so a false alarm before
+    the onset counts in both summaries like a detection after it."""
 
     first_alarms: tuple  # subframe index or None per completed stream
     attack_start: int
@@ -864,12 +860,15 @@ def run_detection_delay(
     attack_start: int = 4,
     n_subframes: int = 6,
     n_streams: int = 200,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> DelayResult:
-    """Measure when the sequential detector first alarms after attack onset.
+    """Measure where the sequential detector, at ``threshold``, first
+    alarms on streams attacked from ``attack_start`` on.
 
-    Streams that fail are skipped and counted in ``failed_streams``; the
-    alarm figures cover the completed streams.  ``cfg.workers`` applies as
-    in :func:`run_trials`.
+    A first alarm is taken from position 2 on, before the onset as well as
+    after it (see :class:`DelayResult`).  Streams that fail are skipped and
+    counted in ``failed_streams``; the alarm figures cover the completed
+    streams.  ``cfg.workers`` applies as in :func:`run_trials`.
     """
     if attack_start < 2:
         raise ConfigurationError(
@@ -883,7 +882,7 @@ def run_detection_delay(
     if n_streams < 1:
         raise ConfigurationError("need at least one stream")
     results, failed = _stream_states(
-        cfg, n_streams, n_subframes, attack_start=attack_start
+        cfg, n_streams, n_subframes, attack_start, threshold
     )
     return DelayResult(
         first_alarms=tuple(result.first_alarm_index for result in results),

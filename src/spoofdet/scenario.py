@@ -40,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import NOISE_FLOOR_MULTIPLE
-from .detector import DEFAULT_THRESHOLD
 from .errors import ConfigurationError, check_numeric_fields
 from .extractor import ExtractorConfig
 from .zc import build_pool, generate_zc
@@ -88,15 +87,13 @@ class ScenarioConfig:
         Channel sampling and the path of a YAML cluster profile in the
         layout of ``ClusterTable.from_dict``; ``None`` selects the default
         profile built into ``channel.py`` (``default_cluster_table``), which
-        reads no file.
+        reads no file; ``from_yaml`` joins a relative one to the scenario
+        file's directory.
     threshold_scale, tolerance
         The fingerprint extractor's two settings, with the defaults and the
         meaning of ``ExtractorConfig``; the ``extractor`` property bundles
         them.  They are plain fields so that ``run_sweep`` can take either
         as an axis.
-    similarity_threshold
-        The sequential detector's similarity threshold (only a subframe
-        judged normal updates its reference).
     trials, master_seed, workers
         Monte Carlo budget, root seed, and the process count of a run:
         above 1, a pool of workers with one BLAS thread each (needs a
@@ -118,7 +115,6 @@ class ScenarioConfig:
     cluster_table: str | None = None
     threshold_scale: float = ExtractorConfig.threshold_scale
     tolerance: float = ExtractorConfig.tolerance
-    similarity_threshold: float = DEFAULT_THRESHOLD
     trials: int = 500
     master_seed: int = 2026
     workers: int = 1
@@ -170,10 +166,6 @@ class ScenarioConfig:
             )
         if self.tap_duration_ns <= 0:
             raise ConfigurationError("tap duration must be positive")
-        if not 0.0 <= self.similarity_threshold <= 1.0:
-            raise ConfigurationError(
-                "similarity threshold must lie in [0, 1]"
-            )
         if self.master_seed < 0:
             raise ConfigurationError("master seed must be non-negative")
 
@@ -240,7 +232,8 @@ class ScenarioConfig:
 
     def config_hash(self) -> str:
         """Stable short hash of every field that can change a trial: all
-        but the ``RUN_FIELDS``."""
+        but the ``RUN_FIELDS``.  It hashes ``cluster_table`` as the stored
+        path, not the table's contents."""
         raw = self.to_dict()
         for name in RUN_FIELDS:
             del raw[name]
@@ -267,6 +260,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ScenarioConfig":
+        """Build a config from a scenario file in the layout of ``to_dict``,
+        joining a relative ``cluster_table`` to the file's directory."""
         import yaml  # only reading a scenario file needs it
 
         try:
@@ -283,6 +278,9 @@ class ScenarioConfig:
             ) from exc
         if raw is None:
             raw = {}
+        table = raw.get("cluster_table") if isinstance(raw, dict) else None
+        if isinstance(table, str) and not os.path.isabs(table):
+            raw["cluster_table"] = os.path.join(os.path.dirname(path), table)
         try:
             return cls.from_dict(raw)
         except ConfigurationError as exc:

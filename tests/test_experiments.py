@@ -22,11 +22,11 @@ descent loop, each arm scored with ``similarity``, for the results of the
 start-then-finish schedule; a spy on the descents' point evaluations
 for how far each one ran, with a fresh simulator's batches naming the
 subframe each descent extracted; a spy on ``_SubframeDraws`` for which
-subframes a stream draws; ``run_scenario`` of each cell's config for
-what ``run_sweep`` writes; and, where a test needs a failed trial or
-stream, a failure made by construction (a NaN sample, or all-zero
-samples, in one sensing batch, or taps too short for the cluster profile),
-not one found by seed.
+subframes a trial and a stream draw; ``run_scenario`` of each cell's
+config for what ``run_sweep`` writes; and, where a test needs a failed
+trial or stream, a failure made by construction (a NaN sample, or
+all-zero samples, in one sensing batch, or taps too short for the cluster
+profile), not one found by seed.
 """
 
 import concurrent.futures
@@ -49,7 +49,7 @@ from conftest import reference_extract, same_bits
 from spoofdet import experiments, extractor
 from spoofdet.baselines import ed_statistic, sd_statistic
 from spoofdet.channel import complex_normal, draw_channels
-from spoofdet.detector import run_stream, similarity
+from spoofdet.detector import DEFAULT_THRESHOLD, run_stream, similarity
 from spoofdet.errors import (
     ConfigurationError,
     ExtractionError,
@@ -1364,18 +1364,16 @@ class TestStreamsMatchReferenceLoop:
     N_SUBFRAMES = 6
     ATTACK_START = 4
 
-    def reference(self, cfg, attack_start):
-        """(``run_stream`` results, errors, failing subframes) of the
-        streams."""
+    def reference(self, cfg, attack_start, threshold=DEFAULT_THRESHOLD):
+        """(``run_stream`` results at ``threshold``, errors, failing
+        subframes) of the streams."""
         results, errors, failing = [], [], []
         for index in range(self.N_STREAMS):
             out, subframe = sequential_stream(
                 cfg, index, self.N_SUBFRAMES, attack_start
             )
             if subframe is None:
-                results.append(
-                    run_stream(out, threshold=cfg.similarity_threshold)
-                )
+                results.append(run_stream(out, threshold))
             else:
                 errors.append(out)
                 failing.append(subframe)
@@ -1431,6 +1429,29 @@ class TestStreamsMatchReferenceLoop:
         assert 1 in failing
         assert any(1 < k < self.ATTACK_START for k in failing)
         assert any(k >= self.ATTACK_START for k in failing)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_the_threshold_reaches_every_stream(self, threshold):
+        # On the tiny cell's streams each of these thresholds gives other
+        # similarities than the default; at 0 no stream alarms.
+        cfg = ScenarioConfig(**TINY)
+        results, errors, _ = self.reference(cfg, None, threshold)
+        calibration = self.check(results, errors, lambda: calibrate(
+            cfg, self.N_STREAMS, self.N_SUBFRAMES, threshold=threshold
+        ))
+        assert calibration.threshold == threshold
+        assert calibration.similarities == tuple(
+            value for result in results for value in result.similarities
+        )
+        results, errors, _ = self.reference(cfg, self.ATTACK_START, threshold)
+        delay = self.check(results, errors, lambda: run_detection_delay(
+            cfg, self.ATTACK_START, self.N_SUBFRAMES, self.N_STREAMS,
+            threshold=threshold,
+        ))
+        alarms = tuple(result.first_alarm_index for result in results)
+        assert delay.first_alarms == alarms
+        if threshold == 0.0:
+            assert set(alarms) == {None}
 
 
 class TestStreamGolden:
@@ -1577,13 +1598,11 @@ class TestEarlyStop:
 
 
 class TestArmStreams:
-    """Trials and streams share one path: a trial is its two-subframe,
-    two-arm case, and with two reference subframes (``n_subframes=3``,
-    onset 3) the shared subframes are extracted once for both arms."""
+    """Trials and streams share one path, ``_extract_schedule``: a trial is
+    the schedule of its reference and its two arms' tests, each arm scored
+    by its test's ``similarity`` to the reference."""
 
     CFG = ScenarioConfig(master_seed=7)
-    # Deployments of this cell whose six extractions at onset 3 complete.
-    COMPLETE_AT_ONSET_3 = (3, 5, 7, 11)
 
     def test_trial_is_the_two_arm_stream(self, evaluated, monkeypatch):
         # Failures made by construction: trial 1 at its reference start,
@@ -1596,8 +1615,10 @@ class TestArmStreams:
         for index in range(10):
             evaluated.clear()
             try:
-                simulator, (quiet, attacked) = experiments._arm_streams(
-                    self.CFG, index, 2, 2, (False, True)
+                simulator, (reference, quiet, attacked) = (
+                    experiments._extract_schedule(
+                        self.CFG, index, [(1, False), (2, False), (2, True)]
+                    )
                 )
             except SpoofdetError as exc:
                 expected = TrialRecord(
@@ -1607,8 +1628,12 @@ class TestArmStreams:
             else:
                 expected = TrialRecord(
                     index,
-                    simulator.arm_observables(quiet, 2, attacked=False),
-                    simulator.arm_observables(attacked, 2, attacked=True),
+                    simulator.arm_observables(
+                        similarity(reference, quiet), 2, attacked=False
+                    ),
+                    simulator.arm_observables(
+                        similarity(reference, attacked), 2, attacked=True
+                    ),
                 )
             work = [len(calls) for calls in descents(evaluated)]
             evaluated.clear()
@@ -1621,40 +1646,16 @@ class TestArmStreams:
                 failed.add(index)
         assert set(constructed) <= failed and len(failed) < 10
 
-    def test_shared_subframes_are_extracted_once(self, evaluated):
-        index = self.COMPLETE_AT_ONSET_3[0]
-        experiments._arm_streams(self.CFG, index, 3, 3, (False, True))
-        candidates = [(s, a) for s in (1, 2, 3) for a in (False, True)]
-        assert schedule_of(
-            descents(evaluated), TrialSimulator(self.CFG, index), candidates
-        ) == [(1, False), (2, False), (3, False), (3, True)]
-
-    def test_arms_share_their_first_similarity(self):
-        for index in self.COMPLETE_AT_ONSET_3:
-            _, (quiet, attacked) = experiments._arm_streams(
-                self.CFG, index, 3, 3, (False, True)
-            )
-            simulator = TrialSimulator(self.CFG, index)
-            first, second = (
-                extract(simulator.sensing_batch(s, False), self.CFG.extractor)
-                for s in (1, 2)
-            )
-            assert len(quiet.similarities) == len(attacked.similarities) == 2
-            assert quiet.similarities[0] == attacked.similarities[0] == (
-                similarity(first, second)
-            )
-
 
 class TestArmStreamsDrawEachSubframeOnce:
-    """Past the onset the schedule runs subframe by subframe, every arm at
-    each, so a two-arm stream draws each subframe once and each arm's
-    stream is the one-arm stream of that arm."""
+    """A completed trial draws subframe 2 once for both arms, and a stream
+    draws each of its subframes once."""
 
     CFG = ScenarioConfig(**TINY)
-    # A tiny-cell deployment whose ten extractions at onset 3 complete.
-    INDEX = 0
 
-    def test_each_subframe_is_drawn_once(self, monkeypatch):
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The subframe of every ``_SubframeDraws`` built, in order."""
         drawn = []
         init = experiments._SubframeDraws.__init__
 
@@ -1663,19 +1664,22 @@ class TestArmStreamsDrawEachSubframeOnce:
             init(self, cfg, trial_index, subframe)
 
         monkeypatch.setattr(experiments._SubframeDraws, "__init__", spy)
-        experiments._arm_streams(self.CFG, self.INDEX, 5, 3, (False, True))
+        return drawn
+
+    def test_each_subframe_is_drawn_once(self, drawn):
+        # Stream 0 of this cell completes its five extractions.
+        result = run_detection_delay(self.CFG, 3, 5, 1)
+        assert result.failed_streams == 0
         assert drawn == [1, 2, 3, 4, 5]
 
-    def test_each_arm_is_its_one_arm_stream(self):
-        _, results = experiments._arm_streams(
-            self.CFG, self.INDEX, 5, 3, (False, True)
-        )
-        for attacked, result in zip((False, True), results):
-            _, (alone,) = experiments._arm_streams(
-                self.CFG, self.INDEX, 5, 3, (attacked,)
-            )
-            assert len(result.similarities) == 4
-            assert result == alone
+    def test_a_trial_draws_subframe_2_once(self, drawn):
+        completed = 0
+        for index in range(4):
+            drawn.clear()
+            if not run_single_trial(self.CFG, index).failed:
+                completed += 1
+                assert drawn == [1, 2]
+        assert completed > 0
 
 
 class TestStreamEarlyStop:
@@ -1691,11 +1695,11 @@ class TestStreamEarlyStop:
         # point.
         cfg = ScenarioConfig(master_seed=7)
         fail_batch(monkeypatch, index, failing, False)
+        quiet = [(s, False) for s in range(1, 7)]
         with pytest.raises(InitializationError, match="not finite"):
-            experiments._arm_streams(cfg, index, 6, 7, (True,))
+            experiments._extract_schedule(cfg, index, quiet)
         runs = descents(evaluated)
         fresh = TrialSimulator(cfg, index)
-        quiet = [(s, False) for s in range(1, 7)]
         assert schedule_of(runs, fresh, quiet) == quiet[:failing - 1]
         assert_first_iterations_only(evaluated, monkeypatch, runs)
 
@@ -1923,21 +1927,22 @@ class TestOtherEntryPoints:
         assert values.shape == (2 * 2,)
         assert result.failed_streams == 0
         assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
-        assert result.threshold == cfg.similarity_threshold
+        assert result.threshold == DEFAULT_THRESHOLD
         assert result.suggested_threshold == float(
             np.quantile(values, result.quantile)
         )
         assert result.fraction_above_threshold == float(
-            np.mean(values >= cfg.similarity_threshold)
+            np.mean(values >= DEFAULT_THRESHOLD)
         )
 
     def test_similarity_at_the_threshold_counts_as_normal(self):
         # Tiny-cell similarities are exactly 0 or 1; at a threshold of 1.0
         # a similarity of 1.0 is judged normal, as detector.run_stream
         # judges it.
-        cfg = ScenarioConfig(**{**TINY, "similarity_threshold": 1.0})
-        result = calibrate(cfg, n_streams=6, subframes_per_stream=4)
-        results, failed = experiments._stream_states(cfg, 6, 4, None)
+        cfg = ScenarioConfig(**TINY)
+        result = calibrate(cfg, n_streams=6, subframes_per_stream=4,
+                           threshold=1.0)
+        results, failed = experiments._stream_states(cfg, 6, 4, None, 1.0)
         values = [value for r in results for value in r.similarities]
         normal = sum(1 for value in values if value >= 1.0)
         assert failed == result.failed_streams
@@ -1991,11 +1996,20 @@ class TestOtherEntryPoints:
         (partial(run_detection_delay, attack_start=4, n_subframes=3,
                  n_streams=2), "extend at least to the attack-start"),
         (partial(run_detection_delay, n_streams=0), "at least one stream"),
+        *[(partial(entry_point, n_streams=2, threshold=threshold),
+           "threshold must lie in")
+          for entry_point in (calibrate, run_detection_delay)
+          for threshold in (-0.1, 1.5, math.nan)],
     ], ids=["no-stream", "one-subframe", "quantile-0", "quantile-1",
-            "attack-at-1", "onset-past-the-end", "no-delay-stream"])
+            "attack-at-1", "onset-past-the-end", "no-delay-stream",
+            "calibrate-threshold-below-0", "calibrate-threshold-above-1",
+            "calibrate-threshold-nan", "delay-threshold-below-0",
+            "delay-threshold-above-1", "delay-threshold-nan"])
     def test_entry_points_reject_bad_arguments(self, call, message):
         # Two tiny-cell streams, so that without its check a case runs
-        # quickly to a result or to another error.
+        # quickly to a result or to another error.  Without the threshold
+        # check each stream would fail on its own and the run would end in
+        # InsufficientDataError, which is no ConfigurationError.
         with pytest.raises(ConfigurationError, match=message):
             call(ScenarioConfig(**TINY))
 

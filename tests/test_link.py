@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from spoofdet.channel import vectorize_taps
-from spoofdet.errors import ConfigurationError, ShapeError
+from spoofdet.errors import (
+    ConfigurationError,
+    PilotDivisionError,
+    ShapeError,
+)
 from spoofdet.link import (
     frequency_reference,
     ls_estimate,
@@ -214,6 +218,13 @@ class TestLsEstimate:
         pool = one_user_pool()
         with pytest.raises(ShapeError):
             ls_estimate(np.zeros((2, N), dtype=complex), pool[0], TAU)
+
+    def test_pilot_with_a_zero_bin_rejected(self):
+        # The DFT of [1, 1, -1, -1] / 2 is zero at bins 0 and 2, so the
+        # division by the pilot spectrum is undefined there.
+        pilot = np.array([1.0, 1.0, -1.0, -1.0]) / 2
+        with pytest.raises(PilotDivisionError, match="zero bin"):
+            ls_estimate(np.ones((1, 2, 4), dtype=complex), pilot, 1)
 
 
 class TestObserve:

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from spoofdet.errors import ConfigurationError
+from spoofdet.experiments import run_trials
 from spoofdet.extractor import ExtractorConfig
 from spoofdet.link import simulate_subframe
 from spoofdet.scenario import ScenarioConfig
@@ -29,7 +30,6 @@ CUSTOM = ScenarioConfig(
     cluster_table="profile.yaml",
     threshold_scale=5.0,
     tolerance=0.01,
-    similarity_threshold=0.8,
     trials=12,
     master_seed=99,
     workers=2,
@@ -51,7 +51,6 @@ DEFAULT_ITEMS = [
     ("cluster_table", None),
     ("threshold_scale", 15.0),
     ("tolerance", 0.001),
-    ("similarity_threshold", 0.92),
     ("trials", 500),
     ("master_seed", 2026),
     ("workers", 1),
@@ -70,7 +69,6 @@ CUSTOM_ITEMS = [
     ("cluster_table", "profile.yaml"),
     ("threshold_scale", 5.0),
     ("tolerance", 0.01),
-    ("similarity_threshold", 0.8),
     ("trials", 12),
     ("master_seed", 99),
     ("workers", 2),
@@ -86,12 +84,55 @@ class TestRoundTrip:
     def test_yaml(self, cfg, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=False))
-        assert ScenarioConfig.from_yaml(path) == cfg
+        # A relative cluster table is read beside the file.
+        table = cfg.cluster_table and str(tmp_path / cfg.cluster_table)
+        assert ScenarioConfig.from_yaml(path) == replace(
+            cfg, cluster_table=table
+        )
 
     def test_empty_yaml_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("")
         assert ScenarioConfig.from_yaml(path) == ScenarioConfig()
+
+
+class TestClusterTablePath:
+    """A relative ``cluster_table`` in a scenario file names a file beside
+    the scenario file, wherever the process runs; an absolute one, and any
+    path given to ``from_dict``, is stored as given."""
+
+    TABLE = ("delays_ns: [0.0, 245.0]\npowers_db: [0.0, -3.0]\n"
+             "azimuths_deg: [0.0, 40.0]\nspreads_deg: [2.0, 2.0]\n")
+    CELL = dict(num_antennas=8, num_users=4, sequence_length=31, rb_count=8,
+                trials=8, master_seed=7)
+
+    def write(self, directory, table):
+        directory.mkdir()
+        (directory / "table.yaml").write_text(self.TABLE)
+        path = directory / "scenario.yaml"
+        path.write_text(yaml.safe_dump({**self.CELL, "cluster_table": table}))
+        return path
+
+    def test_relative_path_is_read_beside_the_file(self, tmp_path,
+                                                   monkeypatch):
+        self.write(tmp_path / "profiles", "table.yaml")
+        monkeypatch.chdir(tmp_path)
+        cfg = ScenarioConfig.from_yaml("profiles/scenario.yaml")
+        assert cfg.cluster_table == "profiles/table.yaml"
+        records = run_trials(cfg)
+        assert not all(record.failed for record in records)
+        beside = ScenarioConfig(
+            **self.CELL, cluster_table=str(tmp_path / "profiles/table.yaml")
+        )
+        assert records == run_trials(beside)
+
+    def test_absolute_path_and_from_dict_keep_it(self, tmp_path):
+        table = str(tmp_path / "profiles" / "table.yaml")
+        path = self.write(tmp_path / "profiles", table)
+        assert ScenarioConfig.from_yaml(path).cluster_table == table
+        assert ScenarioConfig.from_dict(
+            {"cluster_table": "table.yaml"}
+        ).cluster_table == "table.yaml"
 
 
 class TestUnreadableYaml:
@@ -146,8 +187,10 @@ class TestUnreadableYaml:
 
 class TestUnknownKeys:
     # Each retired setting under its field-style name, then each section of
-    # the former nested layout holding a field it held: the error names
-    # every key of the mapping, so no case passes for another key's sake.
+    # the former nested layout holding a field it held, then the sequential
+    # detector's threshold, now an argument of the entry points that run
+    # it: the error names every key of the mapping, so no case passes for
+    # another key's sake.
     @pytest.mark.parametrize(
         "raw",
         [
@@ -182,6 +225,7 @@ class TestUnknownKeys:
             {"extractor": {"tolerance": 1e-3}},
             {"detector": {"similarity_threshold": 0.92}},
             {"experiment": {"trials": 500}},
+            {"similarity_threshold": 0.92},
         ],
     )
     def test_rejected(self, raw):
@@ -200,7 +244,7 @@ class TestWrongTypes:
             {"threshold_scale": "9"},
             {"snr_db": "5"},
             {"num_antennas": 8.5},
-            {"similarity_threshold": "0.9"},
+            {"master_seed": "7"},
             {"workers": True},
             {"tap_duration_ns": float("nan")},
             {"jsr_db": float("inf")},
@@ -226,8 +270,10 @@ class TestWrongTypes:
         ],
     )
     def test_rejected(self, raw):
-        with pytest.raises(ConfigurationError):
+        # Rejected for its value: no case passes because its key is unknown.
+        with pytest.raises(ConfigurationError) as raised:
             ScenarioConfig.from_dict(raw)
+        assert "unknown configuration keys" not in str(raised.value)
 
 
 class TestNestedConfigTypes:
@@ -289,8 +335,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_ITEMS, "a666c753abea8ce2"),
-        (CUSTOM, CUSTOM_ITEMS, "4ed0adbb3abe6dea"),
+        (ScenarioConfig(), DEFAULT_ITEMS, "543a98c8b5fc55e1"),
+        (CUSTOM, CUSTOM_ITEMS, "e4caf719939005ed"),
     ]
 
     @pytest.mark.parametrize("cfg, items, digest", CASES,
