@@ -75,6 +75,11 @@ RAYS_PER_CLUSTER = 20
 # half-wavelength uniform linear array, whose beams are 2/M rad wide.
 ELEMENT_SPACING_WAVELENGTHS = 0.5
 
+# Delay-tap duration of every trial's channel, in nanoseconds: a cluster
+# maps to the tap nearest its delay over this, so the four taps of the
+# default scenario cover the default profile's clusters up to 610 ns.
+TAP_DURATION_NS = 240.0
+
 
 @dataclass(frozen=True)
 class ClusterTable:

@@ -71,14 +71,12 @@ import numpy as np
 
 from .baselines import ed_statistic, sd_statistic
 from .channel import (
-    ClusterTable,
+    TAP_DURATION_NS,
     GeometryScenario,
     beamspace,
     complex_normal,
-    default_cluster_table,
     draw_azimuths,
     draw_channels,
-    load_cluster_table,
     vectorize_taps,
 )
 from .detector import DEFAULT_THRESHOLD, StreamResult, run_stream, similarity
@@ -93,7 +91,13 @@ from .extractor import (
     draw_gaussian_probes,
     extract_all,
 )
-from .scenario import RUN_FIELDS, VICTIM, ScenarioConfig, pilot_pool
+from .scenario import (
+    RUN_FIELDS,
+    VICTIM,
+    ScenarioConfig,
+    cluster_table_for,
+    pilot_pool,
+)
 
 
 class Detector(NamedTuple):
@@ -201,17 +205,12 @@ _Z95 = 1.959963984540054
 # module stays cheap; each pool worker process fills its own.
 
 
-@cache
-def _cluster_table(path: str | None) -> ClusterTable:
-    """The cluster table at ``path`` (the built-in default for None), built
-    once per process."""
-    return default_cluster_table() if path is None else load_cluster_table(path)
+# The cluster table a path names (the built-in default for None).
+_cluster_table = cache(cluster_table_for)
 
 
 @cache
-def _pilot_tap_basis(
-    n: int, shift_size: int, num_users: int, num_taps: int
-) -> np.ndarray:
+def _pilot_tap_basis(n: int, num_users: int, num_taps: int) -> np.ndarray:
     """Read-only ``(N, K * T)`` map from the users' stacked taps to the
     clean receive spectrum of the pilots of :func:`scenario.pilot_pool`.
 
@@ -221,7 +220,7 @@ def _pilot_tap_basis(
     unitary-FFT receive of every pilot through its channel, the
     frequency-domain image of the circular convolutions.
     """
-    pilots = np.fft.fft(pilot_pool(n, shift_size, num_users), axis=1)  # (K, N)
+    pilots = np.fft.fft(pilot_pool(n, num_users), axis=1)  # (K, N)
     delays = np.fft.fft(np.eye(n, num_taps), axis=0)  # (N, T)
     basis = (pilots.T[:, :, None] * delays[:, None, :]).reshape(n, -1)
     basis /= np.sqrt(n)
@@ -362,7 +361,7 @@ class TrialSimulator:
             _cluster_table(cfg.cluster_table),
             sources,
             cfg.num_taps,
-            cfg.tap_duration_ns,
+            TAP_DURATION_NS,
             [trial_rng(cfg.master_seed, self.trial_index, stream)
              for stream in streams],
         )
@@ -429,8 +428,7 @@ class TrialSimulator:
     @cached_property
     def _basis(self) -> np.ndarray:
         c = self.cfg
-        return _pilot_tap_basis(c.sequence_length, c.shift_size,
-                                c.num_users, c.num_taps)
+        return _pilot_tap_basis(c.sequence_length, c.num_users, c.num_taps)
 
     @cached_property
     def snapshot_quiet(self) -> np.ndarray:

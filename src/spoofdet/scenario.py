@@ -11,6 +11,12 @@ Conventions baked in here rather than scattered through the harness:
 * A resource block holds ``SAMPLES_PER_RB = 12`` estimation samples, the
   NR block's 12 subcarriers (3GPP TS 38.211 section 4.4.4.1), so
   ``L = 12 * rb_count``: 16 blocks give 192 samples and 4 blocks give 48.
+* The users' pilots are cyclic shifts of one Zadoff-Chu root,
+  ``PILOT_SHIFT = 5`` samples apart.  Same-root pilots stay orthogonal
+  over a delay window no longer than the shift, so a scenario holds at
+  most ``PILOT_SHIFT`` taps.
+* Delay taps are ``channel.TAP_DURATION_NS = 240`` ns apart, so the
+  ``PILOT_SHIFT`` taps span 1.2 us of a cluster profile.
 * Absolute transmit powers are normalized away; only the two ratios matter.
   The stated signal-to-noise ratio is interpreted at the channel-estimate
   level: the per-element estimate-noise variance is
@@ -36,15 +42,23 @@ import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .baselines import NOISE_FLOOR_MULTIPLE
-from .errors import ConfigurationError, check_numeric_fields
+from .channel import (
+    TAP_DURATION_NS,
+    ClusterTable,
+    default_cluster_table,
+    load_cluster_table,
+)
+from .errors import ClusterTableError, ConfigurationError, check_numeric_fields
 from .extractor import ExtractorConfig
 from .zc import build_pool, generate_zc
 
 SAMPLES_PER_RB = 12
+PILOT_SHIFT = 5
 ESTIMATE_SIGNAL_LEVEL = 5.0
 VICTIM = 0
 
@@ -52,11 +66,17 @@ VICTIM = 0
 RUN_FIELDS = frozenset({"workers"})
 
 
-def pilot_pool(length: int, shift_size: int, num_users: int) -> np.ndarray:
+def pilot_pool(length: int, num_users: int) -> np.ndarray:
     """Read-only ``(num_users, length)`` array of the users' pilots: the
-    cyclic shifts, ``shift_size`` apart, of Zadoff-Chu root 1, the one root
+    cyclic shifts, ``PILOT_SHIFT`` apart, of Zadoff-Chu root 1, the one root
     every scenario uses."""
-    return build_pool(generate_zc(length, 1), shift_size, num_users)
+    return build_pool(generate_zc(length, 1), PILOT_SHIFT, num_users)
+
+
+def cluster_table_for(path: str | None) -> ClusterTable:
+    """The table a ``cluster_table`` setting names: the YAML file at
+    ``path``, or the built-in default for ``None``."""
+    return default_cluster_table() if path is None else load_cluster_table(path)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -70,25 +90,26 @@ class ScenarioConfig:
 
     Attributes
     ----------
-    num_antennas, num_users, num_taps, sequence_length, shift_size
+    num_antennas, num_users, num_taps, sequence_length
         Array size M (a uniform linear array with half-wavelength spacing,
         ``channel.ELEMENT_SPACING_WAVELENGTHS``), active user count K,
-        channel delay-spread length in taps, reference-sequence length N,
-        and the cyclic-shift separation of the pilot pool (at least the delay spread, so that same-root
-        pilots stay orthogonal over the delay window, and K shifts must fit
-        into N).
+        channel delay-spread length in taps (at most ``PILOT_SHIFT``, the
+        pilots' cyclic-shift separation, so that same-root pilots stay
+        orthogonal over the delay window), and reference-sequence length N
+        (K shifts of ``PILOT_SHIFT`` must fit into it).
     rb_count
         Occupied resource blocks; ``SAMPLES_PER_RB`` times this is the
         per-subframe sample budget L.
     snr_db, jsr_db
         Radio operating point: the received signal-to-noise ratio and the
         received jammer-to-signal ratio.
-    tap_duration_ns, cluster_table
-        Channel sampling and the path of a YAML cluster profile in the
-        layout of ``ClusterTable.from_dict``; ``None`` selects the default
-        profile built into ``channel.py`` (``default_cluster_table``), which
-        reads no file; ``from_yaml`` joins a relative one to the scenario
-        file's directory.
+    cluster_table
+        The path of a YAML cluster profile in the layout of
+        ``ClusterTable.from_dict``, its clusters sampled every
+        ``channel.TAP_DURATION_NS``; ``None`` selects the default profile
+        built into ``channel.py`` (``default_cluster_table``), which reads
+        no file; ``from_yaml`` joins a relative one to the scenario file's
+        directory.
     threshold_scale, tolerance
         The fingerprint extractor's two settings, with the defaults and the
         meaning of ``ExtractorConfig``; the ``extractor`` property bundles
@@ -107,17 +128,19 @@ class ScenarioConfig:
     num_users: int = 16
     num_taps: int = 4
     sequence_length: int = 139
-    shift_size: int = 5
     rb_count: int = 16
     snr_db: float = 5.0
     jsr_db: float = 0.0
-    tap_duration_ns: float = 240.0
     cluster_table: str | None = None
     threshold_scale: float = ExtractorConfig.threshold_scale
     tolerance: float = ExtractorConfig.tolerance
     trials: int = 500
     master_seed: int = 2026
     workers: int = 1
+
+    # ``channel.TAP_DURATION_NS``, which ``bench/replay.py`` reads here.  Not
+    # a field: it goes when that replay is retired (ROADMAP item 14).
+    tap_duration_ns: ClassVar[float] = TAP_DURATION_NS
 
     def __post_init__(self) -> None:
         check_numeric_fields(self)
@@ -141,9 +164,9 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be at least 1")
         if self.sequence_length < 2:
             raise ConfigurationError("sequence length must be at least 2")
-        if self.shift_size < self.num_taps:
+        if self.num_taps > PILOT_SHIFT:
             raise ConfigurationError(
-                f"shift size {self.shift_size} must be at least the delay "
+                f"shift size {PILOT_SHIFT} must be at least the delay "
                 f"spread {self.num_taps} to keep same-root pilots "
                 "orthogonal over the delay window"
             )
@@ -164,8 +187,6 @@ class ScenarioConfig:
                 f"snr_db {self.snr_db} gives a noise variance that is not "
                 "positive and finite"
             )
-        if self.tap_duration_ns <= 0:
-            raise ConfigurationError("tap duration must be positive")
         if self.master_seed < 0:
             raise ConfigurationError("master seed must be non-negative")
 
@@ -213,9 +234,7 @@ class ScenarioConfig:
 
     def build_pool(self) -> np.ndarray:
         """The users' pilots: :func:`pilot_pool` of this config."""
-        return pilot_pool(
-            self.sequence_length, self.shift_size, self.num_users
-        )
+        return pilot_pool(self.sequence_length, self.num_users)
 
     def subspace_config(self) -> float:
         """``baselines.NOISE_FLOOR_MULTIPLE``, which ``bench/replay.py``
@@ -232,11 +251,26 @@ class ScenarioConfig:
 
     def config_hash(self) -> str:
         """Stable short hash of every field that can change a trial: all
-        but the ``RUN_FIELDS``.  It hashes ``cluster_table`` as the stored
-        path, not the table's contents."""
+        but the ``RUN_FIELDS``.
+
+        ``cluster_table`` is hashed as the table the trials draw from, its
+        four columns and ``ricean_k_db`` as :func:`cluster_table_for`
+        builds them, so one table hashes alike under any path that names
+        it.  A path that does not give a table hashes as the path: the
+        trials that fail on it still get a summary.
+        """
         raw = self.to_dict()
         for name in RUN_FIELDS:
             del raw[name]
+        try:
+            table = cluster_table_for(self.cluster_table)
+        except ClusterTableError:
+            pass
+        else:
+            raw["cluster_table"] = {
+                f.name: np.asarray(getattr(table, f.name)).tolist()
+                for f in fields(table)
+            }
         payload = json.dumps(raw, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -87,7 +87,7 @@ from spoofdet.link import (
     to_frequency_domain,
     transmit_receive_td,
 )
-from spoofdet.scenario import ScenarioConfig
+from spoofdet.scenario import PILOT_SHIFT, ScenarioConfig
 from spoofdet.zc import cyclic_shift, generate_zc
 
 
@@ -430,6 +430,25 @@ TINY = dict(
 )
 
 
+# A cluster table whose second cluster, at 1200 ns, maps to tap 5, beyond
+# the 4-tap window, so every trial or stream drawing from it fails at its
+# first channel draw with this error.
+BEYOND_WINDOW = "ClusterTableError: cluster 1 at 1200.0 ns maps to tap 5"
+
+
+@pytest.fixture
+def beyond_window(tmp_path_factory):
+    """The path of the table above, alone in its own directory."""
+    path = tmp_path_factory.mktemp("tables") / "beyond-window.yaml"
+    path.write_text(
+        "delays_ns: [0.0, 1200.0]\n"
+        "powers_db: [0.0, -3.0]\n"
+        "azimuths_deg: [0.0, 40.0]\n"
+        "spreads_deg: [2.0, 2.0]\n"
+    )
+    return path
+
+
 # The tiny cell's records pinned to the bit: per completed trial,
 # (similarity as a hex float, energy as a hex float, subspace dimension) of
 # the quiet and then the attacked arm; per failed trial, its error.  A
@@ -670,15 +689,13 @@ class TestWorkerPool:
         assert os.environ[names[0]] == "4"
         assert not any(name in os.environ for name in names[1:])
 
-    def test_streams_run_in_the_pool(self, pools):
+    def test_streams_run_in_the_pool(self, pools, beyond_window):
         # Two workers give the serial results and the serial every-stream
         # failure, and each call ran its streams on one pool.
         runs = {}
         for workers in (1, 2):
             cfg = ScenarioConfig(**TINY, workers=workers)
-            # At 1 ns per tap the shipped table's 35 ns cluster maps to tap
-            # 35 of 4, so every stream fails at its first channel draw.
-            failing = replace(cfg, tap_duration_ns=1.0)
+            failing = replace(cfg, cluster_table=str(beyond_window))
             texts = []
             for call in (partial(calibrate, failing, 6, 3),
                          partial(run_detection_delay, failing, 2, 3, 6)):
@@ -691,7 +708,7 @@ class TestWorkerPool:
         assert runs[2] == runs[1]
         assert all(text.startswith(
             "every one of the 6 streams failed; first error: stream 0: "
-            "ClusterTableError: cluster 1 at 35.0 ns maps to tap 35"
+            + BEYOND_WINDOW
         ) for text in runs[1][2])
 
     def test_cells_run_on_one_pool(self, pools, tmp_path):
@@ -795,19 +812,11 @@ class TestShortcutsMatchLinkChain:
     def test_sensing_batch_and_snapshot(self, trial, attacked):
         self.assert_matches_chain(TrialSimulator(self.CFG, trial), attacked)
 
-    @pytest.mark.parametrize("num_taps, tap_duration_ns", [
-        (3, 400.0), (4, 240.0), (5, 240.0),
-    ])
     @pytest.mark.parametrize("attacked", [False, True])
-    def test_shift_equal_to_the_delay_spread(
-        self, num_taps, tap_duration_ns, attacked
-    ):
+    def test_shift_equal_to_the_delay_spread(self, attacked):
         # Pilots exactly one delay spread apart stay orthogonal over the
         # delay window, so the shortcuts hold at that boundary too.
-        cfg = replace(
-            self.CFG, num_taps=num_taps, shift_size=num_taps,
-            tap_duration_ns=tap_duration_ns,
-        )
+        cfg = replace(self.CFG, num_taps=PILOT_SHIFT)
         self.assert_matches_chain(TrialSimulator(cfg, 0), attacked)
 
     def assert_matches_chain(self, simulator, attacked):
@@ -830,13 +839,12 @@ class TestShortcutsMatchLinkChain:
 
     def test_cells_sharing_one_process(self, tmp_path):
         """The per-process table and pilot-tap basis memo tells cells apart
-        by table path, N, shift size, user count and tap count."""
+        by table path, N, user count and tap count."""
         cells = [
             self.CFG,
             replace(self.CFG, sequence_length=37),
             replace(self.CFG, num_users=5),
-            replace(self.CFG, shift_size=6),
-            replace(self.CFG, num_taps=3, tap_duration_ns=400.0),
+            replace(self.CFG, num_taps=PILOT_SHIFT),
             self.CFG,
         ]
         for cfg in cells:
@@ -1204,14 +1212,14 @@ class TestSnapshotBasis:
         n, k_users, t = cfg.sequence_length, cfg.num_users, cfg.num_taps
         root = generate_zc(n, 1)
         rows = np.array(
-            [cyclic_shift(root, k * cfg.shift_size) for k in range(k_users)],
+            [cyclic_shift(root, k * PILOT_SHIFT) for k in range(k_users)],
             dtype=np.complex128,
         )
         pilots = np.fft.fft(rows, axis=1)
         delays = np.fft.fft(np.eye(n, t), axis=0)
         old = (pilots.T[:, :, None] * delays[:, None, :]).reshape(n, -1)
         old /= np.sqrt(n)
-        basis = experiments._pilot_tap_basis(n, cfg.shift_size, k_users, t)
+        basis = experiments._pilot_tap_basis(n, k_users, t)
         assert same_bits(basis, old)
         assert not basis.flags.writeable
 
@@ -1836,15 +1844,19 @@ class TestOtherEntryPoints:
             ).config_hash()
 
     def test_run_sweep_keeps_going_past_a_cell_where_every_trial_fails(
-        self, tmp_path
+        self, tmp_path, beyond_window, monkeypatch
     ):
-        # At 1 ns per tap the shipped table's 35 ns cluster maps to tap 35
-        # of 4, so every trial fails at its first channel draw.
+        # Every trial of the beyond-window table's cell fails at its first
+        # channel draw.  The sweep runs from the table's directory, so the
+        # cell's tag holds a plain file name.
+        monkeypatch.chdir(beyond_window.parent)
         cfg = ScenarioConfig(trials=10, master_seed=7)
-        grid = run_sweep(cfg, {"tap_duration_ns": [240.0, 1.0]}, tmp_path)
+        grid = run_sweep(
+            cfg, {"cluster_table": [None, beyond_window.name]}, tmp_path
+        )
         assert json.loads((tmp_path / "sweep.json").read_text()) == grid
-        complete = grid["cells"]["tap_duration_ns=240.0"]
-        failed = grid["cells"]["tap_duration_ns=1.0"]
+        complete = grid["cells"]["cluster_table=None"]
+        failed = grid["cells"]["cluster_table=beyond-window.yaml"]
         assert complete["failed_trials"] < cfg.trials
         assert complete["error"] is None
         # Whether a trial of the complete cell fails depends on the seed;
@@ -1855,7 +1867,7 @@ class TestOtherEntryPoints:
         assert set(complete["auc"]) == set(DETECTOR_NAMES)
         # The failed cell writes its per-trial log and its summary, with
         # null AUCs; its sweep entry is read from that summary.
-        cell = tmp_path / "tap_duration_ns=1.0"
+        cell = tmp_path / "cluster_table=beyond-window.yaml"
         assert sorted(p.name for p in cell.iterdir()) == [
             "summary.json", "trials.csv"
         ]
@@ -1877,7 +1889,7 @@ class TestOtherEntryPoints:
         }
         # Run alone, the cell writes the same files and raises that error.
         with pytest.raises(InsufficientDataError) as raised:
-            run_scenario(replace(cfg, tap_duration_ns=1.0),
+            run_scenario(replace(cfg, cluster_table=beyond_window.name),
                          tmp_path / "direct")
         assert str(raised.value) == failed["error"]
         assert failed["error"] == (
@@ -1895,25 +1907,29 @@ class TestOtherEntryPoints:
         {"rb_count": [8], "snr_db": [10.0, 10]},
         {"rb_count": [8, 8.0], "jsr_db": [0.0]},
         {"snr_db": [5.0], "snr": [5.0]},
-        {"shift_size": [5, 3]},
+        {"num_taps": [4, PILOT_SHIFT + 1]},
         {"cluster_table": ["profiles/clustered.yaml"]},
         {"workers": [1, 2]},
         {"rb_count": [8], "output_dir": ["a", "b"]},
         {"extractor": [ExtractorConfig()]},
         {"tolerance": [1e-3, -1.0]},
+        {"shift_size": [5]},
+        {"tap_duration_ns": [240.0]},
     ], ids=[
         "fractional-block-count", "quoted-snr", "5-and-5.0",
         "repeat-on-the-last-axis", "repeat-on-the-first-axis",
         "unknown-field", "shift-within-the-delay-spread", "path-separator",
         "workers", "output-dir", "nested-extractor", "negative-tolerance",
+        "shift-size", "tap-duration",
     ])
     def test_run_sweep_rejects_what_the_config_rejects(self, tmp_path, axes):
         # A value the config rejects, two values naming one cell, a name
         # that is no config field (a typo, a deleted field such as
-        # ``output_dir``, or the ``extractor`` property), a field that
-        # changes no cell's results (the whole sweep runs on
-        # ``cfg.workers``), or a tag that is not a plain directory name
-        # raises before any cell runs, here after a first good cell.
+        # ``output_dir``, ``shift_size`` or ``tap_duration_ns``, or the
+        # ``extractor`` property), a field that changes no cell's results
+        # (the whole sweep runs on ``cfg.workers``), or a tag that is not a
+        # plain directory name raises before any cell runs, here after a
+        # first good cell.
         cfg = ScenarioConfig(**TINY)
         with pytest.raises(ConfigurationError):
             run_sweep(cfg, axes, tmp_path / "sweep")
@@ -2013,11 +2029,10 @@ class TestOtherEntryPoints:
         with pytest.raises(ConfigurationError, match=message):
             call(ScenarioConfig(**TINY))
 
-    def test_every_stream_failing_is_insufficient_data(self):
-        # 1-ns taps put the default profile's second cluster (35 ns) past
-        # the 4-tap window, so every stream fails at its first channel draw.
-        cfg = ScenarioConfig(**{**TINY, "tap_duration_ns": 1.0})
-        first = "first error: stream 0: ClusterTableError: cluster 1 at 35.0 ns"
+    def test_every_stream_failing_is_insufficient_data(self, beyond_window):
+        # Every stream fails at its first channel draw.
+        cfg = ScenarioConfig(**TINY, cluster_table=str(beyond_window))
+        first = "first error: stream 0: " + BEYOND_WINDOW
         with pytest.raises(InsufficientDataError, match=first):
             calibrate(cfg, n_streams=3, subframes_per_stream=2)
         with pytest.raises(InsufficientDataError, match=first):

@@ -13,7 +13,7 @@ from spoofdet.errors import ConfigurationError
 from spoofdet.experiments import run_trials
 from spoofdet.extractor import ExtractorConfig
 from spoofdet.link import simulate_subframe
-from spoofdet.scenario import ScenarioConfig
+from spoofdet.scenario import PILOT_SHIFT, ScenarioConfig
 
 # Every field set away from its default, so a field dropped on the way
 # out or in shows up as an inequality.
@@ -22,11 +22,9 @@ CUSTOM = ScenarioConfig(
     num_users=4,
     num_taps=3,
     sequence_length=31,
-    shift_size=6,
     rb_count=8,
     snr_db=-2.5,
     jsr_db=3.0,
-    tap_duration_ns=200.0,
     cluster_table="profile.yaml",
     threshold_scale=5.0,
     tolerance=0.01,
@@ -37,17 +35,17 @@ CUSTOM = ScenarioConfig(
 
 
 # What to_dict returns and what config_hash returns, pinned: a change to the
-# key order, or to the set of hashed fields, shows up here.
+# key order, to the set of hashed fields or to how the cluster table is
+# hashed shows up here.  The default hashes the built-in table's numbers;
+# the custom config's "profile.yaml" is no file, so it hashes as its path.
 DEFAULT_ITEMS = [
     ("num_antennas", 64),
     ("num_users", 16),
     ("num_taps", 4),
     ("sequence_length", 139),
-    ("shift_size", 5),
     ("rb_count", 16),
     ("snr_db", 5.0),
     ("jsr_db", 0.0),
-    ("tap_duration_ns", 240.0),
     ("cluster_table", None),
     ("threshold_scale", 15.0),
     ("tolerance", 0.001),
@@ -61,11 +59,9 @@ CUSTOM_ITEMS = [
     ("num_users", 4),
     ("num_taps", 3),
     ("sequence_length", 31),
-    ("shift_size", 6),
     ("rb_count", 8),
     ("snr_db", -2.5),
     ("jsr_db", 3.0),
-    ("tap_duration_ns", 200.0),
     ("cluster_table", "profile.yaml"),
     ("threshold_scale", 5.0),
     ("tolerance", 0.01),
@@ -99,7 +95,8 @@ class TestRoundTrip:
 class TestClusterTablePath:
     """A relative ``cluster_table`` in a scenario file names a file beside
     the scenario file, wherever the process runs; an absolute one, and any
-    path given to ``from_dict``, is stored as given."""
+    path given to ``from_dict``, is stored as given.  ``config_hash`` hashes
+    the table the path names, not the path."""
 
     TABLE = ("delays_ns: [0.0, 245.0]\npowers_db: [0.0, -3.0]\n"
              "azimuths_deg: [0.0, 40.0]\nspreads_deg: [2.0, 2.0]\n")
@@ -133,6 +130,56 @@ class TestClusterTablePath:
         assert ScenarioConfig.from_dict(
             {"cluster_table": "table.yaml"}
         ).cluster_table == "table.yaml"
+
+    def test_one_table_hashes_alike_under_every_path(self, tmp_path,
+                                                     monkeypatch):
+        # Loaded from the parent directory, from beside the file and by its
+        # absolute path, and as a copy in another directory.  A relative
+        # path is read from the working directory, so each load is hashed
+        # where it was made.
+        absolute = self.write(tmp_path / "profiles", "table.yaml")
+        copy = self.write(tmp_path / "copy", "table.yaml")
+        loads = {}
+        for directory, path in [(tmp_path, "profiles/scenario.yaml"),
+                                (tmp_path / "profiles", "scenario.yaml"),
+                                (tmp_path, absolute), (tmp_path, copy)]:
+            monkeypatch.chdir(directory)
+            cfg = ScenarioConfig.from_yaml(path)
+            loads[cfg.cluster_table] = cfg.config_hash()
+        assert len(loads) == 4
+        assert len(set(loads.values())) == 1
+
+    def test_one_number_changes_the_hash(self, tmp_path):
+        path = self.write(tmp_path / "profiles", "table.yaml")
+        before = ScenarioConfig.from_yaml(path).config_hash()
+        (tmp_path / "profiles" / "table.yaml").write_text(
+            self.TABLE.replace("40.0", "41.0")
+        )
+        assert ScenarioConfig.from_yaml(path).config_hash() != before
+
+    def test_the_default_table_hashes_as_a_file_of_its_numbers(self,
+                                                               tmp_path):
+        table = tmp_path / "default.yaml"
+        table.write_text(
+            "delays_ns: [0.0, 35.0, 245.0, 610.0]\n"
+            "powers_db: [0.0, -13.5, -18.8, -21.0]\n"
+            "azimuths_deg: [0.0, 28.0, -36.0, 54.0]\n"
+            "spreads_deg: [1.0, 3.0, 3.0, 3.0]\n"
+            "ricean_k_db: 13.3\n"
+        )
+        assert ScenarioConfig(cluster_table=str(table)).config_hash() == (
+            ScenarioConfig().config_hash()
+        )
+
+    def test_a_path_that_gives_no_table_hashes_as_the_path(self, tmp_path):
+        # A run whose every trial fails on the table still writes its
+        # summary, which holds the hash.
+        (tmp_path / "invalid.yaml").write_text("delays_ns: [0.0]\n")
+        hashes = {
+            ScenarioConfig(cluster_table=str(tmp_path / name)).config_hash()
+            for name in ("missing.yaml", "other-missing.yaml", "invalid.yaml")
+        }
+        assert len(hashes) == 3
 
 
 class TestUnreadableYaml:
@@ -171,7 +218,12 @@ class TestUnreadableYaml:
         ("radio: {snr_db: 5.0}\n", "unknown configuration keys: ['radio']"),
         # A key YAML reads as an int beside an unknown string key.
         ("1: 2\nbogus: 3\n", "unknown configuration keys: ['bogus', 1]"),
-    ], ids=["key", "value", "capacity", "nested", "mixed-key-types"])
+        # The two conventions that are constants now.
+        ("shift_size: 5\n", "unknown configuration keys: ['shift_size']"),
+        ("tap_duration_ns: 240.0\n",
+         "unknown configuration keys: ['tap_duration_ns']"),
+    ], ids=["key", "value", "capacity", "nested", "mixed-key-types",
+            "shift-size", "tap-duration"])
     def test_rejected_contents_name_the_file(self, tmp_path, text, error):
         # Whatever from_dict rejects in a file is raised with the file's
         # path and as the same exception type.
@@ -217,6 +269,8 @@ class TestUnknownKeys:
             {"noise_floor_multiple": 3.0},
             {"max_iterations": 200},
             {"max_backtracks": 20},
+            {"shift_size": 5},
+            {"tap_duration_ns": 240.0},
             {"array": {"num_antennas": 64}},
             {"users": {"num_users": 16}},
             {"radio": {"snr_db": 5.0}},
@@ -246,7 +300,7 @@ class TestWrongTypes:
             {"num_antennas": 8.5},
             {"master_seed": "7"},
             {"workers": True},
-            {"tap_duration_ns": float("nan")},
+            {"snr_db": float("nan")},
             {"jsr_db": float("inf")},
             {"tolerance": float("nan")},
             {"cluster_table": 5},
@@ -258,11 +312,11 @@ class TestWrongTypes:
             # A positive linear ratio so small that the estimate-noise
             # variance, the signal level over it, is infinite.
             {"snr_db": -3200.0},
-            # Cells whose trials cannot run: a zero tap duration, a shift
-            # within the delay spread, and more users than the pilot pool
-            # holds (139 // 5 = 27).
-            {"tap_duration_ns": 0.0},
-            {"shift_size": 3},
+            # Cells whose trials cannot run: a sequence too short for a
+            # pilot, a delay spread beyond the pilot shift, and more users
+            # than the pilot pool holds (139 // 5 = 27).
+            {"sequence_length": 1},
+            {"num_taps": PILOT_SHIFT + 1},
             {"num_users": 28},
             # Integers too large for a float.
             {"snr_db": int("1" * 400)},
@@ -335,8 +389,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_ITEMS, "543a98c8b5fc55e1"),
-        (CUSTOM, CUSTOM_ITEMS, "e4caf719939005ed"),
+        (ScenarioConfig(), DEFAULT_ITEMS, "111f61a1381ce874"),
+        (CUSTOM, CUSTOM_ITEMS, "5a706ed1f17aac1d"),
     ]
 
     @pytest.mark.parametrize("cfg, items, digest", CASES,
