@@ -812,11 +812,26 @@ class TestShortcutsMatchLinkChain:
     def test_sensing_batch_and_snapshot(self, trial, attacked):
         self.assert_matches_chain(TrialSimulator(self.CFG, trial), attacked)
 
+    @pytest.mark.parametrize("num_taps, second_delay_ns", [
+        (3, 400.0), (4, 240.0), (5, 240.0),
+    ])
     @pytest.mark.parametrize("attacked", [False, True])
-    def test_shift_equal_to_the_delay_spread(self, attacked):
-        # Pilots exactly one delay spread apart stay orthogonal over the
-        # delay window, so the shortcuts hold at that boundary too.
-        cfg = replace(self.CFG, num_taps=PILOT_SHIFT)
+    def test_shift_equal_to_the_delay_spread(
+        self, num_taps, second_delay_ns, attacked, tmp_path
+    ):
+        # Pilots PILOT_SHIFT apart stay orthogonal over every delay window
+        # up to the shift, so the shortcuts hold below it and at that
+        # boundary too.  The default profile's 610 ns cluster lies beyond a
+        # 3-tap window, so each window draws from a two-cluster table whose
+        # second cluster fits it: 400 ns maps to tap 2, 240 ns to tap 1.
+        table = tmp_path / "two-clusters.yaml"
+        table.write_text(
+            f"delays_ns: [0.0, {second_delay_ns}]\n"
+            "powers_db: [0.0, -3.0]\n"
+            "azimuths_deg: [0.0, 40.0]\n"
+            "spreads_deg: [2.0, 2.0]\n"
+        )
+        cfg = replace(self.CFG, num_taps=num_taps, cluster_table=str(table))
         self.assert_matches_chain(TrialSimulator(cfg, 0), attacked)
 
     def assert_matches_chain(self, simulator, attacked):
