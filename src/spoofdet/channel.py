@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +103,8 @@ class ClusterTable:
         remainder is spread over diffuse rays.  ``None`` means fully diffuse.
 
     Every entry of the four columns, and ``ricean_k_db`` when set, must be
-    finite.  The table keeps read-only float copies of the columns, so one
-    instance can be shared by every trial of a run.
+    finite.  The table, pickled or not, keeps read-only float copies of the
+    columns, so one instance can be shared by every trial of a run.
     """
 
     delays_ns: np.ndarray
@@ -142,6 +142,9 @@ class ClusterTable:
             raise ClusterTableError("normalized cluster powers must sum to 1")
         if np.any(self.spreads_deg < 0):
             raise ClusterTableError("angular spreads must be non-negative")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def num_clusters(self) -> int:

@@ -30,9 +30,9 @@ against that chain, and ``TestNoiseShortcutMoments`` checks the moments of
 the tap noise, the energy sketch and the snapshot noise against the laws
 above.
 
-Each input is built once and only when needed: the cluster table and the
-``(N, K * T)`` pilot-tap basis once per process, keyed on the config
-fields they depend on, and the rest as ``TrialSimulator`` sets out.
+Each input is built once and only when needed: the cluster table per
+config (``ScenarioConfig.table``), the ``(N, K * T)`` pilot-tap basis per
+process on the fields it depends on, the rest as ``TrialSimulator`` sets out.
 
 Trials and streams take one path, ``_extract_schedule``: the
 ``(subframe, attacked)`` pairs of one deployment go to
@@ -90,12 +90,12 @@ from .extractor import (
     SensingBatch,
     draw_gaussian_probes,
     extract_all,
+    probe_responses,
 )
 from .scenario import (
     RUN_FIELDS,
     VICTIM,
     ScenarioConfig,
-    cluster_table_for,
     pilot_pool,
 )
 
@@ -200,15 +200,9 @@ class RocCurve:
 _Z95 = 1.959963984540054
 
 
-# The inputs every trial of a run shares are cached per process on the
-# config fields they depend on.  Filled on first use, so importing this
+# The pilot-tap basis every trial of a run shares is cached per process on
+# the config fields it depends on.  Filled on first use, so importing this
 # module stays cheap; each pool worker process fills its own.
-
-
-# The cluster table a path names (the built-in default for None).
-_cluster_table = cache(cluster_table_for)
-
-
 @cache
 def _pilot_tap_basis(n: int, num_users: int, num_taps: int) -> np.ndarray:
     """Read-only ``(N, K * T)`` map from the users' stacked taps to the
@@ -308,8 +302,8 @@ class TrialSimulator:
     in any call order, and building an input late or not at all changes no
     other value.
 
-    What is built when (the per-process memo of the cluster table and the
-    pilot-tap basis aside):
+    What is built when (the config's cluster table and the per-process
+    memo of the pilot-tap basis aside):
 
     * On construction: the geometry (the array and one azimuth per actor),
       the victim's ``(num_taps, M)`` tap matrix, its fingerprint
@@ -358,7 +352,7 @@ class TrialSimulator:
         ]
         return draw_channels(
             self.geometry,
-            _cluster_table(cfg.cluster_table),
+            cfg.table,
             sources,
             cfg.num_taps,
             TAP_DURATION_NS,
@@ -426,18 +420,16 @@ class TrialSimulator:
     # subspace detector's snapshots.
 
     @cached_property
-    def _basis(self) -> np.ndarray:
-        c = self.cfg
-        return _pilot_tap_basis(c.sequence_length, c.num_users, c.num_taps)
-
-    @cached_property
     def snapshot_quiet(self) -> np.ndarray:
-        return self._basis @ self.channels.reshape(-1, self.cfg.num_antennas)
+        c = self.cfg
+        basis = _pilot_tap_basis(c.sequence_length, c.num_users, c.num_taps)
+        return basis @ self.channels.reshape(-1, c.num_antennas)
 
     @cached_property
     def snapshot_attacked(self) -> np.ndarray:
-        width = self.cfg.num_taps
-        victim = self._basis[:, VICTIM * width:(VICTIM + 1) * width]
+        c = self.cfg
+        basis = _pilot_tap_basis(c.sequence_length, c.num_users, c.num_taps)
+        victim = basis[:, VICTIM * c.num_taps:(VICTIM + 1) * c.num_taps]
         attack_term = self.rho * (victim @ self.attacker_channel)
         return self.snapshot_quiet + attack_term
 
@@ -454,10 +446,7 @@ class TrialSimulator:
         draws = self._subframe_draws(subframe)
         psi = (self.psi_victim + self.psi_attacker if attacked
                else self.psi_victim)
-        # No conjugated copy of the probes: conj(probes @ conj(psi)) equals
-        # probes.conj() @ psi to the bit, up to the sign of an exact zero.
-        response = draws.probes @ psi.conj()
-        np.conjugate(response, out=response)
+        response = probe_responses(draws.probes, psi)
         response += draws.tap_noise
         samples = np.abs(response) ** 2
         mean = float(samples.mean())

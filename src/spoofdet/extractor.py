@@ -62,6 +62,7 @@ __all__ = [
     "extract",
     "extract_all",
     "draw_gaussian_probes",
+    "probe_responses",
 ]
 
 # Base step of the descent, relative to the sample mean: the effective step
@@ -195,8 +196,9 @@ _ZERO_VECTOR = (
 )
 
 
-def _responses(batch: SensingBatch, phi: np.ndarray) -> np.ndarray:
-    """Probe responses ``zeta_l = <h(l), phi>`` (conjugate-linear in h).
+def probe_responses(probes: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Responses ``zeta_l = <h(l), phi>`` of the ``(L, D)`` probe rows
+    ``h(l)`` (conjugate-linear in h).
 
     Formed as ``conj(probes @ conj(phi))``, with the outer conjugate taken
     in place, so no conjugated copy of the probes is made.  Its bits are
@@ -207,7 +209,7 @@ def _responses(batch: SensingBatch, phi: np.ndarray) -> np.ndarray:
     the zero vector); the sign of a zero changes neither ``|zeta|`` nor any
     sum the gradient forms from ``zeta``.
     """
-    zeta = batch.probes @ phi.conj()
+    zeta = probes @ phi.conj()
     return np.conjugate(zeta, out=zeta)
 
 
@@ -253,7 +255,7 @@ def _evaluate(batch: SensingBatch, phi: np.ndarray) -> _Point:
     * ``residual`` is ``(s - a2) - offset``, subtracted in that order;
     * ``loss`` is ``add.reduce(r2) / L``, which is what ``np.mean`` does.
     """
-    zeta = _responses(batch, phi)
+    zeta = probe_responses(batch.probes, phi)
     a2 = np.abs(zeta)
     a2 *= a2
     norm = _norm(phi)
@@ -431,7 +433,7 @@ def spectral_init(batch: SensingBatch, support: Sequence[int]) -> tuple:
     v = np.zeros(batch.dimension, dtype=np.complex128)
     v[index] = v_sub
     quad = float(
-        np.mean(batch.samples * np.abs(_responses(batch, v)) ** 2)
+        np.mean(batch.samples * np.abs(probe_responses(batch.probes, v)) ** 2)
     )
     psi = quad - batch.sample_mean
     return v * math.sqrt(abs(psi) / 2.0), degenerate

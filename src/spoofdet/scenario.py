@@ -41,6 +41,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
 
@@ -73,12 +74,6 @@ def pilot_pool(length: int, num_users: int) -> np.ndarray:
     return build_pool(generate_zc(length, 1), PILOT_SHIFT, num_users)
 
 
-def cluster_table_for(path: str | None) -> ClusterTable:
-    """The table a ``cluster_table`` setting names: the YAML file at
-    ``path``, or the built-in default for ``None``."""
-    return default_cluster_table() if path is None else load_cluster_table(path)
-
-
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel power ratio to linear units."""
     return float(10.0 ** (value_db / 10.0))
@@ -109,7 +104,7 @@ class ScenarioConfig:
         ``channel.TAP_DURATION_NS``; ``None`` selects the default profile
         built into ``channel.py`` (``default_cluster_table``), which reads
         no file; ``from_yaml`` joins a relative one to the scenario file's
-        directory.
+        directory.  The ``table`` property reads it once per config.
     threshold_scale, tolerance
         The fingerprint extractor's two settings, with the defaults and the
         meaning of ``ExtractorConfig``; the ``extractor`` property bundles
@@ -232,6 +227,15 @@ class ScenarioConfig:
         """
         return self.estimate_noise_variance / self.sequence_length
 
+    @cached_property
+    def table(self) -> ClusterTable:
+        """The table ``cluster_table`` names, read at first use and kept (a
+        pickled copy carries it) for the trials and ``config_hash``; a path
+        that gives no table raises ``ClusterTableError`` at every use."""
+        if self.cluster_table is None:
+            return default_cluster_table()
+        return load_cluster_table(self.cluster_table)
+
     def build_pool(self) -> np.ndarray:
         """The users' pilots: :func:`pilot_pool` of this config."""
         return pilot_pool(self.sequence_length, self.num_users)
@@ -253,17 +257,17 @@ class ScenarioConfig:
         """Stable short hash of every field that can change a trial: all
         but the ``RUN_FIELDS``.
 
-        ``cluster_table`` is hashed as the table the trials draw from, its
-        four columns and ``ricean_k_db`` as :func:`cluster_table_for`
-        builds them, so one table hashes alike under any path that names
-        it.  A path that does not give a table hashes as the path: the
-        trials that fail on it still get a summary.
+        ``cluster_table`` is hashed as ``table``, the table the trials draw
+        from: its four columns and ``ricean_k_db``, so one table hashes
+        alike under any path that names it.  A path that does not give a
+        table hashes as the path: the trials that fail on it still get a
+        summary.
         """
         raw = self.to_dict()
         for name in RUN_FIELDS:
             del raw[name]
         try:
-            table = cluster_table_for(self.cluster_table)
+            table = self.table
         except ClusterTableError:
             pass
         else:

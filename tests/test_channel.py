@@ -5,6 +5,7 @@ uniform azimuth placement, and beam-domain sparsity of draws.
 use, and a ray-by-ray sum of its responses is the oracle of a whole draw."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -218,6 +219,16 @@ class TestClusterTable:
                     column[0] = 1.0
         delays[1] = 50.0
         assert table.delays_ns[1] == 100.0
+
+    def test_an_unpickled_table_keeps_its_bits_read_only(self):
+        # A config carries its table to pool workers pickled.
+        table = default_cluster_table()
+        copy = pickle.loads(pickle.dumps(table))
+        for name in ("delays_ns", "powers", "azimuths_deg", "spreads_deg"):
+            column = getattr(copy, name)
+            assert column.tobytes() == getattr(table, name).tobytes(), name
+            assert not column.flags.writeable, name
+        assert copy.ricean_k_db == table.ricean_k_db
 
 
 class TestGeometryScenario:

@@ -781,6 +781,68 @@ class TestBadClusterTable:
             )
 
 
+class TestConfigOwnsItsTable:
+    """A config reads its cluster table once, at first use, and its trials
+    and its ``config_hash`` both see that one table, whatever later happens
+    to the file or to the working directory, in a pool as in one process.
+    A fresh config reads the file as it is then."""
+
+    TABLE = ("delays_ns: [0.0, 245.0]\npowers_db: [0.0, -3.0]\n"
+             "azimuths_deg: [0.0, 40.0]\nspreads_deg: [2.0, 2.0]\n")
+
+    def rewrite_beyond_window(self, path):
+        path.write_text(self.TABLE.replace("245.0", "1200.0"))
+
+    def test_a_rewritten_file_reaches_only_a_fresh_config(self, tmp_path):
+        path = tmp_path / "table.yaml"
+        path.write_text(self.TABLE)
+        cfg = ScenarioConfig(**TINY, cluster_table=str(path))
+        records = run_trials(cfg)
+        assert not all(record.failed for record in records)
+        digest = cfg.config_hash()
+        self.rewrite_beyond_window(path)
+        assert run_trials(cfg) == records
+        assert cfg.config_hash() == digest
+        fresh = ScenarioConfig(**TINY, cluster_table=str(path))
+        assert all(
+            record.error.startswith(
+                f"trial {record.trial_index}: {BEYOND_WINDOW}"
+            )
+            for record in run_trials(fresh)
+        )
+        assert fresh.config_hash() != digest
+
+    def test_a_relative_path_is_read_where_it_was_first_used(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "table.yaml").write_text(self.TABLE)
+        monkeypatch.chdir(tmp_path)
+        cfg = ScenarioConfig(**TINY, cluster_table="table.yaml")
+        records = run_trials(cfg)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        absolute = ScenarioConfig(
+            **TINY, cluster_table=str(tmp_path / "table.yaml")
+        )
+        assert cfg.config_hash() == absolute.config_hash()
+        assert records == run_trials(absolute)
+
+    @pytest.mark.parametrize("read_first", [True, False],
+                             ids=["read-in-parent", "read-in-workers"])
+    def test_the_pool_draws_the_serial_table(self, tmp_path, read_first):
+        path = tmp_path / "table.yaml"
+        path.write_text(self.TABLE)
+        serial = ScenarioConfig(**TINY, cluster_table=str(path))
+        records = run_trials(serial)
+        pooled = replace(serial, workers=2)
+        if read_first:
+            pooled.table
+            # Only the table the parent read can reach the workers now.
+            self.rewrite_beyond_window(path)
+        assert run_trials(pooled) == records
+        assert pooled.config_hash() == serial.config_hash()
+
+
 class TestShortcutsMatchLinkChain:
     """``TrialSimulator`` builds its observations in closed form; with the
     noise switched off they must equal what the full chain produces:
@@ -853,8 +915,8 @@ class TestShortcutsMatchLinkChain:
 
 
     def test_cells_sharing_one_process(self, tmp_path):
-        """The per-process table and pilot-tap basis memo tells cells apart
-        by table path, N, user count and tap count."""
+        """The per-process pilot-tap basis memo tells cells apart by N,
+        user count and tap count, and each config draws from its table."""
         cells = [
             self.CFG,
             replace(self.CFG, sequence_length=37),

@@ -1127,9 +1127,9 @@ class TestPointEvaluationMatchesOldExpressions:
 
 
 class TestResponsesMatchTheConjugatedProbes:
-    """``_responses`` conjugates the vector and the product instead of the
-    probes; its bits must be those of ``probes.conj() @ phi``, except that
-    an exactly zero part may have the other sign (adding ``0.0`` makes
+    """``probe_responses`` conjugates the vector and the product instead of
+    the probes; its bits must be those of ``probes.conj() @ phi``, except
+    that an exactly zero part may have the other sign (adding ``0.0`` makes
     every zero ``+0.0`` and changes nothing else).  Such zeros occur at the
     zero vector."""
 
@@ -1147,7 +1147,7 @@ class TestResponsesMatchTheConjugatedProbes:
                     simulator.psi_victim + simulator.psi_attacker,
                 ):
                     assert same_bits(
-                        extractor._responses(batch, phi) + 0.0,
+                        extractor.probe_responses(batch.probes, phi) + 0.0,
                         batch.probes.conj() @ phi + 0.0,
                     )
 
