@@ -42,6 +42,7 @@ __all__ = [
     "draw_channel",
     "draw_channels",
     "draw_azimuths",
+    "nearest_taps",
     "beamspace",
     "vectorize_taps",
     "complex_normal",
@@ -76,8 +77,9 @@ RAYS_PER_CLUSTER = 20
 ELEMENT_SPACING_WAVELENGTHS = 0.5
 
 # Delay-tap duration of every trial's channel, in nanoseconds: a cluster
-# maps to the tap nearest its delay over this, so the four taps of the
-# default scenario cover the default profile's clusters up to 610 ns.
+# maps to the tap nearest its delay over this (``nearest_taps``), and a
+# scenario's delay window ends at its profile's last cluster, so the default
+# profile's 610 ns cluster, at tap 3, gives it four taps.
 TAP_DURATION_NS = 240.0
 
 
@@ -298,12 +300,18 @@ def _steering_powers(sines: np.ndarray, num_antennas: int, gains) -> np.ndarray:
     return rows
 
 
+def nearest_taps(table: ClusterTable, tap_duration_ns: float) -> np.ndarray:
+    """The delay tap nearest each cluster's delay, ascending as the delays
+    are: ``rint(delay / tap_duration_ns)``, halves to even."""
+    return np.rint(table.delays_ns / tap_duration_ns).astype(int)
+
+
 def _cluster_taps(
     table: ClusterTable, num_taps: int, tap_duration_ns: float
 ) -> np.ndarray:
-    """The delay tap nearest each cluster's delay; a cluster beyond the
-    ``num_taps``-tap window raises :class:`ClusterTableError`."""
-    taps = np.rint(table.delays_ns / tap_duration_ns).astype(int)
+    """:func:`nearest_taps`; a cluster beyond the ``num_taps``-tap window
+    raises :class:`ClusterTableError`."""
+    taps = nearest_taps(table, tap_duration_ns)
     for c, tap_index in enumerate(taps):
         if tap_index >= num_taps:
             raise ClusterTableError(

@@ -26,9 +26,24 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateFingerprintError
 from .extractor import SparsityFingerprint
 
-__all__ = ["DEFAULT_THRESHOLD", "StreamResult", "similarity", "run_stream"]
+__all__ = [
+    "DEFAULT_THRESHOLD",
+    "StreamResult",
+    "check_threshold",
+    "similarity",
+    "run_stream",
+]
 
 DEFAULT_THRESHOLD = 0.92
+
+
+def check_threshold(threshold: float) -> None:
+    """Reject a similarity threshold outside [0, 1] with
+    :class:`ConfigurationError`."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigurationError(
+            f"similarity threshold must lie in [0, 1], got {threshold}"
+        )
 
 
 def similarity(fingerprint_a, fingerprint_b) -> float:
@@ -87,10 +102,7 @@ def run_stream(
     """
     if len(fingerprints) == 0:
         raise ConfigurationError("fingerprint stream is empty")
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigurationError(
-            f"similarity threshold must lie in [0, 1], got {threshold}"
-        )
+    check_threshold(threshold)
     reference = fingerprints[0]
     if np.linalg.norm(reference.values) == 0.0:
         raise DegenerateFingerprintError("reference fingerprint has zero norm")

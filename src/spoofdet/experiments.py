@@ -30,9 +30,11 @@ against that chain, and ``TestNoiseShortcutMoments`` checks the moments of
 the tap noise, the energy sketch and the snapshot noise against the laws
 above.
 
-Each input is built once and only when needed: the cluster table per
-config (``ScenarioConfig.table``), the ``(N, K * T)`` pilot-tap basis per
-process on the fields it depends on, the rest as ``TrialSimulator`` sets out.
+Each input is built once and only when needed: the cluster table and the
+tap window T it fixes per config (``ScenarioConfig.table`` and
+``num_taps``, read before any trial runs), the ``(N, K * T)`` pilot-tap
+basis per process on the fields it depends on, the rest as
+``TrialSimulator`` sets out.
 
 Trials and streams take one path, ``_extract_schedule``: the
 ``(subframe, attacked)`` pairs of one deployment go to
@@ -61,7 +63,7 @@ import os
 import re
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property, partial
 from pathlib import Path
@@ -79,8 +81,15 @@ from .channel import (
     draw_channels,
     vectorize_taps,
 )
-from .detector import DEFAULT_THRESHOLD, StreamResult, run_stream, similarity
+from .detector import (
+    DEFAULT_THRESHOLD,
+    StreamResult,
+    check_threshold,
+    run_stream,
+    similarity,
+)
 from .errors import (
+    ClusterTableError,
     ConfigurationError,
     InsufficientDataError,
     ShapeError,
@@ -536,16 +545,24 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 @contextmanager
-def _index_map(workers: int):
+def _index_map(workers: int, configs):
     """Yields ``map_indices(task, count)``, which returns ``[task(i) for i
     in range(count)]``; with ``workers > 1`` every map in the block runs on
     one spawned process pool, four chunks per worker.
+
+    Each of ``configs`` first reads its cluster table and tap window here,
+    before any task runs, so every copy of it that a task carries to a
+    worker holds this one read, which ``config_hash`` hashes too.  A table
+    that cannot be read is left for each trial to fail on.
 
     BLAS reads its thread count when numpy loads, which a worker does as it
     starts, importing the caller's main module.  So the workers are spawned
     while the BLAS thread variables read 1, and the caller's values are
     restored once the pool has shut down.
     """
+    for cfg in configs:
+        with suppress(ClusterTableError):
+            cfg.num_taps  # reads cfg.table first
     if workers <= 1:
         yield lambda task, count: [task(i) for i in range(count)]
         return
@@ -580,7 +597,7 @@ def run_trials(cfg: ScenarioConfig) -> list:
     count; ``OPENBLAS_NUM_THREADS=1`` was not consistently faster (L=48 and
     L=192 on 2 vCPU).
     """
-    with _index_map(cfg.workers) as map_indices:
+    with _index_map(cfg.workers, [cfg]) as map_indices:
         return map_indices(partial(run_single_trial, cfg), cfg.trials)
 
 
@@ -742,19 +759,16 @@ def _stream_states(
 ) -> tuple:
     """(``run_stream`` results, failed-stream count) over the streams.
 
-    A threshold outside [0, 1] is rejected before any stream runs.  A
-    stream that fails is skipped and counted, as a failed trial is
-    recorded, so one bad deployment does not end the run; if every stream
-    fails there is nothing to report, and the error names the first
-    stream's failure.
+    A threshold outside [0, 1] is rejected, by ``run_stream``'s check,
+    before any stream runs.  A stream that fails is skipped and counted,
+    as a failed trial is recorded, so one bad deployment does not end the
+    run; if every stream fails there is nothing to report, and the error
+    names the first stream's failure.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigurationError(
-            f"similarity threshold must lie in [0, 1], got {threshold}"
-        )
+    check_threshold(threshold)
     schedule = [(s, attack_start is not None and s >= attack_start)
                 for s in range(1, n_subframes + 1)]
-    with _index_map(cfg.workers) as map_indices:
+    with _index_map(cfg.workers, [cfg]) as map_indices:
         outcomes = map_indices(
             partial(_stream_outcome, cfg, schedule, threshold), n_streams
         )
@@ -983,7 +997,7 @@ def _run_cells(cells, workers: int) -> list:
     its trials, ROCs (none if every trial failed) and files; returns the
     cells' summaries."""
     summaries = []
-    with _index_map(workers) as map_indices:
+    with _index_map(workers, [cfg for cfg, _ in cells]) as map_indices:
         for cfg, out_dir in cells:
             started = time.perf_counter()
             records = map_indices(partial(run_single_trial, cfg), cfg.trials)

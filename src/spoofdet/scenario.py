@@ -2,9 +2,10 @@
 
 A scenario fixes the array and user population, the radio operating point
 (signal-to-noise and jammer-to-signal ratios), the pilot layout, the channel
-profile, per-detector settings, and the Monte Carlo budget.  It can be
-read from a flat YAML file keyed by its own field names (the layout of
-``to_dict``) and hashed for reproducibility bookkeeping.
+profile (which also fixes the delay-tap window), per-detector settings, and
+the Monte Carlo budget.  It can be read from a flat YAML file keyed by its
+own field names (the layout of ``to_dict``) and hashed for reproducibility
+bookkeeping.
 
 Conventions baked in here rather than scattered through the harness:
 
@@ -15,8 +16,10 @@ Conventions baked in here rather than scattered through the harness:
   ``PILOT_SHIFT = 5`` samples apart.  Same-root pilots stay orthogonal
   over a delay window no longer than the shift, so a scenario holds at
   most ``PILOT_SHIFT`` taps.
-* Delay taps are ``channel.TAP_DURATION_NS = 240`` ns apart, so the
-  ``PILOT_SHIFT`` taps span 1.2 us of a cluster profile.
+* Delay taps are ``channel.TAP_DURATION_NS = 240`` ns apart, and the
+  delay window is the cluster profile's span: it ends at the tap of the
+  last cluster.  A profile fits within ``PILOT_SHIFT`` taps, 1.2 us, or
+  every trial of it fails with ``ClusterTableError``.
 * Absolute transmit powers are normalized away; only the two ratios matter.
   The stated signal-to-noise ratio is interpreted at the channel-estimate
   level: the per-element estimate-noise variance is
@@ -53,6 +56,7 @@ from .channel import (
     ClusterTable,
     default_cluster_table,
     load_cluster_table,
+    nearest_taps,
 )
 from .errors import ClusterTableError, ConfigurationError, check_numeric_fields
 from .extractor import ExtractorConfig
@@ -85,13 +89,11 @@ class ScenarioConfig:
 
     Attributes
     ----------
-    num_antennas, num_users, num_taps, sequence_length
+    num_antennas, num_users, sequence_length
         Array size M (a uniform linear array with half-wavelength spacing,
-        ``channel.ELEMENT_SPACING_WAVELENGTHS``), active user count K,
-        channel delay-spread length in taps (at most ``PILOT_SHIFT``, the
-        pilots' cyclic-shift separation, so that same-root pilots stay
-        orthogonal over the delay window), and reference-sequence length N
-        (K shifts of ``PILOT_SHIFT`` must fit into it).
+        ``channel.ELEMENT_SPACING_WAVELENGTHS``), active user count K, and
+        reference-sequence length N (K shifts of ``PILOT_SHIFT`` must fit
+        into it).
     rb_count
         Occupied resource blocks; ``SAMPLES_PER_RB`` times this is the
         per-subframe sample budget L.
@@ -104,7 +106,8 @@ class ScenarioConfig:
         ``channel.TAP_DURATION_NS``; ``None`` selects the default profile
         built into ``channel.py`` (``default_cluster_table``), which reads
         no file; ``from_yaml`` joins a relative one to the scenario file's
-        directory.  The ``table`` property reads it once per config.
+        directory.  The ``table`` property reads it once per config, and
+        the ``num_taps`` property takes the delay window from it.
     threshold_scale, tolerance
         The fingerprint extractor's two settings, with the defaults and the
         meaning of ``ExtractorConfig``; the ``extractor`` property bundles
@@ -121,7 +124,6 @@ class ScenarioConfig:
 
     num_antennas: int = 64
     num_users: int = 16
-    num_taps: int = 4
     sequence_length: int = 139
     rb_count: int = 16
     snr_db: float = 5.0
@@ -153,18 +155,12 @@ class ScenarioConfig:
                 )
             object.__setattr__(self, "cluster_table", path)
         self.extractor  # raises what ExtractorConfig rejects
-        for name in ("num_antennas", "num_users", "num_taps", "rb_count",
-                     "trials", "workers"):
+        for name in ("num_antennas", "num_users", "rb_count", "trials",
+                     "workers"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
         if self.sequence_length < 2:
             raise ConfigurationError("sequence length must be at least 2")
-        if self.num_taps > PILOT_SHIFT:
-            raise ConfigurationError(
-                f"shift size {PILOT_SHIFT} must be at least the delay "
-                f"spread {self.num_taps} to keep same-root pilots "
-                "orthogonal over the delay window"
-            )
         self.build_pool()  # raises CapacityError if the users do not fit
         for name in ("snr_db", "jsr_db"):
             try:
@@ -235,6 +231,25 @@ class ScenarioConfig:
         if self.cluster_table is None:
             return default_cluster_table()
         return load_cluster_table(self.cluster_table)
+
+    @cached_property
+    def num_taps(self) -> int:
+        """The delay window T in taps, the span of ``table``: one more than
+        the tap nearest the last cluster's delay (``channel.nearest_taps``,
+        the rounding the channel draws use).  Taken once per config and
+        kept, as ``table`` is; a table beyond ``PILOT_SHIFT`` taps, or a
+        path that gives none, raises ``ClusterTableError`` at every use."""
+        table = self.table
+        last = table.num_clusters - 1
+        tap = int(nearest_taps(table, TAP_DURATION_NS)[last])
+        if tap >= PILOT_SHIFT:
+            raise ClusterTableError(
+                f"cluster {last} at {table.delays_ns[last]} ns maps to tap "
+                f"{tap}, so the profile spans {tap + 1} taps, more than the "
+                f"PILOT_SHIFT = {PILOT_SHIFT} over which same-root pilots "
+                f"stay orthogonal ({TAP_DURATION_NS} ns per tap)"
+            )
+        return tap + 1
 
     def build_pool(self) -> np.ndarray:
         """The users' pilots: :func:`pilot_pool` of this config."""

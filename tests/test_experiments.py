@@ -25,8 +25,8 @@ subframe each descent extracted; a spy on ``_SubframeDraws`` for which
 subframes a trial and a stream draw; ``run_scenario`` of each cell's
 config for what ``run_sweep`` writes; and, where a test needs a failed
 trial or stream, a failure made by construction (a NaN sample, or
-all-zero samples, in one sensing batch, or taps too short for the cluster
-profile), not one found by seed.
+all-zero samples, in one sensing batch, or a cluster profile longer than
+``PILOT_SHIFT`` taps), not one found by seed.
 """
 
 import concurrent.futures
@@ -430,10 +430,14 @@ TINY = dict(
 )
 
 
-# A cluster table whose second cluster, at 1200 ns, maps to tap 5, beyond
-# the 4-tap window, so every trial or stream drawing from it fails at its
-# first channel draw with this error.
-BEYOND_WINDOW = "ClusterTableError: cluster 1 at 1200.0 ns maps to tap 5"
+# A cluster table whose second cluster, at 1200 ns, maps to tap 5, so it
+# spans six taps, beyond the PILOT_SHIFT = 5 a delay window may hold: every
+# trial or stream drawing from it fails at its first channel draw with this
+# error.
+BEYOND_WINDOW = (
+    "ClusterTableError: cluster 1 at 1200.0 ns maps to tap 5, so the profile "
+    "spans 6 taps, more than the PILOT_SHIFT = 5"
+)
 
 
 @pytest.fixture
@@ -682,7 +686,7 @@ class TestWorkerPool:
         monkeypatch.setenv(names[0], "4")
         for name in names[1:]:
             monkeypatch.delenv(name, raising=False)
-        with experiments._index_map(2) as map_indices:
+        with experiments._index_map(2, []) as map_indices:
             seen = map_indices(blas_thread_variable, len(names))
         assert seen == ["1"] * len(names)
         assert pools == [[2, 1]]
@@ -842,6 +846,61 @@ class TestConfigOwnsItsTable:
         assert run_trials(pooled) == records
         assert pooled.config_hash() == serial.config_hash()
 
+    def test_a_pooled_run_reads_the_table_in_the_parent(self, tmp_path):
+        # Before the pool starts, so every task's copy of the config carries
+        # the parent's one read of the table and of the window it fixes.
+        path = tmp_path / "table.yaml"
+        path.write_text(self.TABLE)
+        records = run_trials(ScenarioConfig(**TINY, cluster_table=str(path)))
+        pooled = ScenarioConfig(**TINY, cluster_table=str(path), workers=2)
+        assert "table" not in vars(pooled)
+        assert run_trials(pooled) == records
+        assert {"table", "num_taps"} <= vars(pooled).keys()
+
+
+class TestTheProfileFixesTheWindow:
+    """The delay window is the cluster profile's span: a profile of up to
+    ``PILOT_SHIFT`` taps runs with no setting, and a longer one fails on
+    every trial without ending a sweep."""
+
+    def test_five_taps_run_and_six_fail(self, tmp_path, beyond_window,
+                                        monkeypatch):
+        # The last cluster at 960 ns maps to tap 4, at 1200 ns to tap 5.
+        five = beyond_window.parent / "five-taps.yaml"
+        five.write_text(beyond_window.read_text().replace("1200.0", "960.0"))
+        monkeypatch.chdir(beyond_window.parent)
+        cfg = ScenarioConfig(**TINY)
+        grid = run_sweep(
+            cfg, {"cluster_table": [five.name, beyond_window.name]}, tmp_path
+        )
+
+        fits = replace(cfg, cluster_table=five.name)
+        assert fits.num_taps == PILOT_SHIFT
+        assert fits.fingerprint_dimension == 5 * cfg.num_antennas
+        simulator = TrialSimulator(fits, 0)
+        assert simulator.channels.shape == (
+            cfg.num_users, 5, cfg.num_antennas
+        )
+        assert simulator.sensing_batch(1, False).probes.shape == (
+            cfg.n_samples, 5 * cfg.num_antennas
+        )
+        records = run_trials(fits)
+        assert not all(record.failed for record in records)
+        complete = grid["cells"]["cluster_table=five-taps.yaml"]
+        assert complete["error"] is None
+        assert complete["failed_trials"] == sum(r.failed for r in records)
+
+        failed = grid["cells"]["cluster_table=beyond-window.yaml"]
+        assert failed["failures_by_type"] == {"ClusterTableError": cfg.trials}
+        rows = list(csv.DictReader((
+            tmp_path / "cluster_table=beyond-window.yaml" / "trials.csv"
+        ).read_text().splitlines()))
+        assert [row["error"] for row in rows] == [
+            f"trial {i}: {BEYOND_WINDOW} over which same-root pilots stay "
+            "orthogonal (240.0 ns per tap)"
+            for i in range(cfg.trials)
+        ]
+
 
 class TestShortcutsMatchLinkChain:
     """``TrialSimulator`` builds its observations in closed form; with the
@@ -874,6 +933,23 @@ class TestShortcutsMatchLinkChain:
     def test_sensing_batch_and_snapshot(self, trial, attacked):
         self.assert_matches_chain(TrialSimulator(self.CFG, trial), attacked)
 
+    @staticmethod
+    def window_of(tmp_path, num_taps, second_delay_ns=None):
+        """The path of a table whose last cluster, at tap ``num_taps - 1``,
+        gives a ``num_taps``-tap window, after a cluster at 0 ns and one at
+        ``second_delay_ns`` if given."""
+        delays = [0.0, second_delay_ns, 240.0 * (num_taps - 1)]
+        if second_delay_ns is None:
+            del delays[1]
+        table = tmp_path / f"window-{num_taps}.yaml"
+        table.write_text(
+            f"delays_ns: {delays}\n"
+            f"powers_db: {[0.0, -3.0, -6.0][:len(delays)]}\n"
+            f"azimuths_deg: {[0.0, 40.0, -25.0][:len(delays)]}\n"
+            f"spreads_deg: {[2.0] * len(delays)}\n"
+        )
+        return str(table)
+
     @pytest.mark.parametrize("num_taps, second_delay_ns", [
         (3, 400.0), (4, 240.0), (5, 240.0),
     ])
@@ -883,17 +959,13 @@ class TestShortcutsMatchLinkChain:
     ):
         # Pilots PILOT_SHIFT apart stay orthogonal over every delay window
         # up to the shift, so the shortcuts hold below it and at that
-        # boundary too.  The default profile's 610 ns cluster lies beyond a
-        # 3-tap window, so each window draws from a two-cluster table whose
-        # second cluster fits it: 400 ns maps to tap 2, 240 ns to tap 1.
-        table = tmp_path / "two-clusters.yaml"
-        table.write_text(
-            f"delays_ns: [0.0, {second_delay_ns}]\n"
-            "powers_db: [0.0, -3.0]\n"
-            "azimuths_deg: [0.0, 40.0]\n"
-            "spreads_deg: [2.0, 2.0]\n"
-        )
-        cfg = replace(self.CFG, num_taps=num_taps, cluster_table=str(table))
+        # boundary too.  The table fixes the window: its last cluster, at
+        # 480, 720 or 960 ns, maps to tap 2, 3 or 4, and a cluster before
+        # it at 400 ns (tap 2) or 240 ns (tap 1) puts energy inside it.
+        cfg = replace(self.CFG, cluster_table=self.window_of(
+            tmp_path, num_taps, second_delay_ns
+        ))
+        assert cfg.num_taps == num_taps
         self.assert_matches_chain(TrialSimulator(cfg, 0), attacked)
 
     def assert_matches_chain(self, simulator, attacked):
@@ -917,11 +989,15 @@ class TestShortcutsMatchLinkChain:
     def test_cells_sharing_one_process(self, tmp_path):
         """The per-process pilot-tap basis memo tells cells apart by N,
         user count and tap count, and each config draws from its table."""
+        five_taps = replace(
+            self.CFG, cluster_table=self.window_of(tmp_path, PILOT_SHIFT)
+        )
+        assert five_taps.num_taps == PILOT_SHIFT != self.CFG.num_taps
         cells = [
             self.CFG,
             replace(self.CFG, sequence_length=37),
             replace(self.CFG, num_users=5),
-            replace(self.CFG, num_taps=PILOT_SHIFT),
+            five_taps,
             self.CFG,
         ]
         for cfg in cells:
@@ -1984,7 +2060,7 @@ class TestOtherEntryPoints:
         {"rb_count": [8], "snr_db": [10.0, 10]},
         {"rb_count": [8, 8.0], "jsr_db": [0.0]},
         {"snr_db": [5.0], "snr": [5.0]},
-        {"num_taps": [4, PILOT_SHIFT + 1]},
+        {"num_taps": [4]},
         {"cluster_table": ["profiles/clustered.yaml"]},
         {"workers": [1, 2]},
         {"rb_count": [8], "output_dir": ["a", "b"]},
@@ -1995,18 +2071,18 @@ class TestOtherEntryPoints:
     ], ids=[
         "fractional-block-count", "quoted-snr", "5-and-5.0",
         "repeat-on-the-last-axis", "repeat-on-the-first-axis",
-        "unknown-field", "shift-within-the-delay-spread", "path-separator",
+        "unknown-field", "num-taps", "path-separator",
         "workers", "output-dir", "nested-extractor", "negative-tolerance",
         "shift-size", "tap-duration",
     ])
     def test_run_sweep_rejects_what_the_config_rejects(self, tmp_path, axes):
         # A value the config rejects, two values naming one cell, a name
         # that is no config field (a typo, a deleted field such as
-        # ``output_dir``, ``shift_size`` or ``tap_duration_ns``, or the
-        # ``extractor`` property), a field that changes no cell's results
-        # (the whole sweep runs on ``cfg.workers``), or a tag that is not a
-        # plain directory name raises before any cell runs, here after a
-        # first good cell.
+        # ``output_dir``, ``shift_size``, ``tap_duration_ns`` or
+        # ``num_taps``, or the ``extractor`` property), a field that
+        # changes no cell's results (the whole sweep runs on
+        # ``cfg.workers``), or a tag that is not a plain directory name
+        # raises before any cell runs, here after a first good cell.
         cfg = ScenarioConfig(**TINY)
         with pytest.raises(ConfigurationError):
             run_sweep(cfg, axes, tmp_path / "sweep")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from spoofdet.errors import ConfigurationError
+from spoofdet.channel import TAP_DURATION_NS, load_cluster_table, nearest_taps
+from spoofdet.errors import ClusterTableError, ConfigurationError
 from spoofdet.experiments import run_trials
 from spoofdet.extractor import ExtractorConfig
 from spoofdet.link import simulate_subframe
@@ -20,7 +21,6 @@ from spoofdet.scenario import PILOT_SHIFT, ScenarioConfig
 CUSTOM = ScenarioConfig(
     num_antennas=8,
     num_users=4,
-    num_taps=3,
     sequence_length=31,
     rb_count=8,
     snr_db=-2.5,
@@ -41,7 +41,6 @@ CUSTOM = ScenarioConfig(
 DEFAULT_ITEMS = [
     ("num_antennas", 64),
     ("num_users", 16),
-    ("num_taps", 4),
     ("sequence_length", 139),
     ("rb_count", 16),
     ("snr_db", 5.0),
@@ -57,7 +56,6 @@ DEFAULT_ITEMS = [
 CUSTOM_ITEMS = [
     ("num_antennas", 8),
     ("num_users", 4),
-    ("num_taps", 3),
     ("sequence_length", 31),
     ("rb_count", 8),
     ("snr_db", -2.5),
@@ -182,6 +180,62 @@ class TestClusterTablePath:
         assert len(hashes) == 3
 
 
+class TestTapWindow:
+    """``num_taps`` is the cluster table's span in taps, taken by the
+    channel draws' rounding, and no setting: the config reads its table
+    for it at first use, not when it is built."""
+
+    @staticmethod
+    def two_clusters(tmp_path, second_delay_ns):
+        path = tmp_path / "table.yaml"
+        path.write_text(
+            f"delays_ns: [0.0, {second_delay_ns}]\npowers_db: [0.0, -3.0]\n"
+            "azimuths_deg: [0.0, 40.0]\nspreads_deg: [2.0, 2.0]\n"
+        )
+        return str(path)
+
+    def test_the_default_profile_spans_four_taps(self):
+        # Its 610 ns cluster is nearest tap 3.
+        cfg = ScenarioConfig()
+        assert "table" not in vars(cfg)
+        assert cfg.num_taps == 4
+        assert cfg.fingerprint_dimension == 4 * cfg.num_antennas
+
+    # Halves round to even, as in the draws: 120 ns is tap 0, 360 ns tap 2.
+    @pytest.mark.parametrize("second_delay_ns, span", [
+        (0.0, 1), (120.0, 1), (240.0, 2), (360.0, 3), (480.0, 3),
+        (720.0, 4), (960.0, 5), (1079.0, 5),
+    ])
+    def test_one_more_than_the_last_cluster_tap(self, tmp_path,
+                                                second_delay_ns, span):
+        path = self.two_clusters(tmp_path, second_delay_ns)
+        cfg = ScenarioConfig(cluster_table=path)
+        assert cfg.num_taps == span
+        taps = nearest_taps(load_cluster_table(path), TAP_DURATION_NS)
+        assert cfg.num_taps == taps[-1] + 1
+        # Taken once and kept with the table it came from.
+        assert vars(cfg)["num_taps"] == span and "table" in vars(cfg)
+
+    @pytest.mark.parametrize("second_delay_ns", [1200.0, None],
+                             ids=["six-taps", "missing-file"])
+    def test_no_window_raises_at_every_use(self, tmp_path, second_delay_ns):
+        # Building the config reads no table, so the config exists and each
+        # of its trials fails on its own.
+        path = (tmp_path / "missing.yaml" if second_delay_ns is None
+                else self.two_clusters(tmp_path, second_delay_ns))
+        cfg = ScenarioConfig(cluster_table=str(path))
+        for _ in range(2):
+            with pytest.raises(ClusterTableError) as raised:
+                cfg.num_taps
+            assert "num_taps" not in vars(cfg)
+        if second_delay_ns is not None:
+            assert str(raised.value) == (
+                "cluster 1 at 1200.0 ns maps to tap 5, so the profile spans "
+                f"6 taps, more than the PILOT_SHIFT = {PILOT_SHIFT} over "
+                "which same-root pilots stay orthogonal (240.0 ns per tap)"
+            )
+
+
 class TestUnreadableYaml:
     """A file ``from_yaml`` cannot turn into a config raises
     ``ConfigurationError``, as ``load_cluster_table`` raises its
@@ -222,8 +276,10 @@ class TestUnreadableYaml:
         ("shift_size: 5\n", "unknown configuration keys: ['shift_size']"),
         ("tap_duration_ns: 240.0\n",
          "unknown configuration keys: ['tap_duration_ns']"),
+        # The delay window, which the cluster table fixes now.
+        ("num_taps: 4\n", "unknown configuration keys: ['num_taps']"),
     ], ids=["key", "value", "capacity", "nested", "mixed-key-types",
-            "shift-size", "tap-duration"])
+            "shift-size", "tap-duration", "num-taps"])
     def test_rejected_contents_name_the_file(self, tmp_path, text, error):
         # Whatever from_dict rejects in a file is raised with the file's
         # path and as the same exception type.
@@ -241,8 +297,9 @@ class TestUnknownKeys:
     # Each retired setting under its field-style name, then each section of
     # the former nested layout holding a field it held, then the sequential
     # detector's threshold, now an argument of the entry points that run
-    # it: the error names every key of the mapping, so no case passes for
-    # another key's sake.
+    # it, then the delay window, now the cluster table's span: the error
+    # names every key of the mapping, so no case passes for another key's
+    # sake.
     @pytest.mark.parametrize(
         "raw",
         [
@@ -280,6 +337,7 @@ class TestUnknownKeys:
             {"detector": {"similarity_threshold": 0.92}},
             {"experiment": {"trials": 500}},
             {"similarity_threshold": 0.92},
+            {"num_taps": 4},
         ],
     )
     def test_rejected(self, raw):
@@ -313,10 +371,10 @@ class TestWrongTypes:
             # variance, the signal level over it, is infinite.
             {"snr_db": -3200.0},
             # Cells whose trials cannot run: a sequence too short for a
-            # pilot, a delay spread beyond the pilot shift, and more users
-            # than the pilot pool holds (139 // 5 = 27).
+            # pilot, no resource block to sample, and more users than the
+            # pilot pool holds (139 // 5 = 27).
             {"sequence_length": 1},
-            {"num_taps": PILOT_SHIFT + 1},
+            {"rb_count": 0},
             {"num_users": 28},
             # Integers too large for a float.
             {"snr_db": int("1" * 400)},
@@ -389,8 +447,8 @@ class TestConfigHash:
 
 class TestPinnedOutput:
     CASES = [
-        (ScenarioConfig(), DEFAULT_ITEMS, "111f61a1381ce874"),
-        (CUSTOM, CUSTOM_ITEMS, "5a706ed1f17aac1d"),
+        (ScenarioConfig(), DEFAULT_ITEMS, "dfef5df94b686477"),
+        (CUSTOM, CUSTOM_ITEMS, "8b659c7d857a373a"),
     ]
 
     @pytest.mark.parametrize("cfg, items, digest", CASES,
